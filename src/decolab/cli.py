@@ -529,16 +529,13 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
 
 def run_measure(config, out_dir, seed, workers, quiet) -> int:
     prov = _provenance("measure", config, seed)
-    try:
-        system = states.StateVector(
-            (2,),
-            [
-                _complex_pair(config["system"]["a"]),
-                _complex_pair(config["system"]["b"]),
-            ],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad system state: {exc}") from exc
+    system = states.StateVector(
+        (2,),
+        [
+            _complex_pair(config["system"]["a"]),
+            _complex_pair(config["system"]["b"]),
+        ],
+    )
     ready = states.StateVector((2,), [1.0, 0.0])
     joint = measurement.premeasure_cnot(system, ready)
     basis = states.BasisSpec(0, np.eye(4))
@@ -613,11 +610,8 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
     root = np.random.SeedSequence(seed)
     amps = config["branch_amplitudes"]
     env = config["environment"]
-    try:
-        bath = _bath_from(env["n_spins"], env.get("ensemble", "balanced"), root.spawn(1)[0])
-        tri = pointer.TriConfig(_complex_pair(amps["a"]), _complex_pair(amps["b"]), bath)
-    except ValueError as exc:
-        raise ConfigError(f"bad pointer configuration: {exc}") from exc
+    bath = _bath_from(env["n_spins"], env.get("ensemble", "balanced"), root.spawn(1)[0])
+    tri = pointer.TriConfig(_complex_pair(amps["a"]), _complex_pair(amps["b"]), bath)
 
     if "correlation" in config:
         sec = config["correlation"]
@@ -661,10 +655,7 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
         def kappa(i, j, t, mix):
             return 1.0 if i == j else math.exp(-rates[mix] * t)
 
-        try:
-            model = pointer.ApparatusModel(c, kappa, weights)
-        except ValueError as exc:
-            raise ConfigError(f"bad apparatus model: {exc}") from exc
+        model = pointer.ApparatusModel(c, kappa, weights)
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
         full_basis = states.BasisSpec(0, np.eye(model.dim))
         rows = []
@@ -691,10 +682,7 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
 
     if "counting" in config:
         alpha = _complex_pair(config["counting"]["alpha"])
-        try:
-            state = fock.coherent_state(space, alpha)
-        except fock.TruncationError as exc:
-            raise ConfigError(str(exc)) from exc
+        state = fock.coherent_state(space, alpha)
         probs = measurement.povm_probabilities(
             state.density(), fock.photon_counting_set(space)
         )
@@ -739,11 +727,8 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
         dt = float(sec["dt"])
         n_steps = int(round(sec["t_max"] / dt))
         t_grid = np.arange(n_steps + 1) * dt
-        try:
-            state = fock.coherent_state(space, alpha)
-            report = fock.ehrenfest_check(space, state, omega, mass, t_grid)
-        except fock.TruncationError as exc:
-            raise ConfigError(str(exc)) from exc
+        state = fock.coherent_state(space, alpha)
+        report = fock.ehrenfest_check(space, state, omega, mass, t_grid)
         if not quiet:
             print(f"ehrenfest max residual {report.max_residual:.6e} at dt {dt:g}")
         rows = list(zip(report.t, report.residuals))
@@ -1041,7 +1026,9 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args.seed, config)
         out_dir = _ensure_out(args.out)
         return runner(config, out_dir, seed, args.workers, args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, spin_bath.FitWindowError) as exc:
+        # a value from the config that the library rejects (including
+        # DimensionCapError and TruncationError) is a config error too
         print(f"decolab: {exc}", file=sys.stderr)
         return 2
 

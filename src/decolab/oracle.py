@@ -4,7 +4,9 @@ This module is the package's independent cross-check: it never uses the
 closed-form dephasing product.  Everything is computed by explicitly
 evolving a joint state vector (diagonal phases or a dense eigendecomposition)
 and partial-tracing, so agreement with the analytic layer is a real test and
-not a tautology.
+not a tautology.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the
+dense references for the pointer diagnostics; the tests cross-check with
+them and the package does not export them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DIM_CAP, DimensionCapError, StateVector, reduced_density
+from .pointer import tridecompose_state
+from .spin_bath import environment_branch
+from .states import DIM_CAP, DensityMatrix, DimensionCapError, StateVector, purity, reduced_density
 
 #: Dense (eigendecomposition) evolution is capped well below the vector cap.
 DENSE_CAP = 2 ** 12
@@ -157,11 +161,43 @@ def oracle_r(cfg, t: float) -> complex:
         raise UndefinedRatioError(
             "off-diagonal ratio undefined: a branch amplitude is zero"
         )
-    amps = np.array([a, b], dtype=complex)
-    for alpha_k, beta_k in zip(cfg.alpha, cfg.beta):
-        amps = np.kron(amps, np.array([alpha_k, beta_k], dtype=complex))
+    amps = np.kron([a, b], environment_branch(cfg, 0.0).amps)
     psi0 = StateVector((2,) * (n + 1), amps)
     ham = dephasing_hamiltonian(cfg.g)
     psi_t = evolve_diagonal(ham, psi0, t)
     rho_a = reduced_density(psi_t, keep=0)
     return complex(rho_a.mat[0, 1] / (a * np.conj(b)))
+
+
+def oracle_rho_sa(cfg, t: float) -> DensityMatrix:
+    """System+pointer state obtained from the explicit tripartite state.
+
+    Traces the environment out of
+    :func:`~decolab.pointer.tridecompose_state` for ``cfg`` (a
+    :class:`~decolab.pointer.TriConfig`).  Reference for
+    :func:`~decolab.pointer.basis_correlation_decay`; limited to N <= 13
+    bath spins.
+    """
+    return reduced_density(tridecompose_state(cfg, t), keep=(0, 1))
+
+
+def oracle_pointer_purity(bath, column, t_grid) -> np.ndarray:
+    """Purity of a pointer dephased by ``bath``, by explicit joint evolution.
+
+    The pointer starts in ``column`` (two amplitudes) next to the bath
+    product state of ``bath`` (a :class:`~decolab.spin_bath.SpinBathConfig`)
+    and evolves with :func:`evolve_diagonal` under
+    :func:`dephasing_hamiltonian`; the bath is traced out at every time.
+    Reference for :func:`~decolab.pointer.predictability_sieve`, whose score
+    of a basis is this purity averaged over the grid and the basis columns.
+    """
+    n = bath.n_spins
+    amps = np.kron(np.asarray(column, dtype=complex), environment_branch(bath, 0.0).amps)
+    psi0 = StateVector((2,) * (n + 1), amps)
+    ham = dephasing_hamiltonian(bath.g)
+    return np.array(
+        [
+            purity(reduced_density(evolve_diagonal(ham, psi0, t), keep=0))
+            for t in np.asarray(t_grid, dtype=float).reshape(-1)
+        ]
+    )

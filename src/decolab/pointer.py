@@ -16,16 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import oracle
-from .spin_bath import SpinBathConfig, environment_branch
-from .states import (
-    BasisSpec,
-    DensityMatrix,
-    DimensionCapError,
-    StateVector,
-    purity,
-    reduced_density,
-)
+from .spin_bath import SpinBathConfig, decoherence_factor, environment_branch
+from .states import BasisSpec, DensityMatrix, DimensionCapError, StateVector
 
 
 @dataclass(frozen=True)
@@ -86,14 +78,18 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
     """System-pointer correlation strength in a rotated readout basis.
 
     Both the system and pointer readout bases are rotated by ``theta``
-    (radians, in [0, pi/2]) away from the pointer basis.  At each time the
-    joint state is built explicitly, the environment is traced out, and the
-    correlation is scored from the diagonal of rho_SA in the rotated product
-    basis as
+    (radians, in [0, pi/2]) away from the pointer basis.  Tracing the
+    environment out of the tripartite state leaves rho_SA with |a|^2 and
+    |b|^2 on |up,up> and |down,down> and the coherence a conj(b) r(t) between
+    them, so with U = R(theta) x R(theta) the rotated diagonal is
 
-        C = | sqrt(P00 P11) - sqrt(P01 P10) |,
+        P = |a|^2 U[0]^2 + |b|^2 U[3]^2 + 2 Re(a conj(b) r) U[0] U[3].
 
-    the contrast between the aligned and the anti-aligned branch pairing.
+    The correlation is the contrast between the aligned and the anti-aligned
+    branch pairing,
+
+        C = | sqrt(P00 P11) - sqrt(P01 P10) |.
+
     theta = 0 reproduces the preserved pointer correlation |a b| at every
     time; rotated bases lose correlation as the branch overlap decays.
     """
@@ -101,14 +97,14 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     u2 = np.kron(_rotation(theta), _rotation(theta))
-    out = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        rho_sa = reduced_density(tridecompose_state(cfg, t), keep=(0, 1))
-        diag = np.clip(np.real(np.diag(u2.T @ rho_sa.mat @ u2)), 0.0, None)
-        aligned = math.sqrt(diag[0] * diag[3])
-        crossed = math.sqrt(diag[1] * diag[2])
-        out[j] = abs(aligned - crossed)
-    return out
+    coherence = np.real(cfg.a * np.conj(cfg.b) * decoherence_factor(cfg.bath, t_grid))
+    diag = (
+        abs(cfg.a) ** 2 * u2[0] ** 2
+        + abs(cfg.b) ** 2 * u2[3] ** 2
+        + 2.0 * np.multiply.outer(coherence, u2[0] * u2[3])
+    )
+    diag = np.clip(diag, 0.0, None)
+    return np.abs(np.sqrt(diag[:, 0] * diag[:, 3]) - np.sqrt(diag[:, 1] * diag[:, 2]))
 
 
 def predictability_sieve(
@@ -117,11 +113,11 @@ def predictability_sieve(
     """Rank candidate pointer bases by how predictable they stay.
 
     For each candidate basis, the pointer alone is initialized in each basis
-    column (the system is left out), coupled to the environment of ``cfg``,
-    and evolved exactly under the diagonal dephasing Hamiltonian; the score
-    is the time-averaged purity of the reduced pointer state, averaged over
-    the columns.  A basis of conserved states scores exactly 1; nothing can
-    score higher.
+    column (u0, u1) (the system is left out) and dephased by the environment
+    of ``cfg``.  Its purity is |u0|^4 + |u1|^4 + 2 |u0 u1|^2 |r(t)|^2, so the
+    score, the time-averaged purity averaged over the columns, needs only
+    the mean of |r|^2 over the grid.  A basis of conserved states scores
+    exactly 1; nothing can score higher.
 
     Returns the candidates sorted by descending score, ties keeping input
     order.
@@ -132,32 +128,13 @@ def predictability_sieve(
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("empty time grid")
-    bath = cfg.bath
-    n = bath.n_spins
-    if 2 ** (n + 1) > 2 ** 15:
-        raise DimensionCapError(f"sieve with {n} bath spins exceeds the dense cap")
-    ham = oracle.dephasing_hamiltonian(bath.g)
-    env = np.ones(1, dtype=complex)
-    for alpha_k, beta_k in zip(bath.alpha, bath.beta):
-        env = np.kron(env, np.array([alpha_k, beta_k]))
-    half = env.size
+    mean_r2 = float(np.mean(np.abs(decoherence_factor(cfg.bath, t_grid)) ** 2))
     scored = []
     for basis in candidates:
         if basis.dim != 2:
             raise ValueError("sieve candidates must be single-qubit bases")
-        col_scores = []
-        for col in range(2):
-            amps0 = np.kron(basis.matrix[:, col], env)
-            mean_purity = 0.0
-            block = 256
-            for lo in range(0, t_grid.size, block):
-                ts = t_grid[lo : lo + block]
-                phases = np.exp(-1j * np.outer(ts, ham.energies))
-                amps_t = (phases * amps0).reshape(ts.size, 2, half)
-                gram = np.einsum("bij,bkj->bik", amps_t, amps_t.conj())
-                mean_purity += float(np.sum(np.abs(gram) ** 2))
-            col_scores.append(mean_purity / t_grid.size)
-        scored.append(float(np.mean(col_scores)))
+        w0, w1 = np.abs(basis.matrix) ** 2
+        scored.append(float(np.mean(w0 ** 2 + w1 ** 2 + 2.0 * w0 * w1 * mean_r2)))
     order = sorted(range(len(candidates)), key=lambda i: -scored[i])
     return [(candidates[i], scored[i]) for i in order]
 

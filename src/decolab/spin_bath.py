@@ -325,16 +325,10 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     departed = np.nonzero(~above)[0]
     if departed.size == 0:
         return [(0.0, float(horizon))]
-    start = int(departed[0])
-    intervals = []
-    in_run = False
-    run_start = 0
-    for i in range(start, n_pts):
-        if above[i] and not in_run:
-            in_run, run_start = True, i
-        elif not above[i] and in_run:
-            intervals.append((float(t_grid[run_start]), float(t_grid[i - 1])))
-            in_run = False
-    if in_run:
-        intervals.append((float(t_grid[run_start]), float(t_grid[-1])))
-    return intervals
+    # runs of `above` after the first departure; the padding closes a run
+    # still open at the horizon
+    above[: departed[0]] = False
+    edges = np.diff(np.concatenate(([False], above, [False])).astype(np.int8))
+    enters = np.nonzero(edges == 1)[0]
+    exits = np.nonzero(edges == -1)[0] - 1
+    return [(float(t_grid[i]), float(t_grid[j])) for i, j in zip(enters, exits)]

@@ -1,4 +1,27 @@
+import os
+
 import pytest
+
+import decolab
+
+# Absolute path of the directory that contains the imported decolab package.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(decolab.__file__)))
+
+
+def cli_env(extra=None):
+    """Environment for a ``python -m decolab`` child process.
+
+    The child imports the same decolab as the tests, whatever its working
+    directory: the package's parent directory goes first on PYTHONPATH as an
+    absolute path (a relative entry such as ``src`` breaks once the child
+    runs elsewhere).  An ambient DECOLAB_SEED is dropped so configs and flags
+    decide the seed; ``extra`` is applied last.
+    """
+    env = dict(os.environ)
+    env.pop("DECOLAB_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.update(extra or {})
+    return env
 
 # One line per acceptance criterion, echoed after the run so the pass/fail
 # status of each is visible even when pytest captures stdout.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import cli_env
 from decolab.fock import (
     FockSpace,
     coherent_measurement_set,
@@ -415,13 +416,11 @@ DETERMINISM_CONFIGS = {
 
 
 def _run_cli(args, cwd):
-    env = dict(os.environ)
-    env.pop("DECOLAB_SEED", None)
     return subprocess.run(
         [sys.executable, "-m", "decolab", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
         cwd=cwd,
     )
 

@@ -1,26 +1,25 @@
 import csv
 import json
-import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from decolab.cli import CONFIG_SCHEMAS, main
+from decolab.measurement import KrausSet
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
 
 
 def run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("DECOLAB_SEED", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "decolab", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
         cwd=cwd,
     )
 
@@ -185,6 +184,48 @@ def test_measure_kraus_dimension_mismatch_is_usage_error(tmp_path):
     proc = run_cli(["measure", "--config", cfg, "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert "dimension" in proc.stderr
+
+
+def test_library_rejection_is_usage_error_without_traceback(tmp_path):
+    bad = dict(SPIN_CFG)
+    bad["recurrence"] = {"couplings": [0.0], "horizon": 4.0, "epsilon": 0.02}
+    cfg = write_config(tmp_path / "c.json", bad)
+    proc = run_cli(["spin-bath", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("decolab: ")
+    assert proc.stderr.count("\n") == 1
+
+
+# ------------------------------------------------------------ README examples
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_CONFIGS = [
+    json.loads(block)
+    for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+]
+
+
+def test_readme_has_a_config_per_subcommand():
+    assert sorted(c["experiment"] for c in README_CONFIGS) == sorted(
+        name for name in CONFIG_SCHEMAS if name != "check"
+    )
+
+
+@pytest.mark.parametrize(
+    "config", README_CONFIGS, ids=[c["experiment"] for c in README_CONFIGS]
+)
+def test_readme_config_runs_as_documented(tmp_path, config):
+    if "kraus_file" in config:
+        # the example names a file relative to the working directory
+        zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
+        with open(tmp_path / config["kraus_file"], "w") as fh:
+            json.dump(zset.to_dict(), fh)
+    cfg = write_config(tmp_path / "config.json", config)
+    proc = run_cli(
+        [config["experiment"], "--config", cfg, "--out", "out", "--quiet"], cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------ seeds

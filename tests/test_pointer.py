@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from decolab.oracle import oracle_pointer_purity, oracle_rho_sa
 from decolab.pointer import (
     ApparatusModel,
     TriConfig,
@@ -214,3 +217,58 @@ def test_apparatus_rejects_bad_kernels():
     )
     with pytest.raises(ValueError):
         apparatus_reduced_state(skew, 1.0)
+
+
+# ------------------------------------------------------------ dense references
+
+THETAS = (0.0, np.pi / 8, np.pi / 4, np.pi / 2)
+PHASED_BASIS = BasisSpec(
+    0,
+    np.array(
+        [
+            [math.cos(0.3), -math.sin(0.3) * np.exp(-0.4j)],
+            [math.sin(0.3) * np.exp(0.4j), math.cos(0.3)],
+        ]
+    ),
+)
+
+
+def reference_config(n, balanced):
+    ref_rng = np.random.default_rng(7000 + n)
+    if balanced:
+        bath = SpinBathConfig.balanced(ref_rng.uniform(0.1, 1.0, n))
+    else:
+        bath = SpinBathConfig.random(n, ref_rng)
+    return TriConfig(0.6, 0.64 + 0.48j, bath)
+
+
+def dense_correlation(rho_sa, theta):
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    u2 = np.kron(rot, rot)
+    p = np.clip(np.real(np.diag(u2.T @ rho_sa.mat @ u2)), 0.0, None)
+    return abs(math.sqrt(p[0] * p[3]) - math.sqrt(p[1] * p[2]))
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "random"])
+@pytest.mark.parametrize("n", [1, 5, 13])
+def test_correlation_matches_dense_reference(n, balanced):
+    cfg = reference_config(n, balanced)
+    t_grid = np.linspace(0.0, 6.0, 13)
+    rhos = [oracle_rho_sa(cfg, t) for t in t_grid]
+    for theta in THETAS:
+        want = [dense_correlation(rho, theta) for rho in rhos]
+        got = basis_correlation_decay(cfg, theta, t_grid)
+        assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "random"])
+@pytest.mark.parametrize("n", [1, 5, 13])
+def test_sieve_matches_dense_reference(n, balanced):
+    cfg = reference_config(n, balanced)
+    t_grid = np.linspace(0.0, 8.0, 21)
+    candidates = [X_BASIS, PHASED_BASIS, Z_BASIS]
+    for basis, score in predictability_sieve(candidates, cfg, t_grid):
+        want = np.mean(
+            [oracle_pointer_purity(cfg.bath, basis.column(i), t_grid) for i in range(2)]
+        )
+        assert abs(score - want) <= 1e-12

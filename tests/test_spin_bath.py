@@ -205,6 +205,30 @@ def test_recurrence_integer_couplings():
     assert any(lo <= np.pi <= hi for lo, hi in intervals)
 
 
+def test_recurrence_intervals_match_run_by_run_reference():
+    # |r| = |cos 2t cos 4t cos 6t| revives at every multiple of pi/2; the
+    # horizon sits just past the third revival, so the last run is still open
+    cfg = SpinBathConfig.balanced([1.0, 2.0, 3.0])
+    horizon, eps, step = 1.5 * np.pi + 0.005, 0.01, 1e-3
+    intervals = recurrence_scan(cfg, horizon, eps, step=step)
+    t_grid = np.linspace(0.0, horizon, int(np.ceil(horizon / step)) + 1)
+    above = np.abs(decoherence_factor(cfg, t_grid)) > 1.0 - eps
+    want, run_start = [], None
+    for i in range(int(np.argmin(above)), t_grid.size):
+        if above[i] and run_start is None:
+            run_start = i
+        elif not above[i] and run_start is not None:
+            want.append((float(t_grid[run_start]), float(t_grid[i - 1])))
+            run_start = None
+    if run_start is not None:
+        want.append((float(t_grid[run_start]), float(t_grid[-1])))
+    assert intervals == want
+    assert len(intervals) == 3
+    for k, (lo, hi) in enumerate(intervals, start=1):
+        assert lo <= k * np.pi / 2 <= hi
+    assert intervals[-1][1] == horizon
+
+
 def test_recurrence_eigenstate_never_departs():
     cfg = SpinBathConfig(0.6, 0.8, [0.4, 1.3], [0.0, 0.0], [1.0, 1.0])
     assert recurrence_scan(cfg, 25.0, 0.05) == [(0.0, 25.0)]

@@ -318,15 +318,25 @@ def _provenance(experiment: str, config: dict, seed: int) -> dict:
 
 
 def _write_csv(path, header, rows, prov, quiet: bool) -> None:
+    """Provenance comments, the header, then one CSV line per row.
+
+    A row of numbers is written through one ``%.17g`` line, byte for byte
+    what ``csv.writer`` makes of the ``_fmt`` cells; a row holding text
+    makes that line raise and goes through ``csv.writer``, which quotes.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key in ("artifact_version", "experiment", "config_sha256", "seed"):
             fh.write(f"# {key} = {prov[key]}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-            )
+            try:
+                fh.write(line % row)
+            except TypeError:
+                writer.writerow(
+                    [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
+                )
     if not quiet:
         print(f"wrote {path}")
 
@@ -426,6 +436,73 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # --------------------------------------------------------------------------
 # spin-bath
 
+#: Largest working set, in bytes, that one spin-bath section may need.
+SPIN_BATH_BYTE_BUDGET = 2 * 1024 ** 3
+
+_SCALING_SAMPLES = 200001
+_FIT_SAMPLES = 1200
+
+# Working-set sizes that grow with the config, measured with tracemalloc and
+# rounded up: bytes per time point while r(t) is evaluated and reduced, per
+# trace.csv row held as Python floats, per recurrence grid point, per bath
+# spin, and per task a section hands to the pool (seed, payload, result row).
+_POINT_BYTES = 64
+_TRACE_ROW_BYTES = 128
+_SCAN_POINT_BYTES = 32
+_SPIN_BYTES = 128
+_TASK_BYTES = 2048
+
+
+def spin_bath_bytes(config: dict, workers: int) -> dict:
+    """Estimated peak bytes of each section of a spin-bath config.
+
+    Worked out from the config alone, before anything is allocated.  r(t) is
+    streamed spin by spin, so a section grows linearly with its time samples
+    (grid points for ``recurrence``); the bath adds only its couplings and
+    amplitudes.  A pooled section holds one task per busy worker at a time.
+    """
+
+    def pooled(tasks: int, per_task: int) -> int:
+        return min(max(workers, 1), tasks) * per_task + tasks * _TASK_BYTES
+
+    need = {}
+    if "trace" in config:
+        sec = config["trace"]
+        need["trace"] = (
+            sec["n_spins"] * _SPIN_BYTES
+            + sec["samples"] * (_POINT_BYTES + _TRACE_ROW_BYTES)
+        )
+    if "scaling" in config:
+        sec = config["scaling"]
+        per_task = (
+            max(sec["n_values"]) * _SPIN_BYTES
+            + sec.get("samples", _SCALING_SAMPLES) * _POINT_BYTES
+        )
+        need["scaling"] = pooled(len(sec["n_values"]), per_task)
+    if "gaussian_fit" in config:
+        sec = config["gaussian_fit"]
+        per_task = (
+            sec["n_spins"] * _SPIN_BYTES + sec.get("samples", _FIT_SAMPLES) * _POINT_BYTES
+        )
+        need["gaussian_fit"] = pooled(sec["n_seeds"], per_task)
+    sec = config.get("recurrence", {})
+    if "couplings" in sec or "n_spins" in sec:
+        if "couplings" in sec:
+            g = np.abs(np.asarray(sec["couplings"], dtype=float))
+            with np.errstate(over="ignore"):  # _scan_step rejects an infinite sum
+                g_sq = float(np.dot(g, g))
+            n, g_max = g.size, float(g.max())
+        else:
+            # couplings drawn from U(0, 1): bound the finest step any draw
+            # needs; a bath past the budget is over it anyway, so clamping n
+            # keeps the float arithmetic finite
+            n = min(sec["n_spins"], SPIN_BATH_BYTE_BUDGET)
+            g_max, g_sq = 1.0, float(n)
+        step = spin_bath._scan_step(g_max, g_sq, sec["epsilon"])
+        points = sec["horizon"] / step + 2.0
+        need["recurrence"] = n * _SPIN_BYTES + points * _SCAN_POINT_BYTES
+    return need
+
 
 def _scaling_task(payload):
     n, span, samples, child = payload
@@ -447,6 +524,12 @@ def _fit_task(payload):
 
 
 def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
+    for section, need in spin_bath_bytes(config, workers).items():
+        if need > SPIN_BATH_BYTE_BUDGET:
+            raise ConfigError(
+                f"spin-bath section {section!r} exceeds the "
+                f"{SPIN_BATH_BYTE_BUDGET >> 30} GiB memory budget"
+            )
     prov = _provenance("spin-bath", config, seed)
     root = np.random.SeedSequence(seed)
     kids = root.spawn(4)
@@ -456,7 +539,9 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
         cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), kids[0])
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
         r = spin_bath.decoherence_factor(cfg, t_grid)
-        rows = [(t, z.real, z.imag, abs(z) ** 2) for t, z in zip(t_grid, r)]
+        rows = zip(
+            t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist()
+        )
         _write_csv(
             os.path.join(out_dir, "trace.csv"),
             ["t", "re_r", "im_r", "abs_r_squared"],
@@ -468,7 +553,7 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
     if "scaling" in config:
         sec = config["scaling"]
         span = sec.get("span_periods", 400.0)
-        samples = sec.get("samples", 200001)
+        samples = sec.get("samples", _SCALING_SAMPLES)
         children = kids[1].spawn(len(sec["n_values"]))
         payloads = [
             (n, span, samples, child)
@@ -487,7 +572,7 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
 
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
-        samples = sec.get("samples", 1200)
+        samples = sec.get("samples", _FIT_SAMPLES)
         children = kids[2].spawn(sec["n_seeds"])
         payloads = [(sec["n_spins"], samples, child) for child in children]
         rows = [
@@ -1016,6 +1101,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     runner = _RUNNERS[args.subcommand]
     try:
+        max_workers = os.cpu_count() or 1
+        if args.workers > max_workers:
+            raise ConfigError(
+                f"--workers {args.workers} exceeds the {max_workers} CPUs of this machine"
+            )
         if args.subcommand == "check":
             config = (
                 _load_config(args.config, "check") if args.config else {"experiment": "check"}

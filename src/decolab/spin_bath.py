@@ -6,9 +6,11 @@ beta_k|down>.  The qubit's off-diagonal element decays by the factor
 
     r(t) = prod_k [ cos(2 g_k t) + i (|alpha_k|^2 - |beta_k|^2) sin(2 g_k t) ],
 
-which this module evaluates in O(N) per time, together with the branch
-states of the environment, long-time averages, Gaussian-decay fits, and a
-recurrence scanner.
+which this module evaluates spin by spin: O(T*N) time and O(T) extra memory
+for T times, with spins in an even superposition (|alpha_k| = |beta_k|)
+entering as a real product of cosines.  Around it sit the branch states of
+the environment, long-time averages, Gaussian-decay fits, and a recurrence
+scanner.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ class SpinBathConfig:
 def decoherence_factor(cfg: SpinBathConfig, t):
     """Off-diagonal suppression factor r(t).
 
+    Streams over the bath spins, multiplying one accumulator per time point:
+    O(T*N) time and O(T) extra memory for T times and N spins.  A spin with
+    weight |alpha_k|^2 - |beta_k|^2 == 0 (an even superposition) contributes
+    the real factor cos(2 g_k t), so a balanced bath costs one cosine per
+    spin and time and no complex arithmetic.
+
     Parameters
     ----------
     cfg : SpinBathConfig
@@ -119,13 +127,26 @@ def decoherence_factor(cfg: SpinBathConfig, t):
 
     Returns
     -------
-    complex or complex ndarray; |r| <= 1 always, r(0) = 1.
+    complex or complex ndarray of t's shape; |r| <= 1 always, r(0) = 1.
     """
     t_arr = np.asarray(t, dtype=float)
-    phase = 2.0 * np.multiply.outer(t_arr, cfg.g)
+    two_t = 2.0 * t_arr
     weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
-    factors = np.cos(phase) + 1j * weight * np.sin(phase)
-    r = factors.prod(axis=-1)
+    phase = np.empty(t_arr.shape)
+    factor = np.empty(t_arr.shape, dtype=complex)
+    real = np.ones(t_arr.shape)
+    r = np.ones(t_arr.shape, dtype=complex)
+    for g_k, w_k in zip(cfg.g.tolist(), weight.tolist()):
+        # g_k * (2 t) equals 2 * (t * g_k) exactly: doubling never rounds
+        np.multiply(two_t, g_k, out=phase)
+        if w_k == 0.0:
+            real *= np.cos(phase, out=phase)
+        else:
+            np.cos(phase, out=factor.real)
+            np.sin(phase, out=factor.imag)
+            factor.imag *= w_k
+            r *= factor
+    r *= real
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(r)
     return r
@@ -281,14 +302,18 @@ def fit_gaussian_decay(trace: DecoherenceTrace) -> GaussianFit:
     return GaussianFit(gamma, min(max(r_sq, 0.0), 1.0), float(t_win[-1]))
 
 
-def _scan_step(cfg: SpinBathConfig, eps: float) -> float:
-    g_max = float(np.max(np.abs(cfg.g)))
+def _scan_step(g_max: float, g_sq: float, eps: float) -> float:
+    """Largest scan step for couplings with max |g_k| = g_max and sum g_k^2 = g_sq."""
     if g_max == 0.0:
         raise ValueError("recurrence scan needs at least one nonzero coupling")
     # The spec bound pi/(20 g_max) can straddle a narrow epsilon-window near a
     # revival, so also resolve the window half-width sqrt(eps / (2 sum g^2)).
-    window = math.sqrt(eps / (2.0 * float(np.dot(cfg.g, cfg.g))))
-    return min(math.pi / (20.0 * g_max), window)
+    window = math.sqrt(eps / (2.0 * g_sq))
+    step = min(math.pi / (20.0 * g_max), window)
+    if not step > 0.0:
+        # sum g^2 overflowed, or a coupling is not finite
+        raise ValueError(f"couplings up to {g_max:g} leave no usable scan step")
+    return step
 
 
 def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float | None = None):
@@ -308,7 +333,9 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    max_step = _scan_step(cfg, eps)
+    max_step = _scan_step(
+        float(np.max(np.abs(cfg.g))), float(np.dot(cfg.g, cfg.g)), eps
+    )
     if step is None:
         step = max_step
     elif step > max_step:

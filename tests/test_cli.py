@@ -1,5 +1,8 @@
 import csv
+import importlib.util
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
@@ -195,6 +199,133 @@ def test_library_rejection_is_usage_error_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("decolab: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_workers_above_cpu_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path / "c.json", SPIN_CFG)
+    too_many = str((os.cpu_count() or 1) + 1)
+    out = tmp_path / "o"
+    code = main(["spin-bath", "--config", cfg, "--out", str(out), "--workers", too_many])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert "--workers" in err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ resource bounds
+
+BIG = 10 ** 12
+
+
+@pytest.mark.parametrize(
+    "section, body",
+    [
+        ("trace", {"n_spins": 4, "t_max": 1.0, "samples": BIG}),
+        ("trace", {"n_spins": BIG, "t_max": 1.0, "samples": 10}),
+        ("scaling", {"n_values": [4], "samples": BIG}),
+        ("scaling", {"n_values": [4] * 2 * 10 ** 6}),
+        ("gaussian_fit", {"n_spins": 4, "n_seeds": 1, "samples": BIG}),
+        ("gaussian_fit", {"n_spins": 4, "n_seeds": BIG}),
+        ("recurrence", {"couplings": [1.0], "horizon": 1e12, "epsilon": 0.01}),
+        ("recurrence", {"n_spins": BIG, "horizon": 1.0, "epsilon": 0.01}),
+        ("recurrence", {"n_spins": 2, "horizon": float("inf"), "epsilon": 0.01}),
+    ],
+)
+def test_spin_bath_estimate_rejects_oversized_sections(section, body):
+    need = cli.spin_bath_bytes({"experiment": "spin-bath", section: body}, workers=2)
+    assert need[section] > cli.SPIN_BATH_BYTE_BUDGET
+
+
+def test_spin_bath_estimate_grows_with_samples_not_spins():
+    def need(n_spins, samples):
+        sec = {"n_spins": n_spins, "t_max": 1.0, "samples": samples}
+        return cli.spin_bath_bytes({"trace": sec}, workers=1)["trace"]
+
+    assert need(10, 2 * 10 ** 6) > 1.9 * need(10, 10 ** 6)
+    assert need(1000, 10 ** 6) < 1.01 * need(10, 10 ** 6)
+
+
+def test_oversized_spin_bath_is_rejected_before_allocation(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a time grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    config = dict(SPIN_CFG, trace={"n_spins": 4, "t_max": 1.0, "samples": BIG})
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and "'trace'" in err and err.count("\n") == 1
+
+
+def _benchmark_spin_bath_configs(directory):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = []
+    for workload in workloads.WORKLOADS:
+        steps, _ = workloads.generate(workload, 0, str(directory / workload))
+        for sub, name, _ in steps:
+            if sub == "spin-bath":
+                with open(directory / workload / name) as fh:
+                    configs.append(json.load(fh))
+    return configs
+
+
+def test_shipped_spin_bath_configs_fit_the_budget(tmp_path):
+    shipped = [c for c in README_CONFIGS if c["experiment"] == "spin-bath"]
+    shipped += _benchmark_spin_bath_configs(tmp_path)
+    assert len(shipped) == 2
+    for config in shipped:
+        need = cli.spin_bath_bytes(config, workers=os.cpu_count() or 1)
+        assert set(need) == {"trace", "scaling", "gaussian_fit", "recurrence"}
+        assert max(need.values()) <= cli.SPIN_BATH_BYTE_BUDGET
+
+
+# ------------------------------------------------------------ CSV writer
+
+
+def _reference_csv(header, rows, prov):
+    buf = io.StringIO(newline="")
+    for key in ("artifact_version", "experiment", "config_sha256", "seed"):
+        buf.write(f"# {key} = {prov[key]}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [cell if isinstance(cell, str) else format(float(cell), ".17g") for cell in row]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_writer_matches_csv_module_bytes(tmp_path):
+    prov = cli._provenance("spin-bath", {"experiment": "spin-bath"}, 7)
+    header = ["a", "b", "c"]
+    numbers = [
+        (0, 1.5, np.float64(0.1)),
+        (-0.0, float("nan"), float("inf")),
+        (float("-inf"), 1e-300, 1e300),
+        (np.float64(-0.0), np.float64(2.0) ** -1074, 12345678901234567),
+        (np.float64(1) / 3, -7, np.float64("nan")),
+    ]
+    text = [
+        ("plain", 0.25, "x"),
+        ("up,down", 3, np.float64(0.5)),
+        ('say "hi"', "a,b", 'x"y'),
+        ("", -0.0, "tail"),
+    ]
+    rows = numbers[:2] + text[:2] + numbers[2:] + text[2:]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), header, iter(rows), prov, quiet=True)
+    assert path.read_bytes() == _reference_csv(header, rows, prov)
 
 
 # ------------------------------------------------------------ README examples

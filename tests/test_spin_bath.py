@@ -79,6 +79,61 @@ def test_decoherence_factor_scalar_in_scalar_out():
     assert np.isscalar(decoherence_factor(cfg, 1.0))
 
 
+def _outer_product_r(cfg, t):
+    """The (T, N) outer-product evaluation of r(t), kept as a reference."""
+    t_arr = np.asarray(t, dtype=float)
+    phase = 2.0 * np.multiply.outer(t_arr, cfg.g)
+    weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
+    factors = np.cos(phase) + 1j * weight * np.sin(phase)
+    r = factors.prod(axis=-1)
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return complex(r)
+    return r
+
+
+def _mixed_bath(n, gen):
+    """Balanced spins beside eigenstate spins (w = +1 and -1) and random ones."""
+    rand = SpinBathConfig.random(n, gen)
+    kind = np.arange(n) % 4
+    half = 1 / np.sqrt(2)
+    alpha = np.select([kind == 0, kind == 1, kind == 2], [half, 1.0, 0.0], rand.alpha)
+    beta = np.select([kind == 0, kind == 1, kind == 2], [half, 0.0, 1.0], rand.beta)
+    return SpinBathConfig(rand.a, rand.b, rand.g, alpha, beta)
+
+
+@pytest.mark.parametrize("n", [1, 13, 40, 200])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_streamed_kernel_matches_outer_product_reference(n, bath):
+    gen = np.random.default_rng(n)
+    if bath == "balanced":
+        cfg = SpinBathConfig.balanced(gen.uniform(0.0, 1.0, n))
+    elif bath == "random":
+        cfg = SpinBathConfig.random(n, gen)
+    else:
+        cfg = _mixed_bath(n, gen)
+    times = [
+        0.7,
+        np.float64(3.1),
+        np.array(5.3),
+        np.linspace(0.0, 20.0, 301),
+        gen.uniform(0.0, 20.0, size=(7, 11)),
+    ]
+    for t in times:
+        got, want = decoherence_factor(cfg, t), _outer_product_r(cfg, t)
+        if np.ndim(t) == 0:
+            assert type(got) is complex
+        else:
+            assert got.dtype == complex and got.shape == np.shape(t)
+        if bath == "balanced":
+            # the same cosines multiplied in the same order; the sign of the
+            # zero imaginary part is not compared
+            np.testing.assert_array_equal(np.real(got), np.real(want))
+            np.testing.assert_array_equal(np.imag(got), 0.0)
+            np.testing.assert_array_equal(np.imag(want), 0.0)
+        else:
+            assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
+
+
 def test_decoherence_factor_matches_oracle():
     for _ in range(8):
         cfg = SpinBathConfig.random(int(rng.integers(1, 9)), rng)
@@ -232,6 +287,14 @@ def test_recurrence_intervals_match_run_by_run_reference():
 def test_recurrence_eigenstate_never_departs():
     cfg = SpinBathConfig(0.6, 0.8, [0.4, 1.3], [0.0, 0.0], [1.0, 1.0])
     assert recurrence_scan(cfg, 25.0, 0.05) == [(0.0, 25.0)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_recurrence_rejects_couplings_whose_squares_overflow():
+    # sum g^2 = inf would leave a zero step and an unbounded grid
+    cfg = SpinBathConfig.balanced([1e200])
+    with pytest.raises(ValueError, match="scan step"):
+        recurrence_scan(cfg, 1.0, 0.01)
 
 
 def test_recurrence_validation():

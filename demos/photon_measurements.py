@@ -13,7 +13,7 @@ import numpy as np
 from decolab import (
     FockSpace,
     StateVector,
-    coherent_measurement_set,
+    coherent_completeness_deviation,
     coherent_state,
     ehrenfest_check,
     kraus_update,
@@ -60,9 +60,7 @@ def completeness_ladder():
     print(f"n_max = {space.n_max}, disc radius = {radius:g}")
     print(f"{'grid':>9s} {'completeness deviation':>23s}")
     for n in (8, 16, 32, 64):
-        dev = coherent_measurement_set(
-            space, polar_grid(radius, n, n)
-        ).completeness_deviation()
+        dev = coherent_completeness_deviation(space, polar_grid(radius, n, n))
         print(f"{n:4d} x {n:<3d} {dev:23.3e}")
     print("each doubling sharpens the quadrature until the float noise floor;")
     print("64 x 64 is the default")

@@ -82,6 +82,7 @@ from .fock import (
     EhrenfestReport,
     FockSpace,
     TruncationError,
+    coherent_completeness_deviation,
     coherent_measurement_set,
     coherent_state,
     default_coherent_grid,

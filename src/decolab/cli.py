@@ -504,6 +504,16 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     return need
 
 
+def _enforce_budget(subcommand: str, need: dict, budget: int) -> None:
+    """Reject, before anything is allocated, a section estimated over ``budget`` bytes."""
+    for section, size in need.items():
+        if size > budget:
+            raise ConfigError(
+                f"{subcommand} section {section!r} exceeds the "
+                f"{budget >> 30} GiB memory budget"
+            )
+
+
 def _scaling_task(payload):
     n, span, samples, child = payload
     g = np.random.default_rng(child).uniform(0.0, 1.0, n)
@@ -524,12 +534,7 @@ def _fit_task(payload):
 
 
 def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
-    for section, need in spin_bath_bytes(config, workers).items():
-        if need > SPIN_BATH_BYTE_BUDGET:
-            raise ConfigError(
-                f"spin-bath section {section!r} exceeds the "
-                f"{SPIN_BATH_BYTE_BUDGET >> 30} GiB memory budget"
-            )
+    _enforce_budget("spin-bath", spin_bath_bytes(config, workers), SPIN_BATH_BYTE_BUDGET)
     prov = _provenance("spin-bath", config, seed)
     root = np.random.SeedSequence(seed)
     kids = root.spawn(4)
@@ -761,7 +766,55 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
 # fock
 
 
+#: Largest working set, in bytes, that one fock section may need.
+FOCK_BYTE_BUDGET = 2 * 1024 ** 3
+
+_FOCK_DENSITIES = [[8, 8], [16, 16], [32, 32]]
+
+# Working-set sizes that grow with the config, measured with tracemalloc and
+# rounded up, for d = n_max + 1 levels: bytes per entry of the FockSpace
+# operators (d^2), of the photon-counting operator array (d^3), of the
+# coherent amplitude table and its scaled copies (grid nodes x d), of the
+# Ehrenfest amplitude grid (time points x d), and per entry of the
+# Hamiltonian and its eigendecomposition (d^2).
+_FOCK_SPACE_BYTES = 96
+_COUNTING_BYTES = 16
+_COHERENT_BYTES = 64
+_EHRENFEST_STEP_BYTES = 64
+_EHRENFEST_EIG_BYTES = 128
+
+
+def fock_bytes(config: dict) -> dict:
+    """Estimated peak bytes of each section of a fock config.
+
+    Worked out from the config alone, before anything is allocated.  Every
+    section holds the FockSpace operators.  ``counting`` and ``completeness``
+    build the d^3 photon-counting array; the coherent-grid audit is a closed
+    form over the K x d amplitude table, K the largest grid (the 64 x 64
+    default included); ``ehrenfest`` holds the state on every time point and
+    one dense eigendecomposition.
+    """
+    d = config["n_max"] + 1
+    space = d * d * _FOCK_SPACE_BYTES
+    counting = d ** 3 * _COUNTING_BYTES
+    need = {}
+    if "counting" in config:
+        need["counting"] = space + counting
+    if "completeness" in config:
+        densities = config["completeness"].get("densities", _FOCK_DENSITIES)
+        nodes = max([n_r * n_phi for n_r, n_phi in densities] + [fock.DEFAULT_DENSITY ** 2])
+        need["completeness"] = space + counting + nodes * d * _COHERENT_BYTES
+    if "ehrenfest" in config:
+        sec = config["ehrenfest"]
+        points = sec["t_max"] / sec["dt"] + 1.0
+        need["ehrenfest"] = (
+            space + d * d * _EHRENFEST_EIG_BYTES + points * d * _EHRENFEST_STEP_BYTES
+        )
+    return need
+
+
 def run_fock(config, out_dir, seed, workers, quiet) -> int:
+    _enforce_budget("fock", fock_bytes(config), FOCK_BYTE_BUDGET)
     prov = _provenance("fock", config, seed)
     space = fock.FockSpace(config["n_max"])
 
@@ -787,15 +840,14 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
              fock.photon_counting_set(space).completeness_deviation())
         ]
         radius = sec.get("radius", float(math.ceil(2.5 * math.sqrt(space.n_max))))
-        for n_r, n_phi in sec.get("densities", [[8, 8], [16, 16], [32, 32]]):
-            kset = fock.coherent_measurement_set(
+        for n_r, n_phi in sec.get("densities", _FOCK_DENSITIES):
+            dev = fock.coherent_completeness_deviation(
                 space, fock.polar_grid(radius, n_r, n_phi)
             )
-            rows.append(
-                ("coherent_grid", f"{n_r}x{n_phi}", kset.completeness_deviation())
-            )
-        default = fock.coherent_measurement_set(space)
-        rows.append(("coherent_grid", "default", default.completeness_deviation()))
+            rows.append(("coherent_grid", f"{n_r}x{n_phi}", dev))
+        rows.append(
+            ("coherent_grid", "default", fock.coherent_completeness_deviation(space))
+        )
         _write_csv(
             os.path.join(out_dir, "completeness.csv"),
             ["family", "grid", "max_deviation"],

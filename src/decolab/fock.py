@@ -20,6 +20,9 @@ from .states import StateVector
 
 _SUPPORT_TOL = 1e-6
 
+#: Radial and angular node count of :func:`default_coherent_grid`.
+DEFAULT_DENSITY = 64
+
 
 class TruncationError(ValueError):
     """A request would push significant amplitude against the truncation edge."""
@@ -51,13 +54,28 @@ class FockSpace:
         return f"FockSpace(n_max={self.n_max})"
 
 
-def _coherent_amplitudes(space: FockSpace, alpha: complex) -> np.ndarray:
-    """Exact coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!) on levels 0..n_max."""
-    amps = np.empty(space.dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, space.dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
+def _coherent_table(alphas, dim: int) -> np.ndarray:
+    """Exact coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!) on levels 0..dim-1.
+
+    Returns a (len(alphas), dim) complex array, one row per alpha.  The
+    recurrence a_n = a_{n-1} alpha / sqrt(n) advances every row one level at
+    a time.  It is written as separate real products and the leading factor
+    uses ``math.exp``, so the rows equal the scalar complex recurrence bit for
+    bit whatever SIMD kernels numpy dispatches to (its vector complex
+    multiply may fuse multiply-adds, its vector exp may round differently).
+    """
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    table = np.empty((alphas.size, dim), dtype=complex)
+    ar, ai = alphas.real, alphas.imag
+    re = np.array([math.exp(-0.5 * abs(a) ** 2) for a in alphas.tolist()])
+    im = np.zeros_like(re)
+    table[:, 0] = re
+    for n in range(1, dim):
+        inv = 1.0 / math.sqrt(n)  # numpy's complex / real multiplies by the reciprocal
+        re, im = (re * ar - im * ai) * inv, (re * ai + im * ar) * inv
+        table.real[:, n] = re
+        table.imag[:, n] = im
+    return table
 
 
 def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
@@ -71,7 +89,7 @@ def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha) ** 2:g} exceeds n_max/4 = {space.n_max / 4:g}"
         )
-    amps = _coherent_amplitudes(space, alpha)
+    amps = _coherent_table(alpha, space.dim)[0]
     return StateVector((space.dim,), amps / np.linalg.norm(amps))
 
 
@@ -82,12 +100,9 @@ def photon_counting_set(space: FockSpace) -> KrausSet:
     last bit), and every selective update destroys the detected excitation.
     """
     d = space.dim
-    ops = []
-    for n in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[0, n] = 1.0
-        ops.append(m)
-    return KrausSet(ops, labels=list(range(d)), completeness_tol=1e-14)
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[np.arange(d), 0, np.arange(d)] = 1.0
+    return KrausSet._from_stack(ops, labels=list(range(d)), completeness_tol=1e-14)
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,21 @@ def polar_grid(radius: float, n_radial: int = 64, n_angular: int = 64) -> Cohere
 
 def default_coherent_grid(space: FockSpace) -> CoherentGrid:
     """Default 64 x 64 polar rule with radius ceil(2.5 sqrt(n_max))."""
-    return polar_grid(float(math.ceil(2.5 * math.sqrt(space.n_max))), 64, 64)
+    return polar_grid(
+        float(math.ceil(2.5 * math.sqrt(space.n_max))), DEFAULT_DENSITY, DEFAULT_DENSITY
+    )
+
+
+def _checked_grid(space: FockSpace, grid: CoherentGrid | None) -> CoherentGrid:
+    """The grid (default: :func:`default_coherent_grid`), checked for coverage."""
+    if grid is None:
+        grid = default_coherent_grid(space)
+    r_min = 2.0 * math.sqrt(space.n_max)
+    if grid.radius < r_min:
+        raise ValueError(
+            f"grid radius {grid.radius:g} too small; need >= 2 sqrt(n_max) = {r_min:g}"
+        )
+    return grid
 
 
 def coherent_measurement_set(space: FockSpace, grid: CoherentGrid | None = None) -> KrausSet:
@@ -159,21 +188,35 @@ def coherent_measurement_set(space: FockSpace, grid: CoherentGrid | None = None)
     ``validate_kraus`` rather than enforced here.  Post-states of outcome
     alpha are the coherent projector |alpha~><alpha~|.
 
+    The set holds K (n_max+1)^2 complex entries for K grid nodes.  To audit
+    completeness alone, :func:`coherent_completeness_deviation` gives the
+    same deviation in O(K n_max) memory without building any operator.
+
     The grid must declare coverage radius >= 2 sqrt(n_max).
     """
-    if grid is None:
-        grid = default_coherent_grid(space)
-    r_min = 2.0 * math.sqrt(space.n_max)
-    if grid.radius < r_min:
-        raise ValueError(
-            f"grid radius {grid.radius:g} too small; need >= 2 sqrt(n_max) = {r_min:g}"
-        )
-    ops = []
-    for alpha, area in zip(grid.points, grid.weights):
-        bra = _coherent_amplitudes(space, alpha)
-        ket = bra / np.linalg.norm(bra)
-        ops.append(math.sqrt(area / math.pi) * np.outer(ket, bra.conj()))
-    return KrausSet(ops, labels=list(range(len(ops))), completeness_tol=None)
+    grid = _checked_grid(space, grid)
+    bra = _coherent_table(grid.points, space.dim)
+    ket = bra / np.linalg.norm(bra, axis=1, keepdims=True)
+    ops = ket[:, :, None] * bra.conj()[:, None, :]
+    ops *= np.sqrt(grid.weights / math.pi)[:, None, None]
+    return KrausSet._from_stack(ops, labels=None, completeness_tol=None)
+
+
+def coherent_completeness_deviation(space: FockSpace, grid: CoherentGrid | None = None) -> float:
+    """Completeness deviation of :func:`coherent_measurement_set`, in closed form.
+
+    With the ket normalized, M_alpha^dag M_alpha = (dA/pi) |P alpha><P alpha|,
+    so sum_alpha M_alpha^dag M_alpha = B^T diag(dA/pi) conj(B) for the
+    K x (n_max+1) table B of coherent amplitudes.  Returns the max-norm
+    deviation of that sum from the identity, equal to
+    ``coherent_measurement_set(space, grid).completeness_deviation()`` up to
+    rounding, in O(K n_max) memory and O(K n_max^2) flops instead of
+    O(K n_max^2) memory and O(K n_max^3) flops.
+    """
+    grid = _checked_grid(space, grid)
+    bra = _coherent_table(grid.points, space.dim)
+    effect_sum = (bra * (grid.weights / math.pi)[:, None]).T @ bra.conj()
+    return float(np.max(np.abs(effect_sum - np.eye(space.dim))))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ from .states import BasisSpec, DensityMatrix, StateVector
 
 _IMPOSSIBLE_P = 1e-14
 _PROJ_ATOL = 1e-10
+# Complex entries per temporary of a blocked Kraus reduction (1 MiB), and
+# Born draws per block of a sampled run: working memory stays fixed however
+# many operators or shots there are.
+_BLOCK_ENTRIES = 1 << 16
+_SHOT_BLOCK = 1 << 16
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -26,6 +31,11 @@ class ImpossibleOutcomeError(ValueError):
 class KrausSet:
     """A finite family of measurement operators M_i.
 
+    The operators are stored as one read-only complex array of shape
+    ``(K, d_out, d_in)``, exposed as :attr:`operators`; ``operators[i]`` is
+    M_i.  The constructor copies its input, so later changes to the caller's
+    arrays do not reach the set.
+
     Completeness sum_i M_i^dag M_i = I is enforced at construction within
     ``completeness_tol`` (default 1e-10).  Pass ``completeness_tol=None`` for
     deliberately approximate families such as quadrature discretizations of a
@@ -34,22 +44,29 @@ class KrausSet:
     """
 
     def __init__(self, operators, labels=None, completeness_tol: Optional[float] = 1e-10):
-        ops = [np.array(m, dtype=complex) for m in operators]
-        if len(ops) == 0:
+        mats = [np.asarray(m, dtype=complex) for m in operators]
+        if len(mats) == 0:
             raise ValueError("a KrausSet needs at least one operator")
-        shape = ops[0].shape
-        if len(shape) != 2:
+        shape = mats[0].shape
+        if len(shape) != 2 or 0 in shape:
             raise ValueError("Kraus operators must be matrices")
-        for m in ops:
-            if m.shape != shape:
-                raise ValueError("all Kraus operators must share one shape")
-            m.flags.writeable = False
-        if labels is None:
-            labels = list(range(len(ops)))
-        labels = list(labels)
-        if len(labels) != len(ops):
+        if any(m.shape != shape for m in mats):
+            raise ValueError("all Kraus operators must share one shape")
+        self._adopt(np.stack(mats), labels, completeness_tol)
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, labels, completeness_tol) -> "KrausSet":
+        """Wrap a freshly built (K, d_out, d_in) complex array without copying it."""
+        kset = cls.__new__(cls)
+        kset._adopt(stack, labels, completeness_tol)
+        return kset
+
+    def _adopt(self, stack: np.ndarray, labels, completeness_tol) -> None:
+        labels = list(range(len(stack))) if labels is None else list(labels)
+        if len(labels) != len(stack):
             raise ValueError("labels and operators must have matching length")
-        self.operators = tuple(ops)
+        stack.flags.writeable = False
+        self._stack = stack
         self.labels = tuple(labels)
         self.completeness_tol = completeness_tol
         if completeness_tol is not None:
@@ -60,22 +77,40 @@ class KrausSet:
                     f"(tolerance {completeness_tol:g})"
                 )
 
+    @property
+    def operators(self) -> np.ndarray:
+        """The read-only (K, d_out, d_in) operator array."""
+        return self._stack
+
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self._stack)
 
     @property
     def dim_in(self) -> int:
-        return self.operators[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.operators[0].shape[0]
+        return self._stack.shape[1]
+
+    def _blocks(self):
+        """Consecutive slices of the operator array, sized so that a conjugate
+        copy or the d_in x d_in effects M^dag M of one slice stay within
+        ``_BLOCK_ENTRIES`` entries."""
+        step = max(1, _BLOCK_ENTRIES // (max(self.dim_out, self.dim_in) * self.dim_in))
+        for start in range(0, len(self._stack), step):
+            yield self._stack[start : start + step]
 
     def completeness_deviation(self) -> float:
-        """Max-norm deviation of sum M^dag M from the identity."""
+        """Max-norm deviation of sum M^dag M from the identity.
+
+        The sum is A^dag A with A the operators stacked row-wise, accumulated
+        one block at a time.
+        """
         acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for m in self.operators:
-            acc += m.conj().T @ m
+        for blk in self._blocks():
+            rows = blk.reshape(-1, self.dim_in)
+            acc += rows.conj().T @ rows
         return float(np.max(np.abs(acc - np.eye(self.dim_in))))
 
     def to_dict(self) -> dict:
@@ -86,7 +121,7 @@ class KrausSet:
             "completeness_tol": self.completeness_tol,
             "operators": [
                 [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-                for m in self.operators
+                for m in self._stack
             ],
         }
 
@@ -247,16 +282,23 @@ def sample_outcomes(state: StateVector, basis: BasisSpec, n_shots: int, rng_seed
     """Outcome counts for ``n_shots`` independent collapses (shared PRNG stream).
 
     Equivalent in law to repeating :func:`collapse_sample`; returns an integer
-    count per basis outcome.
+    count per basis outcome.  The uniforms are drawn in fixed-size blocks, so
+    memory does not grow with ``n_shots``; the stream, and so every count, is
+    the same as one draw of ``n_shots`` uniforms.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     probs, _ = _lifted_weights(state, basis)
     rng = np.random.default_rng(rng_seed)
     cum = np.cumsum(probs)
-    draws = np.searchsorted(cum, rng.random(int(n_shots)) * cum[-1], side="right")
-    draws = np.minimum(draws, len(probs) - 1)
-    return np.bincount(draws, minlength=len(probs))
+    n_shots = int(n_shots)
+    counts = np.zeros(len(probs), dtype=np.int64)
+    for start in range(0, n_shots, _SHOT_BLOCK):
+        u = rng.random(min(_SHOT_BLOCK, n_shots - start))
+        draws = np.searchsorted(cum, u * cum[-1], side="right")
+        np.minimum(draws, len(probs) - 1, out=draws)
+        counts += np.bincount(draws, minlength=len(probs))
+    return counts
 
 
 def luders_update(rho: DensityMatrix, proj: Projector) -> DensityMatrix:
@@ -282,15 +324,19 @@ def luders_update(rho: DensityMatrix, proj: Projector) -> DensityMatrix:
 def povm_probabilities(rho: DensityMatrix, kraus: KrausSet) -> np.ndarray:
     """Outcome distribution p_i = Tr[M_i^dag M_i rho].
 
+    Evaluated as batched matmuls over blocks of operators, in the same
+    order of operations as one operator at a time.
+
     Entries are clamped at 0; for a complete set they sum to 1 within the
     set's completeness tolerance.
     """
     if kraus.dim_in != rho.dim:
         raise ValueError(f"Kraus input dim {kraus.dim_in} != state dim {rho.dim}")
-    probs = np.empty(len(kraus))
-    for i, m in enumerate(kraus.operators):
-        probs[i] = max(float(np.trace(m.conj().T @ m @ rho.mat).real), 0.0)
-    return probs
+    parts = []
+    for blk in kraus._blocks():
+        effects = blk.conj().transpose(0, 2, 1) @ blk
+        parts.append(np.trace(effects @ rho.mat, axis1=1, axis2=2).real)
+    return np.maximum(np.concatenate(parts), 0.0)
 
 
 def kraus_update(rho: DensityMatrix, kraus: KrausSet, index: int) -> MeasurementRecord:

@@ -263,7 +263,7 @@ def test_oversized_spin_bath_is_rejected_before_allocation(tmp_path, monkeypatch
     assert err.startswith("decolab: ") and "'trace'" in err and err.count("\n") == 1
 
 
-def _benchmark_spin_bath_configs(directory):
+def _benchmark_configs(directory, subcommand):
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py"
@@ -274,7 +274,7 @@ def _benchmark_spin_bath_configs(directory):
     for workload in workloads.WORKLOADS:
         steps, _ = workloads.generate(workload, 0, str(directory / workload))
         for sub, name, _ in steps:
-            if sub == "spin-bath":
+            if sub == subcommand:
                 with open(directory / workload / name) as fh:
                     configs.append(json.load(fh))
     return configs
@@ -282,12 +282,77 @@ def _benchmark_spin_bath_configs(directory):
 
 def test_shipped_spin_bath_configs_fit_the_budget(tmp_path):
     shipped = [c for c in README_CONFIGS if c["experiment"] == "spin-bath"]
-    shipped += _benchmark_spin_bath_configs(tmp_path)
+    shipped += _benchmark_configs(tmp_path, "spin-bath")
     assert len(shipped) == 2
     for config in shipped:
         need = cli.spin_bath_bytes(config, workers=os.cpu_count() or 1)
         assert set(need) == {"trace", "scaling", "gaussian_fit", "recurrence"}
         assert max(need.values()) <= cli.SPIN_BATH_BYTE_BUDGET
+
+
+FOCK_SECTIONS = {
+    "counting": {"alpha": [1.0, 0.0]},
+    "completeness": {},
+    "ehrenfest": {"alpha": [1.0, 0.0], "t_max": 1.0, "dt": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "section, n_max, body",
+    [
+        ("counting", 5000, FOCK_SECTIONS["counting"]),
+        ("completeness", 5000, {}),
+        ("completeness", 48, {"densities": [[10 ** 5, 10 ** 5]]}),
+        ("completeness", 48, {"densities": [[8, 8], [1, 10 ** 8]]}),
+        ("ehrenfest", 5000, FOCK_SECTIONS["ehrenfest"]),
+        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e9, "dt": 1e-3}),
+        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e308, "dt": 1e-308}),
+        ("ehrenfest", BIG, FOCK_SECTIONS["ehrenfest"]),
+    ],
+)
+def test_fock_estimate_rejects_oversized_sections(section, n_max, body):
+    need = cli.fock_bytes({"experiment": "fock", "n_max": n_max, section: body})
+    assert need[section] > cli.FOCK_BYTE_BUDGET
+
+
+def test_fock_estimate_scales_with_the_section_sizes():
+    def need(section, n_max, **body):
+        config = {"experiment": "fock", "n_max": n_max,
+                  section: dict(FOCK_SECTIONS[section], **body)}
+        return cli.fock_bytes(config)[section]
+
+    # counting: the d^3 photon-counting array dominates
+    assert 7.5 < need("counting", 799) / need("counting", 399) < 8.5
+    # completeness: linear in the largest grid, the 64 x 64 default at least
+    small = need("completeness", 48, densities=[[8, 8]])
+    assert small == need("completeness", 48, densities=[[64, 64]])
+    assert need("completeness", 48, densities=[[8, 8], [256, 256]]) > 8 * small
+    # ehrenfest: linear in the number of time points
+    assert 1.9 < need("ehrenfest", 48, t_max=2e4) / need("ehrenfest", 48, t_max=1e4) < 2.1
+
+
+def test_oversized_fock_is_rejected_before_allocation(tmp_path, monkeypatch, capsys):
+    def no_space(*args, **kwargs):
+        raise AssertionError("a Fock space was allocated")
+
+    monkeypatch.setattr(cli.fock, "FockSpace", no_space)
+    config = {"experiment": "fock", "n_max": 48,
+              "completeness": {"densities": [[10 ** 5, 10 ** 5]]}}
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and "'completeness'" in err and err.count("\n") == 1
+
+
+def test_shipped_fock_configs_fit_the_budget(tmp_path):
+    shipped = [c for c in README_CONFIGS if c["experiment"] == "fock"]
+    shipped += _benchmark_configs(tmp_path, "fock")
+    assert len(shipped) == 2
+    for config in shipped:
+        need = cli.fock_bytes(config)
+        assert set(need) == {"counting", "completeness", "ehrenfest"}
+        assert max(need.values()) <= cli.FOCK_BYTE_BUDGET
 
 
 # ------------------------------------------------------------ CSV writer

@@ -6,6 +6,8 @@ import pytest
 from decolab.fock import (
     FockSpace,
     TruncationError,
+    _coherent_table,
+    coherent_completeness_deviation,
     coherent_measurement_set,
     coherent_state,
     default_coherent_grid,
@@ -84,6 +86,27 @@ def test_coherent_state_truncation_guard():
         coherent_state(FockSpace(8), 2.0)  # |alpha|^2 = 4 > 8/4
 
 
+def scalar_amplitudes(dim, alpha):
+    """Reference: the one-alpha scalar recurrence a_n = a_{n-1} alpha / sqrt(n)."""
+    amps = np.empty(dim, dtype=complex)
+    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    return amps
+
+
+def test_coherent_table_matches_scalar_recurrence_bit_for_bit():
+    local = np.random.default_rng(17)
+    alphas = [complex(a) for a in 1.5 * np.exp(1j * local.uniform(0.0, 2 * math.pi, 50))]
+    alphas += [0.0, 1.0, -2.5j, 3.0 - 4.0j]
+    for dim, points in ((49, alphas), (49, polar_grid(18.0, 16, 16).points), (3, alphas)):
+        table = _coherent_table(points, dim)
+        want = np.array([scalar_amplitudes(dim, a) for a in points])
+        np.testing.assert_array_equal(table, want)
+    for alpha in alphas[:5]:
+        np.testing.assert_array_equal(_coherent_table(alpha, 30)[0], scalar_amplitudes(30, alpha))
+
+
 # ------------------------------------------------------------ photon counting
 
 
@@ -137,6 +160,8 @@ def test_coherent_set_rejects_small_radius():
     space = FockSpace(10)
     with pytest.raises(ValueError):
         coherent_measurement_set(space, polar_grid(2.0, 8, 8))
+    with pytest.raises(ValueError):
+        coherent_completeness_deviation(space, polar_grid(2.0, 8, 8))
 
 
 def test_coherent_set_completeness_improves_with_density():
@@ -154,6 +179,17 @@ def test_coherent_set_default_grid_is_tight():
     kset = coherent_measurement_set(FockSpace(10))
     report = validate_kraus(kset)
     assert report.deviation < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [2, 10, 20, 48])
+def test_closed_form_completeness_matches_materialised_set(n_max):
+    space = FockSpace(n_max)
+    radius = float(math.ceil(2.5 * math.sqrt(n_max)))
+    grids = [polar_grid(radius, n, n) for n in (8, 16, 32, 64)]
+    grids += [None, polar_grid(3.0 * math.sqrt(n_max) + 0.5, 24, 40)]
+    for grid in grids:
+        want = coherent_measurement_set(space, grid).completeness_deviation()
+        assert abs(coherent_completeness_deviation(space, grid) - want) <= 1e-13
 
 
 def test_coherent_outcome_projects_onto_coherent_state():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.measurement import (
+    _SHOT_BLOCK,
     ImpossibleOutcomeError,
     KrausSet,
     Projector,
@@ -307,3 +308,105 @@ def test_povm_probabilities_form_a_distribution(seed):
     probs = povm_probabilities(rho, kset)
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) < 1e-10
+
+
+# ------------------------------------------------------------ array-backed KrausSet
+
+
+def loop_completeness(ops):
+    acc = np.zeros((ops[0].shape[1],) * 2, dtype=complex)
+    for m in ops:
+        acc += m.conj().T @ m
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+
+def loop_povm(rho, ops):
+    return np.array([max(float(np.trace(m.conj().T @ m @ rho).real), 0.0) for m in ops])
+
+
+def loop_update(rho, m):
+    sigma = m @ rho @ m.conj().T
+    p = float(np.trace(sigma).real)
+    return (sigma + sigma.conj().T) / (2.0 * p), min(p, 1.0)
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 49, 300])
+@pytest.mark.parametrize("d_out, d_in", [(4, 4), (3, 7), (7, 3), (20, 20)])
+def test_kraus_set_matches_per_operator_reference(n_ops, d_out, d_in):
+    local = np.random.default_rng([n_ops, d_out, d_in])
+    ops = local.normal(size=(n_ops, d_out, d_in)) + 1j * local.normal(size=(n_ops, d_out, d_in))
+    ops /= np.sqrt(np.linalg.norm(sum(m.conj().T @ m for m in ops), 2))
+    kset = KrausSet(list(ops), completeness_tol=None)
+    rho = random_density(d_in)
+    assert abs(kset.completeness_deviation() - loop_completeness(ops)) <= 1e-13
+    np.testing.assert_allclose(povm_probabilities(rho, kset), loop_povm(rho.mat, ops),
+                               rtol=0, atol=1e-13)
+    for i in sorted({0, n_ops // 2, n_ops - 1}):
+        rec = kraus_update(rho, kset, i)
+        want_mat, want_p = loop_update(rho.mat, ops[i])
+        np.testing.assert_allclose(rec.post_state.mat, want_mat, rtol=0, atol=1e-13)
+        assert abs(rec.probability - want_p) <= 1e-13
+        assert rec.post_state.dims == (d_out,)
+
+
+@pytest.mark.parametrize(
+    "operators, labels, message",
+    [
+        ([np.eye(2), np.eye(3)], None, "share one shape"),
+        ([np.eye(2), np.ones((2, 3))], None, "share one shape"),
+        ([np.ones(2)], None, "must be matrices"),
+        (np.eye(2), None, "must be matrices"),
+        ([np.ones((1, 2, 2))], None, "must be matrices"),
+        ([np.zeros((0, 2))], None, "must be matrices"),
+        ([], None, "at least one operator"),
+        (np.zeros((0, 2, 2)), None, "at least one operator"),
+        ([np.eye(2)], ["a", "b"], "matching length"),
+        ([np.eye(2), np.zeros((2, 2))], ["a"], "matching length"),
+    ],
+)
+def test_kraus_set_constructor_rejects_malformed_input(operators, labels, message):
+    with pytest.raises(ValueError, match=message):
+        KrausSet(operators, labels=labels, completeness_tol=None)
+
+
+def test_kraus_set_operators_are_a_read_only_copy():
+    source = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    mats = [source[0].copy(), source[1].copy()]
+    for given in (source, mats):
+        kset = KrausSet(given, labels=["up", "down"])
+        assert len(kset.operators) == len(kset) == 2
+        assert kset.operators.shape == (2, 2, 2)
+        np.testing.assert_array_equal(kset.operators[1], source[1])
+        assert [m.shape for m in kset.operators] == [(2, 2), (2, 2)]
+        with pytest.raises(ValueError):
+            kset.operators[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            kset.operators[1][1, 1] = 5.0
+        with pytest.raises(AttributeError):
+            kset.operators = np.zeros((2, 2, 2))
+        before = kset.operators.copy()
+        if isinstance(given, np.ndarray):
+            given[0, 0, 0] = 7.0
+        else:
+            given[0][0, 0] = 7.0
+        np.testing.assert_array_equal(kset.operators, before)
+
+
+def one_shot_counts(state, basis, n_shots, seed):
+    """Reference: all Born draws taken as one array."""
+    probs = outcome_distribution(state, basis)
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(probs)
+    draws = np.searchsorted(cum, rng.random(int(n_shots)) * cum[-1], side="right")
+    draws = np.minimum(draws, len(probs) - 1)
+    return np.bincount(draws, minlength=len(probs))
+
+
+def test_sample_outcomes_in_blocks_match_one_shot_draw():
+    state = random_state(4)
+    basis = BasisSpec(0, np.eye(4))
+    for shots in (1, _SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 3 * _SHOT_BLOCK + 7):
+        for seed in (0, 123, np.random.SeedSequence(99)):
+            got = sample_outcomes(state, basis, shots, seed)
+            np.testing.assert_array_equal(got, one_shot_counts(state, basis, shots, seed))
+            assert got.sum() == shots

@@ -453,6 +453,11 @@ _SPIN_BYTES = 128
 _TASK_BYTES = 2048
 
 
+def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
+    """One task's working set per busy worker plus ``task_bytes`` for every task."""
+    return min(max(workers, 1), tasks) * per_task + tasks * task_bytes
+
+
 def spin_bath_bytes(config: dict, workers: int) -> dict:
     """Estimated peak bytes of each section of a spin-bath config.
 
@@ -461,10 +466,6 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     (grid points for ``recurrence``); the bath adds only its couplings and
     amplitudes.  A pooled section holds one task per busy worker at a time.
     """
-
-    def pooled(tasks: int, per_task: int) -> int:
-        return min(max(workers, 1), tasks) * per_task + tasks * _TASK_BYTES
-
     need = {}
     if "trace" in config:
         sec = config["trace"]
@@ -478,13 +479,13 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
             max(sec["n_values"]) * _SPIN_BYTES
             + sec.get("samples", _SCALING_SAMPLES) * _POINT_BYTES
         )
-        need["scaling"] = pooled(len(sec["n_values"]), per_task)
+        need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task, _TASK_BYTES)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
         per_task = (
             sec["n_spins"] * _SPIN_BYTES + sec.get("samples", _FIT_SAMPLES) * _POINT_BYTES
         )
-        need["gaussian_fit"] = pooled(sec["n_seeds"], per_task)
+        need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
     sec = config.get("recurrence", {})
     if "couplings" in sec or "n_spins" in sec:
         if "couplings" in sec:
@@ -882,6 +883,42 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
 # --------------------------------------------------------------------------
 # oracle-compare
 
+#: Largest working set, in bytes, that one oracle-compare run may need.
+ORACLE_COMPARE_BYTE_BUDGET = 2 * 1024 ** 3
+
+# Working-set sizes that grow with the config, measured with tracemalloc and
+# rounded up: bytes per joint-state amplitude while one bath is evolved, per
+# sampled time of a trial, and per task (seed child, payload, pool future,
+# result row; 2.4 KiB measured with a pool of 2 workers).
+_AMP_BYTES = 64
+_TIME_BYTES = 80
+_ORACLE_TASK_BYTES = 3072
+
+
+def oracle_compare_bytes(config: dict, workers: int) -> dict:
+    """Estimated peak bytes of an oracle-compare run, keyed ``"run"``.
+
+    Worked out from the config alone, before anything is allocated.  Each
+    busy worker evolves one bath of the largest N at a time, 2^(N+1)
+    amplitudes, over ``times_per_trial`` times; the parent holds every task's
+    seed, payload and row.
+    """
+    tasks = config["trials"] * len(config["n_values"])
+    per_task = (
+        2 ** (max(config["n_values"]) + 1) * _AMP_BYTES
+        + config.get("times_per_trial", 20) * _TIME_BYTES
+    )
+    return {"run": _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)}
+
+
+def oracle_float_floor(config: dict) -> float:
+    """Rounding floor of |closed form - oracle|: eps * t_max * max N.
+
+    Both sides round phases of size t * sum|g|, and random-ensemble
+    couplings are drawn from U(0, 1), so sum|g| < N.
+    """
+    return float(np.finfo(float).eps) * config.get("t_max", 20.0) * max(config["n_values"])
+
 
 def _oracle_task(payload):
     n, times_per_trial, t_max, child = payload
@@ -890,21 +927,26 @@ def _oracle_task(payload):
         cfg = spin_bath.SpinBathConfig.random(n, rng)
         if abs(cfg.a) > 1e-3 and abs(cfg.b) > 1e-3:
             break
-    worst = 0.0
-    for t in rng.uniform(0.0, t_max, times_per_trial):
-        dev = abs(
-            spin_bath.decoherence_factor(cfg, float(t)) - oracle.oracle_r(cfg, float(t))
-        )
-        worst = max(worst, float(dev))
-    return n, worst
+    t = rng.uniform(0.0, t_max, times_per_trial)
+    dev = np.abs(spin_bath.decoherence_factor(cfg, t) - oracle.oracle_r(cfg, t))
+    return n, float(dev.max())
 
 
 def run_oracle_compare(config, out_dir, seed, workers, quiet) -> int:
+    _enforce_budget(
+        "oracle-compare", oracle_compare_bytes(config, workers), ORACLE_COMPARE_BYTE_BUDGET
+    )
+    tolerance = float(config.get("tolerance", 1e-10))
+    floor = oracle_float_floor(config)
+    if tolerance < floor:
+        raise ConfigError(
+            f"tolerance {tolerance:g} is below the float floor {floor:.3g} "
+            "(eps * t_max * max n_values)"
+        )
     prov = _provenance("oracle-compare", config, seed)
     trials = int(config["trials"])
     times = int(config.get("times_per_trial", 20))
     t_max = float(config.get("t_max", 20.0))
-    tolerance = float(config.get("tolerance", 1e-10))
     n_values = list(config["n_values"])
     children = np.random.SeedSequence(seed).spawn(trials * len(n_values))
     payloads = []
@@ -930,7 +972,8 @@ def run_oracle_compare(config, out_dir, seed, workers, quiet) -> int:
     if not quiet:
         print(
             f"worst |closed form - oracle| = {worst:.3e} over "
-            f"{len(payloads)} configs ({'ok' if ok else 'FAIL'} at {tolerance:g})"
+            f"{len(payloads)} configs ({'ok' if ok else 'FAIL'} at {tolerance:g}; "
+            f"float floor {floor:.3g})"
         )
     if not ok:
         print("oracle-compare: deviation exceeds tolerance", file=sys.stderr)
@@ -959,12 +1002,10 @@ def _check_oracle_agreement() -> bool:
         cfg = spin_bath.SpinBathConfig.random(n, rng)
         if abs(cfg.a) < 1e-3 or abs(cfg.b) < 1e-3:
             continue
-        for t in rng.uniform(0.0, 20.0, 5):
-            if abs(
-                spin_bath.decoherence_factor(cfg, float(t))
-                - oracle.oracle_r(cfg, float(t))
-            ) > 1e-10:
-                return False
+        t = rng.uniform(0.0, 20.0, 5)
+        dev = np.abs(spin_bath.decoherence_factor(cfg, t) - oracle.oracle_r(cfg, t))
+        if dev.max() > 1e-10:
+            return False
     return True
 
 
@@ -1031,8 +1072,7 @@ def _check_photon_counting() -> bool:
 
 
 def _check_coherent_set() -> bool:
-    kset = fock.coherent_measurement_set(fock.FockSpace(10))
-    return bool(kset.completeness_deviation() < 0.02)
+    return bool(fock.coherent_completeness_deviation(fock.FockSpace(10)) < 0.02)
 
 
 def _check_apparatus() -> bool:

@@ -4,7 +4,9 @@ This module is the package's independent cross-check: it never uses the
 closed-form dephasing product.  Everything is computed by explicitly
 evolving a joint state vector (diagonal phases or a dense eigendecomposition)
 and partial-tracing, so agreement with the analytic layer is a real test and
-not a tautology.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the
+not a tautology.  ``oracle_r`` takes one time or a whole grid: it builds the
+joint state and the dephasing Hamiltonian once per bath and evolves them to
+each time in turn.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the
 dense references for the pointer diagnostics; the tests cross-check with
 them and the package does not export them.
 """
@@ -120,6 +122,18 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     return (phases * coeff) @ evecs.T
 
 
+def _spin_sums(g: np.ndarray) -> np.ndarray:
+    """sum_k g_k s_k on every spin basis index, spin 1 the most significant bit.
+
+    A Kronecker sum split into halves: O(2^N) additions, and each sum is
+    rounded over a balanced tree of depth log2(N) rather than a chain of N.
+    """
+    if g.size == 1:
+        return np.array([g[0], -g[0]])
+    half = g.size // 2
+    return np.add.outer(_spin_sums(g[:half]), _spin_sums(g[half:])).reshape(-1)
+
+
 def dephasing_hamiltonian(couplings) -> DiagonalHamiltonian:
     """Diagonal pure-dephasing Hamiltonian for one qubit coupled to N spins.
 
@@ -136,22 +150,39 @@ def dephasing_hamiltonian(couplings) -> DiagonalHamiltonian:
         raise DimensionCapError(
             f"{n} bath spins need dimension {2 ** (n + 1)} > cap {DIM_CAP}"
         )
-    dim = 2 ** (n + 1)
-    idx = np.arange(dim)[:, None]
-    shifts = np.arange(n, -1, -1)[None, :]  # qubit is the leftmost factor
-    signs = 1 - 2 * ((idx >> shifts) & 1)  # (dim, n+1), +1 for up
-    energies = -(signs[:, 0] * (signs[:, 1:] @ g))
+    bath = _spin_sums(g)
+    energies = np.concatenate([-bath, bath])  # qubit up (s_0 = +1), then down
     return DiagonalHamiltonian((2,) * (n + 1), energies)
 
 
-def oracle_r(cfg, t: float) -> complex:
+def _joint_state(column, bath) -> StateVector:
+    """Qubit ``column`` (two amplitudes) next to the product state of ``bath``."""
+    amps = np.kron(np.asarray(column, dtype=complex), environment_branch(bath, 0.0).amps)
+    return StateVector((2,) * (bath.n_spins + 1), amps)
+
+
+def oracle_r(cfg, t):
     """Dephasing factor obtained by explicit joint evolution.
 
     Builds the full qubit+bath product state from ``cfg`` (a
-    :class:`~decolab.spin_bath.SpinBathConfig`), evolves it with
-    :func:`evolve_diagonal` under :func:`dephasing_hamiltonian`, partial
-    traces down to the qubit, and returns the off-diagonal entry divided by
-    a * conj(b).  Limited to N <= 14 bath spins.
+    :class:`~decolab.spin_bath.SpinBathConfig`) and
+    :func:`dephasing_hamiltonian` once, then for every time evolves with
+    :func:`evolve_diagonal`, partial traces down to the qubit, and divides
+    the off-diagonal entry by a * conj(b).  Limited to N <= 14 bath spins;
+    the cap and a vanishing branch are checked before anything of size 2^N
+    is built.
+
+    Parameters
+    ----------
+    cfg : SpinBathConfig
+    t : float or array_like
+        Time(s); scalar in, scalar out, as for
+        :func:`~decolab.spin_bath.decoherence_factor`.
+
+    Returns
+    -------
+    complex or complex ndarray of t's shape.  Each value is bit-identical to
+    a scalar call at that time.
     """
     n = cfg.n_spins
     if n > 14:
@@ -161,12 +192,17 @@ def oracle_r(cfg, t: float) -> complex:
         raise UndefinedRatioError(
             "off-diagonal ratio undefined: a branch amplitude is zero"
         )
-    amps = np.kron([a, b], environment_branch(cfg, 0.0).amps)
-    psi0 = StateVector((2,) * (n + 1), amps)
+    psi0 = _joint_state([a, b], cfg)
     ham = dephasing_hamiltonian(cfg.g)
-    psi_t = evolve_diagonal(ham, psi0, t)
-    rho_a = reduced_density(psi_t, keep=0)
-    return complex(rho_a.mat[0, 1] / (a * np.conj(b)))
+    coherence = a * np.conj(b)
+    t_arr = np.asarray(t, dtype=float)
+    r = np.empty(t_arr.shape, dtype=complex)
+    for idx, t_k in np.ndenumerate(t_arr):
+        rho_a = reduced_density(evolve_diagonal(ham, psi0, t_k), keep=0)
+        r[idx] = rho_a.mat[0, 1] / coherence
+    if t_arr.ndim == 0:
+        return complex(r)
+    return r
 
 
 def oracle_rho_sa(cfg, t: float) -> DensityMatrix:
@@ -191,9 +227,7 @@ def oracle_pointer_purity(bath, column, t_grid) -> np.ndarray:
     Reference for :func:`~decolab.pointer.predictability_sieve`, whose score
     of a basis is this purity averaged over the grid and the basis columns.
     """
-    n = bath.n_spins
-    amps = np.kron(np.asarray(column, dtype=complex), environment_branch(bath, 0.0).amps)
-    psi0 = StateVector((2,) * (n + 1), amps)
+    psi0 = _joint_state(column, bath)
     ham = dephasing_hamiltonian(bath.g)
     return np.array(
         [

@@ -355,6 +355,74 @@ def test_shipped_fock_configs_fit_the_budget(tmp_path):
         assert max(need.values()) <= cli.FOCK_BYTE_BUDGET
 
 
+ORACLE_CFG = {"experiment": "oracle-compare", "n_values": [2, 14], "trials": 3}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"trials": BIG},
+        {"times_per_trial": BIG},
+        {"n_values": [1] * 10 ** 6},
+    ],
+)
+def test_oracle_compare_estimate_rejects_oversized_runs(body):
+    need = cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers=2)
+    assert set(need) == {"run"}
+    assert need["run"] > cli.ORACLE_COMPARE_BYTE_BUDGET
+
+
+def test_oracle_compare_estimate_scales_with_spins_times_and_workers():
+    def need(workers=1, **body):
+        return cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers)["run"]
+
+    # one 2^15-amplitude bath per busy worker, never more than there are tasks
+    assert 1.9 < need(workers=2) / need(workers=1) < 2.1
+    assert need(workers=2, trials=1, n_values=[14]) == need(trials=1, n_values=[14])
+    assert 7 < need(n_values=[14]) / need(n_values=[11]) < 8.5
+    assert 1.9 < need(times_per_trial=2 * 10 ** 7) / need(times_per_trial=10 ** 7) < 2.1
+
+
+def _no_spawn(monkeypatch):
+    class NoSeeds:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("seed children were spawned")
+
+    monkeypatch.setattr(cli.np.random, "SeedSequence", NoSeeds)
+
+
+def test_oversized_oracle_compare_is_rejected_before_spawning(tmp_path, monkeypatch, capsys):
+    _no_spawn(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", dict(ORACLE_CFG, times_per_trial=BIG))
+    code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and "GiB memory budget" in err and err.count("\n") == 1
+
+
+def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsys):
+    # at t_max = 1e6 the two sides part by ~1.5e-10, above the default 1e-10:
+    # a tolerance under eps * t_max * max N cannot be met and is rejected
+    config = dict(ORACLE_CFG, t_max=1e6)
+    assert cli.oracle_float_floor(config) == np.finfo(float).eps * 1e6 * 14
+    _no_spawn(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and "float floor" in err and err.count("\n") == 1
+
+
+def test_shipped_oracle_compare_configs_fit_the_budget_and_floor(tmp_path):
+    shipped = [c for c in README_CONFIGS if c["experiment"] == "oracle-compare"]
+    shipped += _benchmark_configs(tmp_path, "oracle-compare")
+    assert len(shipped) == 2
+    for config in shipped:
+        need = cli.oracle_compare_bytes(config, workers=os.cpu_count() or 1)
+        assert need["run"] <= cli.ORACLE_COMPARE_BYTE_BUDGET
+        assert config["tolerance"] >= cli.oracle_float_floor(config)
+
+
 # ------------------------------------------------------------ CSV writer
 
 
@@ -467,6 +535,7 @@ def test_oracle_compare_passes_and_reports(tmp_path):
     proc = run_cli(["oracle-compare", "--config", cfg, "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert "worst |closed form - oracle|" in proc.stdout
+    assert "float floor 1.78e-14" in proc.stdout  # eps * t_max 20 * N 4
     _, rows = read_csv(out / "oracle_compare.csv")
     devs = [float(row[2]) for row in rows[1:]]
     assert len(devs) == 4

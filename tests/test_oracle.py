@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from decolab import cli, oracle
 from decolab.oracle import (
     DiagonalHamiltonian,
     UndefinedRatioError,
@@ -138,6 +141,29 @@ def test_dephasing_hamiltonian_matches_bitwise_reference():
         assert abs(ham.energies[idx] - want) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 14])
+def test_dephasing_energies_are_balanced_sums_of_the_couplings(n):
+    # exact sums (math.fsum) by index bits; a balanced tree of depth
+    # ceil(log2 N) rounds each sum by at most that many eps * sum|g|
+    g = rng.uniform(0.0, 1.0, n)
+    energies = dephasing_hamiltonian(g).energies
+    bits = (np.arange(2 ** (n + 1))[:, None] >> np.arange(n, -1, -1)) & 1
+    signs = (1 - 2 * bits).tolist()
+    exact = np.array([-s[0] * math.fsum(np.multiply(s[1:], g)) for s in signs])
+    bound = max(math.ceil(math.log2(n)), 1) * np.finfo(float).eps * g.sum()
+    assert energies.shape == (2 ** (n + 1),)
+    assert np.abs(energies - exact).max() <= bound
+
+
+def test_dephasing_hamiltonian_checks_the_cap_before_allocating(monkeypatch):
+    def no_sums(g):
+        raise AssertionError("energies were allocated")
+
+    monkeypatch.setattr(oracle, "_spin_sums", no_sums)
+    with pytest.raises(DimensionCapError):
+        dephasing_hamiltonian(np.ones(15))
+
+
 # ------------------------------------------------------------ oracle_r
 
 
@@ -174,3 +200,64 @@ def test_oracle_r_respects_spin_cap():
     cfg = SpinBathConfig.balanced(np.ones(15))
     with pytest.raises(DimensionCapError):
         oracle_r(cfg, 1.0)
+
+
+# ------------------------------------------------------------ oracle_r on a grid
+
+
+@pytest.mark.parametrize("n", [1, 5, 14])
+def test_oracle_r_grid_is_bit_identical_to_scalar_calls(n):
+    for cfg in (SpinBathConfig.random(n, rng), SpinBathConfig.balanced(rng.uniform(0, 1, n))):
+        t_grid = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 6)])
+        grid = oracle_r(cfg, t_grid)
+        loop = np.array([oracle_r(cfg, float(t)) for t in t_grid])
+        assert grid.dtype == complex and grid.shape == t_grid.shape
+        assert np.array_equal(grid, loop)
+
+
+def test_oracle_r_follows_the_closed_form_shape_rule():
+    cfg = SpinBathConfig.random(4, rng)
+    t_2d = rng.uniform(0.0, 10.0, (2, 3))
+    want = oracle_r(cfg, float(t_2d[0, 1]))
+    for t in (float(t_2d[0, 1]), np.float64(t_2d[0, 1]), np.array(t_2d[0, 1])):
+        got = oracle_r(cfg, t)
+        assert type(got) is complex and got == want
+    assert oracle_r(cfg, t_2d[0]).shape == (3,)
+    grid = oracle_r(cfg, t_2d)
+    assert grid.shape == (2, 3) and grid[0, 1] == want
+    assert np.abs(grid - decoherence_factor(cfg, t_2d)).max() < 1e-12
+    assert oracle_r(cfg, np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "cfg, error",
+    [
+        (SpinBathConfig.balanced(np.ones(15)), DimensionCapError),
+        (SpinBathConfig(1.0, 0.0, np.ones(14), np.ones(14), np.zeros(14)), UndefinedRatioError),
+        (SpinBathConfig(0.0, 1.0, [0.5], [1.0], [0.0]), UndefinedRatioError),
+    ],
+)
+def test_oracle_r_rejects_before_building_anything(cfg, error, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a 2^N object was built")
+
+    for name in ("environment_branch", "dephasing_hamiltonian", "StateVector"):
+        monkeypatch.setattr(oracle, name, no_build)
+    with pytest.raises(error):
+        oracle_r(cfg, np.linspace(0.0, 1.0, 4))
+
+
+def test_oracle_task_builds_one_hamiltonian_per_bath(monkeypatch):
+    builds = []
+    real = oracle.dephasing_hamiltonian
+
+    def counted(couplings):
+        builds.append(len(couplings))
+        return real(couplings)
+
+    monkeypatch.setattr(oracle, "dephasing_hamiltonian", counted)
+    for n, child in zip((3, 8), np.random.SeedSequence(4).spawn(2)):
+        builds.clear()
+        got_n, worst = cli._oracle_task((n, 20, 20.0, child))
+        assert builds == [n]
+        assert got_n == n and 0.0 <= worst < 1e-10

@@ -17,6 +17,15 @@ package default.  Outputs are UTF-8 CSV ('.' decimal point, 17 significant
 digits) and JSON; each file embeds a provenance block (artifact version,
 config hash, seed) so identical config+seed reruns are byte-identical.
 
+Each subcommand is one runner ``run_x(config, seed, workers, out)``.  ``main``
+loads the config, resolves the seed, creates ``--out`` and hands the runner an
+``_Output``, which alone decides where an artifact goes, what provenance is
+stamped on it and whether progress lines are printed (``--quiet``).  A runner
+writes each config section through ``out`` as soon as that section is
+computed, rather than returning its tables: a large section (``trace.csv`` can
+hold 10^5 rows of Python floats) is freed before the next one runs, and a
+section that fails later leaves the files of the sections before it.
+
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
 
@@ -38,6 +47,11 @@ from . import __version__, fock, measurement, oracle, pointer, spin_bath, states
 
 DEFAULT_SEED = spin_bath.DEFAULT_SEED
 SEED_ENV_VAR = "DECOLAB_SEED"
+
+
+#: Most Born draws one ``measure`` run may take: sampling runs at about
+#: 4.5e7 shots/s, so the ceiling is about 22 s of work.
+MAX_SHOTS = 1_000_000_000
 
 
 class ConfigError(Exception):
@@ -138,7 +152,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
                 "additionalProperties": False,
                 "properties": {"a": _COMPLEX, "b": _COMPLEX},
             },
-            "shots": {"type": "integer", "minimum": 1},
+            "shots": {"type": "integer", "minimum": 1, "maximum": MAX_SHOTS},
             "kraus_file": {"type": "string"},
             "dump_states": {"type": "boolean"},
         },
@@ -355,18 +369,17 @@ def _complex_pair(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def _state_payload(state: states.StateVector) -> dict:
-    return {
-        "dims": list(state.dims),
-        "amps": [[float(z.real), float(z.imag)] for z in state.amps],
-    }
+def _pairs(values) -> list:
+    """Complex numbers as JSON-ready ``[re, im]`` pairs."""
+    return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _density_payload(rho: states.DensityMatrix) -> dict:
-    return {
-        "dims": list(rho.dims),
-        "mat": [[float(z.real), float(z.imag)] for z in rho.mat.reshape(-1)],
-    }
+def _finite(text: str) -> float:
+    """JSON float hook: NaN, +-Infinity and overflowing literals are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
 
 
 def _load_config(path: str, experiment: str) -> dict:
@@ -374,7 +387,7 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"'{experiment}' needs --config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -410,11 +423,34 @@ def _resolve_seed(flag_seed, config: dict) -> int:
     return int(seed)
 
 
-def _ensure_out(out_dir: str) -> str:
-    if out_dir is None:
-        raise ConfigError("this subcommand needs --out")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+class _Output:
+    """Where a run's artifacts go, what is stamped on them, and what is printed.
+
+    Creates ``out_dir``; every file is named relative to it and carries the
+    run's provenance block.  ``out_dir`` None (``check`` without ``--out``)
+    writes nothing.  The writers are looked up as module globals on each
+    call, so the benchmark's tracer can count what they write.
+    """
+
+    def __init__(self, out_dir, experiment: str, config: dict, seed: int, quiet: bool):
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.prov = _provenance(experiment, config, seed)
+        self.quiet = quiet
+
+    def csv(self, name: str, header, rows) -> None:
+        if self.out_dir is not None:
+            _write_csv(os.path.join(self.out_dir, name), header, rows, self.prov, self.quiet)
+
+    def json(self, name: str, payload: dict) -> None:
+        if self.out_dir is not None:
+            _write_json(os.path.join(self.out_dir, name), payload, self.prov, self.quiet)
+
+    def say(self, line: str) -> None:
+        """Print a progress or summary line unless ``--quiet``."""
+        if not self.quiet:
+            print(line)
 
 
 def _pmap(fn, payloads, workers: int) -> list:
@@ -534,9 +570,8 @@ def _fit_task(payload):
     return fit.gamma, fit.r_squared, fit.t_max
 
 
-def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
+def run_spin_bath(config, seed, workers, out) -> int:
     _enforce_budget("spin-bath", spin_bath_bytes(config, workers), SPIN_BATH_BYTE_BUDGET)
-    prov = _provenance("spin-bath", config, seed)
     root = np.random.SeedSequence(seed)
     kids = root.spawn(4)
 
@@ -545,55 +580,26 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
         cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), kids[0])
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
         r = spin_bath.decoherence_factor(cfg, t_grid)
-        rows = zip(
-            t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist()
-        )
-        _write_csv(
-            os.path.join(out_dir, "trace.csv"),
-            ["t", "re_r", "im_r", "abs_r_squared"],
-            rows,
-            prov,
-            quiet,
-        )
+        rows = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
+        out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], rows)
 
     if "scaling" in config:
         sec = config["scaling"]
         span = sec.get("span_periods", 400.0)
         samples = sec.get("samples", _SCALING_SAMPLES)
         children = kids[1].spawn(len(sec["n_values"]))
-        payloads = [
-            (n, span, samples, child)
-            for n, child in zip(sec["n_values"], children)
-        ]
-        rows = []
-        for n, mean in _pmap(_scaling_task, payloads, workers):
-            rows.append((n, mean, math.log2(mean)))
-        _write_csv(
-            os.path.join(out_dir, "scaling.csv"),
-            ["n_spins", "mean_abs_r_squared", "log2_mean"],
-            rows,
-            prov,
-            quiet,
-        )
+        payloads = [(n, span, samples, child) for n, child in zip(sec["n_values"], children)]
+        means = _pmap(_scaling_task, payloads, workers)
+        rows = [(n, mean, math.log2(mean)) for n, mean in means]
+        out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], rows)
 
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
         samples = sec.get("samples", _FIT_SAMPLES)
         children = kids[2].spawn(sec["n_seeds"])
         payloads = [(sec["n_spins"], samples, child) for child in children]
-        rows = [
-            (idx, gamma, r_sq, t_max)
-            for idx, (gamma, r_sq, t_max) in enumerate(
-                _pmap(_fit_task, payloads, workers)
-            )
-        ]
-        _write_csv(
-            os.path.join(out_dir, "gaussian_fit.csv"),
-            ["draw", "gamma", "r_squared", "t_max"],
-            rows,
-            prov,
-            quiet,
-        )
+        rows = [(idx, *fit) for idx, fit in enumerate(_pmap(_fit_task, payloads, workers))]
+        out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], rows)
 
     if "recurrence" in config:
         sec = config["recurrence"]
@@ -603,14 +609,8 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
             cfg = _bath_from(sec["n_spins"], "balanced", kids[3])
         else:
             raise ConfigError("recurrence needs either 'couplings' or 'n_spins'")
-        intervals = spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"])
-        _write_csv(
-            os.path.join(out_dir, "recurrence.csv"),
-            ["t_enter", "t_exit"],
-            intervals,
-            prov,
-            quiet,
-        )
+        rows = spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"])
+        out.csv("recurrence.csv", ["t_enter", "t_exit"], rows)
     return 0
 
 
@@ -618,8 +618,7 @@ def run_spin_bath(config, out_dir, seed, workers, quiet) -> int:
 # measure
 
 
-def run_measure(config, out_dir, seed, workers, quiet) -> int:
-    prov = _provenance("measure", config, seed)
+def run_measure(config, seed, workers, out) -> int:
     system = states.StateVector(
         (2,),
         [
@@ -636,30 +635,14 @@ def run_measure(config, out_dir, seed, workers, quiet) -> int:
     )
     names = ["up,up", "up,down", "down,up", "down,down"]
     shots = int(config["shots"])
-    rows = [
-        (names[i], int(counts[i]), counts[i] / shots, probs[i])
-        for i in range(4)
-    ]
-    _write_csv(
-        os.path.join(out_dir, "outcomes.csv"),
-        ["outcome", "count", "frequency", "born_probability"],
-        [(name, str(cnt), freq, p) for name, cnt, freq, p in rows],
-        prov,
-        quiet,
-    )
+    rows = [(names[i], str(int(counts[i])), counts[i] / shots, probs[i]) for i in range(4)]
+    out.csv("outcomes.csv", ["outcome", "count", "frequency", "born_probability"], rows)
     if config.get("dump_states", True):
-        _write_json(
-            os.path.join(out_dir, "premeasured_state.json"),
-            {"state": _state_payload(joint)},
-            prov,
-            quiet,
-        )
-        _write_json(
-            os.path.join(out_dir, "reduced_system.json"),
-            {"density": _density_payload(states.reduced_density(joint, keep=0))},
-            prov,
-            quiet,
-        )
+        state = {"dims": list(joint.dims), "amps": _pairs(joint.amps)}
+        out.json("premeasured_state.json", {"state": state})
+        rho = states.reduced_density(joint, keep=0)
+        density = {"dims": list(rho.dims), "mat": _pairs(rho.mat.reshape(-1))}
+        out.json("reduced_system.json", {"density": density})
     if "kraus_file" in config:
         try:
             with open(config["kraus_file"], "r", encoding="utf-8") as fh:
@@ -677,18 +660,12 @@ def run_measure(config, out_dir, seed, workers, quiet) -> int:
             )
         povm = measurement.povm_probabilities(target, kset)
         report = measurement.validate_kraus(kset)
-        if not quiet:
-            print(
-                f"kraus completeness deviation {report.deviation:.3e} "
-                f"(strict pass: {report.passed})"
-            )
-        _write_csv(
-            os.path.join(out_dir, "povm.csv"),
-            ["label", "probability"],
-            [(str(lbl), p) for lbl, p in zip(kset.labels, povm)],
-            prov,
-            quiet,
+        out.say(
+            f"kraus completeness deviation {report.deviation:.3e} "
+            f"(strict pass: {report.passed})"
         )
+        rows = [(str(lbl), p) for lbl, p in zip(kset.labels, povm)]
+        out.csv("povm.csv", ["label", "probability"], rows)
     return 0
 
 
@@ -696,8 +673,7 @@ def run_measure(config, out_dir, seed, workers, quiet) -> int:
 # pointer
 
 
-def run_pointer(config, out_dir, seed, workers, quiet) -> int:
-    prov = _provenance("pointer", config, seed)
+def run_pointer(config, seed, workers, out) -> int:
     root = np.random.SeedSequence(seed)
     amps = config["branch_amplitudes"]
     env = config["environment"]
@@ -707,15 +683,9 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
     if "correlation" in config:
         sec = config["correlation"]
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        columns = [
-            pointer.basis_correlation_decay(tri, theta, t_grid)
-            for theta in sec["thetas"]
-        ]
+        columns = [pointer.basis_correlation_decay(tri, th, t_grid) for th in sec["thetas"]]
         header = ["t"] + [f"corr_theta_{theta:g}" for theta in sec["thetas"]]
-        rows = [
-            tuple([t] + [col[i] for col in columns]) for i, t in enumerate(t_grid)
-        ]
-        _write_csv(os.path.join(out_dir, "correlation.csv"), header, rows, prov, quiet)
+        out.csv("correlation.csv", header, zip(t_grid, *columns))
 
     if "sieve" in config:
         sec = config["sieve"]
@@ -725,13 +695,7 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
         ranked = pointer.predictability_sieve([z, x], tri, t_grid)
         name = {id(z): "monitored", id(x): "conjugate"}
         rows = [(name[id(b)], score) for b, score in ranked]
-        _write_csv(
-            os.path.join(out_dir, "sieve.csv"),
-            ["basis", "time_averaged_purity"],
-            rows,
-            prov,
-            quiet,
-        )
+        out.csv("sieve.csv", ["basis", "time_averaged_purity"], rows)
 
     if "apparatus" in config:
         sec = config["apparatus"]
@@ -753,13 +717,7 @@ def run_pointer(config, out_dir, seed, workers, quiet) -> int:
         for t in t_grid:
             rho = pointer.apparatus_reduced_state(model, t)
             rows.append((t, states.offdiag_norm(rho, full_basis), states.purity(rho)))
-        _write_csv(
-            os.path.join(out_dir, "apparatus.csv"),
-            ["t", "offdiag_sum", "purity"],
-            rows,
-            prov,
-            quiet,
-        )
+        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"], rows)
     return 0
 
 
@@ -814,9 +772,8 @@ def fock_bytes(config: dict) -> dict:
     return need
 
 
-def run_fock(config, out_dir, seed, workers, quiet) -> int:
+def run_fock(config, seed, workers, out) -> int:
     _enforce_budget("fock", fock_bytes(config), FOCK_BYTE_BUDGET)
-    prov = _provenance("fock", config, seed)
     space = fock.FockSpace(config["n_max"])
 
     if "counting" in config:
@@ -826,13 +783,7 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
             state.density(), fock.photon_counting_set(space)
         )
         rows = [(str(n), p) for n, p in enumerate(probs)]
-        _write_csv(
-            os.path.join(out_dir, "counting.csv"),
-            ["n", "probability"],
-            rows,
-            prov,
-            quiet,
-        )
+        out.csv("counting.csv", ["n", "probability"], rows)
 
     if "completeness" in config:
         sec = config["completeness"]
@@ -849,13 +800,7 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
         rows.append(
             ("coherent_grid", "default", fock.coherent_completeness_deviation(space))
         )
-        _write_csv(
-            os.path.join(out_dir, "completeness.csv"),
-            ["family", "grid", "max_deviation"],
-            rows,
-            prov,
-            quiet,
-        )
+        out.csv("completeness.csv", ["family", "grid", "max_deviation"], rows)
 
     if "ehrenfest" in config:
         sec = config["ehrenfest"]
@@ -867,16 +812,8 @@ def run_fock(config, out_dir, seed, workers, quiet) -> int:
         t_grid = np.arange(n_steps + 1) * dt
         state = fock.coherent_state(space, alpha)
         report = fock.ehrenfest_check(space, state, omega, mass, t_grid)
-        if not quiet:
-            print(f"ehrenfest max residual {report.max_residual:.6e} at dt {dt:g}")
-        rows = list(zip(report.t, report.residuals))
-        _write_csv(
-            os.path.join(out_dir, "ehrenfest.csv"),
-            ["t", "residual"],
-            rows,
-            prov,
-            quiet,
-        )
+        out.say(f"ehrenfest max residual {report.max_residual:.6e} at dt {dt:g}")
+        out.csv("ehrenfest.csv", ["t", "residual"], zip(report.t, report.residuals))
     return 0
 
 
@@ -932,7 +869,7 @@ def _oracle_task(payload):
     return n, float(dev.max())
 
 
-def run_oracle_compare(config, out_dir, seed, workers, quiet) -> int:
+def run_oracle_compare(config, seed, workers, out) -> int:
     _enforce_budget(
         "oracle-compare", oracle_compare_bytes(config, workers), ORACLE_COMPARE_BYTE_BUDGET
     )
@@ -943,38 +880,21 @@ def run_oracle_compare(config, out_dir, seed, workers, quiet) -> int:
             f"tolerance {tolerance:g} is below the float floor {floor:.3g} "
             "(eps * t_max * max n_values)"
         )
-    prov = _provenance("oracle-compare", config, seed)
-    trials = int(config["trials"])
     times = int(config.get("times_per_trial", 20))
     t_max = float(config.get("t_max", 20.0))
-    n_values = list(config["n_values"])
-    children = np.random.SeedSequence(seed).spawn(trials * len(n_values))
-    payloads = []
-    k = 0
-    for trial in range(trials):
-        for n in n_values:
-            payloads.append((n, times, t_max, children[k]))
-            k += 1
+    n_values = list(config["n_values"]) * int(config["trials"])
+    children = np.random.SeedSequence(seed).spawn(len(n_values))
+    payloads = [(n, times, t_max, child) for n, child in zip(n_values, children)]
     results = _pmap(_oracle_task, payloads, workers)
-    rows = []
-    worst = 0.0
-    for idx, (n, dev) in enumerate(results):
-        rows.append((idx // len(n_values), n, dev))
-        worst = max(worst, dev)
-    _write_csv(
-        os.path.join(out_dir, "oracle_compare.csv"),
-        ["trial", "n_spins", "max_abs_deviation"],
-        rows,
-        prov,
-        quiet,
-    )
+    rows = [(idx // len(config["n_values"]), n, dev) for idx, (n, dev) in enumerate(results)]
+    out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], rows)
+    worst = max(dev for _, dev in results)
     ok = worst <= tolerance
-    if not quiet:
-        print(
-            f"worst |closed form - oracle| = {worst:.3e} over "
-            f"{len(payloads)} configs ({'ok' if ok else 'FAIL'} at {tolerance:g}; "
-            f"float floor {floor:.3g})"
-        )
+    out.say(
+        f"worst |closed form - oracle| = {worst:.3e} over "
+        f"{len(payloads)} configs ({'ok' if ok else 'FAIL'} at {tolerance:g}; "
+        f"float floor {floor:.3g})"
+    )
     if not ok:
         print("oracle-compare: deviation exceeds tolerance", file=sys.stderr)
         return 1
@@ -1123,7 +1043,7 @@ CHECKS = [
 ]
 
 
-def run_check(config, out_dir, seed, workers, quiet) -> int:
+def run_check(config, seed, workers, out) -> int:
     results = {}
     failed = 0
     for name, fn in CHECKS:
@@ -1131,23 +1051,14 @@ def run_check(config, out_dir, seed, workers, quiet) -> int:
             passed = bool(fn())
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
             passed = False
-            if not quiet:
-                print(f"FAIL {name}: {exc}")
+            out.say(f"FAIL {name}: {exc}")
         results[name] = passed
         if passed:
-            if not quiet:
-                print(f"ok   {name}")
+            out.say(f"ok   {name}")
         else:
             failed += 1
             print(f"FAIL {name}", file=sys.stderr)
-    if out_dir is not None:
-        prov = _provenance("check", config or {"experiment": "check"}, seed)
-        _write_json(
-            os.path.join(_ensure_out(out_dir), "check.json"),
-            {"results": results, "failed": failed},
-            prov,
-            quiet,
-        )
+    out.json("check.json", {"results": results, "failed": failed})
     return 0 if failed == 0 else 1
 
 
@@ -1192,22 +1103,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     runner = _RUNNERS[args.subcommand]
+    check = args.subcommand == "check"
     try:
         max_workers = os.cpu_count() or 1
         if args.workers > max_workers:
             raise ConfigError(
                 f"--workers {args.workers} exceeds the {max_workers} CPUs of this machine"
             )
-        if args.subcommand == "check":
-            config = (
-                _load_config(args.config, "check") if args.config else {"experiment": "check"}
-            )
-            seed = _resolve_seed(args.seed, config)
-            return runner(config, args.out, seed, args.workers, args.quiet)
-        config = _load_config(args.config, args.subcommand)
+        if check and not args.config:
+            config = {"experiment": "check"}
+        else:
+            config = _load_config(args.config, args.subcommand)
         seed = _resolve_seed(args.seed, config)
-        out_dir = _ensure_out(args.out)
-        return runner(config, out_dir, seed, args.workers, args.quiet)
+        if args.out is None and not check:
+            raise ConfigError("this subcommand needs --out")
+        out = _Output(args.out, args.subcommand, config, seed, args.quiet)
+        return runner(config, seed, args.workers, out)
     except (ConfigError, ValueError, spin_bath.FitWindowError) as exc:
         # a value from the config that the library rejects (including
         # DimensionCapError and TruncationError) is a config error too

@@ -40,7 +40,7 @@ class KrausSet:
     ``completeness_tol`` (default 1e-10).  Pass ``completeness_tol=None`` for
     deliberately approximate families such as quadrature discretizations of a
     continuous POVM; their actual deviation is reported by
-    :func:`validate_kraus` instead.
+    :func:`validate_kraus` instead.  Non-finite entries are rejected either way.
     """
 
     def __init__(self, operators, labels=None, completeness_tol: Optional[float] = 1e-10):
@@ -69,9 +69,12 @@ class KrausSet:
         self._stack = stack
         self.labels = tuple(labels)
         self.completeness_tol = completeness_tol
-        if completeness_tol is not None:
+        if completeness_tol is None:
+            if not np.isfinite(stack).all():
+                raise ValueError("Kraus operators must be finite")
+        else:
             dev = self.completeness_deviation()
-            if dev > completeness_tol:
+            if not dev <= completeness_tol:  # NaN fails
                 raise ValueError(
                     f"sum M^dag M deviates from identity by {dev:g} "
                     f"(tolerance {completeness_tol:g})"
@@ -151,10 +154,10 @@ class Projector:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"projector must be square, got shape {mat.shape}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > _PROJ_ATOL:
+        if not herm <= _PROJ_ATOL:  # NaN fails
             raise ValueError(f"projector not Hermitian: deviation {herm:g}")
         idem = float(np.max(np.abs(mat @ mat - mat)))
-        if idem > _PROJ_ATOL:
+        if not idem <= _PROJ_ATOL:
             raise ValueError(f"projector not idempotent: deviation {idem:g}")
         mat.flags.writeable = False
         self.mat = mat

@@ -68,7 +68,8 @@ class StateVector:
                 f"amplitude vector has length {amps.size}, expected {total}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
+        # each tolerance test is written so that NaN fails it
+        if not abs(norm_sq - 1.0) <= _NORM_ATOL:
             raise ValueError(
                 f"state is not normalized: sum |amps|^2 = {norm_sq!r}"
             )
@@ -110,13 +111,13 @@ class DensityMatrix:
                 f"matrix has shape {mat.shape}, expected {(total, total)}"
             )
         herm_dev = float(np.max(np.abs(mat - mat.conj().T))) if total else 0.0
-        if herm_dev > _HERM_ATOL:
+        if not herm_dev <= _HERM_ATOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:g}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_ATOL:
+        if not abs(tr - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
         eig_min = float(np.linalg.eigvalsh(mat)[0])
-        if eig_min < _EIG_FLOOR:
+        if not eig_min >= _EIG_FLOOR:
             raise ValueError(
                 f"matrix is not positive semidefinite: min eigenvalue {eig_min:g}"
             )

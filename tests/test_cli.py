@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -217,6 +218,37 @@ def test_workers_above_cpu_count_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+# one config per subcommand holding a NaN, an infinity or a literal that
+# overflows a double; the loader must reject each before the schema sees it
+NON_FINITE_CONFIGS = {
+    "spin-bath": '{"experiment": "spin-bath", '
+    '"trace": {"n_spins": 3, "t_max": Infinity, "samples": 5}}',
+    "measure": '{"experiment": "measure", '
+    '"system": {"a": [NaN, 0], "b": [0.8, 0]}, "shots": 10}',
+    "pointer": '{"experiment": "pointer", "branch_amplitudes": {"a": [0.6, 0], "b": [0.8, 0]}, '
+    '"environment": {"n_spins": 3}, "sieve": {"t_max": 1e999, "samples": 5}}',
+    "fock": '{"experiment": "fock", "n_max": 4, '
+    '"ehrenfest": {"alpha": [1, 0], "omega": NaN, "t_max": 0.1, "dt": 0.01}}',
+    "oracle-compare": '{"experiment": "oracle-compare", "n_values": [2], "trials": 1, '
+    '"t_max": NaN}',
+    "check": '{"experiment": "check", "seed": -Infinity}',
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_config_is_usage_error(tmp_path, capsys, subcommand):
+    assert set(NON_FINITE_CONFIGS) == set(CONFIG_SCHEMAS)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(NON_FINITE_CONFIGS[subcommand], encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out), "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: config holds the non-finite number ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ resource bounds
 
 BIG = 10 ** 12
@@ -261,6 +293,20 @@ def test_oversized_spin_bath_is_rejected_before_allocation(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("decolab: ") and "'trace'" in err and err.count("\n") == 1
+
+
+def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("outcomes were sampled")
+
+    monkeypatch.setattr(cli.measurement, "sample_outcomes", no_sampling)
+    config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.0, 0.8]}, "shots": BIG}
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: config invalid at shots") and err.count("\n") == 1
+    jsonschema.validate(dict(config, shots=cli.MAX_SHOTS), CONFIG_SCHEMAS["measure"])
 
 
 def _benchmark_configs(directory, subcommand):
@@ -490,6 +536,53 @@ def test_readme_config_runs_as_documented(tmp_path, config):
         [config["experiment"], "--config", cfg, "--out", "out", "--quiet"], cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _summary_prefixes(config):
+    """Prefixes of the lines other than ``wrote <path>`` that a loud run prints."""
+    experiment = config["experiment"]
+    if experiment == "measure" and "kraus_file" in config:
+        return ["kraus completeness deviation "]
+    if experiment == "fock" and "ehrenfest" in config:
+        return ["ehrenfest max residual "]
+    if experiment == "oracle-compare":
+        return ["worst |closed form - oracle| = "]
+    if experiment == "check":
+        return [f"ok   {name}" for name, _ in cli.CHECKS]
+    return []
+
+
+STDOUT_CONFIGS = README_CONFIGS + [{"experiment": "check"}]
+
+
+@pytest.mark.parametrize(
+    "config", STDOUT_CONFIGS, ids=[c["experiment"] for c in STDOUT_CONFIGS]
+)
+def test_loud_run_names_each_file_once_and_quiet_run_prints_nothing(tmp_path, config):
+    if "kraus_file" in config:
+        zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
+        with open(tmp_path / config["kraus_file"], "w") as fh:
+            json.dump(zset.to_dict(), fh)
+    cfg = write_config(tmp_path / "config.json", config)
+    stdout = {}
+    for label, flags in (("loud", []), ("quiet", ["--quiet"])):
+        argv = [config["experiment"], "--config", cfg, "--out", label, *flags]
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        stdout[label] = proc.stdout
+    files = sorted(os.listdir(tmp_path / "loud"))
+    assert files
+    lines = stdout["loud"].splitlines()
+    wrote = [line[len("wrote "):] for line in lines if line.startswith("wrote ")]
+    assert sorted(wrote) == [os.path.join("loud", name) for name in files]
+    summary = [line for line in lines if not line.startswith("wrote ")]
+    prefixes = _summary_prefixes(config)
+    assert len(summary) == len(prefixes)
+    assert all(line.startswith(prefix) for line, prefix in zip(summary, prefixes))
+    assert stdout["quiet"] == ""
+    assert sorted(os.listdir(tmp_path / "quiet")) == files
+    for name in files:
+        assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
 
 
 # ------------------------------------------------------------ seeds

@@ -269,6 +269,28 @@ def test_kraus_set_constructor_enforces_completeness():
         KrausSet([p.mat])  # alone it is not complete
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("tol", [1e-10, None])
+def test_kraus_set_rejects_non_finite_operators(bad, tol):
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    ops[1][0, 1] = bad
+    with pytest.raises(ValueError):
+        KrausSet(ops, completeness_tol=tol)
+    with pytest.raises(ValueError):
+        KrausSet.from_dict(
+            {"shape": [2, 2], "completeness_tol": tol,
+             "operators": [[[z.real, z.imag] for z in m.reshape(-1)] for m in ops]}
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projector_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        Projector(np.diag([1.0, bad]))
+    with pytest.raises(ValueError):
+        Projector.onto(np.array([[1.0], [bad]]))
+
+
 def test_kraus_set_serialization_round_trip():
     raws = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
     s = sum(m.conj().T @ m for m in raws)

@@ -43,6 +43,12 @@ def test_state_vector_requires_matching_length():
         StateVector((2, 2), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector((2,), [bad, 0.8])
+
+
 def test_state_vector_amps_are_frozen():
     psi = StateVector((2,), [1.0, 0.0])
     with pytest.raises(ValueError):
@@ -121,6 +127,16 @@ def test_density_matrix_validation():
     neg = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         DensityMatrix((2,), neg)  # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_density_matrix_rejects_non_finite_entries(bad, where):
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[where] = bad
+    mat[where[::-1]] = bad
+    with pytest.raises(ValueError):
+        DensityMatrix((2,), mat)
 
 
 def test_partial_trace_of_product_recovers_factor():

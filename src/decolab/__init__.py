@@ -12,7 +12,8 @@ The package bundles a small set of tightly tested building blocks:
   updates, Born sampling, and POVM bookkeeping.
 * :mod:`decolab.pointer` — pointer-basis diagnostics: tripartite branch
   states, basis-rotation correlation decay, a predictability sieve, and a
-  many-outcome apparatus dephasing model.
+  many-outcome apparatus dephasing model with a closed form for mixtures of
+  exponential kernels.
 * :mod:`decolab.fock` — truncated oscillator spaces, photon counting,
   coherent-state POVMs on quadrature grids, and an Ehrenfest-relation check.
 * :mod:`decolab.cli` — reproducible experiment runner with CSV/JSON output.
@@ -72,6 +73,7 @@ from .measurement import (
 from .pointer import (
     ApparatusModel,
     TriConfig,
+    apparatus_dephasing,
     apparatus_reduced_state,
     basis_correlation_decay,
     predictability_sieve,

@@ -180,7 +180,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
                 "required": ["n_spins"],
                 "additionalProperties": False,
                 "properties": {
-                    "n_spins": {"type": "integer", "minimum": 1, "maximum": 13},
+                    "n_spins": {"type": "integer", "minimum": 1},
                     "ensemble": {"enum": ["balanced", "random"]},
                 },
             },
@@ -673,7 +673,58 @@ def run_measure(config, seed, workers, out) -> int:
 # pointer
 
 
+#: Largest working set, in bytes, that one pointer section may need.
+POINTER_BYTE_BUDGET = 2 * 1024 ** 3
+
+# Working-set sizes that grow with the config, measured with tracemalloc and
+# rounded up: bytes per bath spin (the random ensemble's construction is the
+# peak), per correlation time point while r(t) and one column are computed,
+# per stored correlation value (one column per angle), per apparatus time
+# point (grid, kernel and the two results), per apparatus time point and
+# mixture component (the kernel table), per branch amplitude and per decay
+# rate.  The sieve costs _POINT_BYTES per time point.
+_POINTER_SPIN_BYTES = 192
+_CORRELATION_POINT_BYTES = 128
+_COLUMN_BYTES = 8
+_APPARATUS_POINT_BYTES = 48
+_MIXTURE_POINT_BYTES = 8
+_BRANCH_BYTES = 96
+_RATE_BYTES = 48
+
+
+def pointer_bytes(config: dict) -> dict:
+    """Estimated peak bytes of each section of a pointer config.
+
+    Worked out from the config alone, before anything is allocated.  The
+    bath is built first and held to the end, so it is its own entry,
+    ``environment``, and part of every other one.  r(t) is streamed spin by
+    spin, so ``correlation`` and ``sieve`` grow linearly with their time
+    samples, ``correlation`` also with one stored column per angle.
+    ``apparatus`` is a closed form: linear in its samples times mixture
+    components, plus its amplitudes and rates.
+    """
+    bath = config["environment"]["n_spins"] * _POINTER_SPIN_BYTES
+    need = {"environment": bath}
+    if "correlation" in config:
+        sec = config["correlation"]
+        per_point = _CORRELATION_POINT_BYTES + len(sec["thetas"]) * _COLUMN_BYTES
+        need["correlation"] = bath + sec["samples"] * per_point
+    if "sieve" in config:
+        need["sieve"] = bath + config["sieve"]["samples"] * _POINT_BYTES
+    if "apparatus" in config:
+        sec = config["apparatus"]
+        mixture = len(sec["decay_rates"])
+        need["apparatus"] = (
+            bath
+            + len(sec["amplitudes"]) * _BRANCH_BYTES
+            + mixture * _RATE_BYTES
+            + sec["samples"] * (_APPARATUS_POINT_BYTES + mixture * _MIXTURE_POINT_BYTES)
+        )
+    return need
+
+
 def run_pointer(config, seed, workers, out) -> int:
+    _enforce_budget("pointer", pointer_bytes(config), POINTER_BYTE_BUDGET)
     root = np.random.SeedSequence(seed)
     amps = config["branch_amplitudes"]
     env = config["environment"]
@@ -683,7 +734,8 @@ def run_pointer(config, seed, workers, out) -> int:
     if "correlation" in config:
         sec = config["correlation"]
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        columns = [pointer.basis_correlation_decay(tri, th, t_grid) for th in sec["thetas"]]
+        r = spin_bath.decoherence_factor(bath, t_grid)
+        columns = [pointer._rotated_correlation(tri, th, r) for th in sec["thetas"]]
         header = ["t"] + [f"corr_theta_{theta:g}" for theta in sec["thetas"]]
         out.csv("correlation.csv", header, zip(t_grid, *columns))
 
@@ -699,25 +751,14 @@ def run_pointer(config, seed, workers, out) -> int:
 
     if "apparatus" in config:
         sec = config["apparatus"]
-        c = [_complex_pair(p) for p in sec["amplitudes"]]
-        rates = [float(r) for r in sec["decay_rates"]]
-        weights = sec.get("weights")
-        if weights is None and len(rates) > 1:
-            weights = [1.0 / len(rates)] * len(rates)
-        if weights is not None and len(weights) != len(rates):
-            raise ConfigError("apparatus weights and decay_rates lengths differ")
-
-        def kappa(i, j, t, mix):
-            return 1.0 if i == j else math.exp(-rates[mix] * t)
-
-        model = pointer.ApparatusModel(c, kappa, weights)
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        full_basis = states.BasisSpec(0, np.eye(model.dim))
-        rows = []
-        for t in t_grid:
-            rho = pointer.apparatus_reduced_state(model, t)
-            rows.append((t, states.offdiag_norm(rho, full_basis), states.purity(rho)))
-        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"], rows)
+        offdiag, purity = pointer.apparatus_dephasing(
+            [_complex_pair(p) for p in sec["amplitudes"]],
+            sec["decay_rates"],
+            sec.get("weights"),
+            t_grid,
+        )
+        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"], zip(t_grid, offdiag, purity))
     return 0
 
 
@@ -1005,6 +1046,13 @@ def _check_apparatus() -> bool:
         for j in range(3):
             want = (abs(c[i]) ** 2) if i == j else c[i] * np.conj(c[j]) * k
             worst = max(worst, abs(rho.mat[i + 1, j + 1] - want))
+    # the closed form the CLI runs agrees with the dense matrix
+    offdiag, pure = pointer.apparatus_dephasing(c, [0.7], None, [1.3])
+    worst = max(
+        worst,
+        abs(offdiag[0] - states.offdiag_norm(rho, states.BasisSpec(0, np.eye(4)))),
+        abs(pure[0] - states.purity(rho)),
+    )
     return bool(worst < 1e-12)
 
 

@@ -5,7 +5,12 @@ branch structure system+pointer+environment, the decay of system-pointer
 correlations when the readout basis is rotated away from the pointer basis,
 and a predictability sieve that ranks candidate pointer bases by how pure an
 initially-aligned pointer stays.  A separate many-outcome apparatus model
-handles pointer dephasing through a user-supplied environment-overlap kernel.
+handles pointer dephasing through a user-supplied environment-overlap kernel
+(``apparatus_reduced_state``, one dense (n+1) x (n+1) matrix per time); for
+the kernel the CLI uses, a convex mixture of exponentials that is the same
+for every branch pair, ``apparatus_dephasing`` gives the pointer's
+off-diagonal weight and purity in closed form, in O(T*M + n) for T times, M
+mixture components and n outcomes, without building any matrix.
 """
 
 from __future__ import annotations
@@ -96,8 +101,17 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    return _rotated_correlation(cfg, theta, decoherence_factor(cfg.bath, t_grid))
+
+
+def _rotated_correlation(cfg: TriConfig, theta: float, r: np.ndarray) -> np.ndarray:
+    """``basis_correlation_decay`` from r(t) already sampled on the time grid.
+
+    One r array serves every readout angle, so a caller sweeping several
+    angles evaluates the bath once.  ``theta`` is not checked here.
+    """
     u2 = np.kron(_rotation(theta), _rotation(theta))
-    coherence = np.real(cfg.a * np.conj(cfg.b) * decoherence_factor(cfg.bath, t_grid))
+    coherence = np.real(cfg.a * np.conj(cfg.b) * r)
     diag = (
         abs(cfg.a) ** 2 * u2[0] ** 2
         + abs(cfg.b) ** 2 * u2[3] ** 2
@@ -212,3 +226,70 @@ def apparatus_reduced_state(model: ApparatusModel, t: float) -> DensityMatrix:
             mat[i + 1, j + 1] = c[i] * np.conj(c[j]) * avg
             mat[j + 1, i + 1] = np.conj(mat[i + 1, j + 1])
     return DensityMatrix((n + 1,), mat)
+
+
+#: Slack on the mixed kernel's upper bound 1: weights may sum to 1 only
+#: within 1e-12, and the dense path tolerates eigenvalues down to -1e-10.
+_KAPPA_ATOL = 1e-10
+
+
+def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal weight and purity of the apparatus pointer, in closed form.
+
+    The kernel is the same for every branch pair, a convex mixture of
+    exponentials kbar(t) = sum_m w_m exp(-gamma_m t) with ``weights`` w
+    (None: equal weights) and ``decay_rates`` gamma.  The pointer is then
+    rho = kbar c c^dag + (1 - kbar) diag(|c|^2) on the branches, which is what
+    ``apparatus_reduced_state`` builds entry by entry, so with
+    S1 = sum |c_i|, S2 = sum |c_i|^2 and S4 = sum |c_i|^4:
+
+        offdiag_sum = kbar (S1^2 - S2)
+        purity      = S4 + kbar^2 (S2^2 - S4)
+
+    S2 is the measured norm, not 1, so the values agree with the dense path
+    for amplitudes normalised only to within 1e-12.  The cost is O(T*M + n)
+    for T times, M components and n amplitudes; no matrix is built.
+
+    Times and rates must be nonnegative and the weights a probability vector
+    with one entry per rate.  0 <= kbar <= 1 is then checked on the whole
+    grid in one vectorised test; it makes rho Hermitian and positive
+    semidefinite by construction, so it stands in for the dense path's
+    per-time kernel, Hermiticity and eigenvalue checks.
+
+    Returns ``(offdiag_sum, purity)``, two float arrays of the grid's length.
+    """
+    c = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if c.size < 1:
+        raise ValueError("need at least one branch amplitude")
+    mod = np.abs(c)
+    mod2 = mod ** 2
+    s2 = float(np.sum(mod2))
+    # each tolerance test is written so that NaN fails it
+    if not abs(s2 - 1.0) <= 1e-12:
+        raise ValueError(f"sum |c_i|^2 = {s2!r}, expected 1")
+    rates = np.asarray(decay_rates, dtype=float).reshape(-1)
+    if rates.size < 1:
+        raise ValueError("need at least one decay rate")
+    if not np.all(rates >= 0.0):
+        raise ValueError("decay rates must be nonnegative")
+    if weights is None:
+        w = np.full(rates.size, 1.0 / rates.size)
+    else:
+        w = np.asarray(weights, dtype=float).reshape(-1)
+        if w.size != rates.size:
+            raise ValueError(f"{w.size} mixture weights for {rates.size} decay rates")
+        if not np.all(w >= 0.0):
+            raise ValueError("mixture weights must be nonnegative")
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
+            raise ValueError("mixture weights must sum to 1")
+    t = np.asarray(t_grid, dtype=float).reshape(-1)
+    if not np.all(t >= 0.0):
+        raise ValueError("times must be nonnegative")
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, rejected below
+        decay = np.multiply.outer(t, -rates)
+    kbar = np.exp(decay, out=decay) @ w
+    if not np.all((kbar >= 0.0) & (kbar <= 1.0 + _KAPPA_ATOL)):
+        raise ValueError("the mixed kernel leaves [0, 1]")
+    s1 = float(np.sum(mod))
+    s4 = float(np.sum(mod2 ** 2))
+    return kbar * (s1 * s1 - s2), s4 + kbar * kbar * (s2 * s2 - s4)

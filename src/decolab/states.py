@@ -3,11 +3,14 @@
 Everything here is deliberately dense and explicit: states are flat complex
 vectors over an explicit subsystem factorization, density matrices are full
 square arrays.  Natural units (hbar = 1) throughout.  The total dimension of
-any object is capped at ``DIM_CAP`` so a typo cannot allocate terabytes.
+any object is capped at ``DIM_CAP`` so a typo cannot allocate terabytes, and
+a density matrix, which holds the square of its dimension, at the smaller
+``DENSITY_CAP``; both are checked before the array is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -15,6 +18,10 @@ import numpy as np
 
 #: Largest total Hilbert-space dimension materialized by this package.
 DIM_CAP = 2 ** 15
+
+#: Largest dimension of a density matrix: 2^12 x 2^12 complex entries are
+#: 256 MiB, where a 2^15 matrix would be 16 GiB.
+DENSITY_CAP = 2 ** 12
 
 _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
@@ -24,7 +31,7 @@ _UNITARY_ATOL = 1e-10
 
 
 class DimensionCapError(ValueError):
-    """Raised when a requested dense object exceeds ``DIM_CAP``."""
+    """Raised when a requested dense object exceeds ``DIM_CAP`` or ``DENSITY_CAP``."""
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -33,12 +40,19 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
         raise ValueError("need at least one subsystem dimension")
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)  # exact: an int64 product can wrap to 0
     if total > DIM_CAP:
         raise DimensionCapError(
             f"total dimension {total} exceeds the dense cap {DIM_CAP}"
         )
     return dims
+
+
+def _check_density_dim(dim: int) -> None:
+    if dim > DENSITY_CAP:
+        raise DimensionCapError(
+            f"density matrix dimension {dim} exceeds the density cap {DENSITY_CAP}"
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -81,6 +95,7 @@ class StateVector:
 
     def density(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi| on the same factorization."""
+        _check_density_dim(self.dim)
         return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()))
 
     def overlap(self, other: "StateVector") -> complex:
@@ -99,13 +114,15 @@ class DensityMatrix:
     Construction enforces Hermiticity (1e-12), unit trace (1e-12), and
     positivity up to the floating-point floor: the smallest eigenvalue may be
     no lower than -1e-10, which tolerates the tiny negative eigenvalues that
-    partial traces of rounded data produce.
+    partial traces of rounded data produce.  A dimension above
+    ``DENSITY_CAP`` raises ``DimensionCapError`` before ``mat`` is read.
     """
 
     def __init__(self, dims: Sequence[int], mat) -> None:
         self.dims = _check_dims(dims)
-        mat = np.array(mat, dtype=complex)
         total = int(np.prod(self.dims))
+        _check_density_dim(total)
+        mat = np.array(mat, dtype=complex)
         if mat.shape != (total, total):
             raise ValueError(
                 f"matrix has shape {mat.shape}, expected {(total, total)}"
@@ -180,6 +197,7 @@ def tensor(*factors):
             amps = np.kron(amps, f.amps)
         return StateVector(dims, amps)
     if all(isinstance(f, DensityMatrix) for f in factors):
+        _check_density_dim(math.prod(f.dim for f in factors))
         dims = ()
         mat = np.ones((1, 1), dtype=complex)
         for f in factors:
@@ -218,6 +236,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     DensityMatrix on the retained factors.
     """
     keep = _check_keep(rho.dims, keep)
+    _check_density_dim(math.prod(rho.dims[k] for k in keep))
     n = len(rho.dims)
     resh = rho.mat.reshape(rho.dims + rho.dims)
     keep_set = set(keep)
@@ -237,11 +256,12 @@ def reduced_density(psi: StateVector, keep) -> DensityMatrix:
     O(dim^1.x) memory, which matters for large environments.
     """
     keep = _check_keep(psi.dims, keep)
+    d_keep = math.prod(psi.dims[k] for k in keep)
+    _check_density_dim(d_keep)
     n = len(psi.dims)
     rest = [k for k in range(n) if k not in keep]
     tensor_amps = psi.amps.reshape(psi.dims)
     moved = np.transpose(tensor_amps, keep + rest)
-    d_keep = int(np.prod([psi.dims[k] for k in keep]))
     mat = moved.reshape(d_keep, -1)
     new_dims = tuple(psi.dims[k] for k in keep)
     return DensityMatrix(new_dims, mat @ mat.conj().T)

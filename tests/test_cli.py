@@ -401,6 +401,131 @@ def test_shipped_fock_configs_fit_the_budget(tmp_path):
         assert max(need.values()) <= cli.FOCK_BYTE_BUDGET
 
 
+POINTER_CFG = {
+    "experiment": "pointer",
+    "seed": 3,
+    "branch_amplitudes": {"a": [0.6, 0.0], "b": [0.0, 0.8]},
+    "environment": {"n_spins": 4, "ensemble": "random"},
+    "correlation": {"thetas": [0.0, 0.4], "t_max": 3.0, "samples": 31},
+    "sieve": {"t_max": 4.0, "samples": 41},
+    "apparatus": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]], "decay_rates": [0.5, 2.0],
+                  "t_max": 3.0, "samples": 21},
+}
+
+
+@pytest.mark.parametrize(
+    "section, body",
+    [
+        ("environment", {"n_spins": BIG}),
+        ("correlation", {"thetas": [0.0], "t_max": 1.0, "samples": BIG}),
+        ("correlation", {"thetas": [0.1] * 10 ** 5, "t_max": 1.0, "samples": 10 ** 4}),
+        ("sieve", {"t_max": 1.0, "samples": BIG}),
+        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0],
+                       "t_max": 1.0, "samples": BIG}),
+        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0] * 10 ** 5,
+                       "t_max": 1.0, "samples": 10 ** 4}),
+    ],
+)
+def test_pointer_estimate_rejects_oversized_sections(section, body):
+    need = cli.pointer_bytes(dict(POINTER_CFG, **{section: body}))
+    assert need[section] > cli.POINTER_BYTE_BUDGET
+
+
+def test_pointer_estimate_holds_the_bath_in_every_section():
+    def need(n_spins):
+        return cli.pointer_bytes(dict(POINTER_CFG, environment={"n_spins": n_spins}))
+
+    small, large = need(4), need(4 + 10 ** 6)
+    assert set(small) == {"environment", "correlation", "sieve", "apparatus"}
+    bath = large["environment"] - small["environment"]
+    assert bath >= 10 ** 6 * 128
+    for section in small:
+        assert large[section] - small[section] == bath
+    # a bath over the budget is rejected whatever the sections ask for
+    assert need(BIG)["environment"] > cli.POINTER_BYTE_BUDGET
+
+
+@pytest.mark.parametrize("section", ["environment", "correlation", "sieve", "apparatus"])
+def test_oversized_pointer_is_rejected_before_allocation(tmp_path, monkeypatch, capsys, section):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointer work started")
+
+    for owner, name in [(np, "linspace"), (cli, "_bath_from"),
+                        (cli.spin_bath, "decoherence_factor"),
+                        (cli.pointer, "decoherence_factor")]:
+        monkeypatch.setattr(owner, name, refuse)
+    body = {"environment": {"n_spins": BIG},
+            "correlation": dict(POINTER_CFG["correlation"], samples=BIG),
+            "sieve": dict(POINTER_CFG["sieve"], samples=BIG),
+            "apparatus": dict(POINTER_CFG["apparatus"], samples=BIG)}[section]
+    cfg = write_config(tmp_path / "c.json", dict(POINTER_CFG, **{section: body}))
+    code = main(["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: ") and f"'{section}'" in err and err.count("\n") == 1
+    assert "GiB memory budget" in err and not any((tmp_path / "o").iterdir())
+
+
+def test_shipped_pointer_configs_fit_the_budget(tmp_path):
+    shipped = [c for c in README_CONFIGS if c["experiment"] == "pointer"]
+    shipped += _benchmark_configs(tmp_path, "pointer")
+    assert len(shipped) == 2
+    for config in shipped:
+        need = cli.pointer_bytes(config)
+        assert set(need) == {"environment", "correlation", "sieve", "apparatus"}
+        assert max(need.values()) <= cli.POINTER_BYTE_BUDGET
+
+
+@pytest.mark.parametrize("n_spins", [14, 200])
+def test_pointer_runs_past_the_old_13_spin_cap(tmp_path, n_spins):
+    config = dict(POINTER_CFG, environment={"n_spins": n_spins, "ensemble": "random"})
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "o" / "correlation.csv")
+    assert len(rows) == 1 + 31
+    # theta = 0 keeps the full pointer correlation |a b| = 0.48
+    assert all(abs(float(row[1]) - 0.48) < 1e-12 for row in rows[1:])
+
+
+def test_pointer_evaluates_r_once_per_time_grid(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cfg, t):
+        calls.append((cfg, np.array(t)))
+        return decoherence_factor(cfg, t)
+
+    monkeypatch.setattr(cli.spin_bath, "decoherence_factor", counted)
+    monkeypatch.setattr(cli.pointer, "decoherence_factor", counted)
+    config = dict(POINTER_CFG, correlation=dict(POINTER_CFG["correlation"],
+                                                thetas=[0.0, 0.3, 0.9, 1.2]))
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main(["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    # one r(t) for the four correlation angles, one for the sieve
+    assert [t.size for _, t in calls] == [31, 41]
+    bath, t_grid = calls[0]
+    tri = cli.pointer.TriConfig(0.6, 0.8j, bath)
+    _, rows = read_csv(tmp_path / "o" / "correlation.csv")
+    for j, theta in enumerate(config["correlation"]["thetas"]):
+        want = cli.pointer.basis_correlation_decay(tri, theta, t_grid)
+        assert [float(row[j + 1]) for row in rows[1:]] == want.tolist()
+
+
+def test_readme_pointer_config_never_builds_a_density_matrix(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense apparatus path ran")
+
+    for owner, name in [(cli.pointer, "apparatus_reduced_state"),
+                        (cli.pointer, "DensityMatrix"), (cli.states, "DensityMatrix")]:
+        monkeypatch.setattr(owner, name, refuse)
+    (config,) = [c for c in README_CONFIGS if c["experiment"] == "pointer"]
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "o" / "apparatus.csv")
+    assert len(rows) == 1 + config["apparatus"]["samples"]
+
+
 ORACLE_CFG = {"experiment": "oracle-compare", "n_values": [2, 14], "trials": 3}
 
 

@@ -7,6 +7,7 @@ from decolab.oracle import oracle_pointer_purity, oracle_rho_sa
 from decolab.pointer import (
     ApparatusModel,
     TriConfig,
+    apparatus_dephasing,
     apparatus_reduced_state,
     basis_correlation_decay,
     predictability_sieve,
@@ -217,6 +218,79 @@ def test_apparatus_rejects_bad_kernels():
     )
     with pytest.raises(ValueError):
         apparatus_reduced_state(skew, 1.0)
+
+
+@pytest.mark.parametrize("mixture", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_apparatus_closed_form_matches_the_dense_path(n, mixture):
+    case_rng = np.random.default_rng(100 * n + mixture)
+    c = np.sqrt(case_rng.dirichlet(np.ones(n))) * np.exp(2j * np.pi * case_rng.random(n))
+    c *= math.sqrt((1.0 + 6e-13) / np.sum(np.abs(c) ** 2))  # off 1 by 6e-13
+    rates = case_rng.uniform(0.2, 2.0, mixture)
+    weights = case_rng.dirichlet(np.ones(mixture))
+    # t = 0 (kernel 1) up to t = 1e4, where every exponential underflows to 0
+    t_grid = np.array([0.0, 0.05, 0.8, 3.0, 11.0, 1e4])
+    offdiag, pure = apparatus_dephasing(c, rates, weights, t_grid)
+    assert offdiag[-1] == 0.0
+
+    def kappa(i, j, t, mix):
+        return 1.0 if i == j else math.exp(-rates[mix] * t)
+
+    model = ApparatusModel(c, kappa, weights)
+    outcomes = BasisSpec(0, np.eye(model.dim))
+    for k, t in enumerate(t_grid):
+        rho = apparatus_reduced_state(model, float(t))
+        assert abs(offdiag[k] - offdiag_norm(rho, outcomes)) <= 1e-13
+        assert abs(pure[k] - purity(rho)) <= 1e-13
+
+
+def test_apparatus_closed_form_defaults_to_equal_weights():
+    c = [0.6, 0.8j]
+    t_grid = np.linspace(0.0, 3.0, 7)
+    for got, want in zip(
+        apparatus_dephasing(c, [0.5, 1.5], None, t_grid),
+        apparatus_dephasing(c, [0.5, 1.5], [0.5, 0.5], t_grid),
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
+GOOD_APPARATUS = dict(amplitudes=[0.6, 0.8], decay_rates=[0.5, 1.0], weights=[0.3, 0.7],
+                      t_grid=[0.0, 1.0, 2.0])
+
+
+BAD_APPARATUS = [
+    ({"t_grid": [0.0, -0.5, 1.0]}, "times must be nonnegative"),
+    ({"decay_rates": [0.5, -1.0]}, "decay rates must be nonnegative"),
+    ({"decay_rates": [-0.5, -1.0], "t_grid": [-1.0, 0.0]}, "must be nonnegative"),
+    ({"weights": [0.3, 0.3, 0.4]}, "3 mixture weights for 2 decay rates"),
+    ({"weights": [1.0]}, "1 mixture weights for 2 decay rates"),
+    ({"weights": [0.3, 0.6]}, "must sum to 1"),
+    ({"weights": [-0.5, 1.5]}, "mixture weights must be nonnegative"),
+    ({"amplitudes": [0.6, 0.81]}, "expected 1"),
+    ({"amplitudes": []}, "at least one branch amplitude"),
+    ({"decay_rates": [], "weights": []}, "at least one decay rate"),
+    ({"amplitudes": [0.6, float("nan")]}, "expected 1"),
+    ({"decay_rates": [0.5, float("nan")]}, "decay rates must be nonnegative"),
+    ({"weights": [0.3, float("nan")]}, "mixture weights must be nonnegative"),
+    ({"t_grid": [0.0, float("nan")]}, "times must be nonnegative"),
+    ({"decay_rates": [0.5, float("inf")]}, "kernel leaves"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    BAD_APPARATUS,
+    ids=[",".join(f"{k}={v}" for k, v in bad.items()) for bad, _ in BAD_APPARATUS],
+)
+def test_apparatus_closed_form_rejects_bad_input(bad, message):
+    with pytest.raises(ValueError, match=message):
+        apparatus_dephasing(**dict(GOOD_APPARATUS, **bad))
+
+
+def test_apparatus_closed_form_accepts_the_good_input():
+    offdiag, pure = apparatus_dephasing(**GOOD_APPARATUS)
+    assert offdiag.shape == pure.shape == (3,)
+    assert abs(offdiag[0] - 2 * 0.6 * 0.8) < 1e-15 and abs(pure[0] - 1.0) < 1e-15
 
 
 # ------------------------------------------------------------ dense references

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from decolab.states import (
+    DENSITY_CAP,
     DIM_CAP,
     BasisSpec,
     DensityMatrix,
@@ -59,6 +62,61 @@ def test_dimension_cap_enforced():
     dims = (2,) * 16  # 65536 > 32768
     with pytest.raises(DimensionCapError):
         StateVector(dims, np.zeros(2 ** 16))
+
+
+def test_dimension_cap_sees_products_past_int64():
+    # 2^64 wraps to 0 in an int64 product, which would slip under both caps
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        StateVector((2,) * 64, [])
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        DensityMatrix((2 ** 32, 2 ** 32), [])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a density-sized array was allocated")
+
+
+def test_density_cap_is_separate_from_the_state_cap():
+    assert DENSITY_CAP == 2 ** 12 < DIM_CAP
+    # at the cap the dims pass and the (deliberately wrong) shape is what fails
+    with pytest.raises(ValueError, match="shape") as info:
+        DensityMatrix((DENSITY_CAP,), np.zeros((1, 1)))
+    assert not isinstance(info.value, DimensionCapError)
+
+
+def test_density_matrix_rejects_a_dimension_over_the_cap_before_reading_it():
+    # the matrix argument is never converted: the dims alone are rejected
+    with pytest.raises(DimensionCapError, match="density cap 4096"):
+        DensityMatrix((2 * DENSITY_CAP,), SimpleNamespace())
+    with pytest.raises(DimensionCapError, match="density cap"):
+        DensityMatrix((2,) * 13, SimpleNamespace())
+
+
+def test_state_density_over_the_cap_is_rejected_before_the_outer_product(monkeypatch):
+    psi = random_state((2,) * 13)  # 8192 amplitudes: a state, not a density
+    monkeypatch.setattr(np, "outer", _refuse)
+    with pytest.raises(DimensionCapError, match="density cap"):
+        psi.density()
+
+
+def test_tensor_of_densities_over_the_cap_is_rejected_before_kron(monkeypatch):
+    factor = random_density((128,))  # 128 * 128 > 4096
+    monkeypatch.setattr(np, "kron", _refuse)
+    with pytest.raises(DimensionCapError, match="density cap"):
+        tensor(factor, factor)
+
+
+def test_partial_trace_checks_the_kept_dimension_before_contracting():
+    # a stand-in carrying dims only: any read of its matrix would fail
+    rho = SimpleNamespace(dims=(2 * DENSITY_CAP, 2), mat=None)
+    with pytest.raises(DimensionCapError, match="density cap"):
+        partial_trace(rho, keep=0)
+
+
+def test_reduced_density_checks_the_kept_dimension_before_the_matmul():
+    psi = SimpleNamespace(dims=(2,) * 14, amps=None)
+    with pytest.raises(DimensionCapError, match="density cap"):
+        reduced_density(psi, keep=list(range(13)))
 
 
 def test_overlap_is_standard_inner_product():

@@ -13,9 +13,13 @@ Subcommands
 
 Every run is driven by a JSON config (schemas in ``CONFIG_SCHEMAS``) plus a
 seed resolved as: ``--seed`` flag > ``DECOLAB_SEED`` env var > config value >
-package default.  Outputs are UTF-8 CSV ('.' decimal point, 17 significant
-digits) and JSON; each file embeds a provenance block (artifact version,
-config hash, seed) so identical config+seed reruns are byte-identical.
+package default.  ``_validate`` checks a config against its schema with
+jsonschema's semantics for the keywords the schemas use, and hands the runner
+an ``int`` wherever an integer field holds an integral float, so the runtime
+needs numpy alone; the process pool is imported only when a pool starts.
+Outputs are UTF-8 CSV ('.' decimal point, 17 significant digits) and JSON;
+each file embeds a provenance block (artifact version, hash of the validated
+config, seed) so identical config+seed reruns are byte-identical.
 
 Each subcommand is one runner ``run_x(config, seed, workers, out)``.  ``main``
 loads the config, resolves the seed, creates ``--out`` and hands the runner an
@@ -38,9 +42,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-import jsonschema
 import numpy as np
 
 from . import __version__, fock, measurement, oracle, pointer, spin_bath, states
@@ -309,6 +311,109 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 
 
 # --------------------------------------------------------------------------
+# config validation: the subset of JSON Schema that CONFIG_SCHEMAS uses
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # as in jsonschema: 40.0 is an integer, true is not
+    "integer": lambda v: (
+        (isinstance(v, int) and not isinstance(v, bool))
+        or (isinstance(v, float) and v.is_integer())
+    ),
+}
+
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "is less than the minimum of"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "is greater than or equal to the maximum of"),
+}
+
+#: The keywords ``_validate`` interprets (``description`` is ignored).
+_KEYWORDS = frozenset(
+    {"type", "required", "properties", "additionalProperties", "items", "minItems",
+     "maxItems", "enum", "const", "anyOf", "description", *_BOUNDS}
+)
+
+
+def _same(a, b) -> bool:
+    """JSON equality: true and 1 differ, 1 and 1.0 do not."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _validate(value, schema: dict, path: tuple = ()):
+    """Check ``value`` against ``schema`` with jsonschema's semantics.
+
+    Interprets the keywords in ``_KEYWORDS``, ``additionalProperties`` only
+    as false, and raises ``TypeError`` on anything else, so a schema never
+    asks for a check that is silently skipped.  A violation raises
+    ``ConfigError`` naming its path with a jsonschema-style message; of
+    several, the first met is named, a node's own keywords before its
+    children's.  Returns ``value`` with every integral float in an
+    integer-typed field (``40.0``) turned into an ``int``.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise TypeError(f"config validation does not support schema keywords {sorted(unknown)}")
+
+    def fail(message: str):
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {message}")
+
+    kind, props = schema.get("type"), schema.get("properties", {})
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        fail(f"{schema['const']!r} was expected")
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](value):
+        for key, (violates, text) in _BOUNDS.items():
+            if key in schema and violates(value, schema[key]):
+                fail(f"{value!r} {text} {schema[key]!r}")
+        if kind == "integer":
+            value = int(value)
+    if isinstance(value, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if len(value) < low:
+            fail(f"{value!r} {'should be non-empty' if low == 1 else 'is too short'}")
+        if len(value) > high:
+            fail(f"{value!r} {'is expected to be empty' if high == 0 else 'is too long'}")
+        if "items" in schema:
+            value = [_validate(v, schema["items"], path + (i,)) for i, v in enumerate(value)]
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        extras = sorted(value.keys() - props.keys()) if "additionalProperties" in schema else []
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            fail(f"Additional properties are not allowed "
+                 f"({', '.join(map(repr, extras))} {verb} unexpected)")
+    if "anyOf" in schema:
+        for branch in schema["anyOf"]:
+            try:
+                value = _validate(value, branch, path)
+                break
+            except ConfigError:
+                pass
+        else:
+            fail(f"{value!r} is not valid under any of the given schemas")
+    if isinstance(value, dict):
+        value = {
+            k: _validate(v, props[k], path + (k,)) if k in props else v
+            for k, v in value.items()
+        }
+    return value
+
+
+# --------------------------------------------------------------------------
 # plumbing
 
 
@@ -394,11 +499,7 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or not config:
         raise ConfigError("config must be a non-empty JSON object")
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMAS[experiment])
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    config = _validate(config, CONFIG_SCHEMAS[experiment])
     if config.get("experiment") != experiment:
         raise ConfigError(
             f"config is for experiment {config.get('experiment')!r}, "
@@ -458,6 +559,9 @@ def _pmap(fn, payloads, workers: int) -> list:
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here: every run that never pools skips its import cost
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 
@@ -481,11 +585,13 @@ _FIT_SAMPLES = 1200
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per time point while r(t) is evaluated and reduced, per
 # trace.csv row held as Python floats, per recurrence grid point, per bath
-# spin, and per task a section hands to the pool (seed, payload, result row).
+# spin (the peak of building a bath of either ensemble, the random one's
+# construction the larger; pointer baths cost the same), and per task a
+# section hands to the pool (seed, payload, result row).
 _POINT_BYTES = 64
 _TRACE_ROW_BYTES = 128
 _SCAN_POINT_BYTES = 32
-_SPIN_BYTES = 128
+_SPIN_BYTES = 192
 _TASK_BYTES = 2048
 
 
@@ -677,13 +783,12 @@ def run_measure(config, seed, workers, out) -> int:
 POINTER_BYTE_BUDGET = 2 * 1024 ** 3
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
-# rounded up: bytes per bath spin (the random ensemble's construction is the
-# peak), per correlation time point while r(t) and one column are computed,
-# per stored correlation value (one column per angle), per apparatus time
-# point (grid, kernel and the two results), per apparatus time point and
-# mixture component (the kernel table), per branch amplitude and per decay
-# rate.  The sieve costs _POINT_BYTES per time point.
-_POINTER_SPIN_BYTES = 192
+# rounded up: bytes per correlation time point while r(t) and one column are
+# computed, per stored correlation value (one column per angle), per
+# apparatus time point (grid, kernel and the two results), per apparatus time
+# point and mixture component (the kernel table), per branch amplitude and
+# per decay rate.  The bath costs _SPIN_BYTES per spin and the sieve
+# _POINT_BYTES per time point.
 _CORRELATION_POINT_BYTES = 128
 _COLUMN_BYTES = 8
 _APPARATUS_POINT_BYTES = 48
@@ -703,7 +808,7 @@ def pointer_bytes(config: dict) -> dict:
     ``apparatus`` is a closed form: linear in its samples times mixture
     components, plus its amplitudes and rates.
     """
-    bath = config["environment"]["n_spins"] * _POINTER_SPIN_BYTES
+    bath = config["environment"]["n_spins"] * _SPIN_BYTES
     need = {"environment": bath}
     if "correlation" in config:
         sec = config["correlation"]
@@ -773,12 +878,12 @@ _FOCK_DENSITIES = [[8, 8], [16, 16], [32, 32]]
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up, for d = n_max + 1 levels: bytes per entry of the FockSpace
-# operators (d^2), of the photon-counting operator array (d^3), of the
-# coherent amplitude table and its scaled copies (grid nodes x d), of the
-# Ehrenfest amplitude grid (time points x d), and per entry of the
-# Hamiltonian and its eigendecomposition (d^2).
+# operators (d^2), of the photon-counting density matrix or effect sum and
+# their temporaries (d^2), of the coherent amplitude table and its scaled
+# copies (grid nodes x d), of the Ehrenfest amplitude grid (time points x d),
+# and per entry of the Hamiltonian and its eigendecomposition (d^2).
 _FOCK_SPACE_BYTES = 96
-_COUNTING_BYTES = 16
+_COUNTING_BYTES = 32
 _COHERENT_BYTES = 64
 _EHRENFEST_STEP_BYTES = 64
 _EHRENFEST_EIG_BYTES = 128
@@ -788,15 +893,16 @@ def fock_bytes(config: dict) -> dict:
     """Estimated peak bytes of each section of a fock config.
 
     Worked out from the config alone, before anything is allocated.  Every
-    section holds the FockSpace operators.  ``counting`` and ``completeness``
-    build the d^3 photon-counting array; the coherent-grid audit is a closed
-    form over the K x d amplitude table, K the largest grid (the 64 x 64
-    default included); ``ehrenfest`` holds the state on every time point and
-    one dense eigendecomposition.
+    section holds the FockSpace operators.  Photon counting is read off the
+    d x d density matrix, and its completeness row is the d x d sum of the
+    effects |n><n|; the coherent-grid audit is a closed form over the K x d
+    amplitude table, K the largest grid (the 64 x 64 default included);
+    ``ehrenfest`` holds the state on every time point and one dense
+    eigendecomposition.
     """
     d = config["n_max"] + 1
     space = d * d * _FOCK_SPACE_BYTES
-    counting = d ** 3 * _COUNTING_BYTES
+    counting = d * d * _COUNTING_BYTES
     need = {}
     if "counting" in config:
         need["counting"] = space + counting
@@ -820,18 +926,18 @@ def run_fock(config, seed, workers, out) -> int:
     if "counting" in config:
         alpha = _complex_pair(config["counting"]["alpha"])
         state = fock.coherent_state(space, alpha)
-        probs = measurement.povm_probabilities(
-            state.density(), fock.photon_counting_set(space)
-        )
+        # M_n = |0><n| makes Tr[M_n^dag M_n rho] = <n|rho|n>: the diagonal
+        probs = state.density().mat.diagonal().real
         rows = [(str(n), p) for n, p in enumerate(probs)]
         out.csv("counting.csv", ["n", "probability"], rows)
 
     if "completeness" in config:
         sec = config["completeness"]
-        rows = [
-            ("photon_counting", "exact",
-             fock.photon_counting_set(space).completeness_deviation())
-        ]
+        # sum_n M_n^dag M_n = sum_n |n><n|, built without the d^3 operator array
+        effect_sum = np.zeros((space.dim, space.dim))
+        effect_sum[np.diag_indices(space.dim)] = 1.0
+        deviation = float(np.max(np.abs(effect_sum - np.eye(space.dim))))
+        rows = [("photon_counting", "exact", deviation)]
         radius = sec.get("radius", float(math.ceil(2.5 * math.sqrt(space.n_max))))
         for n_r, n_phi in sec.get("densities", _FOCK_DENSITIES):
             dev = fock.coherent_completeness_deviation(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import io
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +17,7 @@ import pytest
 from conftest import cli_env
 from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
-from decolab.measurement import KrausSet
+from decolab.measurement import KrausSet, povm_probabilities
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
 
 
@@ -206,7 +208,7 @@ def test_workers_above_cpu_count_is_usage_error(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = write_config(tmp_path / "c.json", SPIN_CFG)
     too_many = str((os.cpu_count() or 1) + 1)
     out = tmp_path / "o"
@@ -367,8 +369,8 @@ def test_fock_estimate_scales_with_the_section_sizes():
                   section: dict(FOCK_SECTIONS[section], **body)}
         return cli.fock_bytes(config)[section]
 
-    # counting: the d^3 photon-counting array dominates
-    assert 7.5 < need("counting", 799) / need("counting", 399) < 8.5
+    # counting: the FockSpace operators and the d x d density matrix
+    assert 3.9 < need("counting", 799) / need("counting", 399) < 4.1
     # completeness: linear in the largest grid, the 64 x 64 default at least
     small = need("completeness", 48, densities=[[8, 8]])
     assert small == need("completeness", 48, densities=[[64, 64]])
@@ -399,6 +401,41 @@ def test_shipped_fock_configs_fit_the_budget(tmp_path):
         need = cli.fock_bytes(config)
         assert set(need) == {"counting", "completeness", "ehrenfest"}
         assert max(need.values()) <= cli.FOCK_BYTE_BUDGET
+
+
+def test_fock_counting_never_builds_the_operator_array(tmp_path, monkeypatch):
+    space = cli.fock.FockSpace(20)
+    alpha = complex(1.1, -0.7)
+    want = povm_probabilities(
+        cli.fock.coherent_state(space, alpha).density(), cli.fock.photon_counting_set(space)
+    )
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("the photon-counting operators were built")
+
+    monkeypatch.setattr(cli.fock, "photon_counting_set", no_array)
+    config = {"experiment": "fock", "n_max": 20, "counting": {"alpha": [1.1, -0.7]},
+              "completeness": {"densities": [[8, 8]]}}
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main(["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    _, rows = read_csv(tmp_path / "o" / "counting.csv")
+    assert [float(p) for _, p in rows[1:]] == want.tolist()
+    _, rows = read_csv(tmp_path / "o" / "completeness.csv")
+    assert rows[1] == ["photon_counting", "exact", "0"]
+
+
+@pytest.mark.parametrize("ensemble", ["balanced", "random"])
+def test_spin_estimate_covers_building_either_ensemble(ensemble):
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        cli._bath_from(n, ensemble, np.random.SeedSequence(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace = {"n_spins": n, "t_max": 1.0, "samples": 2}
+    assert cli.spin_bath_bytes({"trace": trace}, workers=1)["trace"] >= peak
+    assert cli.pointer_bytes({"environment": {"n_spins": n}})["environment"] >= peak
 
 
 POINTER_CFG = {

@@ -29,6 +29,9 @@ writes each config section through ``out`` as soon as that section is
 computed, rather than returning its tables: a large section (``trace.csv`` can
 hold 10^5 rows of Python floats) is freed before the next one runs, and a
 section that fails later leaves the files of the sections before it.
+Before it allocates anything, a runner estimates each section's peak bytes
+from the config alone and rejects, as a config error, any section over the
+one ``BYTE_BUDGET``.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -54,6 +57,10 @@ SEED_ENV_VAR = "DECOLAB_SEED"
 #: Most Born draws one ``measure`` run may take: sampling runs at about
 #: 4.5e7 shots/s, so the ceiling is about 22 s of work.
 MAX_SHOTS = 1_000_000_000
+
+#: Largest working set, in bytes, that one section of a spin-bath, pointer,
+#: fock or oracle-compare run may need.
+BYTE_BUDGET = 2 * 1024 ** 3
 
 
 class ConfigError(Exception):
@@ -576,9 +583,6 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # --------------------------------------------------------------------------
 # spin-bath
 
-#: Largest working set, in bytes, that one spin-bath section may need.
-SPIN_BATH_BYTE_BUDGET = 2 * 1024 ** 3
-
 _SCALING_SAMPLES = 200001
 _FIT_SAMPLES = 1200
 
@@ -639,7 +643,7 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
             # couplings drawn from U(0, 1): bound the finest step any draw
             # needs; a bath past the budget is over it anyway, so clamping n
             # keeps the float arithmetic finite
-            n = min(sec["n_spins"], SPIN_BATH_BYTE_BUDGET)
+            n = min(sec["n_spins"], BYTE_BUDGET)
             g_max, g_sq = 1.0, float(n)
         step = spin_bath._scan_step(g_max, g_sq, sec["epsilon"])
         points = sec["horizon"] / step + 2.0
@@ -647,37 +651,35 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     return need
 
 
-def _enforce_budget(subcommand: str, need: dict, budget: int) -> None:
-    """Reject, before anything is allocated, a section estimated over ``budget`` bytes."""
+def _enforce_budget(subcommand: str, need: dict) -> None:
+    """Reject, before anything is allocated, a section estimated over ``BYTE_BUDGET``."""
     for section, size in need.items():
-        if size > budget:
+        if size > BYTE_BUDGET:
             raise ConfigError(
                 f"{subcommand} section {section!r} exceeds the "
-                f"{budget >> 30} GiB memory budget"
+                f"{BYTE_BUDGET >> 30} GiB memory budget"
             )
 
 
 def _scaling_task(payload):
     n, span, samples, child = payload
-    g = np.random.default_rng(child).uniform(0.0, 1.0, n)
-    cfg = spin_bath.SpinBathConfig.balanced(g)
-    t_grid = np.linspace(0.0, span / float(g.min()), samples)
+    cfg = _bath_from(n, "balanced", child)
+    t_grid = np.linspace(0.0, span / float(cfg.g.min()), samples)
     mean = spin_bath.time_averaged_r2(cfg, t_grid)
     return n, mean
 
 
 def _fit_task(payload):
     n, samples, child = payload
-    g = np.random.default_rng(child).uniform(0.0, 1.0, n)
-    cfg = spin_bath.SpinBathConfig.balanced(g)
-    gamma0 = 2.0 * math.sqrt(float(np.dot(g, g)))
+    cfg = _bath_from(n, "balanced", child)
+    gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
     t_grid = np.linspace(0.0, 5.0 / gamma0, samples)
     fit = spin_bath.fit_gaussian_decay(spin_bath.decoherence_trace(cfg, t_grid))
     return fit.gamma, fit.r_squared, fit.t_max
 
 
 def run_spin_bath(config, seed, workers, out) -> int:
-    _enforce_budget("spin-bath", spin_bath_bytes(config, workers), SPIN_BATH_BYTE_BUDGET)
+    _enforce_budget("spin-bath", spin_bath_bytes(config, workers))
     root = np.random.SeedSequence(seed)
     kids = root.spawn(4)
 
@@ -779,9 +781,6 @@ def run_measure(config, seed, workers, out) -> int:
 # pointer
 
 
-#: Largest working set, in bytes, that one pointer section may need.
-POINTER_BYTE_BUDGET = 2 * 1024 ** 3
-
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per correlation time point while r(t) and one column are
 # computed, per stored correlation value (one column per angle), per
@@ -829,7 +828,7 @@ def pointer_bytes(config: dict) -> dict:
 
 
 def run_pointer(config, seed, workers, out) -> int:
-    _enforce_budget("pointer", pointer_bytes(config), POINTER_BYTE_BUDGET)
+    _enforce_budget("pointer", pointer_bytes(config))
     root = np.random.SeedSequence(seed)
     amps = config["branch_amplitudes"]
     env = config["environment"]
@@ -871,19 +870,14 @@ def run_pointer(config, seed, workers, out) -> int:
 # fock
 
 
-#: Largest working set, in bytes, that one fock section may need.
-FOCK_BYTE_BUDGET = 2 * 1024 ** 3
-
 _FOCK_DENSITIES = [[8, 8], [16, 16], [32, 32]]
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up, for d = n_max + 1 levels: bytes per entry of the FockSpace
-# operators (d^2), of the photon-counting density matrix or effect sum and
-# their temporaries (d^2), of the coherent amplitude table and its scaled
-# copies (grid nodes x d), of the Ehrenfest amplitude grid (time points x d),
-# and per entry of the Hamiltonian and its eigendecomposition (d^2).
+# operators (d^2), of the coherent amplitude table and its scaled copies
+# (grid nodes x d), of the Ehrenfest amplitude grid (time points x d), and per
+# entry of the Hamiltonian and its eigendecomposition (d^2).
 _FOCK_SPACE_BYTES = 96
-_COUNTING_BYTES = 32
 _COHERENT_BYTES = 64
 _EHRENFEST_STEP_BYTES = 64
 _EHRENFEST_EIG_BYTES = 128
@@ -893,23 +887,24 @@ def fock_bytes(config: dict) -> dict:
     """Estimated peak bytes of each section of a fock config.
 
     Worked out from the config alone, before anything is allocated.  Every
-    section holds the FockSpace operators.  Photon counting is read off the
-    d x d density matrix, and its completeness row is the d x d sum of the
-    effects |n><n|; the coherent-grid audit is a closed form over the K x d
-    amplitude table, K the largest grid (the 64 x 64 default included);
-    ``ehrenfest`` holds the state on every time point and one dense
-    eigendecomposition.
+    section holds the FockSpace operators.  Photon counting reads |psi_n|^2
+    off the d amplitudes of the coherent state, and its completeness row is
+    exact, so both add only O(d); the coherent-grid audit is a closed form
+    over the K x d amplitude table, K the largest grid (the 64 x 64 default
+    included); ``ehrenfest`` holds the state on every time point and one
+    dense eigendecomposition.  ``FockSpace`` itself refuses d above
+    ``states.DENSITY_CAP``, which stops a ``counting`` section past n_max
+    4095 before this estimate would.
     """
     d = config["n_max"] + 1
     space = d * d * _FOCK_SPACE_BYTES
-    counting = d * d * _COUNTING_BYTES
     need = {}
     if "counting" in config:
-        need["counting"] = space + counting
+        need["counting"] = space
     if "completeness" in config:
         densities = config["completeness"].get("densities", _FOCK_DENSITIES)
         nodes = max([n_r * n_phi for n_r, n_phi in densities] + [fock.DEFAULT_DENSITY ** 2])
-        need["completeness"] = space + counting + nodes * d * _COHERENT_BYTES
+        need["completeness"] = space + nodes * d * _COHERENT_BYTES
     if "ehrenfest" in config:
         sec = config["ehrenfest"]
         points = sec["t_max"] / sec["dt"] + 1.0
@@ -920,32 +915,30 @@ def fock_bytes(config: dict) -> dict:
 
 
 def run_fock(config, seed, workers, out) -> int:
-    _enforce_budget("fock", fock_bytes(config), FOCK_BYTE_BUDGET)
+    _enforce_budget("fock", fock_bytes(config))
     space = fock.FockSpace(config["n_max"])
 
     if "counting" in config:
         alpha = _complex_pair(config["counting"]["alpha"])
-        state = fock.coherent_state(space, alpha)
-        # M_n = |0><n| makes Tr[M_n^dag M_n rho] = <n|rho|n>: the diagonal
-        probs = state.density().mat.diagonal().real
+        amps = fock.coherent_state(space, alpha).amps
+        # M_n = |0><n| makes Tr[M_n^dag M_n |psi><psi|] = |psi_n|^2
+        probs = (amps * amps.conj()).real
         rows = [(str(n), p) for n, p in enumerate(probs)]
         out.csv("counting.csv", ["n", "probability"], rows)
 
     if "completeness" in config:
         sec = config["completeness"]
-        # sum_n M_n^dag M_n = sum_n |n><n|, built without the d^3 operator array
-        effect_sum = np.zeros((space.dim, space.dim))
-        effect_sum[np.diag_indices(space.dim)] = 1.0
-        deviation = float(np.max(np.abs(effect_sum - np.eye(space.dim))))
-        rows = [("photon_counting", "exact", deviation)]
-        radius = sec.get("radius", float(math.ceil(2.5 * math.sqrt(space.n_max))))
+        # sum_n M_n^dag M_n = sum_n |n><n| is the identity, so the deviation is 0
+        rows = [("photon_counting", "exact", 0.0)]
+        default = fock.default_coherent_grid(space)
+        radius = sec.get("radius", default.radius)
         for n_r, n_phi in sec.get("densities", _FOCK_DENSITIES):
             dev = fock.coherent_completeness_deviation(
                 space, fock.polar_grid(radius, n_r, n_phi)
             )
             rows.append(("coherent_grid", f"{n_r}x{n_phi}", dev))
         rows.append(
-            ("coherent_grid", "default", fock.coherent_completeness_deviation(space))
+            ("coherent_grid", "default", fock.coherent_completeness_deviation(space, default))
         )
         out.csv("completeness.csv", ["family", "grid", "max_deviation"], rows)
 
@@ -966,9 +959,6 @@ def run_fock(config, seed, workers, out) -> int:
 
 # --------------------------------------------------------------------------
 # oracle-compare
-
-#: Largest working set, in bytes, that one oracle-compare run may need.
-ORACLE_COMPARE_BYTE_BUDGET = 2 * 1024 ** 3
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per joint-state amplitude while one bath is evolved, per
@@ -1017,9 +1007,7 @@ def _oracle_task(payload):
 
 
 def run_oracle_compare(config, seed, workers, out) -> int:
-    _enforce_budget(
-        "oracle-compare", oracle_compare_bytes(config, workers), ORACLE_COMPARE_BYTE_BUDGET
-    )
+    _enforce_budget("oracle-compare", oracle_compare_bytes(config, workers))
     tolerance = float(config.get("tolerance", 1e-10))
     floor = oracle_float_floor(config)
     if tolerance < floor:
@@ -1086,9 +1074,8 @@ def _check_eigenstate_flat() -> bool:
 
 
 def _check_scaling_n8() -> bool:
-    g = np.random.default_rng(8).uniform(0.0, 1.0, 8)
-    cfg = spin_bath.SpinBathConfig.balanced(g)
-    t_grid = np.linspace(0.0, 400.0 / g.min(), 120001)
+    cfg = _bath_from(8, "balanced", 8)
+    t_grid = np.linspace(0.0, 400.0 / cfg.g.min(), 120001)
     avg = spin_bath.time_averaged_r2(cfg, t_grid)
     return bool(abs(avg * 2 ** 8 - 1.0) < 0.1)
 
@@ -1163,9 +1150,7 @@ def _check_apparatus() -> bool:
 
 
 def _check_sieve_order() -> bool:
-    bath = spin_bath.SpinBathConfig.balanced(
-        np.random.default_rng(14).uniform(0.0, 1.0, 6)
-    )
+    bath = _bath_from(6, "balanced", 14)
     tri = pointer.TriConfig(1 / math.sqrt(2), 1 / math.sqrt(2), bath)
     z = states.BasisSpec(0, np.eye(2))
     x = states.BasisSpec(0, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .measurement import KrausSet
-from .states import StateVector
+from .states import StateVector, _check_density_dim
 
 _SUPPORT_TOL = 1e-6
 
@@ -29,12 +29,17 @@ class TruncationError(ValueError):
 
 
 class FockSpace:
-    """Dense operators on the truncated number basis 0..n_max."""
+    """Dense operators on the truncated number basis 0..n_max.
+
+    Each operator is a full (n_max + 1) x (n_max + 1) matrix, so n_max + 1
+    is held to ``DENSITY_CAP`` before any of them is allocated.
+    """
 
     def __init__(self, n_max: int = 20) -> None:
         n_max = int(n_max)
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
+        _check_density_dim(n_max + 1)
         self.n_max = n_max
         d = n_max + 1
         ladder = np.diag(np.sqrt(np.arange(1.0, d)), k=1)

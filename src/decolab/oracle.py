@@ -19,10 +19,9 @@ import numpy as np
 
 from .pointer import tridecompose_state
 from .spin_bath import environment_branch
-from .states import DIM_CAP, DensityMatrix, DimensionCapError, StateVector, purity, reduced_density
-
-#: Dense (eigendecomposition) evolution is capped well below the vector cap.
-DENSE_CAP = 2 ** 12
+from .states import (
+    DENSITY_CAP, DIM_CAP, DensityMatrix, DimensionCapError, StateVector, purity, reduced_density
+)
 
 _HERM_ATOL = 1e-10
 
@@ -73,9 +72,10 @@ def _checked_dense(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    if h.shape[0] > DENSE_CAP:
+    # a d x d Hamiltonian and its eigenvectors are held like a density matrix
+    if h.shape[0] > DENSITY_CAP:
         raise DimensionCapError(
-            f"dense evolution capped at dimension {DENSE_CAP}, got {h.shape[0]}"
+            f"dense evolution capped at dimension {DENSITY_CAP}, got {h.shape[0]}"
         )
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > _HERM_ATOL:
@@ -89,21 +89,16 @@ def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
     Parameters
     ----------
     h : (d, d) array_like
-        Hermitian within 1e-10; d is capped at 2**12.
+        Hermitian within 1e-10; d is capped at ``DENSITY_CAP`` (2**12).
     psi0 : StateVector
     t : float
 
     Returns
     -------
-    StateVector at time t, exp(-i H t) |psi0>.
+    StateVector at time t, exp(-i H t) |psi0>: the one row of
+    :func:`evolve_dense_grid` on the grid [t].
     """
-    h = _checked_dense(h)
-    if h.shape[0] != psi0.dim:
-        raise ValueError(f"Hamiltonian dim {h.shape[0]} != state dim {psi0.dim}")
-    evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ psi0.amps
-    amps = evecs @ (np.exp(-1j * evals * float(t)) * coeff)
-    return StateVector(psi0.dims, amps)
+    return StateVector(psi0.dims, evolve_dense_grid(h, psi0, [t])[0])
 
 
 def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
@@ -168,9 +163,9 @@ def oracle_r(cfg, t):
     :class:`~decolab.spin_bath.SpinBathConfig`) and
     :func:`dephasing_hamiltonian` once, then for every time evolves with
     :func:`evolve_diagonal`, partial traces down to the qubit, and divides
-    the off-diagonal entry by a * conj(b).  Limited to N <= 14 bath spins;
-    the cap and a vanishing branch are checked before anything of size 2^N
-    is built.
+    the off-diagonal entry by a * conj(b).  The joint state has dimension
+    2^(N+1), so N <= 14 bath spins under ``DIM_CAP``; the cap and a vanishing
+    branch are checked before anything of size 2^N is built.
 
     Parameters
     ----------
@@ -185,8 +180,8 @@ def oracle_r(cfg, t):
     a scalar call at that time.
     """
     n = cfg.n_spins
-    if n > 14:
-        raise DimensionCapError(f"oracle limited to 14 bath spins, got {n}")
+    if 2 ** (n + 1) > DIM_CAP:
+        raise DimensionCapError(f"oracle with {n} bath spins exceeds the dense cap")
     a, b = complex(cfg.a), complex(cfg.b)
     if a == 0 or b == 0:
         raise UndefinedRatioError(

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spin_bath import SpinBathConfig, decoherence_factor, environment_branch
-from .states import BasisSpec, DensityMatrix, DimensionCapError, StateVector
+from .states import DIM_CAP, BasisSpec, DensityMatrix, DimensionCapError, StateVector
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ def tridecompose_state(cfg: TriConfig, t: float) -> StateVector:
     The state keeps the branch form
     a |up, up, E_up(t)> + b |down, down, E_down(t)>: system and pointer stay
     perfectly correlated while the environment branches drift apart.  Dims
-    are (2, 2) + (2,)*N; N > 13 exceeds the dense cap.
+    are (2, 2) + (2,)*N; 2^(N+2) > DIM_CAP (N > 13) exceeds the dense cap.
     """
     n = cfg.n_spins
-    if n > 13:
+    if 2 ** (n + 2) > DIM_CAP:
         raise DimensionCapError(
             f"tripartite state with {n} bath spins exceeds the dense cap"
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, DimensionCapError, StateVector
+from .states import DIM_CAP, DensityMatrix, DimensionCapError, StateVector
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
 DEFAULT_SEED = 42
@@ -214,12 +214,12 @@ def environment_branch(cfg: SpinBathConfig, t: float, branch: str = "up") -> Sta
     the same at -t.  The two branches overlap as
     <down-branch|up-branch> = decoherence_factor(cfg, t).
 
-    Materializes a 2^N vector; N > 15 raises DimensionCapError.
+    Materializes a 2^N vector; 2^N > DIM_CAP (N > 15) raises DimensionCapError.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     n = cfg.n_spins
-    if 2 ** n > 2 ** 15:
+    if 2 ** n > DIM_CAP:
         raise DimensionCapError(f"branch state with {n} spins exceeds the dense cap")
     sign = 1.0 if branch == "up" else -1.0
     phases = np.exp(1j * sign * cfg.g * float(t))

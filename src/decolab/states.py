@@ -5,7 +5,8 @@ vectors over an explicit subsystem factorization, density matrices are full
 square arrays.  Natural units (hbar = 1) throughout.  The total dimension of
 any object is capped at ``DIM_CAP`` so a typo cannot allocate terabytes, and
 a density matrix, which holds the square of its dimension, at the smaller
-``DENSITY_CAP``; both are checked before the array is allocated.
+``DENSITY_CAP``; both are checked before the array is allocated, and every
+other dense limit in the package is derived from these two.
 """
 
 from __future__ import annotations

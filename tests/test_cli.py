@@ -19,6 +19,7 @@ from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet, povm_probabilities
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
+from decolab.states import DIM_CAP
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -272,7 +273,7 @@ BIG = 10 ** 12
 )
 def test_spin_bath_estimate_rejects_oversized_sections(section, body):
     need = cli.spin_bath_bytes({"experiment": "spin-bath", section: body}, workers=2)
-    assert need[section] > cli.SPIN_BATH_BYTE_BUDGET
+    assert need[section] > cli.BYTE_BUDGET
 
 
 def test_spin_bath_estimate_grows_with_samples_not_spins():
@@ -335,7 +336,7 @@ def test_shipped_spin_bath_configs_fit_the_budget(tmp_path):
     for config in shipped:
         need = cli.spin_bath_bytes(config, workers=os.cpu_count() or 1)
         assert set(need) == {"trace", "scaling", "gaussian_fit", "recurrence"}
-        assert max(need.values()) <= cli.SPIN_BATH_BYTE_BUDGET
+        assert max(need.values()) <= cli.BYTE_BUDGET
 
 
 FOCK_SECTIONS = {
@@ -360,7 +361,7 @@ FOCK_SECTIONS = {
 )
 def test_fock_estimate_rejects_oversized_sections(section, n_max, body):
     need = cli.fock_bytes({"experiment": "fock", "n_max": n_max, section: body})
-    assert need[section] > cli.FOCK_BYTE_BUDGET
+    assert need[section] > cli.BYTE_BUDGET
 
 
 def test_fock_estimate_scales_with_the_section_sizes():
@@ -400,7 +401,7 @@ def test_shipped_fock_configs_fit_the_budget(tmp_path):
     for config in shipped:
         need = cli.fock_bytes(config)
         assert set(need) == {"counting", "completeness", "ehrenfest"}
-        assert max(need.values()) <= cli.FOCK_BYTE_BUDGET
+        assert max(need.values()) <= cli.BYTE_BUDGET
 
 
 def test_fock_counting_never_builds_the_operator_array(tmp_path, monkeypatch):
@@ -465,7 +466,7 @@ POINTER_CFG = {
 )
 def test_pointer_estimate_rejects_oversized_sections(section, body):
     need = cli.pointer_bytes(dict(POINTER_CFG, **{section: body}))
-    assert need[section] > cli.POINTER_BYTE_BUDGET
+    assert need[section] > cli.BYTE_BUDGET
 
 
 def test_pointer_estimate_holds_the_bath_in_every_section():
@@ -479,7 +480,7 @@ def test_pointer_estimate_holds_the_bath_in_every_section():
     for section in small:
         assert large[section] - small[section] == bath
     # a bath over the budget is rejected whatever the sections ask for
-    assert need(BIG)["environment"] > cli.POINTER_BYTE_BUDGET
+    assert need(BIG)["environment"] > cli.BYTE_BUDGET
 
 
 @pytest.mark.parametrize("section", ["environment", "correlation", "sieve", "apparatus"])
@@ -510,7 +511,7 @@ def test_shipped_pointer_configs_fit_the_budget(tmp_path):
     for config in shipped:
         need = cli.pointer_bytes(config)
         assert set(need) == {"environment", "correlation", "sieve", "apparatus"}
-        assert max(need.values()) <= cli.POINTER_BYTE_BUDGET
+        assert max(need.values()) <= cli.BYTE_BUDGET
 
 
 @pytest.mark.parametrize("n_spins", [14, 200])
@@ -566,6 +567,12 @@ def test_readme_pointer_config_never_builds_a_density_matrix(tmp_path, monkeypat
 ORACLE_CFG = {"experiment": "oracle-compare", "n_values": [2, 14], "trials": 3}
 
 
+def test_oracle_compare_spin_maximum_is_the_oracle_cap():
+    # oracle_r evolves a 2^(N+1) joint state, so the schema's largest N is DIM_CAP's
+    items = CONFIG_SCHEMAS["oracle-compare"]["properties"]["n_values"]["items"]
+    assert 2 ** (items["maximum"] + 1) == DIM_CAP
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -577,7 +584,7 @@ ORACLE_CFG = {"experiment": "oracle-compare", "n_values": [2, 14], "trials": 3}
 def test_oracle_compare_estimate_rejects_oversized_runs(body):
     need = cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers=2)
     assert set(need) == {"run"}
-    assert need["run"] > cli.ORACLE_COMPARE_BYTE_BUDGET
+    assert need["run"] > cli.BYTE_BUDGET
 
 
 def test_oracle_compare_estimate_scales_with_spins_times_and_workers():
@@ -627,7 +634,7 @@ def test_shipped_oracle_compare_configs_fit_the_budget_and_floor(tmp_path):
     assert len(shipped) == 2
     for config in shipped:
         need = cli.oracle_compare_bytes(config, workers=os.cpu_count() or 1)
-        assert need["run"] <= cli.ORACLE_COMPARE_BYTE_BUDGET
+        assert need["run"] <= cli.BYTE_BUDGET
         assert config["tolerance"] >= cli.oracle_float_floor(config)
 
 
@@ -676,6 +683,17 @@ README_CONFIGS = [
     json.loads(block)
     for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 ]
+
+
+def test_readme_dotted_names_resolve():
+    names = set(re.findall(r"`(decolab(?:\.\w+)+)`", README.read_text(encoding="utf-8")))
+    assert "decolab.cli.BYTE_BUDGET" in names
+    for name in sorted(names):
+        try:
+            importlib.import_module(name)  # a module such as decolab.states
+        except ModuleNotFoundError:
+            module, _, attr = name.rpartition(".")
+            assert hasattr(importlib.import_module(module), attr), name
 
 
 def test_readme_has_a_config_per_subcommand():

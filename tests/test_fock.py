@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from decolab.fock import (
 )
 from decolab.measurement import kraus_update, povm_probabilities, validate_kraus
 from decolab.oracle import evolve_dense_grid
-from decolab.states import StateVector
+from decolab.states import DENSITY_CAP, DimensionCapError, StateVector
 
 rng = np.random.default_rng(6006)
 
@@ -57,6 +58,19 @@ def test_operator_matrices_are_frozen():
     space = FockSpace(4)
     with pytest.raises(ValueError):
         space.position[0, 0] = 1.0
+
+
+def test_fock_space_over_the_density_cap_allocates_nothing():
+    # n_max = DENSITY_CAP means DENSITY_CAP + 1 levels: five such complex
+    # matrices would be 1.3 GB, so the cap must fire before the first one
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="density cap"):
+            FockSpace(DENSITY_CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ------------------------------------------------------------ coherent states

@@ -196,9 +196,14 @@ def test_oracle_r_agrees_with_closed_form():
             assert dev < 1e-10
 
 
-def test_oracle_r_respects_spin_cap():
+def test_oracle_r_respects_spin_cap(monkeypatch):
+    def no_branch(*args, **kwargs):
+        raise AssertionError("a 2^N bath state was built")
+
+    # 15 bath spins make a 2^16 joint state: over DIM_CAP before anything is built
+    monkeypatch.setattr(oracle, "environment_branch", no_branch)
     cfg = SpinBathConfig.balanced(np.ones(15))
-    with pytest.raises(DimensionCapError):
+    with pytest.raises(DimensionCapError, match="dense cap"):
         oracle_r(cfg, 1.0)
 
 

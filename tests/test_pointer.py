@@ -15,6 +15,7 @@ from decolab.pointer import (
 )
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
 from decolab.states import (
+    DIM_CAP,
     BasisSpec,
     DimensionCapError,
     StateVector,
@@ -83,7 +84,9 @@ def test_tridecompose_matches_explicit_diagonal_evolution():
 
 
 def test_tridecompose_respects_cap():
-    with pytest.raises(DimensionCapError):
+    # (2, 2) + (2,) * 13 is DIM_CAP amplitudes; 14 bath spins are over it
+    assert tridecompose_state(tri_config(13), 0.0).dim == DIM_CAP
+    with pytest.raises(DimensionCapError, match="dense cap"):
         tridecompose_state(tri_config(14), 0.0)
 
 

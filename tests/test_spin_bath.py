@@ -14,6 +14,7 @@ from decolab.spin_bath import (
     reduced_state_A,
     time_averaged_r2,
 )
+from decolab.states import DIM_CAP, DimensionCapError
 
 rng = np.random.default_rng(3003)
 
@@ -169,6 +170,13 @@ def test_environment_branch_rejects_unknown_label():
     cfg = SpinBathConfig.balanced([0.5])
     with pytest.raises(ValueError):
         environment_branch(cfg, 1.0, "sideways")
+
+
+def test_environment_branch_cap_is_dim_cap():
+    # 2^15 amplitudes is DIM_CAP itself; one spin more is over it
+    assert environment_branch(SpinBathConfig.balanced(np.ones(15)), 0.5).dim == DIM_CAP
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        environment_branch(SpinBathConfig.balanced(np.ones(16)), 0.5)
 
 
 def test_reduced_state_matches_explicit_joint_evolution():

@@ -506,13 +506,13 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or not config:
         raise ConfigError("config must be a non-empty JSON object")
-    config = _validate(config, CONFIG_SCHEMAS[experiment])
-    if config.get("experiment") != experiment:
+    # before the schema, whose const on "experiment" would hide which one it is
+    if config.get("experiment", experiment) != experiment:
         raise ConfigError(
-            f"config is for experiment {config.get('experiment')!r}, "
+            f"config is for experiment {config['experiment']!r}, "
             f"but the '{experiment}' subcommand was invoked"
         )
-    return config
+    return _validate(config, CONFIG_SCHEMAS[experiment])
 
 
 def _resolve_seed(flag_seed, config: dict) -> int:
@@ -827,6 +827,18 @@ def pointer_bytes(config: dict) -> dict:
     return need
 
 
+def _sieve_bases() -> dict:
+    """The sieve's candidates by name: the monitored basis and its conjugate.
+
+    Built on call, not at import: the unitarity check's matmul would start
+    BLAS in every CLI run.
+    """
+    return {
+        "monitored": states.BasisSpec(0, np.eye(2)),
+        "conjugate": states.BasisSpec(0, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)),
+    }
+
+
 def run_pointer(config, seed, workers, out) -> int:
     _enforce_budget("pointer", pointer_bytes(config))
     root = np.random.SeedSequence(seed)
@@ -846,10 +858,9 @@ def run_pointer(config, seed, workers, out) -> int:
     if "sieve" in config:
         sec = config["sieve"]
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        z = states.BasisSpec(0, np.eye(2))
-        x = states.BasisSpec(0, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
-        ranked = pointer.predictability_sieve([z, x], tri, t_grid)
-        name = {id(z): "monitored", id(x): "conjugate"}
+        bases = _sieve_bases()
+        ranked = pointer.predictability_sieve(bases.values(), tri, t_grid)
+        name = {id(b): label for label, b in bases.items()}
         rows = [(name[id(b)], score) for b, score in ranked]
         out.csv("sieve.csv", ["basis", "time_averaged_purity"], rows)
 
@@ -1051,17 +1062,9 @@ def _check_state_algebra() -> bool:
 
 
 def _check_oracle_agreement() -> bool:
-    rng = np.random.default_rng(20)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        cfg = spin_bath.SpinBathConfig.random(n, rng)
-        if abs(cfg.a) < 1e-3 or abs(cfg.b) < 1e-3:
-            continue
-        t = rng.uniform(0.0, 20.0, 5)
-        dev = np.abs(spin_bath.decoherence_factor(cfg, t) - oracle.oracle_r(cfg, t))
-        if dev.max() > 1e-10:
-            return False
-    return True
+    children = np.random.SeedSequence(20).spawn(10)
+    payloads = [(2 + k % 7, 5, 20.0, child) for k, child in enumerate(children)]
+    return all(dev <= 1e-10 for _, dev in map(_oracle_task, payloads))
 
 
 def _check_eigenstate_flat() -> bool:
@@ -1074,9 +1077,7 @@ def _check_eigenstate_flat() -> bool:
 
 
 def _check_scaling_n8() -> bool:
-    cfg = _bath_from(8, "balanced", 8)
-    t_grid = np.linspace(0.0, 400.0 / cfg.g.min(), 120001)
-    avg = spin_bath.time_averaged_r2(cfg, t_grid)
+    _, avg = _scaling_task((8, 400.0, 120001, 8))
     return bool(abs(avg * 2 ** 8 - 1.0) < 0.1)
 
 
@@ -1133,12 +1134,9 @@ def _check_apparatus() -> bool:
     c = np.array([0.5, 0.5, math.sqrt(0.5)], dtype=complex)
     model = pointer.ApparatusModel(c, lambda i, j, t, m: 1.0 if i == j else math.exp(-0.7 * t))
     rho = pointer.apparatus_reduced_state(model, 1.3)
-    k = math.exp(-0.7 * 1.3)
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            want = (abs(c[i]) ** 2) if i == j else c[i] * np.conj(c[j]) * k
-            worst = max(worst, abs(rho.mat[i + 1, j + 1] - want))
+    want = np.outer(c, c.conj()) * math.exp(-0.7 * 1.3)
+    np.fill_diagonal(want, np.abs(c) ** 2)
+    worst = float(np.max(np.abs(rho.mat[1:, 1:] - want)))
     # the closed form the CLI runs agrees with the dense matrix
     offdiag, pure = pointer.apparatus_dephasing(c, [0.7], None, [1.3])
     worst = max(
@@ -1152,8 +1150,7 @@ def _check_apparatus() -> bool:
 def _check_sieve_order() -> bool:
     bath = _bath_from(6, "balanced", 14)
     tri = pointer.TriConfig(1 / math.sqrt(2), 1 / math.sqrt(2), bath)
-    z = states.BasisSpec(0, np.eye(2))
-    x = states.BasisSpec(0, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
+    z, x = _sieve_bases().values()
     ranked = pointer.predictability_sieve([x, z], tri, np.linspace(0.0, 6.0, 200))
     return bool(ranked[0][1] > ranked[1][1] and abs(ranked[0][1] - 1.0) < 1e-10)
 

@@ -8,6 +8,7 @@ every stochastic path is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -214,39 +215,32 @@ def born_probability(rho: DensityMatrix, proj: Projector) -> float:
 
 
 def _lifted_weights(state: StateVector, basis: BasisSpec):
-    """Born weights and conditional (unnormalized) states for a basis measurement.
+    """Born weights and basis amplitudes for a basis measurement.
 
-    Returns (probs, branch_amps) where branch_amps[i] is the unnormalized
-    post-measurement amplitude vector for outcome i.
+    Returns (probs, coeff): ``coeff[i, p, q]`` is the amplitude on basis
+    column i, with p and q indexing the factors before and after the measured
+    one.  A basis that spans the whole space is the one-factor case,
+    pre = post = 1.
     """
     n = len(state.dims)
     if basis.dim == state.dim and (n == 1 or basis.subsystem == 0):
-        # Basis spans the full space.
-        coeff = basis.matrix.conj().T @ state.amps
-        probs = np.abs(coeff) ** 2
-        branches = [coeff[i] * basis.matrix[:, i] for i in range(basis.dim)]
-        return probs, branches
-    if basis.subsystem >= n:
+        pre, post = 1, 1
+    elif basis.subsystem >= n:
         raise ValueError(
             f"basis subsystem {basis.subsystem} out of range for dims {state.dims}"
         )
-    if basis.dim != state.dims[basis.subsystem]:
+    elif basis.dim != state.dims[basis.subsystem]:
         raise ValueError(
             f"basis dimension {basis.dim} does not match subsystem "
             f"dimension {state.dims[basis.subsystem]}"
         )
-    pre = int(np.prod(state.dims[: basis.subsystem], initial=1))
-    d = basis.dim
-    post = state.dim // (pre * d)
-    resh = state.amps.reshape(pre, d, post)
+    else:
+        pre = math.prod(state.dims[: basis.subsystem])
+        post = state.dim // (pre * basis.dim)
+    resh = state.amps.reshape(pre, basis.dim, post)
     # coeff[i, p, q] = sum_s conj(U[s, i]) psi[p, s, q]
     coeff = np.einsum("si,psq->ipq", basis.matrix.conj(), resh)
-    probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
-    branches = []
-    for i in range(d):
-        amp = np.einsum("s,pq->psq", basis.matrix[:, i], coeff[i]).reshape(-1)
-        branches.append(amp)
-    return probs, branches
+    return np.sum(np.abs(coeff) ** 2, axis=(1, 2)), coeff
 
 
 def outcome_distribution(state: StateVector, basis: BasisSpec) -> np.ndarray:
@@ -258,14 +252,14 @@ def outcome_distribution(state: StateVector, basis: BasisSpec) -> np.ndarray:
 def collapse_sample(state: StateVector, basis: BasisSpec, rng_seed) -> MeasurementRecord:
     """Sample one projective outcome and collapse.
 
-    The basis either spans the whole space (the post-state is then exactly
-    the selected basis column) or one subsystem, in which case the lifted
-    projector |u_i><u_i| (x) I is applied and the result renormalized.
+    The basis either spans the whole space (the post-state is then the
+    selected basis column up to a phase) or one subsystem, in which case the
+    lifted projector |u_i><u_i| (x) I is applied and the result renormalized.
     Sampling is inverse-CDF over the cumulative Born weights using
     ``np.random.default_rng(rng_seed)``; passing the same seed replays the
-    same outcome.
+    same outcome.  Only the drawn outcome's branch is built.
     """
-    probs, branches = _lifted_weights(state, basis)
+    probs, coeff = _lifted_weights(state, basis)
     rng = np.random.default_rng(rng_seed)
     cum = np.cumsum(probs)
     i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
@@ -276,8 +270,8 @@ def collapse_sample(state: StateVector, basis: BasisSpec, rng_seed) -> Measureme
         # fall back to the most likely outcome to keep the record meaningful.
         i = int(np.argmax(probs))
         p = float(probs[i])
-    post_amps = branches[i] / np.sqrt(p)
-    post = StateVector(state.dims, post_amps).density()
+    branch = np.einsum("s,pq->psq", basis.matrix[:, i], coeff[i]).reshape(-1)
+    post = StateVector(state.dims, branch / np.sqrt(p)).density()
     return MeasurementRecord(outcome=i, probability=min(p, 1.0), post_state=post)
 
 

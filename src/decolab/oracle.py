@@ -13,6 +13,7 @@ them and the package does not export them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .pointer import tridecompose_state
 from .spin_bath import environment_branch
 from .states import (
-    DENSITY_CAP, DIM_CAP, DensityMatrix, DimensionCapError, StateVector, purity, reduced_density
+    DensityMatrix, StateVector, _check_density_dim, _check_dims, purity, reduced_density
 )
 
 _HERM_ATOL = 1e-10
@@ -42,13 +43,9 @@ class DiagonalHamiltonian:
     energies: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        total = int(np.prod(dims))
-        if total > DIM_CAP:
-            raise DimensionCapError(
-                f"diagonal Hamiltonian dimension {total} exceeds cap {DIM_CAP}"
-            )
+        total = math.prod(dims)
         energies = np.array(self.energies, dtype=float).reshape(-1)
         if energies.size != total:
             raise ValueError(
@@ -73,10 +70,7 @@ def _checked_dense(h) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
     # a d x d Hamiltonian and its eigenvectors are held like a density matrix
-    if h.shape[0] > DENSITY_CAP:
-        raise DimensionCapError(
-            f"dense evolution capped at dimension {DENSITY_CAP}, got {h.shape[0]}"
-        )
+    _check_density_dim(h.shape[0])
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > _HERM_ATOL:
         raise ValueError(f"Hamiltonian is not Hermitian: max deviation {dev:g}")
@@ -140,14 +134,10 @@ def dephasing_hamiltonian(couplings) -> DiagonalHamiltonian:
     g = np.asarray(couplings, dtype=float).reshape(-1)
     if g.size < 1:
         raise ValueError("need at least one coupling")
-    n = g.size
-    if 2 ** (n + 1) > DIM_CAP:
-        raise DimensionCapError(
-            f"{n} bath spins need dimension {2 ** (n + 1)} > cap {DIM_CAP}"
-        )
+    dims = _check_dims((2,) * (g.size + 1))
     bath = _spin_sums(g)
     energies = np.concatenate([-bath, bath])  # qubit up (s_0 = +1), then down
-    return DiagonalHamiltonian((2,) * (n + 1), energies)
+    return DiagonalHamiltonian(dims, energies)
 
 
 def _joint_state(column, bath) -> StateVector:
@@ -179,9 +169,7 @@ def oracle_r(cfg, t):
     complex or complex ndarray of t's shape.  Each value is bit-identical to
     a scalar call at that time.
     """
-    n = cfg.n_spins
-    if 2 ** (n + 1) > DIM_CAP:
-        raise DimensionCapError(f"oracle with {n} bath spins exceeds the dense cap")
+    _check_dims((2,) * (cfg.n_spins + 1))
     a, b = complex(cfg.a), complex(cfg.b)
     if a == 0 or b == 0:
         raise UndefinedRatioError(

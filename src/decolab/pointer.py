@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spin_bath import SpinBathConfig, decoherence_factor, environment_branch
-from .states import DIM_CAP, BasisSpec, DensityMatrix, DimensionCapError, StateVector
+from .states import BasisSpec, DensityMatrix, StateVector, _check_dims
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class TriConfig:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails
             raise ValueError(f"|a|^2 + |b|^2 = {norm!r}, expected 1")
         if not isinstance(self.bath, SpinBathConfig):
             raise TypeError("bath must be a SpinBathConfig")
@@ -60,18 +60,14 @@ def tridecompose_state(cfg: TriConfig, t: float) -> StateVector:
     perfectly correlated while the environment branches drift apart.  Dims
     are (2, 2) + (2,)*N; 2^(N+2) > DIM_CAP (N > 13) exceeds the dense cap.
     """
-    n = cfg.n_spins
-    if 2 ** (n + 2) > DIM_CAP:
-        raise DimensionCapError(
-            f"tripartite state with {n} bath spins exceeds the dense cap"
-        )
-    env_dim = 2 ** n
+    dims = _check_dims((2, 2) + (2,) * cfg.n_spins)
     up = environment_branch(cfg.bath, t, "up")
     down = environment_branch(cfg.bath, t, "down")
+    env_dim = up.dim
     amps = np.zeros(4 * env_dim, dtype=complex)
     amps[:env_dim] = cfg.a * up.amps          # |up, up, ...>
     amps[3 * env_dim :] = cfg.b * down.amps   # |down, down, ...>
-    return StateVector((2, 2) + (2,) * n, amps)
+    return StateVector(dims, amps)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -153,6 +149,30 @@ def predictability_sieve(
     return [(candidates[i], scored[i]) for i in order]
 
 
+def _branch_amplitudes(amplitudes) -> np.ndarray:
+    """Read-only copy of branch amplitudes c with sum |c_i|^2 = 1 within 1e-12."""
+    c = np.array(amplitudes, dtype=complex).reshape(-1)
+    if c.size < 1:
+        raise ValueError("need at least one branch amplitude")
+    norm = float(np.sum(np.abs(c) ** 2))
+    # each tolerance test is written so that NaN fails it
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"sum |c_i|^2 = {norm!r}, expected 1")
+    c.flags.writeable = False
+    return c
+
+
+def _mixture_weights(weights) -> np.ndarray:
+    """Read-only copy of convex mixture weights, summing to 1 within 1e-12."""
+    w = np.array(weights, dtype=float).reshape(-1)
+    if not np.all(w >= 0.0):
+        raise ValueError("mixture weights must be nonnegative")
+    if not abs(float(w.sum()) - 1.0) <= 1e-12:
+        raise ValueError("mixture weights must sum to 1")
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class ApparatusModel:
     """Many-outcome pointer dephased by an environment-overlap kernel.
@@ -171,22 +191,9 @@ class ApparatusModel:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if c.size < 1:
-            raise ValueError("need at least one branch amplitude")
-        norm = float(np.sum(np.abs(c) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"sum |c_i|^2 = {norm!r}, expected 1")
-        c.flags.writeable = False
-        object.__setattr__(self, "amplitudes", c)
+        object.__setattr__(self, "amplitudes", _branch_amplitudes(self.amplitudes))
         if self.weights is not None:
-            w = np.array(self.weights, dtype=float).reshape(-1)
-            if np.any(w < 0):
-                raise ValueError("mixture weights must be nonnegative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("mixture weights must sum to 1")
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", _mixture_weights(self.weights))
 
     @property
     def n_outcomes(self) -> int:
@@ -258,15 +265,9 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
 
     Returns ``(offdiag_sum, purity)``, two float arrays of the grid's length.
     """
-    c = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if c.size < 1:
-        raise ValueError("need at least one branch amplitude")
-    mod = np.abs(c)
+    mod = np.abs(_branch_amplitudes(amplitudes))
     mod2 = mod ** 2
     s2 = float(np.sum(mod2))
-    # each tolerance test is written so that NaN fails it
-    if not abs(s2 - 1.0) <= 1e-12:
-        raise ValueError(f"sum |c_i|^2 = {s2!r}, expected 1")
     rates = np.asarray(decay_rates, dtype=float).reshape(-1)
     if rates.size < 1:
         raise ValueError("need at least one decay rate")
@@ -275,13 +276,9 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
     if weights is None:
         w = np.full(rates.size, 1.0 / rates.size)
     else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        w = _mixture_weights(weights)
         if w.size != rates.size:
             raise ValueError(f"{w.size} mixture weights for {rates.size} decay rates")
-        if not np.all(w >= 0.0):
-            raise ValueError("mixture weights must be nonnegative")
-        if not abs(float(w.sum()) - 1.0) <= 1e-12:
-            raise ValueError("mixture weights must sum to 1")
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if not np.all(t >= 0.0):
         raise ValueError("times must be nonnegative")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DIM_CAP, DensityMatrix, DimensionCapError, StateVector
+from .states import DensityMatrix, StateVector, _check_dims
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
 DEFAULT_SEED = 42
@@ -68,11 +68,12 @@ class SpinBathConfig:
         if not np.all(np.isfinite(g)):
             raise ValueError("couplings must be finite")
         sys_norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(sys_norm - 1.0) > _NORM_ATOL:
+        # each tolerance test is written so that NaN fails it
+        if not abs(sys_norm - 1.0) <= _NORM_ATOL:
             raise ValueError(f"|a|^2 + |b|^2 = {sys_norm!r}, expected 1")
         spin_norms = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         worst = float(np.max(np.abs(spin_norms - 1.0)))
-        if worst > _NORM_ATOL:
+        if not worst <= _NORM_ATOL:
             raise ValueError(f"bath spin normalization off by {worst:g}")
         for name, arr in (("g", g), ("alpha", alpha), ("beta", beta)):
             arr.flags.writeable = False
@@ -170,11 +171,11 @@ class DecoherenceTrace:
             raise ValueError("trace needs matching t and r arrays of length >= 2")
         if t[0] != 0.0:
             raise ValueError(f"trace must start at t = 0, got {t[0]}")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("trace times must be strictly increasing")
-        if abs(r[0] - 1.0) > 1e-12:
+        if not abs(r[0] - 1.0) <= 1e-12:
             raise ValueError(f"r(0) = {r[0]!r}, expected 1")
-        if float(np.max(np.abs(r))) > 1.0 + 1e-12:
+        if not float(np.max(np.abs(r))) <= 1.0 + 1e-12:
             raise ValueError("|r| exceeds 1 beyond tolerance")
         for name, arr in (("t", t), ("r", r)):
             arr.flags.writeable = False
@@ -218,15 +219,13 @@ def environment_branch(cfg: SpinBathConfig, t: float, branch: str = "up") -> Sta
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
-    n = cfg.n_spins
-    if 2 ** n > DIM_CAP:
-        raise DimensionCapError(f"branch state with {n} spins exceeds the dense cap")
+    dims = _check_dims((2,) * cfg.n_spins)
     sign = 1.0 if branch == "up" else -1.0
     phases = np.exp(1j * sign * cfg.g * float(t))
     amps = np.ones(1, dtype=complex)
     for alpha_k, beta_k, ph in zip(cfg.alpha, cfg.beta, phases):
         amps = np.kron(amps, np.array([alpha_k * ph, beta_k * np.conj(ph)]))
-    return StateVector((2,) * n, amps)
+    return StateVector(dims, amps)
 
 
 def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:

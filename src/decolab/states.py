@@ -5,8 +5,10 @@ vectors over an explicit subsystem factorization, density matrices are full
 square arrays.  Natural units (hbar = 1) throughout.  The total dimension of
 any object is capped at ``DIM_CAP`` so a typo cannot allocate terabytes, and
 a density matrix, which holds the square of its dimension, at the smaller
-``DENSITY_CAP``; both are checked before the array is allocated, and every
-other dense limit in the package is derived from these two.
+``DENSITY_CAP``.  Every other dense limit in the package is derived from
+these two, and checked here as well: ``_check_dims`` and
+``_check_density_dim`` are the only comparisons with the caps, and each runs
+before the array is allocated.
 """
 
 from __future__ import annotations
@@ -36,16 +38,26 @@ class DimensionCapError(ValueError):
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """Validated subsystem dimensions whose product is at most ``DIM_CAP``.
+
+    The package's one comparison of a tensor-product size with ``DIM_CAP``:
+    every dense state, Hamiltonian or branch passes its factor dimensions
+    here before anything of that size is allocated.
+    """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0:
         raise ValueError("need at least one subsystem dimension")
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
-    total = math.prod(dims)  # exact: an int64 product can wrap to 0
-    if total > DIM_CAP:
-        raise DimensionCapError(
-            f"total dimension {total} exceeds the dense cap {DIM_CAP}"
-        )
+    # the exact running product stops at the first factor past the cap, so no
+    # integer beyond DIM_CAP * max(dims) is built and none is ever formatted
+    total = 1
+    for d in dims:
+        total *= d
+        if total > DIM_CAP:
+            raise DimensionCapError(
+                f"{len(dims)} subsystems exceed the dense cap {DIM_CAP}"
+            )
     return dims
 
 
@@ -77,7 +89,7 @@ class StateVector:
     def __init__(self, dims: Sequence[int], amps) -> None:
         self.dims = _check_dims(dims)
         amps = np.array(amps, dtype=complex).reshape(-1)
-        total = int(np.prod(self.dims))
+        total = math.prod(self.dims)
         if amps.size != total:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {total}"
@@ -121,7 +133,7 @@ class DensityMatrix:
 
     def __init__(self, dims: Sequence[int], mat) -> None:
         self.dims = _check_dims(dims)
-        total = int(np.prod(self.dims))
+        total = math.prod(self.dims)
         _check_density_dim(total)
         mat = np.array(mat, dtype=complex)
         if mat.shape != (total, total):
@@ -170,7 +182,7 @@ class BasisSpec:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"basis matrix must be square, got shape {mat.shape}")
         dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-        if dev > _UNITARY_ATOL:
+        if not dev <= _UNITARY_ATOL:
             raise ValueError(f"basis matrix is not unitary: deviation {dev:g}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -246,7 +258,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = [k for k in keep] + [n + k for k in keep]
     reduced = np.einsum(resh, row + col, out)
     new_dims = tuple(rho.dims[k] for k in keep)
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return DensityMatrix(new_dims, reduced.reshape(d, d))
 
 

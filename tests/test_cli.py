@@ -78,6 +78,14 @@ def test_config_for_wrong_subcommand_is_usage_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_config_for_wrong_subcommand_names_both_experiments(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", SPIN_CFG)
+    code = main(["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'spin-bath'" in err and "'measure'" in err
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     bad = dict(SPIN_CFG, typo_section={"x": 1})
     cfg = write_config(tmp_path / "c.json", bad)

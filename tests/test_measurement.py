@@ -102,6 +102,22 @@ def test_outcome_distribution_full_basis():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_full_space_basis_matches_the_whole_vector_reference(d):
+    # reference: U^dag psi over the whole vector; the one-factor contraction
+    # may sum in another order, so allow d rounding steps per probability
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    psi = random_state(d)
+    basis = BasisSpec(0, q)
+    want = np.abs(q.conj().T @ psi.amps) ** 2
+    np.testing.assert_allclose(
+        outcome_distribution(psi, basis), want, rtol=0, atol=4 * d * np.finfo(float).eps
+    )
+    rec = collapse_sample(psi, basis, rng_seed=3)
+    u = q[:, rec.outcome]
+    np.testing.assert_allclose(rec.post_state.mat, np.outer(u, u.conj()), atol=1e-14)
+
+
 # ------------------------------------------------------------ sampling
 
 

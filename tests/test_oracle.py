@@ -164,6 +164,18 @@ def test_dephasing_hamiltonian_checks_the_cap_before_allocating(monkeypatch):
         dephasing_hamiltonian(np.ones(15))
 
 
+def test_dephasing_hamiltonian_past_the_int_to_str_limit_raises_the_cap_error():
+    # 2^20001 has more digits than Python will format into a message
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        dephasing_hamiltonian(np.ones(20000))
+
+
+def test_diagonal_hamiltonian_sees_products_past_int64():
+    # 2^64 wraps to 0 in an int64 product and would match zero energies
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        DiagonalHamiltonian((2,) * 64, [])
+
+
 # ------------------------------------------------------------ oracle_r
 
 

@@ -170,6 +170,21 @@ def test_apparatus_model_validation():
         )
 
 
+NAN = float("nan")
+NAN_INPUTS = {
+    "tri-a": lambda: TriConfig(NAN, 0.8, SpinBathConfig.balanced([0.5])),
+    "tri-b": lambda: TriConfig(0.6, complex(0.0, NAN), SpinBathConfig.balanced([0.5])),
+    "model-amplitudes": lambda: ApparatusModel([0.6, NAN], lambda i, j, t, m: 1.0),
+    "model-weights": lambda: ApparatusModel([0.6, 0.8], lambda i, j, t, m: 1.0, [0.3, NAN]),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_validators_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_apparatus_pure_closed_form():
     c = np.array([0.5, 0.5j, np.sqrt(0.5)], dtype=complex)
     lam = 0.9

@@ -213,6 +213,24 @@ def test_trace_validation():
         DecoherenceTrace(np.array([0.0, 1.0]), np.array([0.9, 0.5 + 0j]))
 
 
+NAN = float("nan")
+NAN_INPUTS = {
+    "qubit-a": lambda: SpinBathConfig(NAN, 0.8, [0.5], [1.0], [0.0]),
+    "qubit-b": lambda: SpinBathConfig(0.6, complex(0.0, NAN), [0.5], [1.0], [0.0]),
+    "spin-alpha": lambda: SpinBathConfig(0.6, 0.8, [0.5, 0.5], [1.0, NAN], [0.0, 0.0]),
+    "spin-beta": lambda: SpinBathConfig(0.6, 0.8, [0.5, 0.5], [1.0, 0.0], [0.0, NAN]),
+    "trace-r0": lambda: DecoherenceTrace([0.0, 1.0], [NAN, 0.5]),
+    "trace-r": lambda: DecoherenceTrace([0.0, 1.0], [1.0, NAN]),
+    "trace-t": lambda: DecoherenceTrace([0.0, NAN], [1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_validators_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_time_averaged_r2_single_balanced_spin():
     # average of cos^2(2 g t) over many periods approaches 1/2
     cfg = SpinBathConfig.balanced([0.7])

@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import decolab
 from decolab.states import (
     DENSITY_CAP,
     DIM_CAP,
@@ -70,6 +73,35 @@ def test_dimension_cap_sees_products_past_int64():
         StateVector((2,) * 64, [])
     with pytest.raises(DimensionCapError, match="dense cap"):
         DensityMatrix((2 ** 32, 2 ** 32), [])
+
+
+def test_dimension_cap_never_formats_the_full_product():
+    # 2^20000 has 6 021 digits, past Python's limit on int-to-str conversion:
+    # a message that formatted it would raise a plain ValueError instead
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        StateVector((2,) * 20000, [1.0])
+
+
+def _dim_cap_comparisons(path):
+    """Name of the function around each comparison that mentions DIM_CAP."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            getattr(sub, "id", getattr(sub, "attr", None)) == "DIM_CAP"
+            for sub in ast.walk(node)
+        ):
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            yield getattr(node, "name", "<module>")
+
+
+def test_dim_cap_is_compared_only_in_check_dims():
+    modules = sorted(Path(decolab.__file__).parent.glob("*.py"))
+    sites = {(path.name, fn) for path in modules for fn in _dim_cap_comparisons(path)}
+    assert sites == {("states.py", "_check_dims")}
+    for path in modules:
+        assert "2 ** (n" not in path.read_text(encoding="utf-8"), path.name
 
 
 def _refuse(*args, **kwargs):
@@ -262,6 +294,15 @@ def test_basis_spec_requires_unitary():
         BasisSpec(0, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         BasisSpec(-1, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+def test_basis_spec_rejects_nan(bad, where):
+    mat = np.eye(2, dtype=complex)
+    mat[where] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        BasisSpec(0, mat)
 
 
 def test_offdiag_norm_diagonal_state_is_zero():

@@ -971,6 +971,9 @@ def run_fock(config, seed, workers, out) -> int:
 # --------------------------------------------------------------------------
 # oracle-compare
 
+_TIMES_PER_TRIAL = 20
+_ORACLE_T_MAX = 20.0
+
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per joint-state amplitude while one bath is evolved, per
 # sampled time of a trial, and per task (seed child, payload, pool future,
@@ -991,7 +994,7 @@ def oracle_compare_bytes(config: dict, workers: int) -> dict:
     tasks = config["trials"] * len(config["n_values"])
     per_task = (
         2 ** (max(config["n_values"]) + 1) * _AMP_BYTES
-        + config.get("times_per_trial", 20) * _TIME_BYTES
+        + config.get("times_per_trial", _TIMES_PER_TRIAL) * _TIME_BYTES
     )
     return {"run": _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)}
 
@@ -1002,7 +1005,8 @@ def oracle_float_floor(config: dict) -> float:
     Both sides round phases of size t * sum|g|, and random-ensemble
     couplings are drawn from U(0, 1), so sum|g| < N.
     """
-    return float(np.finfo(float).eps) * config.get("t_max", 20.0) * max(config["n_values"])
+    t_max = config.get("t_max", _ORACLE_T_MAX)
+    return float(np.finfo(float).eps) * t_max * max(config["n_values"])
 
 
 def _oracle_task(payload):
@@ -1026,8 +1030,8 @@ def run_oracle_compare(config, seed, workers, out) -> int:
             f"tolerance {tolerance:g} is below the float floor {floor:.3g} "
             "(eps * t_max * max n_values)"
         )
-    times = int(config.get("times_per_trial", 20))
-    t_max = float(config.get("t_max", 20.0))
+    times = int(config.get("times_per_trial", _TIMES_PER_TRIAL))
+    t_max = float(config.get("t_max", _ORACLE_T_MAX))
     n_values = list(config["n_values"]) * int(config["trials"])
     children = np.random.SeedSequence(seed).spawn(len(n_values))
     payloads = [(n, times, t_max, child) for n, child in zip(n_values, children)]
@@ -1116,7 +1120,7 @@ def _check_premeasure() -> bool:
 def _check_photon_counting() -> bool:
     space = fock.FockSpace(12)
     kset = fock.photon_counting_set(space)
-    if kset.completeness_deviation() > 1e-14:
+    if not kset.completeness_deviation() <= 1e-14:
         return False
     amps = np.zeros(space.dim)
     amps[5] = 1.0

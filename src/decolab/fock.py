@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .measurement import KrausSet
-from .states import StateVector, _check_density_dim
+from .states import StateVector, _check_density_dim, _finite, _frozen, _positive
 
 _SUPPORT_TOL = 1e-6
 
@@ -49,7 +49,7 @@ class FockSpace:
         self.position = (self.annihilate + self.create) / math.sqrt(2.0)
         self.momentum = 1j * (self.create - self.annihilate) / math.sqrt(2.0)
         for m in (self.annihilate, self.create, self.number, self.position, self.momentum):
-            m.flags.writeable = False
+            _frozen(m)
 
     @property
     def dim(self) -> int:
@@ -90,6 +90,7 @@ def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
     beyond that the truncated vector no longer represents the intended state
     and a TruncationError is raised.
     """
+    alpha = complex(_finite("alpha", alpha, complex))
     if abs(alpha) ** 2 > space.n_max / 4.0:
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha) ** 2:g} exceeds n_max/4 = {space.n_max / 4:g}"
@@ -123,18 +124,15 @@ class CoherentGrid:
     radius: float
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=complex).reshape(-1)
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        pts = _finite("points", self.points, complex, copy=True).reshape(-1)
+        w = _finite("weights", self.weights, copy=True).reshape(-1)
         if pts.size != w.size or pts.size == 0:
             raise ValueError("points and weights must be nonempty and match")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("quadrature weights must be positive")
-        if self.radius <= 0.0:
-            raise ValueError("declared radius must be positive")
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        _positive("declared radius", self.radius)
+        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "weights", _frozen(w))
 
     def __len__(self) -> int:
         return self.points.size
@@ -148,8 +146,7 @@ def polar_grid(radius: float, n_radial: int = 64, n_angular: int = 64) -> Cohere
     which integrates every phase harmonic e^{i k phi} with |k| < n_angular
     exactly.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    radius = _positive("radius", radius)
     if n_radial < 1 or n_angular < 1:
         raise ValueError("need at least one node in each direction")
     nodes, wts = np.polynomial.legendre.leggauss(n_radial)
@@ -241,23 +238,26 @@ def ehrenfest_check(
 
     The state is evolved densely under H = p^2/(2m) + m omega^2 x^2 / 2 and
     the centered difference of <p> is compared with -m omega^2 <x> at every
-    interior grid point; the report carries the worst residual.  The grid
-    must be uniform with at least three points.  The initial state must keep
+    interior grid point; the report carries the worst residual.  ``omega``
+    must be finite, ``mass`` positive and finite, and the grid uniform with at
+    least three finite points.  The initial state must keep
     its population below n_max/2 (tail mass above it under 1e-6), otherwise
     truncation artifacts would masquerade as physics.
     """
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    _finite("omega", omega)
+    _positive("mass", mass)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     if t_grid.size < 3:
         raise ValueError("need at least three grid points")
     steps = np.diff(t_grid)
     dt = float(steps[0])
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
+    if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("time grid must be uniform and increasing")
     if initial.dim != space.dim:
         raise ValueError(f"state dim {initial.dim} != space dim {space.dim}")
     cut = space.n_max // 2
     tail = float(np.sum(np.abs(initial.amps[cut + 1 :]) ** 2))
-    if tail > _SUPPORT_TOL:
+    if not tail <= _SUPPORT_TOL:
         raise TruncationError(
             f"initial state carries {tail:g} population above level {cut}; "
             "enlarge the space before trusting the dynamics"
@@ -268,13 +268,10 @@ def ehrenfest_check(
     exp_x = np.einsum("ti,ij,tj->t", amps.conj(), space.position, amps).real
     exp_p = np.einsum("ti,ij,tj->t", amps.conj(), space.momentum, amps).real
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
-    residuals = np.abs(dpdt + mass * omega ** 2 * exp_x[1:-1])
-    residuals.flags.writeable = False
-    interior = t_grid[1:-1].copy()
-    interior.flags.writeable = False
+    residuals = _frozen(np.abs(dpdt + mass * omega ** 2 * exp_x[1:-1]))
     return EhrenfestReport(
         max_residual=float(np.max(residuals)),
         dt=dt,
-        t=interior,
+        t=_frozen(t_grid[1:-1].copy()),
         residuals=residuals,
     )

@@ -14,7 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .states import BasisSpec, DensityMatrix, StateVector
+from .states import (
+    BasisSpec, DensityMatrix, StateVector, _check_close, _check_square, _finite, _frozen,
+    _positive,
+)
 
 _IMPOSSIBLE_P = 1e-14
 _PROJ_ATOL = 1e-10
@@ -66,20 +69,15 @@ class KrausSet:
         labels = list(range(len(stack))) if labels is None else list(labels)
         if len(labels) != len(stack):
             raise ValueError("labels and operators must have matching length")
-        stack.flags.writeable = False
-        self._stack = stack
+        self._stack = _frozen(stack)
         self.labels = tuple(labels)
         self.completeness_tol = completeness_tol
         if completeness_tol is None:
-            if not np.isfinite(stack).all():
-                raise ValueError("Kraus operators must be finite")
+            _finite("Kraus operators", stack, complex)
         else:
-            dev = self.completeness_deviation()
-            if not dev <= completeness_tol:  # NaN fails
-                raise ValueError(
-                    f"sum M^dag M deviates from identity by {dev:g} "
-                    f"(tolerance {completeness_tol:g})"
-                )
+            tol = _positive("completeness_tol", completeness_tol, zero_ok=True)
+            _check_close(self.completeness_deviation(), 0.0, tol, "Kraus operators: sum M^dag M "
+                         f"deviates from identity by {{:g}} (tolerance {tol:g})")
 
     @property
     def operators(self) -> np.ndarray:
@@ -152,16 +150,10 @@ class Projector:
 
     def __init__(self, mat) -> None:
         mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"projector must be square, got shape {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm <= _PROJ_ATOL:  # NaN fails
-            raise ValueError(f"projector not Hermitian: deviation {herm:g}")
+        _check_square("projector", mat, _PROJ_ATOL)
         idem = float(np.max(np.abs(mat @ mat - mat)))
-        if not idem <= _PROJ_ATOL:
-            raise ValueError(f"projector not idempotent: deviation {idem:g}")
-        mat.flags.writeable = False
-        self.mat = mat
+        _check_close(idem, 0.0, _PROJ_ATOL, "projector not idempotent: deviation {:g}")
+        self.mat = _frozen(mat)
 
     @classmethod
     def onto(cls, vectors) -> "Projector":
@@ -199,8 +191,8 @@ def premeasure_cnot(system: StateVector, apparatus: StateVector) -> StateVector:
     if system.dims != (2,) or apparatus.dims != (2,):
         raise ValueError("premeasure_cnot expects two single-qubit states")
     ready = np.array([1.0, 0.0])
-    if float(np.max(np.abs(apparatus.amps - ready))) > 1e-12:
-        raise ValueError("apparatus must start in the ready state (1, 0)")
+    _check_close(float(np.max(np.abs(apparatus.amps - ready))), 0.0, 1e-12,
+                 "apparatus must start in the ready state (1, 0)")
     joint = np.kron(system.amps, apparatus.amps)
     flipped = joint[[0, 1, 3, 2]]  # pointer flips iff the control is down
     return StateVector((2, 2), flipped)
@@ -372,5 +364,6 @@ def validate_kraus(kraus: KrausSet, tol: float = 1e-10) -> KrausReport:
     continuous outcome family) are expected to fail the strict default and
     be judged by their reported deviation instead.
     """
+    tol = _positive("tol", tol, zero_ok=True)
     dev = kraus.completeness_deviation()
-    return KrausReport(deviation=dev, tolerance=float(tol), passed=bool(dev <= tol))
+    return KrausReport(deviation=dev, tolerance=tol, passed=bool(dev <= tol))

@@ -21,7 +21,8 @@ import numpy as np
 from .pointer import tridecompose_state
 from .spin_bath import environment_branch
 from .states import (
-    DensityMatrix, StateVector, _check_density_dim, _check_dims, purity, reduced_density
+    DensityMatrix, StateVector, _check_dims, _check_square, _finite, _frozen, purity,
+    reduced_density,
 )
 
 _HERM_ATOL = 1e-10
@@ -46,13 +47,12 @@ class DiagonalHamiltonian:
         dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         total = math.prod(dims)
-        energies = np.array(self.energies, dtype=float).reshape(-1)
+        energies = _finite("energies", self.energies, copy=True).reshape(-1)
         if energies.size != total:
             raise ValueError(
                 f"got {energies.size} energies for total dimension {total}"
             )
-        energies.flags.writeable = False
-        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "energies", _frozen(energies))
 
 
 def evolve_diagonal(ham: DiagonalHamiltonian, psi0: StateVector, t: float) -> StateVector:
@@ -62,19 +62,7 @@ def evolve_diagonal(ham: DiagonalHamiltonian, psi0: StateVector, t: float) -> St
     """
     if ham.dims != psi0.dims:
         raise ValueError(f"dimension mismatch: {ham.dims} vs {psi0.dims}")
-    return StateVector(psi0.dims, psi0.amps * np.exp(-1j * ham.energies * float(t)))
-
-
-def _checked_dense(h) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    # a d x d Hamiltonian and its eigenvectors are held like a density matrix
-    _check_density_dim(h.shape[0])
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > _HERM_ATOL:
-        raise ValueError(f"Hamiltonian is not Hermitian: max deviation {dev:g}")
-    return h
+    return StateVector(psi0.dims, psi0.amps * np.exp(-1j * ham.energies * float(_finite("t", t))))
 
 
 def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
@@ -92,7 +80,7 @@ def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
     StateVector at time t, exp(-i H t) |psi0>: the one row of
     :func:`evolve_dense_grid` on the grid [t].
     """
-    return StateVector(psi0.dims, evolve_dense_grid(h, psi0, [t])[0])
+    return StateVector(psi0.dims, evolve_dense_grid(h, psi0, [_finite("t", t)])[0])
 
 
 def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
@@ -101,10 +89,11 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     One eigendecomposition is shared across the whole grid.  Returns a
     (len(t_grid), dim) complex array; rows are unit vectors.
     """
-    h = _checked_dense(h)
+    h = np.asarray(h, dtype=complex)
+    _check_square("Hamiltonian", h, _HERM_ATOL)
     if h.shape[0] != psi0.dim:
         raise ValueError(f"Hamiltonian dim {h.shape[0]} != state dim {psi0.dim}")
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0.amps
     phases = np.exp(-1j * np.outer(t_grid, evals))
@@ -131,7 +120,7 @@ def dephasing_hamiltonian(couplings) -> DiagonalHamiltonian:
     The sign convention makes the up-branch amplitude of spin k rotate as
     exp(+i g_k t) under exp(-i H t).
     """
-    g = np.asarray(couplings, dtype=float).reshape(-1)
+    g = _finite("couplings", couplings).reshape(-1)
     if g.size < 1:
         raise ValueError("need at least one coupling")
     dims = _check_dims((2,) * (g.size + 1))
@@ -178,7 +167,7 @@ def oracle_r(cfg, t):
     psi0 = _joint_state([a, b], cfg)
     ham = dephasing_hamiltonian(cfg.g)
     coherence = a * np.conj(b)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _finite("t", t)
     r = np.empty(t_arr.shape, dtype=complex)
     for idx, t_k in np.ndenumerate(t_arr):
         rho_a = reduced_density(evolve_diagonal(ham, psi0, t_k), keep=0)
@@ -215,6 +204,6 @@ def oracle_pointer_purity(bath, column, t_grid) -> np.ndarray:
     return np.array(
         [
             purity(reduced_density(evolve_diagonal(ham, psi0, t), keep=0))
-            for t in np.asarray(t_grid, dtype=float).reshape(-1)
+            for t in _finite("t_grid", t_grid).reshape(-1)
         ]
     )

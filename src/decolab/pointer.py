@@ -22,7 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .spin_bath import SpinBathConfig, decoherence_factor, environment_branch
-from .states import BasisSpec, DensityMatrix, StateVector, _check_dims
+from .states import (
+    BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
+)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,8 @@ class TriConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails
-            raise ValueError(f"|a|^2 + |b|^2 = {norm!r}, expected 1")
+        _check_close(abs(self.a) ** 2 + abs(self.b) ** 2, 1.0, 1e-12,
+                     "|a|^2 + |b|^2 = {!r}, expected 1")
         if not isinstance(self.bath, SpinBathConfig):
             raise TypeError("bath must be a SpinBathConfig")
 
@@ -96,7 +97,7 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     return _rotated_correlation(cfg, theta, decoherence_factor(cfg.bath, t_grid))
 
 
@@ -135,7 +136,7 @@ def predictability_sieve(
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("the sieve needs at least two candidate bases")
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("empty time grid")
     mean_r2 = float(np.mean(np.abs(decoherence_factor(cfg.bath, t_grid)) ** 2))
@@ -154,23 +155,18 @@ def _branch_amplitudes(amplitudes) -> np.ndarray:
     c = np.array(amplitudes, dtype=complex).reshape(-1)
     if c.size < 1:
         raise ValueError("need at least one branch amplitude")
-    norm = float(np.sum(np.abs(c) ** 2))
-    # each tolerance test is written so that NaN fails it
-    if not abs(norm - 1.0) <= 1e-12:
-        raise ValueError(f"sum |c_i|^2 = {norm!r}, expected 1")
-    c.flags.writeable = False
-    return c
+    _check_close(float(np.sum(np.abs(c) ** 2)), 1.0, 1e-12,
+                 "branch amplitudes: sum |c_i|^2 = {!r}, expected 1")
+    return _frozen(c)
 
 
 def _mixture_weights(weights) -> np.ndarray:
     """Read-only copy of convex mixture weights, summing to 1 within 1e-12."""
     w = np.array(weights, dtype=float).reshape(-1)
-    if not np.all(w >= 0.0):
+    if not np.all(w >= 0.0):  # NaN fails here, +inf in the sum
         raise ValueError("mixture weights must be nonnegative")
-    if not abs(float(w.sum()) - 1.0) <= 1e-12:
-        raise ValueError("mixture weights must sum to 1")
-    w.flags.writeable = False
-    return w
+    _check_close(float(w.sum()), 1.0, 1e-12, "mixture weights must sum to 1")
+    return _frozen(w)
 
 
 @dataclass(frozen=True)
@@ -211,6 +207,7 @@ def apparatus_reduced_state(model: ApparatusModel, t: float) -> DensityMatrix:
     (mixture-averaged) kernel value; diagonals stay |c_i|^2 forever.  The
     ready row and column (index 0) are identically zero.
     """
+    _finite("t", t)
     n = model.n_outcomes
     c = model.amplitudes
     weights = model.weights if model.weights is not None else np.array([1.0])
@@ -223,21 +220,16 @@ def apparatus_reduced_state(model: ApparatusModel, t: float) -> DensityMatrix:
             for mix, w in enumerate(weights):
                 kij = complex(model.kappa(i, j, t, mix))
                 kji = complex(model.kappa(j, i, t, mix))
-                if abs(kji - np.conj(kij)) > 1e-9:
+                if not abs(kij) <= 1.0 + 1e-9:  # NaN fails, and kappa is named
+                    raise ValueError(f"|kappa| = {abs(kij):g} at (i={i}, j={j}, t={t}, mix={mix})")
+                if not abs(kji - np.conj(kij)) <= 1e-9:
                     raise ValueError(
                         f"kappa is not Hermitian at (i={i}, j={j}, t={t}, mix={mix})"
                     )
-                if abs(kij) > 1.0 + 1e-9:
-                    raise ValueError(f"|kappa| > 1 at (i={i}, j={j}, t={t}, mix={mix})")
                 avg += w * kij
             mat[i + 1, j + 1] = c[i] * np.conj(c[j]) * avg
             mat[j + 1, i + 1] = np.conj(mat[i + 1, j + 1])
     return DensityMatrix((n + 1,), mat)
-
-
-#: Slack on the mixed kernel's upper bound 1: weights may sum to 1 only
-#: within 1e-12, and the dense path tolerates eigenvalues down to -1e-10.
-_KAPPA_ATOL = 1e-10
 
 
 def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +249,10 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
     for amplitudes normalised only to within 1e-12.  The cost is O(T*M + n)
     for T times, M components and n amplitudes; no matrix is built.
 
-    Times and rates must be nonnegative and the weights a probability vector
-    with one entry per rate.  0 <= kbar <= 1 is then checked on the whole
-    grid in one vectorised test; it makes rho Hermitian and positive
-    semidefinite by construction, so it stands in for the dense path's
+    Times and rates must be finite and nonnegative and the weights a
+    probability vector with one entry per rate.  Then 0 <= kbar <= 1 holds on
+    the whole grid by construction, which makes rho Hermitian and positive
+    semidefinite, so these input checks stand in for the dense path's
     per-time kernel, Hermiticity and eigenvalue checks.
 
     Returns ``(offdiag_sum, purity)``, two float arrays of the grid's length.
@@ -271,8 +263,10 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
     rates = np.asarray(decay_rates, dtype=float).reshape(-1)
     if rates.size < 1:
         raise ValueError("need at least one decay rate")
-    if not np.all(rates >= 0.0):
+    if not np.all(rates >= 0.0):  # NaN fails here, +inf below
         raise ValueError("decay rates must be nonnegative")
+    if not np.isfinite(rates).all():
+        raise ValueError("decay rates must be finite, or the mixed kernel leaves [0, 1] at t = 0")
     if weights is None:
         w = np.full(rates.size, 1.0 / rates.size)
     else:
@@ -281,12 +275,10 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
             raise ValueError(f"{w.size} mixture weights for {rates.size} decay rates")
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if not np.all(t >= 0.0):
-        raise ValueError("times must be nonnegative")
-    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, rejected below
-        decay = np.multiply.outer(t, -rates)
+        raise ValueError(f"times must be nonnegative: t_grid holds {np.min(t):g}")
+    _finite("t_grid", t)
+    decay = np.multiply.outer(t, -rates)
     kbar = np.exp(decay, out=decay) @ w
-    if not np.all((kbar >= 0.0) & (kbar <= 1.0 + _KAPPA_ATOL)):
-        raise ValueError("the mixed kernel leaves [0, 1]")
     s1 = float(np.sum(mod))
     s4 = float(np.sum(mod2 ** 2))
     return kbar * (s1 * s1 - s2), s4 + kbar * kbar * (s2 * s2 - s4)

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, StateVector, _check_dims
+from .states import (
+    _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
+    _positive,
+)
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
 DEFAULT_SEED = 42
-
-_NORM_ATOL = 1e-12
 
 
 class FitWindowError(RuntimeError):
@@ -55,7 +56,7 @@ class SpinBathConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        g = np.array(self.g, dtype=float).reshape(-1)
+        g = _finite("couplings g", self.g, copy=True).reshape(-1)
         alpha = np.array(self.alpha, dtype=complex).reshape(-1)
         beta = np.array(self.beta, dtype=complex).reshape(-1)
         if g.size < 1:
@@ -65,19 +66,13 @@ class SpinBathConfig:
                 f"g, alpha, beta must have equal length, got "
                 f"{g.size}, {alpha.size}, {beta.size}"
             )
-        if not np.all(np.isfinite(g)):
-            raise ValueError("couplings must be finite")
-        sys_norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        # each tolerance test is written so that NaN fails it
-        if not abs(sys_norm - 1.0) <= _NORM_ATOL:
-            raise ValueError(f"|a|^2 + |b|^2 = {sys_norm!r}, expected 1")
+        _check_close(abs(self.a) ** 2 + abs(self.b) ** 2, 1.0, _NORM_ATOL,
+                     "|a|^2 + |b|^2 = {!r}, expected 1")
         spin_norms = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-        worst = float(np.max(np.abs(spin_norms - 1.0)))
-        if not worst <= _NORM_ATOL:
-            raise ValueError(f"bath spin normalization off by {worst:g}")
+        worst = float(spin_norms[np.argmax(np.abs(spin_norms - 1.0))])  # or the first NaN
+        _check_close(worst, 1.0, _NORM_ATOL, "bath spin |alpha|^2 + |beta|^2 = {!r}, expected 1")
         for name, arr in (("g", g), ("alpha", alpha), ("beta", beta)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n_spins(self) -> int:
@@ -86,8 +81,7 @@ class SpinBathConfig:
     @classmethod
     def balanced(cls, g, a=1 / math.sqrt(2), b=1 / math.sqrt(2)) -> "SpinBathConfig":
         """Every bath spin starts in the even superposition (alpha = beta)."""
-        g = np.asarray(g, dtype=float).reshape(-1)
-        half = np.full(g.size, 1 / math.sqrt(2), dtype=complex)
+        half = np.full(np.size(g), 1 / math.sqrt(2), dtype=complex)
         return cls(a, b, g, half, half.copy())
 
     @classmethod
@@ -130,7 +124,7 @@ def decoherence_factor(cfg: SpinBathConfig, t):
     -------
     complex or complex ndarray of t's shape; |r| <= 1 always, r(0) = 1.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _finite("t", t)
     two_t = 2.0 * t_arr
     weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
     phase = np.empty(t_arr.shape)
@@ -165,21 +159,19 @@ class DecoherenceTrace:
     r: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float).reshape(-1)
-        r = np.array(self.r, dtype=complex).reshape(-1)
+        t = _finite("t", self.t, copy=True).reshape(-1)
+        r = _finite("r", self.r, complex, copy=True).reshape(-1)
         if t.size != r.size or t.size < 2:
             raise ValueError("trace needs matching t and r arrays of length >= 2")
         if t[0] != 0.0:
             raise ValueError(f"trace must start at t = 0, got {t[0]}")
         if not np.all(np.diff(t) > 0):
             raise ValueError("trace times must be strictly increasing")
-        if not abs(r[0] - 1.0) <= 1e-12:
-            raise ValueError(f"r(0) = {r[0]!r}, expected 1")
+        _check_close(r[0], 1.0, 1e-12, "r(0) = {!r}, expected 1")
         if not float(np.max(np.abs(r))) <= 1.0 + 1e-12:
             raise ValueError("|r| exceeds 1 beyond tolerance")
         for name, arr in (("t", t), ("r", r)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def r2(self) -> np.ndarray:
@@ -189,7 +181,7 @@ class DecoherenceTrace:
 
 def decoherence_trace(cfg: SpinBathConfig, t_grid) -> DecoherenceTrace:
     """Evaluate r over a grid (which must start at 0) and package it."""
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     return DecoherenceTrace(t_grid, decoherence_factor(cfg, t_grid))
 
 
@@ -221,7 +213,7 @@ def environment_branch(cfg: SpinBathConfig, t: float, branch: str = "up") -> Sta
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     dims = _check_dims((2,) * cfg.n_spins)
     sign = 1.0 if branch == "up" else -1.0
-    phases = np.exp(1j * sign * cfg.g * float(t))
+    phases = np.exp(1j * sign * cfg.g * float(_finite("t", t)))
     amps = np.ones(1, dtype=complex)
     for alpha_k, beta_k, ph in zip(cfg.alpha, cfg.beta, phases):
         amps = np.kron(amps, np.array([alpha_k * ph, beta_k * np.conj(ph)]))
@@ -236,7 +228,7 @@ def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:
     For balanced bath spins and incommensurate couplings the long-time value
     approaches 2^-N.
     """
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
     if t_grid.size < 100:
         raise ValueError(f"need at least 100 samples, got {t_grid.size}")
     return float(np.mean(np.abs(decoherence_factor(cfg, t_grid)) ** 2))
@@ -254,10 +246,10 @@ class GaussianFit:
     t_max: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        _positive("gamma", self.gamma, zero_ok=True)
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError("r_squared must lie in [0, 1]")
+        _positive("t_max", self.t_max, zero_ok=True)
 
 
 def fit_gaussian_decay(trace: DecoherenceTrace) -> GaussianFit:
@@ -330,16 +322,16 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    horizon = _positive("horizon", horizon)
     max_step = _scan_step(
         float(np.max(np.abs(cfg.g))), float(np.dot(cfg.g, cfg.g)), eps
     )
     if step is None:
         step = max_step
-    elif step > max_step:
+    elif _positive("step", step) > max_step:
         raise ValueError(f"step {step:g} too coarse; need <= {max_step:g}")
-    n_pts = int(math.ceil(horizon / step)) + 1
+    # horizon / step is inf when it overflows
+    n_pts = int(math.ceil(_positive("horizon / step", horizon / step))) + 1
     t_grid = np.linspace(0.0, float(horizon), n_pts)
     above = np.empty(n_pts, dtype=bool)
     block = 1 << 18

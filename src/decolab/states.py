@@ -9,6 +9,11 @@ a density matrix, which holds the square of its dimension, at the smaller
 these two, and checked here as well: ``_check_dims`` and
 ``_check_density_dim`` are the only comparisons with the caps, and each runs
 before the array is allocated.
+
+The input checks of every module live here too, written so that NaN fails
+them: ``_finite``, ``_positive``, ``_check_close`` and ``_check_square`` are
+the package's only finiteness, tolerance and Hermiticity tests, and every
+public float input must be finite.
 """
 
 from __future__ import annotations
@@ -73,6 +78,40 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite(name: str, x, dtype=float, copy: bool = False) -> np.ndarray:
+    """``x`` as a ``dtype`` array (a fresh one with ``copy``), every entry finite."""
+    arr = np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _positive(name: str, x, zero_ok: bool = False) -> float:
+    """``x`` as a finite float above 0 (at least 0 with ``zero_ok``)."""
+    x = float(x)
+    if not (x >= 0.0 if zero_ok else x > 0.0) or x == math.inf:
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {x!r}")
+    return x
+
+
+def _check_close(value, target, tol: float, message: str) -> None:
+    """Raises ``ValueError(message.format(value))`` unless |value - target| <= tol."""
+    if not abs(value - target) <= tol:
+        raise ValueError(message.format(value))
+
+
+def _check_square(name: str, mat: np.ndarray, herm_tol: float | None = None) -> None:
+    """A nonempty square matrix, held like a density matrix (so at most
+    ``DENSITY_CAP`` rows); with ``herm_tol``, Hermitian within it."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
+    _check_density_dim(mat.shape[0])
+    if herm_tol is not None:  # a NaN or inf entry makes the deviation NaN
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        _check_close(dev, 0.0, herm_tol, name + " is not Hermitian: max deviation {:g}")
+
+
 class StateVector:
     """Normalized pure state on an explicit tensor factorization.
 
@@ -94,12 +133,9 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {total}"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
-        # each tolerance test is written so that NaN fails it
-        if not abs(norm_sq - 1.0) <= _NORM_ATOL:
-            raise ValueError(
-                f"state is not normalized: sum |amps|^2 = {norm_sq!r}"
-            )
+        # the norm is the finiteness test: NaN or inf amplitudes fail it
+        _check_close(float(np.vdot(amps, amps).real), 1.0, _NORM_ATOL,
+                     "state is not normalized: sum |amps|^2 = {!r}")
         self.amps = _frozen(amps)
 
     @property
@@ -140,12 +176,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix has shape {mat.shape}, expected {(total, total)}"
             )
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T))) if total else 0.0
-        if not herm_dev <= _HERM_ATOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:g}")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= _TRACE_ATOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
+        _check_square("matrix", mat, _HERM_ATOL)
+        _check_close(complex(np.trace(mat)), 1.0, _TRACE_ATOL, "trace is {!r}, expected 1")
         eig_min = float(np.linalg.eigvalsh(mat)[0])
         if not eig_min >= _EIG_FLOOR:
             raise ValueError(
@@ -179,11 +211,9 @@ class BasisSpec:
             raise ValueError(f"subsystem index must be a nonnegative int, got {self.subsystem}")
         object.__setattr__(self, "subsystem", int(self.subsystem))
         mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"basis matrix must be square, got shape {mat.shape}")
+        _check_square("basis matrix", mat)
         dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-        if not dev <= _UNITARY_ATOL:
-            raise ValueError(f"basis matrix is not unitary: deviation {dev:g}")
+        _check_close(dev, 0.0, _UNITARY_ATOL, "basis matrix is not unitary: deviation {:g}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
     @property

@@ -268,3 +268,9 @@ def test_ehrenfest_rejects_states_crowding_the_truncation():
     space = FockSpace(8)
     with pytest.raises(TruncationError):
         ehrenfest_check(space, fock_level(space, 7), 1.0, 1.0, np.linspace(0, 1, 11))
+
+
+def test_ehrenfest_rejects_a_nan_in_the_time_grid():
+    space = FockSpace(20)
+    with pytest.raises(ValueError, match="t_grid"):
+        ehrenfest_check(space, coherent_state(space, 0.5), 1.0, 1.0, [0.0, 0.002, np.nan, 0.006])

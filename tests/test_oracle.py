@@ -278,3 +278,13 @@ def test_oracle_task_builds_one_hamiltonian_per_bath(monkeypatch):
         got_n, worst = cli._oracle_task((n, 20, 20.0, child))
         assert builds == [n]
         assert got_n == n and 0.0 <= worst < 1e-10
+
+
+def test_nan_hamiltonian_is_rejected_by_name():
+    # NaN - NaN is NaN, so the Hermiticity test itself rejects it
+    psi = StateVector((2,), [1.0, 0.0])
+    h = [[0.0, np.nan], [np.nan, 1.0]]
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        evolve_dense_grid(h, psi, [0.5])
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        evolve_dense(h, psi, 0.5)

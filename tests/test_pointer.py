@@ -364,3 +364,17 @@ def test_sieve_matches_dense_reference(n, balanced):
             [oracle_pointer_purity(cfg.bath, basis.column(i), t_grid) for i in range(2)]
         )
         assert abs(score - want) <= 1e-12
+
+
+NAN_KERNELS = {
+    "both": lambda i, j, t, m: 1.0 if i == j else np.nan,
+    "upper": lambda i, j, t, m: 1.0 if i == j else (np.nan if i < j else 0.5),
+    "lower": lambda i, j, t, m: 1.0 if i == j else (np.nan if i > j else 0.5),
+}
+
+
+@pytest.mark.parametrize("kappa", NAN_KERNELS.values(), ids=NAN_KERNELS.keys())
+def test_nan_kernel_value_is_named(kappa):
+    # each kernel test is written so that NaN fails it and the message names kappa
+    with pytest.raises(ValueError, match="kappa"):
+        apparatus_reduced_state(ApparatusModel([0.6, 0.8], kappa), 0.5)

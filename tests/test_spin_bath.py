@@ -331,3 +331,10 @@ def test_recurrence_validation():
         recurrence_scan(cfg, -1.0, 0.01)
     with pytest.raises(ValueError):
         recurrence_scan(cfg, 10.0, 0.01, step=5.0)
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), 1e308])
+def test_recurrence_horizon_that_overflows_the_grid_names_horizon(horizon):
+    # 1e308 is finite, but horizon / step overflows to inf
+    with pytest.raises(ValueError, match="horizon"):
+        recurrence_scan(SpinBathConfig.balanced([0.5, 0.7]), horizon, 0.01)

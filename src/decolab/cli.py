@@ -25,13 +25,17 @@ Each subcommand is one runner ``run_x(config, seed, workers, out)``.  ``main``
 loads the config, resolves the seed, creates ``--out`` and hands the runner an
 ``_Output``, which alone decides where an artifact goes, what provenance is
 stamped on it and whether progress lines are printed (``--quiet``).  A runner
-writes each config section through ``out`` as soon as that section is
-computed, rather than returning its tables: a large section (``trace.csv`` can
-hold 10^5 rows of Python floats) is freed before the next one runs, and a
-section that fails later leaves the files of the sections before it.
-Before it allocates anything, a runner estimates each section's peak bytes
-from the config alone and rejects, as a config error, any section over the
-one ``BYTE_BUDGET``.
+writes each config section through ``out`` in a fixed order as soon as that
+section is computed, rather than returning its tables, so a section that
+fails leaves the files of the sections before it.  ``spin-bath`` starts one
+process pool per run (``_pmap``) and submits every ``scaling`` and
+``gaussian_fit`` task up front; while the workers run, the parent computes
+and writes ``trace.csv``, whose rows (10^5 in the benchmark) are made from
+the arrays one slice at a time, never held as lists of Python floats.  Each
+Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  Before it
+allocates anything, a runner estimates each section's peak bytes from the
+config alone and rejects, as a config error, any section over the one
+``BYTE_BUDGET``, and sections that run at once when their sum is over it.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -39,8 +43,10 @@ Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -561,16 +567,31 @@ class _Output:
             print(line)
 
 
-def _pmap(fn, payloads, workers: int) -> list:
-    """Order-preserving map, optionally across a process pool."""
+@contextlib.contextmanager
+def _pmap(fn, payloads, workers: int):
+    """Order-preserving map as a context manager: ``with _pmap(...) as results``.
+
+    On entry every payload is submitted to one pool of ``min(workers,
+    tasks)`` processes, and the block receives an iterator over the results
+    in payload order, each drawn when it is ready (a task's exception is
+    raised where its result is drawn).  The caller works while the pool
+    runs.  On every exit path the pool is shut down and the tasks that have
+    not started are cancelled.  With ``workers <= 1`` or a single payload
+    the block receives a lazy in-process ``map`` and no pool starts.
+    """
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        yield map(fn, payloads)
+        return
     # imported here: every run that never pools skips its import cost
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(payloads)))
+    try:
+        futures = [pool.submit(fn, p) for p in payloads]
+        yield (future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathConfig:
@@ -586,14 +607,19 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 _SCALING_SAMPLES = 200001
 _FIT_SAMPLES = 1200
 
+#: trace.csv rows made from the arrays at a time; only one slice of rows is
+#: held as Python floats.
+_ROW_SLICE = 4096
+
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per time point while r(t) is evaluated and reduced, per
-# trace.csv row held as Python floats, per recurrence grid point, per bath
+# trace.csv row of the slice held as Python floats (157 measured, with the
+# row's share of the arrays), per recurrence grid point, per bath
 # spin (the peak of building a bath of either ensemble, the random one's
 # construction the larger; pointer baths cost the same), and per task a
 # section hands to the pool (seed, payload, result row).
 _POINT_BYTES = 64
-_TRACE_ROW_BYTES = 128
+_TRACE_ROW_BYTES = 160
 _SCAN_POINT_BYTES = 32
 _SPIN_BYTES = 192
 _TASK_BYTES = 2048
@@ -610,14 +636,17 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     Worked out from the config alone, before anything is allocated.  r(t) is
     streamed spin by spin, so a section grows linearly with its time samples
     (grid points for ``recurrence``); the bath adds only its couplings and
-    amplitudes.  A pooled section holds one task per busy worker at a time.
+    amplitudes, and ``trace`` one slice of Python rows.  A pooled section
+    holds one task per busy worker at a time.  ``trace``, ``scaling`` and
+    ``gaussian_fit`` run at once, so ``run_spin_bath`` also bounds their sum.
     """
     need = {}
     if "trace" in config:
         sec = config["trace"]
         need["trace"] = (
             sec["n_spins"] * _SPIN_BYTES
-            + sec["samples"] * (_POINT_BYTES + _TRACE_ROW_BYTES)
+            + sec["samples"] * _POINT_BYTES
+            + min(sec["samples"], _ROW_SLICE) * _TRACE_ROW_BYTES
         )
     if "scaling" in config:
         sec = config["scaling"]
@@ -651,14 +680,24 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     return need
 
 
-def _enforce_budget(subcommand: str, need: dict) -> None:
-    """Reject, before anything is allocated, a section estimated over ``BYTE_BUDGET``."""
+def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
+    """Reject, before anything is allocated, a config estimated over ``BYTE_BUDGET``.
+
+    Each section must fit alone, and the sections named in ``together``,
+    which run at once, must fit by their sum.
+    """
     for section, size in need.items():
         if size > BYTE_BUDGET:
             raise ConfigError(
                 f"{subcommand} section {section!r} exceeds the "
                 f"{BYTE_BUDGET >> 30} GiB memory budget"
             )
+    running = [section for section in together if section in need]
+    if sum(need[section] for section in running) > BYTE_BUDGET:
+        raise ConfigError(
+            f"{subcommand} sections {', '.join(map(repr, running))} run at once "
+            f"and together exceed the {BYTE_BUDGET >> 30} GiB memory budget"
+        )
 
 
 def _scaling_task(payload):
@@ -669,45 +708,96 @@ def _scaling_task(payload):
     return n, mean
 
 
+def _fit_prefix(samples: int) -> int:
+    """Samples of the fit grid evaluated first: the first multiple of 64 past t = 2/Gamma0.
+
+    The grid runs to 5/Gamma0, so t = 2/Gamma0 is sample 2 (samples - 1) / 5.
+    cos^2 x <= exp(-x^2) for |x| <= pi/2, so |r|^2 < e^-4 by then whenever
+    4 max g <= (pi/2) Gamma0, and the fit window ends inside the prefix.  A
+    multiple of 64 keeps every prefix sample in the SIMD lanes that compute
+    it on the full grid.
+    """
+    needed = -(-2 * (samples - 1) // 5) + 1
+    return min(samples, -(-needed // 64) * 64)
+
+
 def _fit_task(payload):
+    """Gaussian-decay fit of one balanced bath on ``samples`` points up to 5/Gamma0.
+
+    r(t) is evaluated only on the grid's first ``_fit_prefix`` samples, which
+    hold the fit window whenever the bound in ``_fit_prefix`` applies; if the
+    prefix never drops below e^-4 the whole grid is evaluated.  Either way
+    the fit is the one of the whole grid, bit for bit.
+    """
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
     gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
     t_grid = np.linspace(0.0, 5.0 / gamma0, samples)
-    fit = spin_bath.fit_gaussian_decay(spin_bath.decoherence_trace(cfg, t_grid))
+    trace = spin_bath.decoherence_trace(cfg, t_grid[: _fit_prefix(samples)])
+    if not np.any(trace.r2 < spin_bath._FIT_FLOOR):
+        trace = spin_bath.decoherence_trace(cfg, t_grid)
+    fit = spin_bath.fit_gaussian_decay(trace)
     return fit.gamma, fit.r_squared, fit.t_max
 
 
+def _spin_bath_task(payload):
+    """One pooled spin-bath task: ``("scaling", args)`` or ``("gaussian_fit", args)``."""
+    section, args = payload
+    return _scaling_task(args) if section == "scaling" else _fit_task(args)
+
+
+def _trace_rows(t_grid, r):
+    """trace.csv's rows, made ``_ROW_SLICE`` at a time from the arrays."""
+    for lo in range(0, t_grid.size, _ROW_SLICE):
+        part = r[lo : lo + _ROW_SLICE]
+        yield from zip(
+            t_grid[lo : lo + _ROW_SLICE].tolist(),
+            part.real.tolist(),
+            part.imag.tolist(),
+            (np.abs(part) ** 2).tolist(),
+        )
+
+
+def _write_trace(sec: dict, child, out) -> None:
+    cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), child)
+    t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
+    r = spin_bath.decoherence_factor(cfg, t_grid)
+    out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, r))
+
+
 def run_spin_bath(config, seed, workers, out) -> int:
-    _enforce_budget("spin-bath", spin_bath_bytes(config, workers))
+    # the parent writes trace.csv while the pool runs scaling and gaussian_fit
+    together = ("trace", "scaling", "gaussian_fit")
+    _enforce_budget("spin-bath", spin_bath_bytes(config, workers), together)
     root = np.random.SeedSequence(seed)
     kids = root.spawn(4)
 
-    if "trace" in config:
-        sec = config["trace"]
-        cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), kids[0])
-        t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        r = spin_bath.decoherence_factor(cfg, t_grid)
-        rows = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
-        out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], rows)
-
+    payloads = []
     if "scaling" in config:
         sec = config["scaling"]
         span = sec.get("span_periods", 400.0)
         samples = sec.get("samples", _SCALING_SAMPLES)
         children = kids[1].spawn(len(sec["n_values"]))
-        payloads = [(n, span, samples, child) for n, child in zip(sec["n_values"], children)]
-        means = _pmap(_scaling_task, payloads, workers)
-        rows = [(n, mean, math.log2(mean)) for n, mean in means]
-        out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], rows)
-
+        payloads += [("scaling", (n, span, samples, child))
+                     for n, child in zip(sec["n_values"], children)]
+    n_scaling = len(payloads)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
         samples = sec.get("samples", _FIT_SAMPLES)
         children = kids[2].spawn(sec["n_seeds"])
-        payloads = [(sec["n_spins"], samples, child) for child in children]
-        rows = [(idx, *fit) for idx, fit in enumerate(_pmap(_fit_task, payloads, workers))]
-        out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], rows)
+        payloads += [("gaussian_fit", (sec["n_spins"], samples, child)) for child in children]
+
+    # files are written in the same order as without a pool
+    with _pmap(_spin_bath_task, payloads, workers) as results:
+        if "trace" in config:
+            _write_trace(config["trace"], kids[0], out)
+        if "scaling" in config:
+            means = itertools.islice(results, n_scaling)
+            rows = [(n, mean, math.log2(mean)) for n, mean in means]
+            out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], rows)
+        if "gaussian_fit" in config:
+            rows = [(idx, *fit) for idx, fit in enumerate(results)]
+            out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], rows)
 
     if "recurrence" in config:
         sec = config["recurrence"]
@@ -1035,7 +1125,8 @@ def run_oracle_compare(config, seed, workers, out) -> int:
     n_values = list(config["n_values"]) * int(config["trials"])
     children = np.random.SeedSequence(seed).spawn(len(n_values))
     payloads = [(n, times, t_max, child) for n, child in zip(n_values, children)]
-    results = _pmap(_oracle_task, payloads, workers)
+    with _pmap(_oracle_task, payloads, workers) as results:
+        results = list(results)
     rows = [(idx // len(config["n_values"]), n, dev) for idx, (n, dev) in enumerate(results)]
     out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], rows)
     worst = max(dev for _, dev in results)

@@ -28,6 +28,9 @@ from .states import (
 #: Seed used whenever a caller asks for a random ensemble without providing one.
 DEFAULT_SEED = 42
 
+# A Gaussian-decay fit window ends at the first sample with |r|^2 below this.
+_FIT_FLOOR = math.exp(-4.0)
+
 
 class FitWindowError(RuntimeError):
     """Raised when a trace never decays enough to define the fit window."""
@@ -266,7 +269,7 @@ def fit_gaussian_decay(trace: DecoherenceTrace) -> GaussianFit:
         If |r|^2 never drops below e^-4 on the trace.
     """
     r2 = trace.r2
-    below = np.nonzero(r2 < math.exp(-4.0))[0]
+    below = np.nonzero(r2 < _FIT_FLOOR)[0]
     if below.size == 0:
         raise FitWindowError(
             "trace never decays below e^-4; no Gaussian fit window exists"
@@ -330,8 +333,15 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
         step = max_step
     elif _positive("step", step) > max_step:
         raise ValueError(f"step {step:g} too coarse; need <= {max_step:g}")
-    # horizon / step is inf when it overflows
-    n_pts = int(math.ceil(_positive("horizon / step", horizon / step))) + 1
+    # checked before np.linspace: the float grid must fit one array (the
+    # count is inf when horizon / step overflows)
+    points = horizon / step + 1.0
+    if not points <= np.iinfo(np.intp).max // 8:
+        raise ValueError(
+            f"horizon {horizon:g} needs {points:.4g} grid points at step {step:g}, "
+            "more than one array can hold"
+        )
+    n_pts = int(math.ceil(horizon / step)) + 1
     t_grid = np.linspace(0.0, float(horizon), n_pts)
     above = np.empty(n_pts, dtype=bool)
     block = 1 << 18

@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -18,7 +19,13 @@ from conftest import cli_env
 from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet, povm_probabilities
-from decolab.spin_bath import SpinBathConfig, decoherence_factor
+from decolab.spin_bath import (
+    FitWindowError,
+    SpinBathConfig,
+    decoherence_factor,
+    decoherence_trace,
+    fit_gaussian_decay,
+)
 from decolab.states import DIM_CAP
 
 
@@ -149,6 +156,137 @@ def test_spin_bath_recurrence_csv(tmp_path):
     intervals = [(float(a), float(b)) for a, b in rows[1:]]
     # g = (1, 2) gives revivals at multiples of pi
     assert any(lo <= np.pi <= hi for lo, hi in intervals)
+
+
+# four sections, so one pool carries both the scaling and the fit tasks
+FOUR_SECTION_CFG = dict(
+    SPIN_CFG,
+    scaling={"n_values": [4, 5, 6], "samples": 2000},
+    gaussian_fit={"n_spins": 8, "n_seeds": 5, "samples": 300},
+)
+FORKED_POOL = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two CPUs and forked workers that inherit a patched task",
+)
+
+
+def _count_pools(monkeypatch):
+    starts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return starts
+
+
+@FORKED_POOL
+def test_spin_bath_starts_one_pool_for_all_its_sections(tmp_path, monkeypatch):
+    starts = _count_pools(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", FOUR_SECTION_CFG)
+    files = {}
+    for workers, pools in (("2", 1), ("1", 0)):
+        out = tmp_path / f"w{workers}"
+        argv = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers, "--quiet"]
+        assert main(argv) == 0
+        assert len(starts) == pools
+        starts.clear()
+        files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files["2"]) == ["gaussian_fit.csv", "recurrence.csv", "scaling.csv", "trace.csv"]
+    assert files["2"] == files["1"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=FORKED_POOL)])
+def test_failing_fit_task_leaves_earlier_sections_and_no_workers(
+    tmp_path, monkeypatch, capsys, workers
+):
+    def no_window(payload):
+        raise FitWindowError("trace never decays below e^-4; no Gaussian fit window exists")
+
+    monkeypatch.setattr(cli, "_fit_task", no_window)
+    starts = _count_pools(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", FOUR_SECTION_CFG)
+    out = tmp_path / "o"
+    code = main(["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers, "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "decolab: trace never decays below e^-4; no Gaussian fit window exists\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["scaling.csv", "trace.csv"]
+    assert len(starts) == (workers == "2")
+    assert multiprocessing.active_children() == []
+
+
+def test_trace_rows_streamed_in_slices_match_whole_array_rows():
+    bath = SpinBathConfig.random(6, np.random.default_rng(5))
+    t_grid = np.linspace(0.0, 9.0, 3 * cli._ROW_SLICE + 17)
+    r = decoherence_factor(bath, t_grid)
+    whole = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
+    rows = list(cli._trace_rows(t_grid, r))
+    assert np.array(rows).tobytes() == np.array(list(whole)).tobytes()
+
+
+def _full_grid_fit(n, samples, child):
+    bath = cli._bath_from(n, "balanced", child)
+    gamma0 = 2.0 * np.sqrt(float(np.dot(bath.g, bath.g)))
+    t_grid = np.linspace(0.0, 5.0 / gamma0, samples)
+    fit = fit_gaussian_decay(decoherence_trace(bath, t_grid))
+    return bath, t_grid, (fit.gamma, fit.r_squared, fit.t_max)
+
+
+@pytest.mark.parametrize("samples", [50, 1200, 2000])
+@pytest.mark.parametrize("n", [2, 8, 50, 200])
+def test_fit_prefix_matches_the_full_grid_bit_for_bit(n, samples):
+    prefix = cli._fit_prefix(samples)
+    assert prefix == samples or prefix % 64 == 0
+    for seed in range(6):
+        child = np.random.SeedSequence([seed, n, samples])
+        bath, t_grid, want = _full_grid_fit(n, samples, child)
+        full = decoherence_factor(bath, t_grid)
+        head = decoherence_factor(bath, t_grid[:prefix])
+        assert head.tobytes() == full[:prefix].tobytes()
+        assert cli._fit_task((n, samples, child)) == want
+
+
+def test_fit_prefix_ends_past_two_over_gamma0():
+    for samples in range(50, 5000, 7):
+        prefix = cli._fit_prefix(samples)
+        assert prefix == samples or (prefix - 1) * 5 >= 2 * (samples - 1)
+        assert prefix == samples or prefix - 64 < 2 * (samples - 1) / 5 + 1
+
+
+def test_fit_prefix_too_short_falls_back_to_the_full_grid(monkeypatch):
+    n, samples, child = 200, 2000, np.random.SeedSequence(8)
+    _, _, want = _full_grid_fit(n, samples, child)
+    lengths = []
+    real = cli.spin_bath.decoherence_trace
+
+    def spy(bath, t_grid):
+        lengths.append(len(t_grid))
+        return real(bath, t_grid)
+
+    monkeypatch.setattr(cli.spin_bath, "decoherence_trace", spy)
+    monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
+    assert cli._fit_task((n, samples, child)) == want
+    assert lengths == [64, samples]
+    lengths.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.spin_bath, "decoherence_trace", spy)
+    assert cli._fit_task((n, samples, child)) == want
+    assert lengths == [cli._fit_prefix(samples)]
+
+
+def test_fit_task_on_a_trace_that_never_decays_raises(monkeypatch):
+    # every bath spin in an energy eigenstate: |r| = 1 on the whole grid
+    def eigenstate_bath(n, ensemble, child):
+        return SpinBathConfig(0.6, 0.8, np.linspace(0.2, 1.0, n), np.ones(n), np.zeros(n))
+
+    monkeypatch.setattr(cli, "_bath_from", eigenstate_bath)
+    with pytest.raises(FitWindowError):
+        cli._fit_task((8, 1200, np.random.SeedSequence(1)))
 
 
 # ------------------------------------------------------------ measure output
@@ -304,6 +442,45 @@ def test_oversized_spin_bath_is_rejected_before_allocation(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("decolab: ") and "'trace'" in err and err.count("\n") == 1
+
+
+def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
+    tmp_path, monkeypatch, capsys
+):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a time grid was allocated")
+
+    # each section fits alone, but trace and scaling run at once
+    config = dict(
+        SPIN_CFG,
+        trace={"n_spins": 4, "t_max": 1.0, "samples": 2 * 10 ** 7},
+        scaling={"n_values": [4], "samples": 2 * 10 ** 7},
+    )
+    need = cli.spin_bath_bytes(config, workers=1)
+    assert max(need.values()) <= cli.BYTE_BUDGET < need["trace"] + need["scaling"]
+    monkeypatch.setattr(np, "linspace", no_grid)
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "decolab: spin-bath sections 'trace', 'scaling' run at once and together "
+        "exceed the 2 GiB memory budget\n"
+    )
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_trace_estimate_covers_the_streamed_section(tmp_path):
+    out = cli._Output(str(tmp_path), "spin-bath", {}, 0, quiet=True)
+    for samples in (cli._ROW_SLICE, 5 * cli._ROW_SLICE + 1):
+        trace = {"n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": samples}
+        tracemalloc.start()
+        try:
+            cli._write_trace(trace, np.random.SeedSequence(0), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cli.spin_bath_bytes({"trace": trace}, workers=1)["trace"] >= peak
 
 
 def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,19 @@ def test_recurrence_horizon_that_overflows_the_grid_names_horizon(horizon):
     # 1e308 is finite, but horizon / step overflows to inf
     with pytest.raises(ValueError, match="horizon"):
         recurrence_scan(SpinBathConfig.balanced([0.5, 0.7]), horizon, 0.01)
+
+
+@pytest.mark.parametrize("horizon", [1e18, 1e300])
+def test_recurrence_grid_past_one_array_names_horizon_and_points(horizon, monkeypatch):
+    # finite horizon / step, but more points than one float array can hold:
+    # rejected by name before np.linspace is reached
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    cfg = SpinBathConfig.balanced([0.5, 0.7])
+    with pytest.raises(ValueError, match=re.escape(f"horizon {horizon:g} needs ")) as err:
+        recurrence_scan(cfg, horizon, 0.01)
+    points = float(str(err.value).split()[3])
+    step = min(np.pi / (20 * 0.7), np.sqrt(0.01 / (2 * (0.5 ** 2 + 0.7 ** 2))))
+    assert points == pytest.approx(horizon / step, rel=1e-3)

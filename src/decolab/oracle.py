@@ -86,8 +86,10 @@ def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
 def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     """Amplitudes of exp(-i H t)|psi0> for every t in a grid.
 
-    One eigendecomposition is shared across the whole grid.  Returns a
-    (len(t_grid), dim) complex array; rows are unit vectors.
+    One eigendecomposition is shared across the whole grid, and the phase
+    table is built in place, so one (len(t_grid), dim) buffer is live beside
+    the result.  Returns a (len(t_grid), dim) complex array; rows are unit
+    vectors.
     """
     h = np.asarray(h, dtype=complex)
     _check_square("Hamiltonian", h, _HERM_ATOL)
@@ -96,8 +98,10 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     t_grid = _finite("t_grid", t_grid).reshape(-1)
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0.amps
-    phases = np.exp(-1j * np.outer(t_grid, evals))
-    return (phases * coeff) @ evecs.T
+    phases = -1j * np.outer(t_grid, evals)
+    np.exp(phases, out=phases)
+    phases *= coeff
+    return phases @ evecs.T
 
 
 def _spin_sums(g: np.ndarray) -> np.ndarray:

@@ -579,6 +579,23 @@ def test_oversized_fock_is_rejected_before_allocation(tmp_path, monkeypatch, cap
     assert err.startswith("decolab: ") and "'completeness'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n_max, points", [(48, 5001), (400, 101)])
+def test_ehrenfest_estimate_covers_the_section(tmp_path, n_max, points):
+    dt = 1e-3
+    config = {"experiment": "fock", "n_max": n_max,
+              "ehrenfest": {"alpha": [1.5, 0.0], "t_max": (points - 1) * dt, "dt": dt}}
+    out = cli._Output(str(tmp_path), "fock", {}, 0, quiet=True)
+    tracemalloc.start()
+    try:
+        assert cli.run_fock(config, 0, 1, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, rows = read_csv(tmp_path / "ehrenfest.csv")
+    assert len(rows) == points - 1
+    assert cli.fock_bytes(config)["ehrenfest"] >= peak
+
+
 def test_shipped_fock_configs_fit_the_budget(tmp_path):
     shipped = [c for c in README_CONFIGS if c["experiment"] == "fock"]
     shipped += _benchmark_configs(tmp_path, "fock")

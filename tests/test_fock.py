@@ -255,6 +255,50 @@ def test_ehrenfest_position_tracks_classical_rotation():
     np.testing.assert_allclose(exp_x, want, atol=1e-9)
 
 
+def _superposition(space, alpha, beta):
+    amps = coherent_state(space, alpha).amps + coherent_state(space, beta).amps
+    return StateVector((space.dim,), amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize(
+    "n_max, alpha",
+    [pytest.param(20, 1.0, id="n20"), pytest.param(48, 1.5 * np.exp(0.7j), id="n48")],
+)
+@pytest.mark.parametrize("kind", ["coherent", "superposition"])
+@pytest.mark.parametrize("omega, mass", [(1.0, 1.0), (1.7, 0.6)])
+def test_ehrenfest_residuals_match_the_three_operand_einsum(n_max, alpha, kind, omega, mass):
+    space = FockSpace(n_max)
+    if kind == "coherent":
+        psi = coherent_state(space, alpha)
+    else:
+        psi = _superposition(space, alpha, 1j * alpha)
+    dt = 1e-3
+    t = np.arange(5001) * dt
+    report = ehrenfest_check(space, psi, omega, mass, t)
+
+    ham = space.momentum @ space.momentum / (2.0 * mass) \
+        + 0.5 * mass * omega ** 2 * (space.position @ space.position)
+    amps = evolve_dense_grid(ham, psi, t)
+    exp_x = np.einsum("ti,ij,tj->t", amps.conj(), space.position, amps).real
+    exp_p = np.einsum("ti,ij,tj->t", amps.conj(), space.momentum, amps).real
+    dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
+    want = np.abs(dpdt + mass * omega ** 2 * exp_x[1:-1])
+
+    # Either way <X> = Re sum_ij conj(a_i) X_ij a_j is a sum of at most 2d
+    # nonzero real products (X is tridiagonal, zero terms add exactly), so
+    # each is rounded by at most about 2d eps kappa_X with the condition
+    # number kappa_X = |a|^T |X| |a|.  The two differ by twice that, and the
+    # centered difference divides <p>'s share by dt.
+    d, eps = space.dim, np.finfo(float).eps
+    kappa_x, kappa_p = (
+        np.einsum("ti,ij,tj->t", abs(amps), abs(op), abs(amps)).max()
+        for op in (space.position, space.momentum)
+    )
+    bound = 4 * d * eps * (kappa_p / dt + mass * omega ** 2 * kappa_x)
+    assert np.max(np.abs(report.residuals - want)) <= bound
+    assert report.t.tobytes() == t[1:-1].tobytes()
+
+
 def test_ehrenfest_grid_validation():
     space = FockSpace(12)
     psi = coherent_state(space, 0.5)

@@ -103,6 +103,18 @@ def test_evolve_dense_grid_matches_pointwise():
         np.testing.assert_allclose(rows[i], evolve_dense(h, psi, t).amps, atol=1e-11)
 
 
+@pytest.mark.parametrize("dim, points", [(7, 11), (49, 5001)])
+def test_evolve_dense_grid_rows_equal_the_plain_expression_bit_for_bit(dim, points):
+    h = random_hermitian(dim)
+    psi = random_state(dim)
+    t_grid = np.linspace(0.0, 5.0, points)
+    evals, evecs = np.linalg.eigh(h)
+    coeff = evecs.conj().T @ psi.amps
+    want = (np.exp(-1j * np.outer(t_grid, evals)) * coeff) @ evecs.T
+    got = evolve_dense_grid(h, psi, t_grid)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_evolve_dense_rejects_non_hermitian():
     with pytest.raises(ValueError):
         evolve_dense(np.array([[0.0, 1.0], [0.0, 0.0]]), random_state(2), 1.0)

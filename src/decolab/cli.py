@@ -32,7 +32,12 @@ process pool per run (``_pmap``) and submits every ``scaling`` and
 ``gaussian_fit`` task up front; while the workers run, the parent computes
 and writes ``trace.csv``, whose rows (10^5 in the benchmark) are made from
 the arrays one slice at a time, never held as lists of Python floats.  Each
-Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  Before it
+Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  The
+``trace``, ``scaling`` and ``gaussian_fit`` grids are uniform, so r(t) is
+evaluated there by angle addition on 64-sample blocks
+(``spin_bath.decoherence_on_grid``), and their r-derived columns reproduce
+across numpy and libm builds only to its rounding floor, about
+N eps (1 + max |2 g t|); reruns on one build are byte-identical.  Before it
 allocates anything, a runner estimates each section's peak bytes from the
 config alone and rejects, as a config error, any section over the one
 ``BYTE_BUDGET``, and sections that run at once when their sum is over it.
@@ -617,12 +622,15 @@ _ROW_SLICE = 4096
 # row's share of the arrays), per recurrence grid point, per bath
 # spin (the peak of building a bath of either ensemble, the random one's
 # construction the larger; pointer baths cost the same), and per task a
-# section hands to the pool (seed, payload, result row).
+# section hands to the pool (seed, payload, result row); plus, for every
+# uniform grid, the grid evaluator's fixed tile buffers (two float and one
+# complex buffer of spin_bath._GRID_ENTRIES entries, 1 MiB).
 _POINT_BYTES = 64
 _TRACE_ROW_BYTES = 160
 _SCAN_POINT_BYTES = 32
 _SPIN_BYTES = 192
 _TASK_BYTES = 2048
+_GRID_BYTES = 32 * spin_bath._GRID_ENTRIES
 
 
 def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
@@ -636,9 +644,10 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     Worked out from the config alone, before anything is allocated.  r(t) is
     streamed spin by spin, so a section grows linearly with its time samples
     (grid points for ``recurrence``); the bath adds only its couplings and
-    amplitudes, and ``trace`` one slice of Python rows.  A pooled section
-    holds one task per busy worker at a time.  ``trace``, ``scaling`` and
-    ``gaussian_fit`` run at once, so ``run_spin_bath`` also bounds their sum.
+    amplitudes, the grid evaluator its fixed tile buffers, and ``trace`` one
+    slice of Python rows.  A pooled section holds one task per busy worker
+    at a time.  ``trace``, ``scaling`` and ``gaussian_fit`` run at once, so
+    ``run_spin_bath`` also bounds their sum.
     """
     need = {}
     if "trace" in config:
@@ -646,6 +655,7 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
         need["trace"] = (
             sec["n_spins"] * _SPIN_BYTES
             + sec["samples"] * _POINT_BYTES
+            + _GRID_BYTES
             + min(sec["samples"], _ROW_SLICE) * _TRACE_ROW_BYTES
         )
     if "scaling" in config:
@@ -653,12 +663,15 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
         per_task = (
             max(sec["n_values"]) * _SPIN_BYTES
             + sec.get("samples", _SCALING_SAMPLES) * _POINT_BYTES
+            + _GRID_BYTES
         )
         need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task, _TASK_BYTES)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
         per_task = (
-            sec["n_spins"] * _SPIN_BYTES + sec.get("samples", _FIT_SAMPLES) * _POINT_BYTES
+            sec["n_spins"] * _SPIN_BYTES
+            + sec.get("samples", _FIT_SAMPLES) * _POINT_BYTES
+            + _GRID_BYTES
         )
         need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
     sec = config.get("recurrence", {})
@@ -713,12 +726,13 @@ def _fit_prefix(samples: int) -> int:
 
     The grid runs to 5/Gamma0, so t = 2/Gamma0 is sample 2 (samples - 1) / 5.
     cos^2 x <= exp(-x^2) for |x| <= pi/2, so |r|^2 < e^-4 by then whenever
-    4 max g <= (pi/2) Gamma0, and the fit window ends inside the prefix.  A
-    multiple of 64 keeps every prefix sample in the SIMD lanes that compute
-    it on the full grid.
+    4 max g <= (pi/2) Gamma0, and the fit window ends inside the prefix.  The
+    prefix is whole anchor blocks of ``spin_bath.decoherence_on_grid``, which
+    computes each of its samples exactly as on the full grid.
     """
     needed = -(-2 * (samples - 1) // 5) + 1
-    return min(samples, -(-needed // 64) * 64)
+    block = spin_bath._GRID_BLOCK
+    return min(samples, -(-needed // block) * block)
 
 
 def _fit_task(payload):
@@ -726,8 +740,10 @@ def _fit_task(payload):
 
     r(t) is evaluated only on the grid's first ``_fit_prefix`` samples, which
     hold the fit window whenever the bound in ``_fit_prefix`` applies; if the
-    prefix never drops below e^-4 the whole grid is evaluated.  Either way
-    the fit is the one of the whole grid, bit for bit.
+    prefix never drops below e^-4 the whole grid is evaluated.  Both are
+    uniform grids, which ``decoherence_trace`` hands to
+    ``spin_bath.decoherence_on_grid``, so either way the fit is the one of
+    the whole grid, bit for bit.
     """
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
@@ -760,8 +776,8 @@ def _trace_rows(t_grid, r):
 
 def _write_trace(sec: dict, child, out) -> None:
     cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), child)
-    t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-    r = spin_bath.decoherence_factor(cfg, t_grid)
+    t_grid, step = np.linspace(0.0, sec["t_max"], sec["samples"], retstep=True)
+    r = spin_bath.decoherence_on_grid(cfg, step, t_grid.size)
     out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, r))
 
 

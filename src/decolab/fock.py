@@ -260,9 +260,10 @@ def ehrenfest_check(
     d eps max|<p>| / dt (2e-11 at n_max 48, |alpha| 1.5, dt 1e-3):
     residuals near it differ between BLAS builds.  ``omega`` must be finite,
     ``mass`` positive and finite, and the grid uniform with at least three
-    finite points.  The initial state must keep its population below
-    n_max/2 (tail mass above it under 1e-6), otherwise truncation artifacts
-    would masquerade as physics.
+    finite points.  The state must keep its population below n_max/2 (tail
+    mass above it under 1e-6), initially and at every grid time, otherwise
+    truncation artifacts would masquerade as physics: a TruncationError
+    names the first time it does not.
     """
     _finite("omega", omega)
     _positive("mass", mass)
@@ -285,6 +286,15 @@ def ehrenfest_check(
     ham = space.momentum @ space.momentum / (2.0 * mass) \
         + 0.5 * mass * omega ** 2 * (space.position @ space.position)
     amps = oracle.evolve_dense_grid(ham, initial, t_grid)
+    # the dynamics can squeeze the state onto the edge (m omega far from 1)
+    upper = amps[:, cut + 1 :].view(float)
+    tails = np.einsum("ti,ti->t", upper, upper)
+    bad = np.flatnonzero(~(tails <= _SUPPORT_TOL))
+    if bad.size:
+        raise TruncationError(
+            f"evolved state carries {tails[bad[0]]:g} population above level {cut} "
+            f"at t = {t_grid[bad[0]]:g}; enlarge the space before trusting the dynamics"
+        )
     exp_x = _expectations(amps, space.position)
     exp_p = _expectations(amps, space.momentum)
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)

@@ -483,6 +483,31 @@ def test_trace_estimate_covers_the_streamed_section(tmp_path):
         assert cli.spin_bath_bytes({"trace": trace}, workers=1)["trace"] >= peak
 
 
+@pytest.mark.parametrize(
+    "section, args, fallback",
+    [
+        pytest.param("scaling", (14, 400.0, 200001), False, id="scaling"),
+        pytest.param("gaussian_fit", (200, 2000), False, id="fit-prefix"),
+        # a prefix that never reaches the window: the whole grid follows it
+        pytest.param("gaussian_fit", (200, 2000), True, id="fit-fallback"),
+    ],
+)
+def test_pooled_task_estimates_cover_one_task(monkeypatch, section, args, fallback):
+    if fallback:
+        monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
+    if section == "scaling":
+        body = {"n_values": [args[0]], "span_periods": args[1], "samples": args[2]}
+    else:
+        body = {"n_spins": args[0], "n_seeds": 1, "samples": args[1]}
+    tracemalloc.start()
+    try:
+        cli._spin_bath_task((section, (*args, np.random.SeedSequence(3))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli.spin_bath_bytes({section: body}, workers=1)[section] >= peak
+
+
 def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("outcomes were sampled")
@@ -594,6 +619,20 @@ def test_ehrenfest_estimate_covers_the_section(tmp_path, n_max, points):
     _, rows = read_csv(tmp_path / "ehrenfest.csv")
     assert len(rows) == points - 1
     assert cli.fock_bytes(config)["ehrenfest"] >= peak
+
+
+@pytest.mark.parametrize("omega, mass", [(10.0, 1.0), (1.0, 25.0)])
+def test_ehrenfest_dynamics_past_the_truncation_is_a_usage_error(tmp_path, capsys, omega, mass):
+    # m omega far from 1 squeezes the coherent state onto the edge of n_max 20
+    config = {"experiment": "fock", "n_max": 20,
+              "ehrenfest": {"alpha": [1.0, 0.0], "omega": omega, "mass": mass,
+                            "t_max": 1.0, "dt": 1e-3}}
+    cfg = write_config(tmp_path / "c.json", config)
+    code = main(["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("decolab: evolved state carries ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "ehrenfest.csv").exists()
 
 
 def test_shipped_fock_configs_fit_the_budget(tmp_path):

@@ -314,6 +314,16 @@ def test_ehrenfest_rejects_states_crowding_the_truncation():
         ehrenfest_check(space, fock_level(space, 7), 1.0, 1.0, np.linspace(0, 1, 11))
 
 
+@pytest.mark.parametrize("omega, mass", [(10.0, 1.0), (1.0, 25.0)])
+def test_ehrenfest_rejects_dynamics_that_reach_the_truncation(omega, mass):
+    # the initial tail is 1e-8, but m omega far from 1 squeezes the state
+    # onto the edge of the space within the grid
+    space = FockSpace(20)
+    t = np.arange(1001) * 1e-3
+    with pytest.raises(TruncationError, match=r"evolved state .* above level 10 at t = "):
+        ehrenfest_check(space, coherent_state(space, 1.0), omega, mass, t)
+
+
 def test_ehrenfest_rejects_a_nan_in_the_time_grid():
     space = FockSpace(20)
     with pytest.raises(ValueError, match="t_grid"):

@@ -9,6 +9,7 @@ from decolab.spin_bath import (
     FitWindowError,
     SpinBathConfig,
     decoherence_factor,
+    decoherence_on_grid,
     decoherence_trace,
     environment_branch,
     fit_gaussian_decay,
@@ -135,6 +136,69 @@ def test_streamed_kernel_matches_outer_product_reference(n, bath):
             np.testing.assert_array_equal(np.imag(want), 0.0)
         else:
             assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 13, 40, 200])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_grid_evaluator_matches_decoherence_factor_to_phase_rounding(n, bath):
+    gen = np.random.default_rng(n + 7)
+    if bath == "balanced":
+        cfg = SpinBathConfig.balanced(gen.uniform(0.0, 1.0, n))
+    elif bath == "random":
+        cfg = SpinBathConfig.random(n, gen)
+    else:
+        cfg = _mixed_bath(n, gen)
+    eps = np.finfo(float).eps
+    span = 400.0 / cfg.g.min()  # the scaling section's grid
+    for samples in (2, 63, 64, 65, 1201, 200001):
+        # the longest grid only at the span, the case with the largest phases
+        for t_max in (span,) if samples == 200001 else (1.0, span):
+            t, step = np.linspace(0.0, t_max, samples, retstep=True)
+            got = decoherence_on_grid(cfg, step, samples)
+            want = decoherence_factor(cfg, t)
+            assert got.dtype == complex and got.shape == (samples,)
+            assert got[0] == 1.0
+            assert np.max(np.abs(got)) <= 1.0 + 1e-12
+            # Both round each phase when t_j = j h and 2 g t are formed, the
+            # grid also A and B apart: at most about 2 eps |2 g t| between
+            # them, plus a few eps from cos, sin and the angle addition.  Every
+            # factor has modulus <= 1, so the products differ by at most the
+            # sum of the N factor differences.
+            bound = 4 * n * eps * (1.0 + 2.0 * cfg.g.max() * t_max)
+            assert np.max(np.abs(got - want)) <= bound
+            # where B = 0 or A = 0 the factors are decoherence_factor's own,
+            # multiplied in its order (linspace's last point is t_max itself,
+            # not (samples - 1) * step)
+            exact = np.r_[0 : min(samples, 64), 0:samples:64]
+            exact = exact[t[exact] == exact * step]
+            assert got[exact].tobytes() == want[exact].tobytes()
+            count = samples // 3 + 1
+            assert decoherence_on_grid(cfg, step, count).tobytes() == got[:count].tobytes()
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+def test_grid_evaluator_rejects_a_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        decoherence_on_grid(SpinBathConfig.balanced([0.5]), step, 10)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_grid_evaluator_rejects_an_empty_grid(count):
+    with pytest.raises(ValueError, match="count"):
+        decoherence_on_grid(SpinBathConfig.balanced([0.5]), 0.1, count)
+
+
+def test_grid_functions_take_the_grid_evaluator_on_uniform_grids_only():
+    cfg = _mixed_bath(9, np.random.default_rng(4))
+    t, step = np.linspace(0.0, 30.0, 700, retstep=True)
+    on_grid = decoherence_on_grid(cfg, step, t.size)
+    assert decoherence_trace(cfg, t).r.tobytes() == on_grid.tobytes()
+    assert decoherence_trace(cfg, t[:300]).r.tobytes() == on_grid[:300].tobytes()
+    assert time_averaged_r2(cfg, t) == float(np.mean(np.abs(on_grid) ** 2))
+    for other in (t[1:] - t[1], np.sqrt(t * 30.0), np.r_[t[:-1], 30.5]):
+        want = decoherence_factor(cfg, other)
+        assert decoherence_trace(cfg, other).r.tobytes() == want.tobytes()
+        assert time_averaged_r2(cfg, other) == float(np.mean(np.abs(want) ** 2))
 
 
 def test_decoherence_factor_matches_oracle():

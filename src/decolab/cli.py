@@ -513,7 +513,8 @@ def _load_config(path: str, experiment: str) -> dict:
             config = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser goes
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or not config:
         raise ConfigError("config must be a non-empty JSON object")
@@ -553,7 +554,10 @@ class _Output:
 
     def __init__(self, out_dir, experiment: str, config: dict, seed: int, quiet: bool):
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create --out {out_dir}: {exc}") from exc
         self.out_dir = out_dir
         self.prov = _provenance(experiment, config, seed)
         self.quiet = quiet
@@ -642,11 +646,11 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     """Estimated peak bytes of each section of a spin-bath config.
 
     Worked out from the config alone, before anything is allocated.  r(t) is
-    streamed spin by spin, so a section grows linearly with its time samples
-    (grid points for ``recurrence``); the bath adds only its couplings and
-    amplitudes, the grid evaluator its fixed tile buffers, and ``trace`` one
-    slice of Python rows.  A pooled section holds one task per busy worker
-    at a time.  ``trace``, ``scaling`` and ``gaussian_fit`` run at once, so
+    multiplied in a tile of spins at a time, so a section grows linearly with
+    its time samples (grid points for ``recurrence``); the bath adds only its
+    couplings and amplitudes, the r(t) kernel its tile buffers, and
+    ``trace`` one slice of Python rows.  A pooled section holds one task per
+    busy worker at a time.  ``trace``, ``scaling`` and ``gaussian_fit`` run at once, so
     ``run_spin_bath`` also bounds their sum.
     """
     need = {}
@@ -861,7 +865,9 @@ def run_measure(config, seed, workers, out) -> int:
         try:
             with open(config["kraus_file"], "r", encoding="utf-8") as fh:
                 kset = measurement.KrausSet.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
+                ValueError) as exc:
+            # TypeError: a field of the wrong JSON type, such as a number for "shape"
             raise ConfigError(f"cannot load Kraus set: {exc}") from exc
         if kset.dim_in == 2:
             target = states.reduced_density(joint, keep=0)
@@ -907,9 +913,10 @@ def pointer_bytes(config: dict) -> dict:
 
     Worked out from the config alone, before anything is allocated.  The
     bath is built first and held to the end, so it is its own entry,
-    ``environment``, and part of every other one.  r(t) is streamed spin by
-    spin, so ``correlation`` and ``sieve`` grow linearly with their time
-    samples, ``correlation`` also with one stored column per angle.
+    ``environment``, and part of every other one.  r(t) is multiplied in a
+    tile of spins at a time, so ``correlation`` and ``sieve`` grow linearly
+    with their time samples, ``correlation`` also with one stored column per
+    angle.
     ``apparatus`` is a closed form: linear in its samples times mixture
     components, plus its amplitudes and rates.
     """

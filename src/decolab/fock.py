@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .measurement import KrausSet
-from .states import StateVector, _check_density_dim, _finite, _frozen, _positive
+from .states import StateVector, _check_density_dim, _finite, _frozen, _positive, _square
 
 _SUPPORT_TOL = 1e-6
 
@@ -91,10 +91,9 @@ def coherent_state(space: FockSpace, alpha: complex) -> StateVector:
     and a TruncationError is raised.
     """
     alpha = complex(_finite("alpha", alpha, complex))
-    if abs(alpha) ** 2 > space.n_max / 4.0:
-        raise TruncationError(
-            f"|alpha|^2 = {abs(alpha) ** 2:g} exceeds n_max/4 = {space.n_max / 4:g}"
-        )
+    mean_n = _square(abs(alpha))
+    if mean_n > space.n_max / 4.0:
+        raise TruncationError(f"|alpha|^2 = {mean_n:g} exceeds n_max/4 = {space.n_max / 4:g}")
     amps = _coherent_table(alpha, space.dim)[0]
     return StateVector((space.dim,), amps / np.linalg.norm(amps))
 
@@ -150,13 +149,16 @@ def polar_grid(radius: float, n_radial: int = 64, n_angular: int = 64) -> Cohere
     if n_radial < 1 or n_angular < 1:
         raise ValueError("need at least one node in each direction")
     nodes, wts = np.polynomial.legendre.leggauss(n_radial)
-    u = 0.5 * (nodes + 1.0) * radius ** 2
-    w_u = 0.5 * wts * radius ** 2
-    phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    area = _square(radius)
+    w_u = 0.5 * wts * area
     w_phi = 2.0 * math.pi / n_angular
+    weights = np.multiply.outer(0.5 * w_u, np.full(n_angular, w_phi)).reshape(-1)
+    if not np.all((weights > 0.0) & (weights < math.inf)):
+        raise ValueError(f"radius {radius:g} over- or underflows the quadrature weights")
+    u = 0.5 * (nodes + 1.0) * area
+    phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
     rr = np.sqrt(u)
     points = np.multiply.outer(rr, np.exp(1j * phi)).reshape(-1)
-    weights = np.multiply.outer(0.5 * w_u, np.full(n_angular, w_phi)).reshape(-1)
     return CoherentGrid(points, weights, float(radius))
 
 
@@ -273,7 +275,7 @@ def ehrenfest_check(
     steps = np.diff(t_grid)
     dt = float(steps[0])
     if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-9 * max(dt, 1.0)):
-        raise ValueError("time grid must be uniform and increasing")
+        raise ValueError("time grid t_grid must be uniform and increasing")
     if initial.dim != space.dim:
         raise ValueError(f"state dim {initial.dim} != space dim {space.dim}")
     cut = space.n_max // 2
@@ -283,8 +285,12 @@ def ehrenfest_check(
             f"initial state carries {tail:g} population above level {cut}; "
             "enlarge the space before trusting the dynamics"
         )
-    ham = space.momentum @ space.momentum / (2.0 * mass) \
-        + 0.5 * mass * omega ** 2 * (space.position @ space.position)
+    omega_sq = _square(omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN entry is rejected below
+        ham = space.momentum @ space.momentum / (2.0 * mass) \
+            + 0.5 * mass * omega_sq * (space.position @ space.position)
+    if not np.isfinite(ham).all():
+        raise ValueError(f"omega {omega:g} and mass {mass:g} overflow the Hamiltonian")
     amps = oracle.evolve_dense_grid(ham, initial, t_grid)
     # the dynamics can squeeze the state onto the edge (m omega far from 1)
     upper = amps[:, cut + 1 :].view(float)
@@ -298,7 +304,7 @@ def ehrenfest_check(
     exp_x = _expectations(amps, space.position)
     exp_p = _expectations(amps, space.momentum)
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
-    residuals = _frozen(np.abs(dpdt + mass * omega ** 2 * exp_x[1:-1]))
+    residuals = _frozen(np.abs(dpdt + mass * omega_sq * exp_x[1:-1]))
     return EhrenfestReport(
         max_residual=float(np.max(residuals)),
         dt=dt,

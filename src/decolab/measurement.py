@@ -134,6 +134,8 @@ class KrausSet:
         ``completeness_tol`` defaults to the stored value; pass a float or
         None to override.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"a Kraus set is a JSON object, got {type(data).__name__}")
         rows, cols = (int(x) for x in data["shape"])
         ops = []
         for flat in data["operators"]:

@@ -21,9 +21,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spin_bath import SpinBathConfig, decoherence_factor, environment_branch
+from .spin_bath import SpinBathConfig, _check_phase, decoherence_factor, environment_branch
 from .states import (
     BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
+    _square,
 )
 
 
@@ -43,7 +44,7 @@ class TriConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        _check_close(abs(self.a) ** 2 + abs(self.b) ** 2, 1.0, 1e-12,
+        _check_close(_square(abs(self.a)) + _square(abs(self.b)), 1.0, 1e-12,
                      "|a|^2 + |b|^2 = {!r}, expected 1")
         if not isinstance(self.bath, SpinBathConfig):
             raise TypeError("bath must be a SpinBathConfig")
@@ -98,6 +99,7 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     t_grid = _finite("t_grid", t_grid).reshape(-1)
+    _check_phase(cfg.bath, "t_grid", t_grid)
     return _rotated_correlation(cfg, theta, decoherence_factor(cfg.bath, t_grid))
 
 
@@ -139,6 +141,7 @@ def predictability_sieve(
     t_grid = _finite("t_grid", t_grid).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("empty time grid")
+    _check_phase(cfg.bath, "t_grid", t_grid)
     mean_r2 = float(np.mean(np.abs(decoherence_factor(cfg.bath, t_grid)) ** 2))
     scored = []
     for basis in candidates:

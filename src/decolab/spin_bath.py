@@ -6,18 +6,23 @@ beta_k|down>.  The qubit's off-diagonal element decays by the factor
 
     r(t) = prod_k [ cos(2 g_k t) + i (|alpha_k|^2 - |beta_k|^2) sin(2 g_k t) ],
 
-which this module evaluates spin by spin, with spins in an even
-superposition (|alpha_k| = |beta_k|) entering as a real product of cosines.
-At T arbitrary times (``decoherence_factor``) that is O(T*N) time, one
-cosine (two for an uneven spin) per spin and time, and O(T) extra memory.
-On a uniform grid t_j = j h (``decoherence_on_grid``, which
-``decoherence_trace`` and ``time_averaged_r2`` use whenever their grid is
-``np.linspace(0, t_max, samples)`` or a prefix of one) each spin's phase is
-split into a per-64-sample anchor plus one of 64 offsets and recombined by
-angle addition, so a spin costs 2 (64 + T/64) cosines and sines instead of
-T; the work is still O(T*N), now in multiplications.  Around it sit the
-branch states of the environment, long-time averages, Gaussian-decay fits,
-and a recurrence scanner.
+which one kernel (``_product``) evaluates: each sample's time is an anchor
+plus an offset, the spins are multiplied in a tile at a time in spin order,
+and spins in an even superposition (|alpha_k| = |beta_k|) enter as a real
+product of cosines.  At T arbitrary times (``decoherence_factor``) every
+time is its own anchor and the offset is 0, the kernel's zero-offset case:
+O(T*N) time, one cosine (two for an uneven spin) per spin and time, and 24
+bytes per time plus one tile.  On a uniform grid t_j = j h
+(``decoherence_on_grid``, which ``decoherence_trace`` and
+``time_averaged_r2`` use whenever their grid is
+``np.linspace(0, t_max, samples)`` or a prefix of one) the anchors are every
+64th sample and the offsets the 64 steps of a block, recombined by angle
+addition, so a spin costs 2 (64 + T/64) cosines and sines instead of T; the
+work is still O(T*N), now in multiplications.  The kernel rejects a time
+whose phase 2 g t overflows (cos and sin of inf are NaN); a finite phase
+past 2^53 rad is kept, though float spacing there exceeds 2 pi.  Around it
+sit the branch states of the environment, long-time averages,
+Gaussian-decay fits, and a recurrence scanner.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .states import (
     _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
-    _positive,
+    _positive, _square,
 )
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
@@ -39,12 +44,15 @@ DEFAULT_SEED = 42
 # A Gaussian-decay fit window ends at the first sample with |r|^2 below this.
 _FIT_FLOOR = math.exp(-4.0)
 
-# The uniform-grid evaluator: samples per anchor, bath spins per tile, and
-# entries of one (spins x anchors x offsets) tile: the tile buffers (at most
-# two float and one complex) stay at 1 MiB however long the grid or large
-# the bath.
+# The r(t) kernel: samples per anchor on a uniform grid, bath spins per tile
+# there, times per tile row at arbitrary times (numpy multiplies a spin's
+# row of phases faster the longer it is), and entries of one
+# (spins x anchors x offsets) tile: the tile buffers (at most two float and
+# one complex, sized to the call) stay within 1 MiB however long the grid or
+# large the bath.
 _GRID_BLOCK = 64
 _GRID_SPINS = 64
+_TILE_ROW = 1 << 12
 _GRID_ENTRIES = 1 << 15
 
 
@@ -85,7 +93,7 @@ class SpinBathConfig:
                 f"g, alpha, beta must have equal length, got "
                 f"{g.size}, {alpha.size}, {beta.size}"
             )
-        _check_close(abs(self.a) ** 2 + abs(self.b) ** 2, 1.0, _NORM_ATOL,
+        _check_close(_square(abs(self.a)) + _square(abs(self.b)), 1.0, _NORM_ATOL,
                      "|a|^2 + |b|^2 = {!r}, expected 1")
         spin_norms = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         worst = float(spin_norms[np.argmax(np.abs(spin_norms - 1.0))])  # or the first NaN
@@ -125,50 +133,113 @@ class SpinBathConfig:
 
 
 def decoherence_factor(cfg: SpinBathConfig, t):
-    """Off-diagonal suppression factor r(t).
+    """Off-diagonal suppression factor r(t) at arbitrary times.
 
-    Streams over the bath spins, multiplying one accumulator per time point:
-    O(T*N) time and O(T) extra memory for T times and N spins.  A spin with
-    weight |alpha_k|^2 - |beta_k|^2 == 0 (an even superposition) contributes
-    the real factor cos(2 g_k t), so a balanced bath costs one cosine per
-    spin and time and no complex arithmetic.
+    The zero-offset case of the r(t) kernel: every time is its own anchor,
+    so a spin costs one cosine per time (two for an uneven spin, a sine as
+    well), O(T*N) time for T times and N spins, and 24 bytes per time plus
+    one tile of at most 1 MiB.  A spin with weight
+    |alpha_k|^2 - |beta_k|^2 == 0 (an even superposition) contributes the
+    real factor cos(2 g_k t), so a balanced bath needs no complex arithmetic.
 
     Parameters
     ----------
     cfg : SpinBathConfig
     t : float or array_like
-        Time(s); scalar in, scalar out.
+        Time(s); scalar in, scalar out.  A time whose phase 2 g_k t
+        overflows is rejected.
 
     Returns
     -------
     complex or complex ndarray of t's shape; |r| <= 1 always, r(0) = 1.
     """
     t_arr = _finite("t", t)
-    two_t = 2.0 * t_arr
-    weight = _weights(cfg)
-    phase = np.empty(t_arr.shape)
-    factor = np.empty(t_arr.shape, dtype=complex)
-    real = np.ones(t_arr.shape)
-    r = np.ones(t_arr.shape, dtype=complex)
-    for g_k, w_k in zip(cfg.g.tolist(), weight.tolist()):
-        # g_k * (2 t) equals 2 * (t * g_k) exactly: doubling never rounds
-        np.multiply(two_t, g_k, out=phase)
-        if w_k == 0.0:
-            real *= np.cos(phase, out=phase)
-        else:
-            np.cos(phase, out=factor.real)
-            np.sin(phase, out=factor.imag)
-            factor.imag *= w_k
-            r *= factor
+    r = _product(cfg, t_arr.reshape(-1), np.zeros(1), "t").reshape(t_arr.shape)
+    return complex(r) if t_arr.ndim == 0 else r
+
+
+def _check_phase(cfg: SpinBathConfig, name: str, *times: np.ndarray) -> None:
+    """Reject times whose phases 2 g_k t are not finite, naming ``name``.
+
+    |t| is bounded by the sum of the largest |entry| of each array in
+    ``times``.  cos and sin of an infinite phase are NaN; a finite phase
+    past 2^53 rad is kept, though it carries no information.
+    """
+    t_max = sum(float(np.abs(t).max(initial=0.0)) for t in times)
+    g_max = float(np.abs(cfg.g).max())
+    if not math.isfinite(g_max * (2.0 * t_max)):  # NaN when 2 t is inf and g is 0
+        raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
+
+
+def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
+             name: str) -> np.ndarray:
+    """r at t_anchor[m] + t_offset[i], as an (anchors, offsets) array.
+
+    The package's one r(t) kernel.  Spin k's phase at a sample is the anchor
+    A = 2 g_k t_anchor[m] plus the offset B = 2 g_k t_offset[i], and
+    cos(A + B) = cos A cos B - sin A sin B and
+    sin(A + B) = sin A cos B + cos A sin B give its factor.  With the single
+    offset 0 the factor is cos A (plus i w sin A for an uneven spin) and the
+    angle addition is skipped.  Balanced and uneven spins fill a real and a
+    complex accumulator, a tile of spins x anchors x offsets at a time, each
+    multiplied in in spin order, so every sample depends on its anchor, its
+    offset and the bath alone.  The tile buffers are sized to the call, at
+    most ``_GRID_ENTRIES`` entries.  ``name`` is the caller's time argument,
+    which a phase overflow is reported against.
+    """
+    _check_phase(cfg, name, t_anchor, t_offset)
+    rows, width = t_anchor.size, t_offset.size
+    # |alpha_k|^2 - |beta_k|^2: 0 for a spin in an even superposition
+    weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
+    uneven = weight != 0.0
+    real = np.ones((rows, width))
+    r = np.ones((rows, width), dtype=complex)
+    # with the zero offset a tile is as many spins as fill it at up to
+    # _TILE_ROW times each; one set of buffers, sized to the call, serves both
+    # kinds of spin
+    per_tile = _GRID_SPINS if width > 1 else _GRID_ENTRIES // max(1, min(rows, _TILE_ROW))
+    size = min(_GRID_ENTRIES, min(cfg.n_spins, per_tile) * rows * width)
+    table = np.empty(size, dtype=complex)
+    spare = np.empty(size)
+    for balanced, acc in ((True, real), (False, r)):
+        spins = (uneven != balanced).nonzero()[0]
+        buf = table.view(acc.dtype)
+        for lo in range(0, spins.size, per_tile):
+            group = spins[lo : lo + per_tile]
+            g, w = cfg.g[group, None], weight[group, None]
+            if width > 1:
+                offset = g * (2.0 * t_offset)
+                cos_b, sin_b = np.cos(offset), np.sin(offset)
+            tile = _GRID_ENTRIES // (group.size * width)
+            for m in range(0, rows, tile):
+                two_t = 2.0 * t_anchor[m : m + tile]
+                shape = (group.size, two_t.size, width)
+                fac = buf[: math.prod(shape)].reshape(shape)
+                cos_ab = fac if balanced else fac.real
+                if width == 1:
+                    # the zero offset: the factor is cos A (+ i w sin A)
+                    anchor = np.multiply(g, two_t, out=spare[: fac.size].reshape(shape[:2]))
+                    np.cos(anchor, out=cos_ab[..., 0])
+                    if not balanced:
+                        np.multiply(np.sin(anchor, out=anchor), w, out=fac.imag[..., 0])
+                else:
+                    anchor = g * two_t
+                    cos_a, sin_a = np.cos(anchor), np.sin(anchor)
+                    tmp = spare[: fac.size].reshape(shape)
+                    np.einsum("ka,kb->kab", cos_a, cos_b, out=cos_ab)
+                    np.einsum("ka,kb->kab", sin_a, sin_b, out=tmp)
+                    cos_ab -= tmp
+                    if not balanced:
+                        # w sin(A + B) = (w sin A) cos B + (w cos A) sin B
+                        np.einsum("ka,kb->kab", sin_a * w, cos_b, out=fac.imag)
+                        np.einsum("ka,kb->kab", cos_a * w, sin_b, out=tmp)
+                        np.add(fac.imag, tmp, out=fac.imag)
+                # acc * f_0 * f_1 * ..., left to right in spin order
+                seg = acc[m : m + tile]
+                np.multiply(seg, fac[0], out=fac[0])
+                np.multiply.reduce(fac, axis=0, out=seg)
     r *= real
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return complex(r)
     return r
-
-
-def _weights(cfg: SpinBathConfig) -> np.ndarray:
-    """|alpha_k|^2 - |beta_k|^2: 0 for a spin in an even superposition."""
-    return np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
 
 
 def decoherence_on_grid(cfg: SpinBathConfig, step: float, count: int) -> np.ndarray:
@@ -177,18 +248,17 @@ def decoherence_on_grid(cfg: SpinBathConfig, step: float, count: int) -> np.ndar
     ``np.linspace(0, t_max, samples)`` is this grid with step
     t_max / (samples - 1) (its last point, t_max, lies within one rounding
     of (samples - 1) * step), and its first ``count`` samples are a prefix
-    of it.  Sample j = 64 m + i takes spin k's phase 2 g_k t_j as the anchor
-    A = 2 g_k t_{64 m} plus the offset B = 2 g_k t_i, and
-    cos(A + B) = cos A cos B - sin A sin B and
-    sin(A + B) = sin A cos B + cos A sin B give its factor, so a spin costs
-    2 (64 + count / 64) cosines and sines where ``decoherence_factor`` takes
-    count (2 count for an uneven spin).  The factors are multiplied into the
-    accumulator in ``decoherence_factor``'s order, a tile of spins x anchors
-    x offsets at a time, so every sample depends on j, step and the bath
-    alone: a prefix is bit for bit the start of a longer grid, and a sample
-    with i = 0 or m = 0 (where B or A is 0) equals ``decoherence_factor`` at
-    t_j bit for bit, r(0) = 1 among them.  Elsewhere the two differ by phase
-    rounding, about N eps (1 + max |2 g t|).
+    of it.  The r(t) kernel takes sample j = 64 m + i as the anchor
+    t_{64 m} plus the offset t_i and recombines their phases by angle
+    addition, so a spin costs 2 (64 + count / 64) cosines and sines where
+    ``decoherence_factor``, the kernel's zero-offset case, takes count
+    (2 count for an uneven spin).  Every sample depends on j, step and the
+    bath alone: a prefix is bit for bit the start of a longer grid, and a
+    sample with i = 0 or m = 0 (where B or A is 0) equals
+    ``decoherence_factor`` at t_j bit for bit, r(0) = 1 among them.
+    Elsewhere the two differ by phase rounding, about
+    N eps (1 + max |2 g t|).  A grid whose phase 2 g t overflows is
+    rejected.
 
     Returns a complex array of length ``count``.
     """
@@ -198,48 +268,12 @@ def decoherence_on_grid(cfg: SpinBathConfig, step: float, count: int) -> np.ndar
         raise ValueError(f"count must be at least 1, got {count}")
     width = min(_GRID_BLOCK, count)
     rows = -(-count // width)
-    # 2 t at each anchor (every 64th sample) and at each offset in a block,
-    # with t formed as np.linspace forms it
-    two_t_anchor = 2.0 * (np.arange(0, rows * width, width, dtype=float) * step)
-    two_t_offset = 2.0 * (np.arange(width, dtype=float) * step)
-    weight = _weights(cfg)
-    real = np.ones((rows, width))
-    r = np.ones((rows, width), dtype=complex)
-    spare = np.empty(_GRID_ENTRIES)
-    for balanced, acc in ((True, real), (False, r)):
-        spins = np.flatnonzero((weight == 0.0) == balanced)
-        if spins.size == 0:
-            continue
-        table = np.empty(_GRID_ENTRIES, dtype=acc.dtype)
-        for lo in range(0, spins.size, _GRID_SPINS):
-            group = spins[lo : lo + _GRID_SPINS]
-            g, w = cfg.g[group, None], weight[group, None]
-            cos_b = np.cos(g * two_t_offset)
-            sin_b = np.sin(g * two_t_offset)
-            tile = _GRID_ENTRIES // (group.size * width)
-            for m in range(0, rows, tile):
-                anchor = g * two_t_anchor[m : m + tile]
-                cos_a, sin_a = np.cos(anchor), np.sin(anchor)
-                shape = (group.size, cos_a.shape[1], width)
-                fac = table[: math.prod(shape)].reshape(shape)
-                tmp = spare[: fac.size].reshape(shape)
-                cos_ab = fac if balanced else fac.real
-                np.einsum("ka,kb->kab", cos_a, cos_b, out=cos_ab)
-                np.einsum("ka,kb->kab", sin_a, sin_b, out=tmp)
-                cos_ab -= tmp
-                if not balanced:
-                    # w sin(A + B) = (w sin A) cos B + (w cos A) sin B
-                    sin_a *= w
-                    cos_a *= w
-                    np.einsum("ka,kb->kab", sin_a, cos_b, out=fac.imag)
-                    np.einsum("ka,kb->kab", cos_a, sin_b, out=tmp)
-                    fac.imag += tmp
-                # acc * f_0 * f_1 * ..., left to right like decoherence_factor
-                seg = acc[m : m + tile]
-                np.multiply(seg, fac[0], out=fac[0])
-                np.multiply.reduce(fac, axis=0, out=seg)
-    r *= real
-    return r.reshape(-1)[:count]
+    # t at each anchor (every 64th sample) and at each offset in a block,
+    # formed as np.linspace forms it
+    with np.errstate(over="ignore"):  # _product rejects an infinite time
+        t_anchor = np.arange(0, rows * width, width, dtype=float) * step
+        t_offset = np.arange(width, dtype=float) * step
+    return _product(cfg, t_anchor, t_offset, "step").reshape(-1)[:count]
 
 
 def _grid_step(t_grid: np.ndarray) -> float | None:
@@ -258,7 +292,11 @@ def _grid_step(t_grid: np.ndarray) -> float | None:
 
 
 def _on_grid(cfg: SpinBathConfig, t_grid: np.ndarray) -> np.ndarray:
-    """r over a 1-D time grid: ``decoherence_on_grid`` on a uniform one."""
+    """r over a 1-D time grid: ``decoherence_on_grid`` on a uniform one.
+
+    A phase overflow is reported against ``t_grid``, the callers' argument.
+    """
+    _check_phase(cfg, "t_grid", t_grid)
     step = _grid_step(t_grid)
     if step is None:
         return decoherence_factor(cfg, t_grid)
@@ -284,7 +322,7 @@ class DecoherenceTrace:
         if t[0] != 0.0:
             raise ValueError(f"trace must start at t = 0, got {t[0]}")
         if not np.all(np.diff(t) > 0):
-            raise ValueError("trace times must be strictly increasing")
+            raise ValueError("trace times t must be strictly increasing")
         _check_close(r[0], 1.0, 1e-12, "r(0) = {!r}, expected 1")
         if not float(np.max(np.abs(r))) <= 1.0 + 1e-12:
             raise ValueError("|r| exceeds 1 beyond tolerance")
@@ -310,15 +348,9 @@ def decoherence_trace(cfg: SpinBathConfig, t_grid) -> DecoherenceTrace:
 
 def reduced_state_A(cfg: SpinBathConfig, t: float) -> DensityMatrix:
     """Qubit state after tracing the bath: diag(|a|^2, |b|^2) plus a*conj(b)*r coherence."""
-    r = decoherence_factor(cfg, t)
     a, b = cfg.a, cfg.b
-    mat = np.array(
-        [
-            [abs(a) ** 2, a * np.conj(b) * r],
-            [np.conj(a) * b * np.conj(r), abs(b) ** 2],
-        ],
-        dtype=complex,
-    )
+    coherence = a * np.conj(b) * decoherence_factor(cfg, t)
+    mat = np.array([[abs(a) ** 2, coherence], [np.conj(coherence), abs(b) ** 2]], dtype=complex)
     return DensityMatrix((2,), mat)
 
 
@@ -423,10 +455,10 @@ def _scan_step(g_max: float, g_sq: float, eps: float) -> float:
         raise ValueError("recurrence scan needs at least one nonzero coupling")
     # The spec bound pi/(20 g_max) can straddle a narrow epsilon-window near a
     # revival, so also resolve the window half-width sqrt(eps / (2 sum g^2)).
-    window = math.sqrt(eps / (2.0 * g_sq))
+    window = math.sqrt(eps / (2.0 * g_sq)) if g_sq > 0.0 else 0.0
     step = min(math.pi / (20.0 * g_max), window)
     if not step > 0.0:
-        # sum g^2 overflowed, or a coupling is not finite
+        # sum g^2 overflowed or underflowed to 0, or a coupling is not finite
         raise ValueError(f"couplings up to {g_max:g} leave no usable scan step")
     return step
 
@@ -453,7 +485,10 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     if step is None:
         step = max_step
     elif _positive("step", step) > max_step:
-        raise ValueError(f"step {step:g} too coarse; need <= {max_step:g}")
+        raise ValueError(
+            f"step {step:g} too coarse for eps {eps:g} and these couplings; "
+            f"need <= {max_step:g}"
+        )
     # checked before np.linspace: the float grid must fit one array (the
     # count is inf when horizon / step overflows)
     points = horizon / step + 1.0
@@ -467,10 +502,8 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     above = np.empty(n_pts, dtype=bool)
     block = 1 << 18
     for lo in range(0, n_pts, block):
-        chunk = t_grid[lo : lo + block]
-        above[lo : lo + chunk.size] = (
-            np.abs(decoherence_factor(cfg, chunk)) > 1.0 - eps
-        )
+        r = decoherence_factor(cfg, t_grid[lo : lo + block])
+        above[lo : lo + r.size] = np.abs(r) > 1.0 - eps
     departed = np.nonzero(~above)[0]
     if departed.size == 0:
         return [(0.0, float(horizon))]

@@ -13,7 +13,8 @@ before the array is allocated.
 The input checks of every module live here too, written so that NaN fails
 them: ``_finite``, ``_positive``, ``_check_close`` and ``_check_square`` are
 the package's only finiteness, tolerance and Hermiticity tests, and every
-public float input must be finite.
+public float input must be finite.  ``_square`` squares a user's float
+without raising OverflowError.
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ def _positive(name: str, x, zero_ok: bool = False) -> float:
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{name} must be {sign} and finite, got {x!r}")
     return x
+
+
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where it overflows (a float's ``**`` raises
+    OverflowError there), so a huge finite input fails the check it feeds."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _check_close(value, target, tol: float, message: str) -> None:
@@ -177,7 +187,8 @@ class DensityMatrix:
                 f"matrix has shape {mat.shape}, expected {(total, total)}"
             )
         _check_square("matrix", mat, _HERM_ATOL)
-        _check_close(complex(np.trace(mat)), 1.0, _TRACE_ATOL, "trace is {!r}, expected 1")
+        _check_close(complex(np.trace(mat)), 1.0, _TRACE_ATOL,
+                     "matrix trace is {!r}, expected 1")
         eig_min = float(np.linalg.eigvalsh(mat)[0])
         if not eig_min >= _EIG_FLOOR:
             raise ValueError(

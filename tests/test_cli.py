@@ -121,6 +121,86 @@ def test_every_subcommand_has_a_schema():
     }
 
 
+def _usage_error(capsys, args, expected):
+    """Run ``main`` in process: exit 2, one stderr line that holds ``expected``."""
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("decolab: ") and err.count("\n") == 1, err
+    assert expected in err, err
+
+
+def test_out_naming_an_existing_file_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", SPIN_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    _usage_error(capsys, ["spin-bath", "--config", cfg, "--out", str(taken)], "--out")
+
+
+def test_config_nested_past_the_parser_is_not_valid_json(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    args = ["spin-bath", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    _usage_error(capsys, args, "config is not valid JSON")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kraus", [
+    "[]",                                              # a list, not an object
+    "[" * 100_000 + "]" * 100_000,                     # deeper than the parser goes
+    '{"shape": 2, "operators": []}',                   # a number for the shape
+    '{"shape": [1, 1], "operators": [[1.0, 0.0]]}',    # entries that are not pairs
+], ids=["list", "deep", "number-shape", "unpaired-entries"])
+def test_malformed_kraus_file_is_usage_error(tmp_path, capsys, kraus):
+    (tmp_path / "k.json").write_text(kraus, encoding="utf-8")
+    config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+              "shots": 10, "kraus_file": str(tmp_path / "k.json")}
+    cfg = write_config(tmp_path / "c.json", config)
+    args = ["measure", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    _usage_error(capsys, args, "cannot load Kraus set")
+
+
+def test_recurrence_couplings_whose_squares_underflow_are_usage_error(tmp_path, capsys):
+    config = {"experiment": "spin-bath",
+              "recurrence": {"couplings": [1e-300], "horizon": 10.0, "epsilon": 0.01}}
+    with pytest.raises(ValueError, match="couplings"):
+        cli.spin_bath_bytes(config, workers=1)
+    cfg = write_config(tmp_path / "c.json", config)
+    args = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    _usage_error(capsys, args, "couplings")
+
+
+@pytest.mark.parametrize("experiment, section", [
+    ("spin-bath", {"trace": {"n_spins": 3, "t_max": 1e308, "samples": 3}}),
+    ("pointer", {"branch_amplitudes": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+                 "environment": {"n_spins": 3},
+                 "correlation": {"thetas": [0.0], "t_max": 1e308, "samples": 3}}),
+], ids=["trace", "correlation"])
+def test_time_whose_phase_overflows_is_usage_error(tmp_path, capsys, experiment, section):
+    # the phase 2 g t is inf, so cos and sin would write NaN rows
+    cfg = write_config(tmp_path / "c.json", {"experiment": experiment, **section})
+    out = tmp_path / "o"
+    args = [experiment, "--config", cfg, "--out", str(out), "--workers", "1"]
+    _usage_error(capsys, args, "phase 2 g t overflows")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment, body, name", [
+    ("fock", {"n_max": 8, "counting": {"alpha": [1e200, 0.0]}}, "alpha"),
+    ("fock", {"n_max": 8, "completeness": {"radius": 1e300}}, "radius"),
+    ("fock", {"n_max": 20, "ehrenfest": {"alpha": [0.5, 0.0], "omega": 1e300,
+                                        "t_max": 0.01, "dt": 0.001}}, "omega"),
+    ("pointer", {"branch_amplitudes": {"a": [1e200, 0.0], "b": [0.8, 0.0]},
+                 "environment": {"n_spins": 3},
+                 "sieve": {"t_max": 1.0, "samples": 5}}, "|a|^2"),
+], ids=["counting-alpha", "completeness-radius", "ehrenfest-omega", "branch-amplitude"])
+def test_huge_finite_number_is_usage_error(tmp_path, capsys, experiment, body, name):
+    # each squares a float that a Python ** would overflow with OverflowError
+    cfg = write_config(tmp_path / "c.json", {"experiment": experiment, **body})
+    args = [experiment, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    _usage_error(capsys, args, name)
+
+
 # ------------------------------------------------------------ spin-bath output
 
 

@@ -3,8 +3,10 @@
 One table lists each callable exported by ``decolab`` that takes a float or
 an array of floats, with one valid call.  Each float argument is poisoned in
 turn with NaN, +inf and -inf, and the call must raise a ``ValueError`` whose
-message names that argument.  A scan keeps the table complete: every exported
-callable is either in the table or exempt, with the reason.
+message names that argument.  Poisoned with the huge or tiny finite values
++1e308, -1e308 and 1e-308, the call must either raise such a ``ValueError``
+or return only finite numbers.  A scan keeps the table complete: every
+exported callable is either in the table or exempt, with the reason.
 """
 
 import inspect
@@ -210,3 +212,48 @@ def test_non_finite_float_input_raises_naming_the_argument(name, arg, label):
     assert re.search(rf"(?<!\w){re.escape(floats[arg])}(?!\w)", str(info.value)), (
         str(info.value)
     )
+
+
+HUGE_VALUES = {"+1e308": 1e308, "-1e308": -1e308, "1e-308": 1e-308}
+
+
+def _all_finite(obj) -> bool:
+    """Every float or complex that ``obj`` holds is finite: in arrays,
+    sequences, dataclass fields and instance attributes (callables and
+    integers are not numbers here)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind not in "fc" or bool(np.isfinite(obj).all())
+    if isinstance(obj, (float, complex, np.floating, np.complexfloating)):
+        return bool(np.isfinite(obj))
+    if isinstance(obj, (list, tuple)):
+        return all(_all_finite(x) for x in obj)
+    if callable(obj) or not hasattr(obj, "__dict__"):
+        return True
+    return all(_all_finite(x) for x in vars(obj).values())
+
+
+HUGE_CASES = [
+    (name, arg, label)
+    for name, (_, floats) in sorted(FLOAT_INPUTS.items())
+    for arg in floats
+    for label in HUGE_VALUES
+]
+
+
+@pytest.mark.parametrize(
+    "name, arg, label", HUGE_CASES, ids=[f"{n}-{a}-{lab}" for n, a, lab in HUGE_CASES]
+)
+def test_huge_or_tiny_finite_input_raises_naming_the_argument_or_returns_finite(
+    name, arg, label
+):
+    # a float that overflows an intermediate (a square, a phase 2 g t) must
+    # not escape as OverflowError or come back as inf or NaN
+    kwargs, floats = FLOAT_INPUTS[name]
+    bad = dict(kwargs, **{arg: _poisoned(kwargs[arg], HUGE_VALUES[label])})
+    try:
+        with np.errstate(all="ignore"):
+            result = getattr(decolab, name)(**bad)
+    except ValueError as exc:
+        assert re.search(rf"(?<!\w){re.escape(floats[arg])}(?!\w)", str(exc)), str(exc)
+    else:
+        assert _all_finite(result), result

@@ -448,3 +448,9 @@ def test_sample_outcomes_in_blocks_match_one_shot_draw():
             got = sample_outcomes(state, basis, shots, seed)
             np.testing.assert_array_equal(got, one_shot_counts(state, basis, shots, seed))
             assert got.sum() == shots
+
+
+@pytest.mark.parametrize("data", [[], "shape", 3, None])
+def test_kraus_from_dict_rejects_a_non_object(data):
+    with pytest.raises(ValueError, match="JSON object"):
+        KrausSet.from_dict(data)

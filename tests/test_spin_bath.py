@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,93 @@ def test_streamed_kernel_matches_outer_product_reference(n, bath):
             assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13
 
 
+def _spin_loop_r(cfg, t):
+    """r(t) spin by spin, one accumulator per time: the per-time kernel that
+    ``decoherence_factor`` replaced, kept as its bit-for-bit reference."""
+    t_arr = np.asarray(t, dtype=float)
+    two_t = 2.0 * t_arr
+    weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
+    phase = np.empty(t_arr.shape)
+    factor = np.empty(t_arr.shape, dtype=complex)
+    real = np.ones(t_arr.shape)
+    r = np.ones(t_arr.shape, dtype=complex)
+    for g_k, w_k in zip(cfg.g.tolist(), weight.tolist()):
+        np.multiply(two_t, g_k, out=phase)
+        if w_k == 0.0:
+            real *= np.cos(phase, out=phase)
+        else:
+            np.cos(phase, out=factor.real)
+            np.sin(phase, out=factor.imag)
+            factor.imag *= w_k
+            r *= factor
+    r *= real
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return complex(r)
+    return r
+
+
+def _bath(kind, n, gen):
+    if kind == "balanced":
+        return SpinBathConfig.balanced(gen.uniform(0.0, 1.0, n))
+    if kind == "random":
+        return SpinBathConfig.random(n, gen)
+    return _mixed_bath(n, gen)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_decoherence_factor_equals_the_spin_loop_bit_for_bit(n, bath):
+    gen = np.random.default_rng(n + 101)
+    cfg = _bath(bath, n, gen)
+    times = [
+        0.7,
+        -2.9,
+        0.0,
+        -0.0,
+        np.float64(3.1),
+        np.array(-5.3),
+        np.array(-0.0),
+        np.linspace(0.0, 20.0, 301),
+        np.array([0.0, -0.0, 5e-324, -1e-310, 1e5, -1e5]),
+        gen.uniform(-20.0, 20.0, size=(7, 11)),
+        gen.uniform(-20.0, 20.0, size=(3, 4)).T,   # not contiguous
+        gen.uniform(-50.0, 50.0, size=9000),        # several tiles of times
+        np.zeros(0),
+    ]
+    for t in times:
+        got, want = decoherence_factor(cfg, t), _spin_loop_r(cfg, t)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == np.shape(t)
+        assert np.asarray(got).dtype == complex
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), t
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, count", [(10, 1 << 18), (40, 10 ** 6)])
+def test_decoherence_factor_holds_less_than_the_spin_loop(n, count):
+    # 24 bytes per time plus one tile, where the loop held 56
+    cfg = SpinBathConfig.balanced(np.random.default_rng(n).uniform(0.0, 1.0, n))
+    t = np.linspace(0.0, 50.0, count)
+    assert _peak_bytes(decoherence_factor, cfg, t) < _peak_bytes(_spin_loop_r, cfg, t)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (20, 20), (13, 401), (200, 2000), (6, 2000)])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_decoherence_factor_small_calls_exceed_the_spin_loop_by_at_most_a_tile(n, count, bath):
+    cfg = _bath(bath, n, np.random.default_rng(count))
+    t = np.linspace(0.0, 10.0, count)
+    extra = _peak_bytes(decoherence_factor, cfg, t) - _peak_bytes(_spin_loop_r, cfg, t)
+    assert extra <= 1 << 20
+
+
 @pytest.mark.parametrize("n", [1, 13, 40, 200])
 @pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
 def test_grid_evaluator_matches_decoherence_factor_to_phase_rounding(n, bath):
@@ -180,6 +268,13 @@ def test_grid_evaluator_matches_decoherence_factor_to_phase_rounding(n, bath):
 def test_grid_evaluator_rejects_a_bad_step(step):
     with pytest.raises(ValueError, match="step"):
         decoherence_on_grid(SpinBathConfig.balanced([0.5]), step, 10)
+
+
+@pytest.mark.parametrize("step, count", [(1e308, 3), (1e308, 2), (5e307, 3)])
+def test_grid_evaluator_rejects_a_phase_that_overflows(step, count):
+    # (count - 1) step or 2 g t is inf, where cos and sin would give NaN
+    with np.errstate(over="raise"), pytest.raises(ValueError, match="step: the phase"):
+        decoherence_on_grid(SpinBathConfig.balanced([0.5, 1.0]), step, count)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -387,6 +482,12 @@ def test_recurrence_rejects_couplings_whose_squares_overflow():
     cfg = SpinBathConfig.balanced([1e200])
     with pytest.raises(ValueError, match="scan step"):
         recurrence_scan(cfg, 1.0, 0.01)
+
+
+def test_recurrence_rejects_couplings_whose_squares_underflow():
+    # sum g^2 = 0 while max |g| > 0 once divided the window by zero
+    with pytest.raises(ValueError, match="couplings"):
+        recurrence_scan(SpinBathConfig.balanced([1e-300]), 10.0, 0.01)
 
 
 def test_recurrence_validation():

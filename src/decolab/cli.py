@@ -623,15 +623,18 @@ _ROW_SLICE = 4096
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up: bytes per time point while r(t) is evaluated and reduced, per
 # trace.csv row of the slice held as Python floats (157 measured, with the
-# row's share of the arrays), per recurrence grid point, per bath
+# row's share of the arrays), per recurrence grid point, per point of one
+# recurrence chunk of spin_bath._SCAN_CHUNK points (r, its real accumulator
+# and |r|; 25 measured), per bath
 # spin (the peak of building a bath of either ensemble, the random one's
 # construction the larger; pointer baths cost the same), and per task a
 # section hands to the pool (seed, payload, result row); plus, for every
-# uniform grid, the grid evaluator's fixed tile buffers (two float and one
+# r(t) evaluation, the kernel's fixed tile buffers (two float and one
 # complex buffer of spin_bath._GRID_ENTRIES entries, 1 MiB).
 _POINT_BYTES = 64
 _TRACE_ROW_BYTES = 160
 _SCAN_POINT_BYTES = 32
+_CHUNK_POINT_BYTES = 32
 _SPIN_BYTES = 192
 _TASK_BYTES = 2048
 _GRID_BYTES = 32 * spin_bath._GRID_ENTRIES
@@ -678,22 +681,29 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
             + _GRID_BYTES
         )
         need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
-    sec = config.get("recurrence", {})
-    if "couplings" in sec or "n_spins" in sec:
+    if "recurrence" in config:
+        sec = config["recurrence"]
         if "couplings" in sec:
             g = np.abs(np.asarray(sec["couplings"], dtype=float))
             with np.errstate(over="ignore"):  # _scan_step rejects an infinite sum
                 g_sq = float(np.dot(g, g))
             n, g_max = g.size, float(g.max())
-        else:
+        elif "n_spins" in sec:
             # couplings drawn from U(0, 1): bound the finest step any draw
             # needs; a bath past the budget is over it anyway, so clamping n
             # keeps the float arithmetic finite
             n = min(sec["n_spins"], BYTE_BUDGET)
             g_max, g_sq = 1.0, float(n)
+        else:
+            raise ConfigError("recurrence needs either 'couplings' or 'n_spins'")
         step = spin_bath._scan_step(g_max, g_sq, sec["epsilon"])
         points = sec["horizon"] / step + 2.0
-        need["recurrence"] = n * _SPIN_BYTES + points * _SCAN_POINT_BYTES
+        need["recurrence"] = (
+            n * _SPIN_BYTES
+            + points * _SCAN_POINT_BYTES
+            + _GRID_BYTES
+            + min(points, spin_bath._SCAN_CHUNK) * _CHUNK_POINT_BYTES
+        )
     return need
 
 
@@ -823,10 +833,8 @@ def run_spin_bath(config, seed, workers, out) -> int:
         sec = config["recurrence"]
         if "couplings" in sec:
             cfg = spin_bath.SpinBathConfig.balanced(np.asarray(sec["couplings"], float))
-        elif "n_spins" in sec:
+        else:  # spin_bath_bytes has rejected a section with neither key
             cfg = _bath_from(sec["n_spins"], "balanced", kids[3])
-        else:
-            raise ConfigError("recurrence needs either 'couplings' or 'n_spins'")
         rows = spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"])
         out.csv("recurrence.csv", ["t_enter", "t_exit"], rows)
     return 0
@@ -836,7 +844,26 @@ def run_spin_bath(config, seed, workers, out) -> int:
 # measure
 
 
+def _load_kraus(path) -> measurement.KrausSet:
+    """The Kraus set in ``path``; its input must be the system (2) or the joint state (4)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            kset = measurement.KrausSet.from_dict(json.load(fh))
+    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
+            ValueError) as exc:
+        # TypeError: a field of the wrong JSON type, such as a number for "shape"
+        raise ConfigError(f"cannot load Kraus set: {exc}") from exc
+    if kset.dim_in not in (2, 4):
+        raise ConfigError(
+            f"Kraus input dimension {kset.dim_in} matches neither the "
+            "system (2) nor the joint state (4)"
+        )
+    return kset
+
+
 def run_measure(config, seed, workers, out) -> int:
+    # a bad Kraus file is reported before any shot is sampled or file written
+    kset = _load_kraus(config["kraus_file"]) if "kraus_file" in config else None
     system = states.StateVector(
         (2,),
         [
@@ -861,23 +888,8 @@ def run_measure(config, seed, workers, out) -> int:
         rho = states.reduced_density(joint, keep=0)
         density = {"dims": list(rho.dims), "mat": _pairs(rho.mat.reshape(-1))}
         out.json("reduced_system.json", {"density": density})
-    if "kraus_file" in config:
-        try:
-            with open(config["kraus_file"], "r", encoding="utf-8") as fh:
-                kset = measurement.KrausSet.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
-                ValueError) as exc:
-            # TypeError: a field of the wrong JSON type, such as a number for "shape"
-            raise ConfigError(f"cannot load Kraus set: {exc}") from exc
-        if kset.dim_in == 2:
-            target = states.reduced_density(joint, keep=0)
-        elif kset.dim_in == 4:
-            target = joint.density()
-        else:
-            raise ConfigError(
-                f"Kraus input dimension {kset.dim_in} matches neither the "
-                "system (2) nor the joint state (4)"
-            )
+    if kset is not None:
+        target = states.reduced_density(joint, keep=0) if kset.dim_in == 2 else joint.density()
         povm = measurement.povm_probabilities(target, kset)
         report = measurement.validate_kraus(kset)
         out.say(
@@ -1301,17 +1313,18 @@ def run_check(config, seed, workers, out) -> int:
     results = {}
     failed = 0
     for name, fn in CHECKS:
+        reason = ""
         try:
             passed = bool(fn())
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
             passed = False
-            out.say(f"FAIL {name}: {exc}")
+            reason = f": {type(exc).__name__}: {exc}"
         results[name] = passed
         if passed:
             out.say(f"ok   {name}")
         else:
             failed += 1
-            print(f"FAIL {name}", file=sys.stderr)
+            print(f"FAIL {name}{reason}", file=sys.stderr)
     out.json("check.json", {"results": results, "failed": failed})
     return 0 if failed == 0 else 1
 

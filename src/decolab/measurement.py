@@ -8,7 +8,6 @@ every stochastic path is reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .states import (
     BasisSpec, DensityMatrix, StateVector, _check_close, _check_square, _finite, _frozen,
-    _positive,
+    _positive, _split,
 )
 
 _IMPOSSIBLE_P = 1e-14
@@ -213,24 +212,10 @@ def _lifted_weights(state: StateVector, basis: BasisSpec):
 
     Returns (probs, coeff): ``coeff[i, p, q]`` is the amplitude on basis
     column i, with p and q indexing the factors before and after the measured
-    one.  A basis that spans the whole space is the one-factor case,
-    pre = post = 1.
+    one, as ``states._split`` finds them; a basis that spans the whole space
+    is the one-factor case, pre = post = 1.
     """
-    n = len(state.dims)
-    if basis.dim == state.dim and (n == 1 or basis.subsystem == 0):
-        pre, post = 1, 1
-    elif basis.subsystem >= n:
-        raise ValueError(
-            f"basis subsystem {basis.subsystem} out of range for dims {state.dims}"
-        )
-    elif basis.dim != state.dims[basis.subsystem]:
-        raise ValueError(
-            f"basis dimension {basis.dim} does not match subsystem "
-            f"dimension {state.dims[basis.subsystem]}"
-        )
-    else:
-        pre = math.prod(state.dims[: basis.subsystem])
-        post = state.dim // (pre * basis.dim)
+    pre, post = _split(state.dims, basis)
     resh = state.amps.reshape(pre, basis.dim, post)
     # coeff[i, p, q] = sum_s conj(U[s, i]) psi[p, s, q]
     coeff = np.einsum("si,psq->ipq", basis.matrix.conj(), resh)

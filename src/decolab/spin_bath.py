@@ -35,7 +35,7 @@ import numpy as np
 
 from .states import (
     _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
-    _positive, _square,
+    _kron, _positive, _square,
 )
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
@@ -54,6 +54,9 @@ _GRID_BLOCK = 64
 _GRID_SPINS = 64
 _TILE_ROW = 1 << 12
 _GRID_ENTRIES = 1 << 15
+
+# Grid points whose r(t) a recurrence scan holds at a time.
+_SCAN_CHUNK = 1 << 18
 
 
 class FitWindowError(RuntimeError):
@@ -369,9 +372,8 @@ def environment_branch(cfg: SpinBathConfig, t: float, branch: str = "up") -> Sta
     dims = _check_dims((2,) * cfg.n_spins)
     sign = 1.0 if branch == "up" else -1.0
     phases = np.exp(1j * sign * cfg.g * float(_finite("t", t)))
-    amps = np.ones(1, dtype=complex)
-    for alpha_k, beta_k, ph in zip(cfg.alpha, cfg.beta, phases):
-        amps = np.kron(amps, np.array([alpha_k * ph, beta_k * np.conj(ph)]))
+    amps = _kron(np.array([alpha_k * ph, beta_k * np.conj(ph)])
+                 for alpha_k, beta_k, ph in zip(cfg.alpha, cfg.beta, phases))
     return StateVector(dims, amps)
 
 
@@ -500,9 +502,8 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     n_pts = int(math.ceil(horizon / step)) + 1
     t_grid = np.linspace(0.0, float(horizon), n_pts)
     above = np.empty(n_pts, dtype=bool)
-    block = 1 << 18
-    for lo in range(0, n_pts, block):
-        r = decoherence_factor(cfg, t_grid[lo : lo + block])
+    for lo in range(0, n_pts, _SCAN_CHUNK):
+        r = decoherence_factor(cfg, t_grid[lo : lo + _SCAN_CHUNK])
         above[lo : lo + r.size] = np.abs(r) > 1.0 - eps
     departed = np.nonzero(~above)[0]
     if departed.size == 0:

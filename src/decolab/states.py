@@ -206,12 +206,16 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Orthonormal basis for one subsystem.
+    """Orthonormal basis for one tensor factor, or for the whole space.
 
     ``matrix`` holds the basis states as columns and must be unitary within
-    1e-10.  ``subsystem`` names the tensor factor the basis refers to; ops
-    acting on a full space lift the basis with identities on the remaining
-    factors.
+    1e-10.  ``subsystem`` names the tensor factor the basis acts on: on a
+    state with factor dimensions ``dims`` it must be below ``len(dims)``, and
+    the basis then acts on that factor when its dimension is
+    ``dims[subsystem]`` (ops on the full space lift it with identities on the
+    remaining factors), or on the whole space when ``subsystem`` is 0 and its
+    dimension is ``prod(dims)``.  Any other pairing is a ValueError from the
+    op that receives it.
     """
 
     subsystem: int
@@ -235,29 +239,35 @@ class BasisSpec:
         return np.array(self.matrix[:, i])
 
 
+def _kron(arrays, ndim: int = 1) -> np.ndarray:
+    """Kronecker product of ``arrays`` in order, from ones of ``ndim`` axes.
+
+    The package's one loop over tensor factors; its callers check the caps
+    before calling it.
+    """
+    out = np.ones((1,) * ndim, dtype=complex)
+    for arr in arrays:
+        out = np.kron(out, arr)
+    return out
+
+
 def tensor(*factors):
     """Kronecker product of states or of density matrices.
 
     All arguments must be of the same kind.  Factor order fixes the subsystem
-    order of the result: ``tensor(a, b).dims == a.dims + b.dims``.
+    order of the result: ``tensor(a, b).dims == a.dims + b.dims``.  A result
+    over ``DIM_CAP`` (``DENSITY_CAP`` for density matrices) raises
+    ``DimensionCapError`` before any product is formed.
     """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     if all(isinstance(f, StateVector) for f in factors):
-        dims: tuple[int, ...] = ()
-        amps = np.ones(1, dtype=complex)
-        for f in factors:
-            dims = dims + f.dims
-            amps = np.kron(amps, f.amps)
-        return StateVector(dims, amps)
+        dims = _check_dims(d for f in factors for d in f.dims)
+        return StateVector(dims, _kron(f.amps for f in factors))
     if all(isinstance(f, DensityMatrix) for f in factors):
         _check_density_dim(math.prod(f.dim for f in factors))
-        dims = ()
-        mat = np.ones((1, 1), dtype=complex)
-        for f in factors:
-            dims = dims + f.dims
-            mat = np.kron(mat, f.mat)
-        return DensityMatrix(dims, mat)
+        dims = tuple(d for f in factors for d in f.dims)
+        return DensityMatrix(dims, _kron((f.mat for f in factors), 2))
     raise TypeError("tensor() takes all StateVector or all DensityMatrix factors")
 
 
@@ -326,38 +336,54 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.mat, rho.mat).real)
 
 
-def _lift_unitary(dims: tuple[int, ...], subsystem: int, u: np.ndarray) -> np.ndarray:
-    full = np.ones((1, 1), dtype=complex)
-    for k, d in enumerate(dims):
-        block = u if k == subsystem else np.eye(d)
-        full = np.kron(full, block)
-    return full
+def _split(dims: tuple[int, ...], basis: BasisSpec) -> tuple[int, int]:
+    """(pre, post): the dimensions before and after the factor ``basis`` acts on.
+
+    The package's one rule for it, stated on :class:`BasisSpec`: the basis
+    acts on factor ``basis.subsystem`` when its dimension is that factor's,
+    and on the whole space (pre = post = 1) when it names factor 0 and its
+    dimension is ``prod(dims)``.  Anything else raises ValueError.
+    """
+    k, d = basis.subsystem, basis.dim
+    if k >= len(dims):
+        raise ValueError(f"basis subsystem {k} out of range for dims {dims}")
+    total = math.prod(dims)
+    if d == dims[k]:
+        pre = math.prod(dims[:k])
+        return pre, total // (pre * d)
+    if d == total:
+        if k == 0:
+            return 1, 1
+        raise ValueError(
+            f"basis for subsystem {k} has the whole space's dimension {d} "
+            f"(dims {dims}); a whole-space basis must name subsystem 0"
+        )
+    raise ValueError(
+        f"basis dimension {d} matches neither subsystem {k} ({dims[k]}) "
+        f"nor the whole space ({total})"
+    )
 
 
 def offdiag_norm(rho: DensityMatrix, basis: BasisSpec) -> float:
     """Sum of |off-diagonal entries| of rho expressed in the given basis.
 
-    The basis either spans the full space of ``rho`` (its unitary is applied
-    directly) or one subsystem, in which case it is lifted with identities on
-    the remaining factors; the matrix is rotated as U^dag rho U before
-    summing.  Zero iff rho is diagonal in the rotated basis; invariant under
-    per-column phase changes of U.
+    The basis acts on one factor of ``rho`` or on its whole space, by the
+    rule stated on :class:`BasisSpec`; a basis that fits neither raises
+    ValueError.  With U the basis lifted by identities on the other factors,
+    the sum is taken over U^dag rho U, rotating only the basis's own factor:
+    O(dim^2 d) time for a basis of dimension d, and two dim x dim
+    temporaries at a time.  Zero iff rho is diagonal in the rotated basis;
+    invariant under per-column phase changes of U.
     """
-    if basis.dim == rho.dim:
-        u = basis.matrix
-    else:
-        if basis.subsystem >= len(rho.dims):
-            raise ValueError(
-                f"basis subsystem {basis.subsystem} out of range for dims {rho.dims}"
-            )
-        if basis.dim != rho.dims[basis.subsystem]:
-            raise ValueError(
-                f"basis dimension {basis.dim} matches neither the full space "
-                f"({rho.dim}) nor subsystem {basis.subsystem} "
-                f"({rho.dims[basis.subsystem]})"
-            )
-        u = _lift_unitary(rho.dims, basis.subsystem, basis.matrix)
-    rotated = u.conj().T @ rho.mat @ u
+    pre, _ = _split(rho.dims, basis)
+    shape = (pre, basis.dim, -1)
+    # U^dag rho: one batched matmul over the (pre, d, post * dim) view
+    rotated = basis.matrix.conj().T @ rho.mat.reshape(shape)
+    # U^dag rho U is Hermitian, so its transpose has the same sums and
+    # diagonal: U^T applied the same way to the transpose of U^dag rho (a
+    # copy, except for a whole-space basis, whose transpose BLAS reads)
+    rotated = rotated.reshape(rho.mat.shape).T.reshape(shape)
+    rotated = (basis.matrix.T @ rotated).reshape(rho.mat.shape)
     total = float(np.sum(np.abs(rotated)))
     diag = float(np.sum(np.abs(np.diag(rotated))))
     return total - diag

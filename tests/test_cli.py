@@ -1146,3 +1146,91 @@ def test_check_subcommand_passes_in_process(tmp_path, capsys):
         report = json.load(fh)
     assert report["failed"] == 0
     assert all(report["results"].values())
+
+
+# ------------------------------------------------- config errors before work
+
+
+def _no_files(out):
+    """True when a failed run left nothing in ``--out`` (it may be an empty directory)."""
+    return not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
+    tmp_path, monkeypatch, capsys, workers
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a section ran")
+
+    monkeypatch.setattr(cli, "_write_trace", no_work)
+    monkeypatch.setattr(cli, "_spin_bath_task", no_work)
+    config = dict(SPIN_CFG, scaling={"n_values": [4], "samples": 200},
+                  recurrence={"horizon": 4.0, "epsilon": 0.02})
+    with pytest.raises(cli.ConfigError, match="recurrence needs either"):
+        cli.spin_bath_bytes(config, workers=1)
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    args = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers]
+    _usage_error(capsys, args, "recurrence needs either 'couplings' or 'n_spins'")
+    assert _no_files(out)
+
+
+@pytest.mark.parametrize("kraus, expected", [
+    (None, "cannot load Kraus set"),
+    ("{not json", "cannot load Kraus set"),
+    (json.dumps({"shape": [2, 2], "operators": [[[1, 0]]]}), "cannot load Kraus set"),
+    (json.dumps({"shape": [3, 3], "operators": [
+        [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]]}),
+     "Kraus input dimension 3"),
+], ids=["missing", "not-json", "malformed", "dimension-3"])
+def test_bad_kraus_file_fails_before_sampling_or_writing(
+    tmp_path, monkeypatch, capsys, kraus, expected
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("outcomes were sampled")
+
+    monkeypatch.setattr(cli.measurement, "sample_outcomes", no_sampling)
+    path = tmp_path / "k.json"
+    if kraus is not None:
+        path.write_text(kraus, encoding="utf-8")
+    config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+              "shots": 10 ** 6, "kraus_file": str(path)}
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    _usage_error(capsys, ["measure", "--config", cfg, "--out", str(out)], expected)
+    assert _no_files(out)
+
+
+@pytest.mark.parametrize("horizon", [10.0, 100.0, 2000.0, 10000.0, 15000.0])
+def test_recurrence_estimate_covers_the_scan(horizon):
+    couplings = [0.3, 0.5, 0.7, 0.9]
+    sec = {"couplings": couplings, "horizon": horizon, "epsilon": 0.01}
+    need = cli.spin_bath_bytes({"recurrence": sec}, workers=1)["recurrence"]
+    cfg = SpinBathConfig.balanced(np.array(couplings))
+    if horizon == 15000.0:  # past one chunk of the scan
+        step = cli.spin_bath._scan_step(0.9, float(np.dot(cfg.g, cfg.g)), 0.01)
+        assert horizon / step > cli.spin_bath._SCAN_CHUNK
+    tracemalloc.start()
+    try:
+        cli.spin_bath.recurrence_scan(cfg, horizon, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need >= peak
+
+
+def _crashing_check():
+    raise RuntimeError("kaboom")
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_check_reports_why_a_check_crashed_once_on_stderr(monkeypatch, capsys, quiet):
+    checks = [("state-algebra", _crashing_check)] + cli.CHECKS[1:]
+    monkeypatch.setattr(cli, "CHECKS", checks)
+    code = main(["check"] + (["--quiet"] if quiet else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "FAIL state-algebra: RuntimeError: kaboom\n"
+    passing = [f"ok   {name}" for name, _ in checks[1:]]
+    assert captured.out.splitlines() == ([] if quiet else passing)

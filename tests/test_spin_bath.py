@@ -521,3 +521,15 @@ def test_recurrence_grid_past_one_array_names_horizon_and_points(horizon, monkey
     points = float(str(err.value).split()[3])
     step = min(np.pi / (20 * 0.7), np.sqrt(0.01 / (2 * (0.5 ** 2 + 0.7 ** 2))))
     assert points == pytest.approx(horizon / step, rel=1e-3)
+
+
+def test_environment_branch_equals_the_spin_loop_byte_for_byte():
+    # reference: the spin-by-spin Kronecker loop, each pair from numpy scalars
+    for cfg in (SpinBathConfig.random(7, rng), SpinBathConfig.balanced(rng.uniform(0, 1, 5))):
+        for t, branch in ((0.0, "up"), (1.3, "up"), (2.9, "down")):
+            sign = 1.0 if branch == "up" else -1.0
+            phases = np.exp(1j * sign * cfg.g * t)
+            want = np.ones(1, dtype=complex)
+            for alpha_k, beta_k, ph in zip(cfg.alpha, cfg.beta, phases):
+                want = np.kron(want, np.array([alpha_k * ph, beta_k * np.conj(ph)]))
+            assert environment_branch(cfg, t, branch).amps.tobytes() == want.tobytes()

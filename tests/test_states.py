@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import decolab
+from decolab.measurement import outcome_distribution
 from decolab.states import (
     DENSITY_CAP,
     DIM_CAP,
@@ -332,3 +333,101 @@ def test_offdiag_norm_dimension_mismatch():
     rho = random_density((2, 2))
     with pytest.raises(ValueError):
         offdiag_norm(rho, BasisSpec(0, np.eye(3)))
+
+
+# ------------------------------------------------------ tensor-factor rule
+
+
+def _kron_lifted_offdiag_norm(rho, basis):
+    """Reference: the basis lifted to a dim x dim unitary by Kronecker
+    products with identities, then U^dag rho U in full."""
+    if basis.dim == rho.dim:
+        u = basis.matrix
+    else:
+        u = np.ones((1, 1), dtype=complex)
+        for k, d in enumerate(rho.dims):
+            u = np.kron(u, basis.matrix if k == basis.subsystem else np.eye(d))
+    rotated = u.conj().T @ rho.mat @ u
+    return float(np.sum(np.abs(rotated))) - float(np.sum(np.abs(np.diag(rotated))))
+
+
+def _random_unitary(d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def test_tensor_of_states_over_the_cap_is_rejected_before_kron(monkeypatch):
+    factor = random_state((2,) * 8)  # 2^16 amplitudes together, over DIM_CAP
+    monkeypatch.setattr(np, "kron", _refuse)
+    with pytest.raises(DimensionCapError, match="dense cap"):
+        tensor(factor, factor)
+
+
+# (dims, subsystem, basis dimension, accepted): both ops give one verdict
+BASIS_VERDICTS = [
+    pytest.param((2, 2), 0, 4, True, id="whole-space-subsystem-0"),
+    pytest.param((3, 2, 2), 0, 3, True, id="factor-0-of-3x2x2"),
+    pytest.param((3, 2, 2), 1, 2, True, id="factor-1-of-3x2x2"),
+    pytest.param((3, 2, 2), 2, 2, True, id="factor-2-of-3x2x2"),
+    pytest.param((3, 2, 2), 0, 12, True, id="whole-space-of-3x2x2"),
+    pytest.param((4,), 0, 4, True, id="one-factor"),
+    pytest.param((2, 2), 1, 4, False, id="whole-space-naming-factor-1"),
+    pytest.param((2, 2), 5, 4, False, id="subsystem-5-whole-space-dim"),
+    pytest.param((2, 2), 5, 2, False, id="subsystem-5-factor-dim"),
+    pytest.param((4,), 3, 4, False, id="subsystem-3-of-one-factor"),
+    pytest.param((3, 2, 2), 0, 2, False, id="factor-dimension-mismatch"),
+]
+
+
+@pytest.mark.parametrize("dims, subsystem, d, accepted", BASIS_VERDICTS)
+def test_offdiag_norm_and_basis_measurements_share_one_rule(dims, subsystem, d, accepted):
+    psi = random_state(dims)
+    basis = BasisSpec(subsystem, _random_unitary(d))
+    ops = (lambda: offdiag_norm(psi.density(), basis),
+           lambda: outcome_distribution(psi, basis))
+    for op in ops:
+        if accepted:
+            op()
+        else:
+            with pytest.raises(ValueError, match=f"subsystem {subsystem}"):
+                op()
+
+
+def test_whole_space_basis_naming_another_factor_must_name_subsystem_0():
+    rho = random_density((2, 2))
+    with pytest.raises(ValueError, match="must name subsystem 0"):
+        offdiag_norm(rho, BasisSpec(1, np.eye(4)))
+
+
+@pytest.mark.parametrize("dims, subsystem, d", [
+    ((2, 3), 1, 3),
+    ((3, 2, 2), 0, 3),
+    ((3, 2, 2), 1, 2),
+    ((3, 2, 2), 2, 2),
+    ((2, 3), 0, 6),
+    ((3, 2, 2), 0, 12),
+    ((5,), 0, 5),
+])
+def test_offdiag_norm_matches_the_kron_lifted_reference(monkeypatch, dims, subsystem, d):
+    rho = random_density(dims)
+    basis = BasisSpec(subsystem, _random_unitary(d))
+    want = _kron_lifted_offdiag_norm(rho, basis)
+    monkeypatch.setattr(np, "kron", _refuse)
+    got = offdiag_norm(rho, basis)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_tensor_equals_the_factor_loops_byte_for_byte():
+    states = [random_state(dims) for dims in ((2,), (3,), (2, 2), (1,))]
+    amps = np.ones(1, dtype=complex)
+    for s in states:
+        amps = np.kron(amps, s.amps)
+    joint = tensor(*states)
+    assert joint.dims == (2, 3, 2, 2, 1)
+    assert joint.amps.tobytes() == amps.tobytes()
+    rhos = [random_density(dims) for dims in ((2,), (3,), (2, 2))]
+    mat = np.ones((1, 1), dtype=complex)
+    for r in rhos:
+        mat = np.kron(mat, r.mat)
+    joint = tensor(*rhos)
+    assert joint.dims == (2, 3, 2, 2)
+    assert joint.mat.tobytes() == mat.tobytes()

@@ -32,12 +32,15 @@ process pool per run (``_pmap``) and submits every ``scaling`` and
 ``gaussian_fit`` task up front; while the workers run, the parent computes
 and writes ``trace.csv``, whose rows (10^5 in the benchmark) are made from
 the arrays one slice at a time, never held as lists of Python floats.  Each
-Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  The
-``trace``, ``scaling`` and ``gaussian_fit`` grids are uniform, so r(t) is
-evaluated there by angle addition on 64-sample blocks
-(``spin_bath.decoherence_on_grid``), and their r-derived columns reproduce
-across numpy and libm builds only to its rounding floor, about
-N eps (1 + max |2 g t|); reruns on one build are byte-identical.  Before it
+Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  Every
+section that holds a time grid (``trace``, ``scaling``, ``gaussian_fit``,
+and ``pointer``'s ``correlation`` and ``sieve``) hands it to
+``spin_bath.decoherence_on_grid``, which alone picks the evaluator.  These
+grids are uniform, so r(t) is evaluated there by angle addition on 64-sample
+blocks, and their r-derived columns reproduce across numpy and libm builds
+only to its rounding floor, about N eps (1 + max |2 g t|); reruns on one
+build are byte-identical.  ``recurrence`` and ``oracle-compare`` evaluate
+r(t) at arbitrary times (``spin_bath.decoherence_factor``).  Before it
 allocates anything, a runner estimates each section's peak bytes from the
 config alone and rejects, as a config error, any section over the one
 ``BYTE_BUDGET``, and sections that run at once when their sum is over it.
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -497,11 +501,12 @@ def _pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _finite(text: str) -> float:
-    """JSON float hook: NaN, +-Infinity and overflowing literals are config errors."""
+def _finite(text: str, source: str = "config") -> float:
+    """JSON float hook: NaN, +-Infinity and overflowing literals in ``source``
+    are config errors."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
+        raise ConfigError(f"{source} holds the non-finite number {text}")
     return value
 
 
@@ -629,8 +634,9 @@ _ROW_SLICE = 4096
 # spin (the peak of building a bath of either ensemble, the random one's
 # construction the larger; pointer baths cost the same), and per task a
 # section hands to the pool (seed, payload, result row); plus, for every
-# r(t) evaluation, the kernel's fixed tile buffers (two float and one
-# complex buffer of spin_bath._GRID_ENTRIES entries, 1 MiB).
+# r(t) evaluation, the kernel's fixed tile buffers (one complex and one
+# float buffer of spin_bath._GRID_ENTRIES entries, 768 KiB; 32 bytes per
+# entry, 1 MiB, bounds them with the kernel's smaller per-tile temporaries).
 _POINT_BYTES = 64
 _TRACE_ROW_BYTES = 160
 _SCAN_POINT_BYTES = 32
@@ -730,7 +736,12 @@ def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
 def _scaling_task(payload):
     n, span, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
-    t_grid = np.linspace(0.0, span / float(cfg.g.min()), samples)
+    g_min = float(cfg.g.min())
+    t_end = span / g_min
+    if not math.isfinite(t_end):
+        raise ValueError(f"span_periods {span:g} over the weakest coupling {g_min:g} "
+                         "overflows the time grid")
+    t_grid = np.linspace(0.0, t_end, samples)
     mean = spin_bath.time_averaged_r2(cfg, t_grid)
     return n, mean
 
@@ -741,8 +752,9 @@ def _fit_prefix(samples: int) -> int:
     The grid runs to 5/Gamma0, so t = 2/Gamma0 is sample 2 (samples - 1) / 5.
     cos^2 x <= exp(-x^2) for |x| <= pi/2, so |r|^2 < e^-4 by then whenever
     4 max g <= (pi/2) Gamma0, and the fit window ends inside the prefix.  The
-    prefix is whole anchor blocks of ``spin_bath.decoherence_on_grid``, which
-    computes each of its samples exactly as on the full grid.
+    prefix is whole anchor blocks of the angle-addition evaluator that
+    ``spin_bath.decoherence_on_grid`` picks for a prefix of a linspace grid,
+    and it computes each of those samples exactly as on the full grid.
     """
     needed = -(-2 * (samples - 1) // 5) + 1
     block = spin_bath._GRID_BLOCK
@@ -754,10 +766,10 @@ def _fit_task(payload):
 
     r(t) is evaluated only on the grid's first ``_fit_prefix`` samples, which
     hold the fit window whenever the bound in ``_fit_prefix`` applies; if the
-    prefix never drops below e^-4 the whole grid is evaluated.  Both are
-    uniform grids, which ``decoherence_trace`` hands to
-    ``spin_bath.decoherence_on_grid``, so either way the fit is the one of
-    the whole grid, bit for bit.
+    prefix never drops below e^-4 the whole grid is evaluated.
+    ``decoherence_trace`` hands either to ``spin_bath.decoherence_on_grid``,
+    which finds both uniform, so either way the fit is the one of the whole
+    grid, bit for bit.
     """
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
@@ -790,8 +802,8 @@ def _trace_rows(t_grid, r):
 
 def _write_trace(sec: dict, child, out) -> None:
     cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), child)
-    t_grid, step = np.linspace(0.0, sec["t_max"], sec["samples"], retstep=True)
-    r = spin_bath.decoherence_on_grid(cfg, step, t_grid.size)
+    t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
+    r = spin_bath.decoherence_on_grid(cfg, t_grid)
     out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, r))
 
 
@@ -846,9 +858,11 @@ def run_spin_bath(config, seed, workers, out) -> int:
 
 def _load_kraus(path) -> measurement.KrausSet:
     """The Kraus set in ``path``; its input must be the system (2) or the joint state (4)."""
+    finite = functools.partial(_finite, source="Kraus file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            kset = measurement.KrausSet.from_dict(json.load(fh))
+            kset = measurement.KrausSet.from_dict(
+                json.load(fh, parse_float=finite, parse_constant=finite))
     except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
             ValueError) as exc:
         # TypeError: a field of the wrong JSON type, such as a number for "shape"
@@ -975,7 +989,7 @@ def run_pointer(config, seed, workers, out) -> int:
     if "correlation" in config:
         sec = config["correlation"]
         t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-        r = spin_bath.decoherence_factor(bath, t_grid)
+        r = spin_bath.decoherence_on_grid(bath, t_grid)
         columns = [pointer._rotated_correlation(tri, th, r) for th in sec["thetas"]]
         header = ["t"] + [f"corr_theta_{theta:g}" for theta in sec["thetas"]]
         out.csv("correlation.csv", header, zip(t_grid, *columns))
@@ -1141,6 +1155,7 @@ def _oracle_task(payload):
         cfg = spin_bath.SpinBathConfig.random(n, rng)
         if abs(cfg.a) > 1e-3 and abs(cfg.b) > 1e-3:
             break
+    # random times, not a grid: the arbitrary-time path
     t = rng.uniform(0.0, t_max, times_per_trial)
     dev = np.abs(spin_bath.decoherence_factor(cfg, t) - oracle.oracle_r(cfg, t))
     return n, float(dev.max())
@@ -1202,6 +1217,8 @@ def _check_eigenstate_flat() -> bool:
     cfg = spin_bath.SpinBathConfig(
         0.6, 0.8, np.linspace(0.2, 1.0, n), np.ones(n), np.zeros(n)
     )
+    # the arbitrary-time path, as when this check was written, so check.json
+    # and its digest stay fixed
     r = spin_bath.decoherence_factor(cfg, np.linspace(0.0, 40.0, 2000))
     return bool(np.max(np.abs(np.abs(r) - 1.0)) < 1e-12)
 

@@ -8,6 +8,7 @@ every stochastic path is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,7 +76,11 @@ class KrausSet:
             _finite("Kraus operators", stack, complex)
         else:
             tol = _positive("completeness_tol", completeness_tol, zero_ok=True)
-            _check_close(self.completeness_deviation(), 0.0, tol, "Kraus operators: sum M^dag M "
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
+                deviation = self.completeness_deviation()
+            if not math.isfinite(deviation):
+                _finite("Kraus operators", stack, complex)  # names a NaN or inf entry
+            _check_close(deviation, 0.0, tol, "Kraus operators: sum M^dag M "
                          f"deviates from identity by {{:g}} (tolerance {tol:g})")
 
     @property

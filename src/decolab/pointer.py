@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spin_bath import SpinBathConfig, _check_phase, decoherence_factor, environment_branch
+from .spin_bath import SpinBathConfig, decoherence_on_grid, environment_branch
 from .states import (
     BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
     _square,
@@ -94,13 +94,12 @@ def basis_correlation_decay(cfg: TriConfig, theta: float, t_grid) -> np.ndarray:
         C = | sqrt(P00 P11) - sqrt(P01 P10) |.
 
     theta = 0 reproduces the preserved pointer correlation |a b| at every
-    time; rotated bases lose correlation as the branch overlap decays.
+    time; rotated bases lose correlation as the branch overlap decays.  r is
+    evaluated by ``spin_bath.decoherence_on_grid``.
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    _check_phase(cfg.bath, "t_grid", t_grid)
-    return _rotated_correlation(cfg, theta, decoherence_factor(cfg.bath, t_grid))
+    return _rotated_correlation(cfg, theta, decoherence_on_grid(cfg.bath, t_grid))
 
 
 def _rotated_correlation(cfg: TriConfig, theta: float, r: np.ndarray) -> np.ndarray:
@@ -129,7 +128,8 @@ def predictability_sieve(
     column (u0, u1) (the system is left out) and dephased by the environment
     of ``cfg``.  Its purity is |u0|^4 + |u1|^4 + 2 |u0 u1|^2 |r(t)|^2, so the
     score, the time-averaged purity averaged over the columns, needs only
-    the mean of |r|^2 over the grid.  A basis of conserved states scores
+    the mean of |r|^2 over the grid, evaluated by
+    ``spin_bath.decoherence_on_grid``.  A basis of conserved states scores
     exactly 1; nothing can score higher.
 
     Returns the candidates sorted by descending score, ties keeping input
@@ -138,11 +138,7 @@ def predictability_sieve(
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("the sieve needs at least two candidate bases")
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    if t_grid.size == 0:
-        raise ValueError("empty time grid")
-    _check_phase(cfg.bath, "t_grid", t_grid)
-    mean_r2 = float(np.mean(np.abs(decoherence_factor(cfg.bath, t_grid)) ** 2))
+    mean_r2 = float(np.mean(np.abs(decoherence_on_grid(cfg.bath, t_grid)) ** 2))
     scored = []
     for basis in candidates:
         if basis.dim != 2:
@@ -158,8 +154,9 @@ def _branch_amplitudes(amplitudes) -> np.ndarray:
     c = np.array(amplitudes, dtype=complex).reshape(-1)
     if c.size < 1:
         raise ValueError("need at least one branch amplitude")
-    _check_close(float(np.sum(np.abs(c) ** 2)), 1.0, 1e-12,
-                 "branch amplitudes: sum |c_i|^2 = {!r}, expected 1")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
+        norm = float(np.sum(np.abs(c) ** 2))
+    _check_close(norm, 1.0, 1e-12, "branch amplitudes: sum |c_i|^2 = {!r}, expected 1")
     return _frozen(c)
 
 
@@ -168,7 +165,9 @@ def _mixture_weights(weights) -> np.ndarray:
     w = np.array(weights, dtype=float).reshape(-1)
     if not np.all(w >= 0.0):  # NaN fails here, +inf in the sum
         raise ValueError("mixture weights must be nonnegative")
-    _check_close(float(w.sum()), 1.0, 1e-12, "mixture weights must sum to 1")
+    with np.errstate(over="ignore"):  # an overflowing sum is inf and fails the check
+        total = float(w.sum())
+    _check_close(total, 1.0, 1e-12, "mixture weights must sum to 1")
     return _frozen(w)
 
 
@@ -280,7 +279,8 @@ def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.nd
     if not np.all(t >= 0.0):
         raise ValueError(f"times must be nonnegative: t_grid holds {np.min(t):g}")
     _finite("t_grid", t)
-    decay = np.multiply.outer(t, -rates)
+    with np.errstate(over="ignore"):  # t gamma past the float range: exp(-inf) is the limit 0
+        decay = np.multiply.outer(t, -rates)
     kbar = np.exp(decay, out=decay) @ w
     s1 = float(np.sum(mod))
     s4 = float(np.sum(mod2 ** 2))

@@ -12,13 +12,14 @@ and spins in an even superposition (|alpha_k| = |beta_k|) enter as a real
 product of cosines.  At T arbitrary times (``decoherence_factor``) every
 time is its own anchor and the offset is 0, the kernel's zero-offset case:
 O(T*N) time, one cosine (two for an uneven spin) per spin and time, and 24
-bytes per time plus one tile.  On a uniform grid t_j = j h
-(``decoherence_on_grid``, which ``decoherence_trace`` and
-``time_averaged_r2`` use whenever their grid is
-``np.linspace(0, t_max, samples)`` or a prefix of one) the anchors are every
-64th sample and the offsets the 64 steps of a block, recombined by angle
-addition, so a spin costs 2 (64 + T/64) cosines and sines instead of T; the
-work is still O(T*N), now in multiplications.  The kernel rejects a time
+bytes per time plus one tile.  Every caller that holds a time grid
+(``decoherence_trace``, ``time_averaged_r2`` and the pointer diagnostics)
+calls ``decoherence_on_grid``, which alone picks the evaluator: on a uniform
+grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of one) the
+anchors are every 64th sample and the offsets the 64 steps of a block,
+recombined by angle addition, so a spin costs 2 (64 + T/64) cosines and
+sines instead of T; the work is still O(T*N), now in multiplications.  Any
+other grid takes the zero-offset case.  The kernel rejects a time
 whose phase 2 g t overflows (cos and sin of inf are NaN); a finite phase
 past 2^53 rad is kept, though float spacing there exceeds 2 pi.  Around it
 sit the branch states of the environment, long-time averages,
@@ -28,7 +29,6 @@ Gaussian-decay fits, and a recurrence scanner.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +47,8 @@ _FIT_FLOOR = math.exp(-4.0)
 # The r(t) kernel: samples per anchor on a uniform grid, bath spins per tile
 # there, times per tile row at arbitrary times (numpy multiplies a spin's
 # row of phases faster the longer it is), and entries of one
-# (spins x anchors x offsets) tile: the tile buffers (at most two float and
-# one complex, sized to the call) stay within 1 MiB however long the grid or
+# (spins x anchors x offsets) tile: the tile buffers (one complex and one
+# float, sized to the call) stay within 768 KiB however long the grid or
 # large the bath.
 _GRID_BLOCK = 64
 _GRID_SPINS = 64
@@ -161,19 +161,6 @@ def decoherence_factor(cfg: SpinBathConfig, t):
     return complex(r) if t_arr.ndim == 0 else r
 
 
-def _check_phase(cfg: SpinBathConfig, name: str, *times: np.ndarray) -> None:
-    """Reject times whose phases 2 g_k t are not finite, naming ``name``.
-
-    |t| is bounded by the sum of the largest |entry| of each array in
-    ``times``.  cos and sin of an infinite phase are NaN; a finite phase
-    past 2^53 rad is kept, though it carries no information.
-    """
-    t_max = sum(float(np.abs(t).max(initial=0.0)) for t in times)
-    g_max = float(np.abs(cfg.g).max())
-    if not math.isfinite(g_max * (2.0 * t_max)):  # NaN when 2 t is inf and g is 0
-        raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
-
-
 def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
              name: str) -> np.ndarray:
     """r at t_anchor[m] + t_offset[i], as an (anchors, offsets) array.
@@ -190,7 +177,12 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
     most ``_GRID_ENTRIES`` entries.  ``name`` is the caller's time argument,
     which a phase overflow is reported against.
     """
-    _check_phase(cfg, name, t_anchor, t_offset)
+    # |t| is at most max |t_anchor| + max |t_offset|; cos and sin of an
+    # infinite phase are NaN
+    t_max = sum(float(np.abs(t).max(initial=0.0)) for t in (t_anchor, t_offset))
+    g_max = float(np.abs(cfg.g).max())
+    if not math.isfinite(g_max * (2.0 * t_max)):  # NaN when 2 t is inf and g is 0
+        raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
     rows, width = t_anchor.size, t_offset.size
     # |alpha_k|^2 - |beta_k|^2: 0 for a spin in an even superposition
     weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
@@ -245,40 +237,6 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
     return r
 
 
-def decoherence_on_grid(cfg: SpinBathConfig, step: float, count: int) -> np.ndarray:
-    """r(t) on the uniform grid t_j = j * step, j = 0 .. count - 1.
-
-    ``np.linspace(0, t_max, samples)`` is this grid with step
-    t_max / (samples - 1) (its last point, t_max, lies within one rounding
-    of (samples - 1) * step), and its first ``count`` samples are a prefix
-    of it.  The r(t) kernel takes sample j = 64 m + i as the anchor
-    t_{64 m} plus the offset t_i and recombines their phases by angle
-    addition, so a spin costs 2 (64 + count / 64) cosines and sines where
-    ``decoherence_factor``, the kernel's zero-offset case, takes count
-    (2 count for an uneven spin).  Every sample depends on j, step and the
-    bath alone: a prefix is bit for bit the start of a longer grid, and a
-    sample with i = 0 or m = 0 (where B or A is 0) equals
-    ``decoherence_factor`` at t_j bit for bit, r(0) = 1 among them.
-    Elsewhere the two differ by phase rounding, about
-    N eps (1 + max |2 g t|).  A grid whose phase 2 g t overflows is
-    rejected.
-
-    Returns a complex array of length ``count``.
-    """
-    step = _positive("step", step)
-    count = operator.index(count)
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    width = min(_GRID_BLOCK, count)
-    rows = -(-count // width)
-    # t at each anchor (every 64th sample) and at each offset in a block,
-    # formed as np.linspace forms it
-    with np.errstate(over="ignore"):  # _product rejects an infinite time
-        t_anchor = np.arange(0, rows * width, width, dtype=float) * step
-        t_offset = np.arange(width, dtype=float) * step
-    return _product(cfg, t_anchor, t_offset, "step").reshape(-1)[:count]
-
-
 def _grid_step(t_grid: np.ndarray) -> float | None:
     """The step h when ``t_grid`` is t_j = j * h bit for bit, as
     ``np.linspace(0, t_max, samples)`` makes it (whose last point may be t_max
@@ -294,16 +252,41 @@ def _grid_step(t_grid: np.ndarray) -> float | None:
     return step if np.array_equal(uniform, t_grid) else None
 
 
-def _on_grid(cfg: SpinBathConfig, t_grid: np.ndarray) -> np.ndarray:
-    """r over a 1-D time grid: ``decoherence_on_grid`` on a uniform one.
+def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
+    """r(t) over a time grid, evaluated the cheapest way the grid allows.
 
-    A phase overflow is reported against ``t_grid``, the callers' argument.
+    Every caller that holds a time grid comes here, and this function alone
+    picks how the r(t) kernel runs.  A uniform grid t_j = j h
+    (``np.linspace(0, t_max, samples)`` or a prefix of one) takes sample
+    j = 64 m + i as the anchor t_{64 m} plus the offset t_i, recombined by
+    angle addition, so a spin costs 2 (64 + T / 64) cosines and sines where
+    the zero-offset case takes T (2 T for an uneven spin).  Every sample
+    depends on j, h and the bath alone: a prefix is bit for bit the start of
+    a longer grid, and a sample with i = 0 or m = 0 (where B or A is 0)
+    equals ``decoherence_factor`` at t_j bit for bit, r(0) = 1 among them.
+    Elsewhere the two differ by phase rounding, about N eps (1 + max |2 g t|).
+    Any other grid is evaluated as ``decoherence_factor`` evaluates it.
+
+    ``t_grid`` is flattened; it must be finite and not empty, and a grid
+    whose phase 2 g t overflows is rejected, each naming ``t_grid``.
+
+    Returns a complex array of the grid's length.
     """
-    _check_phase(cfg, "t_grid", t_grid)
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
+    if t_grid.size == 0:
+        raise ValueError("t_grid: empty time grid")
     step = _grid_step(t_grid)
     if step is None:
-        return decoherence_factor(cfg, t_grid)
-    return decoherence_on_grid(cfg, step, t_grid.size)
+        return _product(cfg, t_grid, np.zeros(1), "t_grid").reshape(-1)
+    count = t_grid.size
+    width = min(_GRID_BLOCK, count)
+    rows = -(-count // width)
+    # t at each anchor (every 64th sample) and at each offset in a block,
+    # formed as np.linspace forms it
+    with np.errstate(over="ignore"):  # _product rejects an infinite time
+        t_anchor = np.arange(0, rows * width, width, dtype=float) * step
+        t_offset = np.arange(width, dtype=float) * step
+    return _product(cfg, t_anchor, t_offset, "t_grid").reshape(-1)[:count]
 
 
 @dataclass(frozen=True)
@@ -339,19 +322,15 @@ class DecoherenceTrace:
 
 
 def decoherence_trace(cfg: SpinBathConfig, t_grid) -> DecoherenceTrace:
-    """Evaluate r over a grid (which must start at 0) and package it.
-
-    A uniform grid (``np.linspace(0, t_max, samples)`` or a prefix of one)
-    is evaluated by ``decoherence_on_grid``, any other by
-    ``decoherence_factor``.
-    """
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    return DecoherenceTrace(t_grid, _on_grid(cfg, t_grid))
+    """Evaluate r over a grid (which must start at 0) by ``decoherence_on_grid``
+    and package it."""
+    return DecoherenceTrace(t_grid, decoherence_on_grid(cfg, t_grid))
 
 
 def reduced_state_A(cfg: SpinBathConfig, t: float) -> DensityMatrix:
     """Qubit state after tracing the bath: diag(|a|^2, |b|^2) plus a*conj(b)*r coherence."""
     a, b = cfg.a, cfg.b
+    # one arbitrary time, not a grid
     coherence = a * np.conj(b) * decoherence_factor(cfg, t)
     mat = np.array([[abs(a) ** 2, coherence], [np.conj(coherence), abs(b) ** 2]], dtype=complex)
     return DensityMatrix((2,), mat)
@@ -383,13 +362,11 @@ def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:
     The grid should span many oscillation periods (>= 50 / min g_k) for the
     average to mean anything; fewer than 100 samples is rejected outright.
     For balanced bath spins and incommensurate couplings the long-time value
-    approaches 2^-N.  A uniform grid is evaluated by ``decoherence_on_grid``,
-    as in ``decoherence_trace``.
+    approaches 2^-N.  r is evaluated by ``decoherence_on_grid``.
     """
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    if t_grid.size < 100:
-        raise ValueError(f"need at least 100 samples, got {t_grid.size}")
-    return float(np.mean(np.abs(_on_grid(cfg, t_grid)) ** 2))
+    if np.size(t_grid) < 100:
+        raise ValueError(f"need at least 100 samples, got {np.size(t_grid)}")
+    return float(np.mean(np.abs(decoherence_on_grid(cfg, t_grid)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -503,6 +480,8 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     t_grid = np.linspace(0.0, float(horizon), n_pts)
     above = np.empty(n_pts, dtype=bool)
     for lo in range(0, n_pts, _SCAN_CHUNK):
+        # a chunk after the first is no prefix of a grid from 0, so it takes
+        # the arbitrary-time path
         r = decoherence_factor(cfg, t_grid[lo : lo + _SCAN_CHUNK])
         above[lo : lo + r.size] = np.abs(r) > 1.0 - eps
     departed = np.nonzero(~above)[0]

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -201,6 +202,59 @@ def test_huge_finite_number_is_usage_error(tmp_path, capsys, experiment, body, n
     _usage_error(capsys, args, name)
 
 
+# a Kraus file whose first entry overflows to inf when parsed
+INF_KRAUS = ('{"shape": [2, 2], "operators": [[[1e999, 0], [0, 0], [0, 0], [0, 0]], '
+             '[[0, 0], [0, 0], [0, 0], [1, 0]]]}')
+_POINTER_BODY = {"branch_amplitudes": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+                 "environment": {"n_spins": 3}}
+_APPARATUS = {"amplitudes": [[0.6, 0.0], [0.8, 0.0]], "decay_rates": [0.5],
+              "t_max": 1.0, "samples": 3}
+
+
+@pytest.mark.parametrize("experiment, body, code, expected", [
+    ("pointer", dict(_POINTER_BODY, apparatus=dict(
+        _APPARATUS, amplitudes=[[1e200, 0.0], [0.0, 0.0]])), 2, "sum |c_i|^2 = inf"),
+    ("pointer", dict(_POINTER_BODY, apparatus=dict(
+        _APPARATUS, decay_rates=[0.5, 1.0], weights=[1e308, 1e308])), 2, "mixture weights"),
+    ("pointer", dict(_POINTER_BODY, apparatus=dict(
+        _APPARATUS, decay_rates=[1e300], t_max=1e300)), 0, None),
+    ("measure", {"system": {"a": [0.6, 0.0], "b": [0.8, 0.0]}, "shots": 10,
+                 "kraus_file": "inf-kraus.json"}, 2, "non-finite number 1e999"),
+], ids=["apparatus-amplitudes", "apparatus-weights", "apparatus-decay-rates", "kraus-file"])
+def test_overflow_prints_one_line_at_exit_2_and_nothing_at_exit_0(
+    tmp_path, monkeypatch, capsys, experiment, body, code, expected
+):
+    # under warnings-as-errors a numpy overflow warning would escape main
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf-kraus.json").write_text(INF_KRAUS, encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", {"experiment": experiment, **body})
+    out = tmp_path / "o"
+    args = [experiment, "--config", cfg, "--out", str(out), "--workers", "1", "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if code == 2:
+            _usage_error(capsys, args, expected)
+            return
+        assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out / "apparatus.csv")
+    # exp(-t gamma) is 0 once t gamma passes the float range
+    assert [float(row[1]) for row in rows[2:]] == [0.0, 0.0]
+    assert all(np.isfinite(float(x)) for row in rows[1:] for x in row)
+
+
+def test_scaling_span_that_overflows_the_grid_is_usage_error(tmp_path, capsys):
+    # span_periods / min g is inf, which np.linspace would turn into NaN times
+    # with an "invalid value" warning on stderr
+    config = {"experiment": "spin-bath",
+              "scaling": {"n_values": [4], "span_periods": 1.7e308, "samples": 1000}}
+    cfg = write_config(tmp_path / "c.json", config)
+    args = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _usage_error(capsys, args, "span_periods")
+
+
 # ------------------------------------------------------------ spin-bath output
 
 
@@ -325,8 +379,8 @@ def test_fit_prefix_matches_the_full_grid_bit_for_bit(n, samples):
     for seed in range(6):
         child = np.random.SeedSequence([seed, n, samples])
         bath, t_grid, want = _full_grid_fit(n, samples, child)
-        full = decoherence_factor(bath, t_grid)
-        head = decoherence_factor(bath, t_grid[:prefix])
+        full = cli.spin_bath.decoherence_on_grid(bath, t_grid)
+        head = cli.spin_bath.decoherence_on_grid(bath, t_grid[:prefix])
         assert head.tobytes() == full[:prefix].tobytes()
         assert cli._fit_task((n, samples, child)) == want
 
@@ -811,7 +865,8 @@ def test_oversized_pointer_is_rejected_before_allocation(tmp_path, monkeypatch, 
 
     for owner, name in [(np, "linspace"), (cli, "_bath_from"),
                         (cli.spin_bath, "decoherence_factor"),
-                        (cli.pointer, "decoherence_factor")]:
+                        (cli.spin_bath, "decoherence_on_grid"),
+                        (cli.pointer, "decoherence_on_grid")]:
         monkeypatch.setattr(owner, name, refuse)
     body = {"environment": {"n_spins": BIG},
             "correlation": dict(POINTER_CFG["correlation"], samples=BIG),
@@ -847,15 +902,26 @@ def test_pointer_runs_past_the_old_13_spin_cap(tmp_path, n_spins):
     assert all(abs(float(row[1]) - 0.48) < 1e-12 for row in rows[1:])
 
 
-def test_pointer_evaluates_r_once_per_time_grid(tmp_path, monkeypatch):
+def _count_grid_calls(monkeypatch):
+    """Record (cfg, t_grid) of every call into the grid entry; refuse decoherence_factor."""
     calls = []
+    real = cli.spin_bath.decoherence_on_grid
 
-    def counted(cfg, t):
-        calls.append((cfg, np.array(t)))
-        return decoherence_factor(cfg, t)
+    def counted(cfg, t_grid):
+        calls.append((cfg, np.array(t_grid)))
+        return real(cfg, t_grid)
 
-    monkeypatch.setattr(cli.spin_bath, "decoherence_factor", counted)
-    monkeypatch.setattr(cli.pointer, "decoherence_factor", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time grid went to decoherence_factor")
+
+    for owner in (cli.spin_bath, cli.pointer):
+        monkeypatch.setattr(owner, "decoherence_on_grid", counted)
+        monkeypatch.setattr(owner, "decoherence_factor", refuse, raising=False)
+    return calls
+
+
+def test_pointer_evaluates_r_once_per_time_grid(tmp_path, monkeypatch):
+    calls = _count_grid_calls(monkeypatch)
     config = dict(POINTER_CFG, correlation=dict(POINTER_CFG["correlation"],
                                                 thetas=[0.0, 0.3, 0.9, 1.2]))
     cfg = write_config(tmp_path / "c.json", config)
@@ -868,6 +934,25 @@ def test_pointer_evaluates_r_once_per_time_grid(tmp_path, monkeypatch):
     for j, theta in enumerate(config["correlation"]["thetas"]):
         want = cli.pointer.basis_correlation_decay(tri, theta, t_grid)
         assert [float(row[j + 1]) for row in rows[1:]] == want.tolist()
+
+
+def test_every_grid_section_evaluates_r_through_the_grid_entry(tmp_path, monkeypatch):
+    calls = _count_grid_calls(monkeypatch)
+    spin = {"experiment": "spin-bath", "seed": 3,
+            "trace": {"n_spins": 5, "t_max": 4.0, "samples": 101},
+            "scaling": {"n_values": [3, 4], "samples": 300},
+            "gaussian_fit": {"n_spins": 20, "n_seeds": 2, "samples": 400}}
+    cfg = write_config(tmp_path / "spin.json", spin)
+    argv = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "s"), "--workers", "1", "--quiet"]
+    assert main(argv) == 0
+    # trace, then each scaling task, then each fit on its prefix of the grid
+    prefix = cli._fit_prefix(400)
+    assert [t.size for _, t in calls] == [101, 300, 300, prefix, prefix]
+    calls.clear()
+    cfg = write_config(tmp_path / "pointer.json", POINTER_CFG)
+    assert main(["pointer", "--config", cfg, "--out", str(tmp_path / "p"), "--quiet"]) == 0
+    # correlation, then sieve
+    assert [t.size for _, t in calls] == [31, 41]
 
 
 def test_readme_pointer_config_never_builds_a_density_matrix(tmp_path, monkeypatch):

@@ -10,7 +10,9 @@ exported callable is either in the table or exempt, with the reason.
 """
 
 import inspect
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +259,39 @@ def test_huge_or_tiny_finite_input_raises_naming_the_argument_or_returns_finite(
         assert re.search(rf"(?<!\w){re.escape(floats[arg])}(?!\w)", str(exc)), str(exc)
     else:
         assert _all_finite(result), result
+
+
+# the four overflows the CLI used to print as numpy warnings: each call must
+# raise a ValueError naming the argument, or return finite values, with no
+# warning on the way
+INF_KRAUS = json.loads('{"shape": [2, 2], "operators": [[[1e999, 0], [0, 0], [0, 0], [0, 0]], '
+                       '[[0, 0], [0, 0], [0, 0], [1, 0]]]}')
+OVERFLOWS = {
+    "ApparatusModel-amplitudes": (lambda: ApparatusModel([1e200, 0.0], _kappa), "amplitudes"),
+    "apparatus_dephasing-amplitudes": (
+        lambda: decolab.apparatus_dephasing([1e200, 0.0], [0.5], None, [0.0, 1.0]), "amplitudes"
+    ),
+    "ApparatusModel-weights": (
+        lambda: ApparatusModel([0.6, 0.8], _kappa, [1e308, 1e308]), "weights"
+    ),
+    "apparatus_dephasing-weights": (
+        lambda: decolab.apparatus_dephasing([0.6, 0.8], [0.5, 1.0], [1e308, 1e308], [0.0, 1.0]),
+        "weights",
+    ),
+    "apparatus_dephasing-decay_rates": (
+        lambda: decolab.apparatus_dephasing([0.6, 0.8], [1e300], None, [0.0, 5e299, 1e300]), None
+    ),
+    "KrausSet.from_dict-operators": (lambda: KrausSet.from_dict(INF_KRAUS), "Kraus operators"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_intermediate_raises_naming_the_argument_or_returns_finite_silently(case):
+    call, name = OVERFLOWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name is None:
+            assert _all_finite(call())
+            return
+        with pytest.raises(ValueError, match=name):
+            call()

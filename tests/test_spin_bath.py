@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from decolab import spin_bath
 from decolab.oracle import oracle_r
 from decolab.spin_bath import (
     DecoherenceTrace,
@@ -242,7 +243,7 @@ def test_grid_evaluator_matches_decoherence_factor_to_phase_rounding(n, bath):
         # the longest grid only at the span, the case with the largest phases
         for t_max in (span,) if samples == 200001 else (1.0, span):
             t, step = np.linspace(0.0, t_max, samples, retstep=True)
-            got = decoherence_on_grid(cfg, step, samples)
+            got = decoherence_on_grid(cfg, t)
             want = decoherence_factor(cfg, t)
             assert got.dtype == complex and got.shape == (samples,)
             assert got[0] == 1.0
@@ -260,40 +261,58 @@ def test_grid_evaluator_matches_decoherence_factor_to_phase_rounding(n, bath):
             exact = np.r_[0 : min(samples, 64), 0:samples:64]
             exact = exact[t[exact] == exact * step]
             assert got[exact].tobytes() == want[exact].tobytes()
+            # a prefix of the linspace grid is the start of it, bit for bit
             count = samples // 3 + 1
-            assert decoherence_on_grid(cfg, step, count).tobytes() == got[:count].tobytes()
+            assert decoherence_on_grid(cfg, t[:count]).tobytes() == got[:count].tobytes()
 
 
-@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
 def test_grid_evaluator_rejects_a_bad_step(step):
-    with pytest.raises(ValueError, match="step"):
-        decoherence_on_grid(SpinBathConfig.balanced([0.5]), step, 10)
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        decoherence_on_grid(SpinBathConfig.balanced([0.5]), [0.0, step, 2.0 * step])
 
 
 @pytest.mark.parametrize("step, count", [(1e308, 3), (1e308, 2), (5e307, 3)])
 def test_grid_evaluator_rejects_a_phase_that_overflows(step, count):
     # (count - 1) step or 2 g t is inf, where cos and sin would give NaN
-    with np.errstate(over="raise"), pytest.raises(ValueError, match="step: the phase"):
-        decoherence_on_grid(SpinBathConfig.balanced([0.5, 1.0]), step, count)
+    with np.errstate(over="ignore"):
+        t_grid = np.arange(count) * step
+    message = "t_grid: the phase" if np.isfinite(t_grid).all() else "t_grid must be finite"
+    with np.errstate(over="raise"), pytest.raises(ValueError, match=message):
+        decoherence_on_grid(SpinBathConfig.balanced([0.5, 1.0]), t_grid)
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_grid_evaluator_rejects_an_empty_grid(count):
-    with pytest.raises(ValueError, match="count"):
-        decoherence_on_grid(SpinBathConfig.balanced([0.5]), 0.1, count)
+def test_grid_evaluator_rejects_an_empty_grid():
+    for t_grid in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="t_grid: empty time grid"):
+            decoherence_on_grid(SpinBathConfig.balanced([0.5]), t_grid)
 
 
-def test_grid_functions_take_the_grid_evaluator_on_uniform_grids_only():
+def test_grid_functions_take_the_grid_evaluator_on_uniform_grids_only(monkeypatch):
+    # the grid entry alone picks the kernel's offsets: a block of 64 on a
+    # linspace grid or a prefix of one, the single offset 0 on any other
+    widths = []
+    product = spin_bath._product
+
+    def spy(cfg, t_anchor, t_offset, name):
+        widths.append(t_offset.size)
+        return product(cfg, t_anchor, t_offset, name)
+
+    monkeypatch.setattr(spin_bath, "_product", spy)
     cfg = _mixed_bath(9, np.random.default_rng(4))
-    t, step = np.linspace(0.0, 30.0, 700, retstep=True)
-    on_grid = decoherence_on_grid(cfg, step, t.size)
+    t = np.linspace(0.0, 30.0, 700)
+    on_grid = decoherence_on_grid(cfg, t)
     assert decoherence_trace(cfg, t).r.tobytes() == on_grid.tobytes()
     assert decoherence_trace(cfg, t[:300]).r.tobytes() == on_grid[:300].tobytes()
     assert time_averaged_r2(cfg, t) == float(np.mean(np.abs(on_grid) ** 2))
+    assert widths == [64] * 4
     for other in (t[1:] - t[1], np.sqrt(t * 30.0), np.r_[t[:-1], 30.5]):
+        widths.clear()
         want = decoherence_factor(cfg, other)
+        assert decoherence_on_grid(cfg, other).tobytes() == want.tobytes()
         assert decoherence_trace(cfg, other).r.tobytes() == want.tobytes()
         assert time_averaged_r2(cfg, other) == float(np.mean(np.abs(want) ** 2))
+        assert widths == [1] * 4
 
 
 def test_decoherence_factor_matches_oracle():

@@ -35,15 +35,17 @@ the arrays one slice at a time, never held as lists of Python floats.  Each
 Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  Every
 section that holds a time grid (``trace``, ``scaling``, ``gaussian_fit``,
 and ``pointer``'s ``correlation`` and ``sieve``) hands it to
-``spin_bath.decoherence_on_grid``, which alone picks the evaluator.  These
-grids are uniform, so r(t) is evaluated there by angle addition on 64-sample
-blocks, and their r-derived columns reproduce across numpy and libm builds
-only to its rounding floor, about N eps (1 + max |2 g t|); reruns on one
-build are byte-identical.  ``recurrence`` and ``oracle-compare`` evaluate
-r(t) at arbitrary times (``spin_bath.decoherence_factor``).  Before it
-allocates anything, a runner estimates each section's peak bytes from the
-config alone and rejects, as a config error, any section over the one
-``BYTE_BUDGET``, and sections that run at once when their sum is over it.
+``spin_bath.decoherence_on_grid``, which alone picks the evaluator, and
+``recurrence`` hands its horizon to ``spin_bath.recurrence_scan``.  All
+these grids are uniform, so r(t) is evaluated there by angle addition on
+64-sample blocks, and their r-derived columns reproduce across numpy and
+libm builds only to its rounding floor, about N eps (1 + max |2 g t|);
+reruns on one build are byte-identical.  ``oracle-compare`` evaluates r(t)
+at random times (``spin_bath.decoherence_factor``).  Before it allocates
+anything, a runner estimates each section's peak bytes from the config
+alone (``_r_bytes`` for every section that evaluates r(t) on a grid) and
+rejects, as a config error, any section over the one ``BYTE_BUDGET``, and
+sections that run at once when their sum is over it.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -646,6 +648,12 @@ _TASK_BYTES = 2048
 _GRID_BYTES = 32 * spin_bath._GRID_ENTRIES
 
 
+def _r_bytes(n_spins: int, points, point_bytes: int = _POINT_BYTES):
+    """A bath of ``n_spins`` plus r(t) on ``points`` time points of
+    ``point_bytes`` each, plus the r(t) kernel's tile buffers."""
+    return n_spins * _SPIN_BYTES + points * point_bytes + _GRID_BYTES
+
+
 def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
     """One task's working set per busy worker plus ``task_bytes`` for every task."""
     return min(max(workers, 1), tasks) * per_task + tasks * task_bytes
@@ -666,26 +674,16 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     if "trace" in config:
         sec = config["trace"]
         need["trace"] = (
-            sec["n_spins"] * _SPIN_BYTES
-            + sec["samples"] * _POINT_BYTES
-            + _GRID_BYTES
+            _r_bytes(sec["n_spins"], sec["samples"])
             + min(sec["samples"], _ROW_SLICE) * _TRACE_ROW_BYTES
         )
     if "scaling" in config:
         sec = config["scaling"]
-        per_task = (
-            max(sec["n_values"]) * _SPIN_BYTES
-            + sec.get("samples", _SCALING_SAMPLES) * _POINT_BYTES
-            + _GRID_BYTES
-        )
+        per_task = _r_bytes(max(sec["n_values"]), sec.get("samples", _SCALING_SAMPLES))
         need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task, _TASK_BYTES)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
-        per_task = (
-            sec["n_spins"] * _SPIN_BYTES
-            + sec.get("samples", _FIT_SAMPLES) * _POINT_BYTES
-            + _GRID_BYTES
-        )
+        per_task = _r_bytes(sec["n_spins"], sec.get("samples", _FIT_SAMPLES))
         need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
     if "recurrence" in config:
         sec = config["recurrence"]
@@ -705,9 +703,7 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
         step = spin_bath._scan_step(g_max, g_sq, sec["epsilon"])
         points = sec["horizon"] / step + 2.0
         need["recurrence"] = (
-            n * _SPIN_BYTES
-            + points * _SCAN_POINT_BYTES
-            + _GRID_BYTES
+            _r_bytes(n, points, _SCAN_POINT_BYTES)
             + min(points, spin_bath._SCAN_CHUNK) * _CHUNK_POINT_BYTES
         )
     return need
@@ -766,19 +762,20 @@ def _fit_task(payload):
 
     r(t) is evaluated only on the grid's first ``_fit_prefix`` samples, which
     hold the fit window whenever the bound in ``_fit_prefix`` applies; if the
-    prefix never drops below e^-4 the whole grid is evaluated.
-    ``decoherence_trace`` hands either to ``spin_bath.decoherence_on_grid``,
-    which finds both uniform, so either way the fit is the one of the whole
-    grid, bit for bit.
+    prefix has no fit window (``spin_bath.FitWindowError``) the whole grid
+    is evaluated.  ``decoherence_trace`` hands either to
+    ``spin_bath.decoherence_on_grid``, which finds both uniform, so either
+    way the fit is the one of the whole grid, bit for bit.
     """
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
     gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
     t_grid = np.linspace(0.0, 5.0 / gamma0, samples)
-    trace = spin_bath.decoherence_trace(cfg, t_grid[: _fit_prefix(samples)])
-    if not np.any(trace.r2 < spin_bath._FIT_FLOOR):
-        trace = spin_bath.decoherence_trace(cfg, t_grid)
-    fit = spin_bath.fit_gaussian_decay(trace)
+    try:
+        trace = spin_bath.decoherence_trace(cfg, t_grid[: _fit_prefix(samples)])
+        fit = spin_bath.fit_gaussian_decay(trace)
+    except spin_bath.FitWindowError:
+        fit = spin_bath.fit_gaussian_decay(spin_bath.decoherence_trace(cfg, t_grid))
     return fit.gamma, fit.r_squared, fit.t_max
 
 
@@ -925,7 +922,7 @@ def run_measure(config, seed, workers, out) -> int:
 # apparatus time point (grid, kernel and the two results), per apparatus time
 # point and mixture component (the kernel table), per branch amplitude and
 # per decay rate.  The bath costs _SPIN_BYTES per spin and the sieve
-# _POINT_BYTES per time point.
+# _POINT_BYTES per time point, and r(t) adds _GRID_BYTES (see _r_bytes).
 _CORRELATION_POINT_BYTES = 128
 _COLUMN_BYTES = 8
 _APPARATUS_POINT_BYTES = 48
@@ -942,18 +939,19 @@ def pointer_bytes(config: dict) -> dict:
     ``environment``, and part of every other one.  r(t) is multiplied in a
     tile of spins at a time, so ``correlation`` and ``sieve`` grow linearly
     with their time samples, ``correlation`` also with one stored column per
-    angle.
+    angle, and each adds the r(t) kernel's tile buffers.
     ``apparatus`` is a closed form: linear in its samples times mixture
     components, plus its amplitudes and rates.
     """
-    bath = config["environment"]["n_spins"] * _SPIN_BYTES
+    n_spins = config["environment"]["n_spins"]
+    bath = n_spins * _SPIN_BYTES
     need = {"environment": bath}
     if "correlation" in config:
         sec = config["correlation"]
         per_point = _CORRELATION_POINT_BYTES + len(sec["thetas"]) * _COLUMN_BYTES
-        need["correlation"] = bath + sec["samples"] * per_point
+        need["correlation"] = _r_bytes(n_spins, sec["samples"], per_point)
     if "sieve" in config:
-        need["sieve"] = bath + config["sieve"]["samples"] * _POINT_BYTES
+        need["sieve"] = _r_bytes(n_spins, config["sieve"]["samples"])
     if "apparatus" in config:
         sec = config["apparatus"]
         mixture = len(sec["decay_rates"])
@@ -1217,9 +1215,7 @@ def _check_eigenstate_flat() -> bool:
     cfg = spin_bath.SpinBathConfig(
         0.6, 0.8, np.linspace(0.2, 1.0, n), np.ones(n), np.zeros(n)
     )
-    # the arbitrary-time path, as when this check was written, so check.json
-    # and its digest stay fixed
-    r = spin_bath.decoherence_factor(cfg, np.linspace(0.0, 40.0, 2000))
+    r = spin_bath.decoherence_on_grid(cfg, np.linspace(0.0, 40.0, 2000))
     return bool(np.max(np.abs(np.abs(r) - 1.0)) < 1e-12)
 
 

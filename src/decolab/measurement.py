@@ -167,7 +167,9 @@ class Projector:
         v = np.atleast_2d(np.asarray(vectors, dtype=complex))
         if v.shape[0] < v.shape[1]:  # accept rows or columns
             v = v.T
-        return cls(v @ v.conj().T)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry fails in cls
+            mat = v @ v.conj().T
+        return cls(mat)
 
     @property
     def dim(self) -> int:

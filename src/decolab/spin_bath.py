@@ -14,16 +14,17 @@ time is its own anchor and the offset is 0, the kernel's zero-offset case:
 O(T*N) time, one cosine (two for an uneven spin) per spin and time, and 24
 bytes per time plus one tile.  Every caller that holds a time grid
 (``decoherence_trace``, ``time_averaged_r2`` and the pointer diagnostics)
-calls ``decoherence_on_grid``, which alone picks the evaluator: on a uniform
-grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of one) the
-anchors are every 64th sample and the offsets the 64 steps of a block,
-recombined by angle addition, so a spin costs 2 (64 + T/64) cosines and
-sines instead of T; the work is still O(T*N), now in multiplications.  Any
-other grid takes the zero-offset case.  The kernel rejects a time
-whose phase 2 g t overflows (cos and sin of inf are NaN); a finite phase
-past 2^53 rad is kept, though float spacing there exceeds 2 pi.  Around it
-sit the branch states of the environment, long-time averages,
-Gaussian-decay fits, and a recurrence scanner.
+calls ``decoherence_on_grid``, which alone picks the evaluator.  Every
+uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of
+one, and each chunk of ``recurrence_scan``'s grid) goes to one builder,
+``_on_uniform``: the anchors are every 64th sample and the offsets the 64
+steps of a block, recombined by angle addition, so a spin costs
+2 (64 + T/64) cosines and sines instead of T; the work is still O(T*N), now
+in multiplications.  Any other grid takes the zero-offset case.  The kernel
+rejects a time whose phase 2 g t overflows (cos and sin of inf are NaN); a
+finite phase past 2^53 rad is kept, though float spacing there exceeds
+2 pi.  Around it sit the branch states of the environment, long-time
+averages, Gaussian-decay fits, and a recurrence scanner.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ _GRID_SPINS = 64
 _TILE_ROW = 1 << 12
 _GRID_ENTRIES = 1 << 15
 
-# Grid points whose r(t) a recurrence scan holds at a time.
+# Grid points whose r(t) a recurrence scan holds at a time; a multiple of
+# _GRID_BLOCK, so every chunk starts on an anchor.
 _SCAN_CHUNK = 1 << 18
 
 
@@ -252,20 +254,40 @@ def _grid_step(t_grid: np.ndarray) -> float | None:
     return step if np.array_equal(uniform, t_grid) else None
 
 
+def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int,
+                name: str) -> np.ndarray:
+    """r at t_j = j * step for j in [start, start + count), ``start`` a multiple of 64.
+
+    The package's one uniform-grid evaluator: sample j = 64 m + i is the
+    anchor t_{64 m} plus the offset t_i, recombined by angle addition, so a
+    spin costs 2 (64 + count / 64) cosines and sines where the zero-offset
+    case takes count (2 count for an uneven spin).  Every sample depends on
+    j, h and the bath alone, so a slice of a grid, a prefix or a later chunk,
+    is bit for bit that part of the whole grid.  ``name`` is the caller's
+    time argument, which a phase overflow is reported against.
+    """
+    width = min(_GRID_BLOCK, start + count)
+    rows = -(-count // width)
+    # t at each anchor (every 64th sample) and at each offset in a block,
+    # formed as np.linspace forms it
+    with np.errstate(over="ignore"):  # _product rejects an infinite time
+        t_anchor = np.arange(start, start + rows * width, width, dtype=float) * step
+        t_offset = np.arange(width, dtype=float) * step
+    return _product(cfg, t_anchor, t_offset, name).reshape(-1)[:count]
+
+
 def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
     """r(t) over a time grid, evaluated the cheapest way the grid allows.
 
     Every caller that holds a time grid comes here, and this function alone
     picks how the r(t) kernel runs.  A uniform grid t_j = j h
-    (``np.linspace(0, t_max, samples)`` or a prefix of one) takes sample
-    j = 64 m + i as the anchor t_{64 m} plus the offset t_i, recombined by
-    angle addition, so a spin costs 2 (64 + T / 64) cosines and sines where
-    the zero-offset case takes T (2 T for an uneven spin).  Every sample
-    depends on j, h and the bath alone: a prefix is bit for bit the start of
-    a longer grid, and a sample with i = 0 or m = 0 (where B or A is 0)
-    equals ``decoherence_factor`` at t_j bit for bit, r(0) = 1 among them.
-    Elsewhere the two differ by phase rounding, about N eps (1 + max |2 g t|).
-    Any other grid is evaluated as ``decoherence_factor`` evaluates it.
+    (``np.linspace(0, t_max, samples)`` or a prefix of one) is evaluated by
+    angle addition (``_on_uniform``): a prefix is bit for bit the start of
+    a longer grid, and a sample with j < 64 or j a multiple of 64 (where the
+    offset or the anchor is 0) equals ``decoherence_factor`` at t_j bit for
+    bit, r(0) = 1 among them.  Elsewhere the two differ by phase rounding,
+    about N eps (1 + max |2 g t|).  Any other grid is evaluated as
+    ``decoherence_factor`` evaluates it.
 
     ``t_grid`` is flattened; it must be finite and not empty, and a grid
     whose phase 2 g t overflows is rejected, each naming ``t_grid``.
@@ -278,15 +300,7 @@ def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
     step = _grid_step(t_grid)
     if step is None:
         return _product(cfg, t_grid, np.zeros(1), "t_grid").reshape(-1)
-    count = t_grid.size
-    width = min(_GRID_BLOCK, count)
-    rows = -(-count // width)
-    # t at each anchor (every 64th sample) and at each offset in a block,
-    # formed as np.linspace forms it
-    with np.errstate(over="ignore"):  # _product rejects an infinite time
-        t_anchor = np.arange(0, rows * width, width, dtype=float) * step
-        t_offset = np.arange(width, dtype=float) * step
-    return _product(cfg, t_anchor, t_offset, "t_grid").reshape(-1)[:count]
+    return _on_uniform(cfg, step, 0, t_grid.size, "t_grid")
 
 
 @dataclass(frozen=True)
@@ -446,10 +460,12 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     """Find revivals: intervals where |r(t)| climbs back above 1 - eps.
 
     The grid covers [0, horizon] with step at most pi/(20 max g) (and fine
-    enough to resolve an eps-window).  An interval counts as a recurrence
-    only once |r| has first left the band; if it never leaves (e.g. every
-    bath spin starts in an energy eigenstate) the single interval
-    [0, horizon] is returned.
+    enough to resolve an eps-window).  Its r(t) is evaluated
+    ``_SCAN_CHUNK`` points at a time by angle addition, each chunk bit for
+    bit that part of the whole grid, as ``decoherence_on_grid`` evaluates a
+    uniform grid.  An interval counts as a recurrence only once |r| has
+    first left the band; if it never leaves (e.g. every bath spin starts in
+    an energy eigenstate) the single interval [0, horizon] is returned.
 
     Returns
     -------
@@ -477,12 +493,10 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
             "more than one array can hold"
         )
     n_pts = int(math.ceil(horizon / step)) + 1
-    t_grid = np.linspace(0.0, float(horizon), n_pts)
+    t_grid, h = np.linspace(0.0, float(horizon), n_pts, retstep=True)
     above = np.empty(n_pts, dtype=bool)
     for lo in range(0, n_pts, _SCAN_CHUNK):
-        # a chunk after the first is no prefix of a grid from 0, so it takes
-        # the arbitrary-time path
-        r = decoherence_factor(cfg, t_grid[lo : lo + _SCAN_CHUNK])
+        r = _on_uniform(cfg, h, lo, min(_SCAN_CHUNK, n_pts - lo), "horizon")
         above[lo : lo + r.size] = np.abs(r) > 1.0 - eps
     departed = np.nonzero(~above)[0]
     if departed.size == 0:

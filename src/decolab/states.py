@@ -118,7 +118,8 @@ def _check_square(name: str, mat: np.ndarray, herm_tol: float | None = None) -> 
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
     _check_density_dim(mat.shape[0])
     if herm_tol is not None:  # a NaN or inf entry makes the deviation NaN
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = float(np.max(np.abs(mat - mat.conj().T)))
         _check_close(dev, 0.0, herm_tol, name + " is not Hermitian: max deviation {:g}")
 
 
@@ -227,7 +228,8 @@ class BasisSpec:
         object.__setattr__(self, "subsystem", int(self.subsystem))
         mat = np.array(self.matrix, dtype=complex)
         _check_square("basis matrix", mat)
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite deviation fails below
+            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
         _check_close(dev, 0.0, _UNITARY_ATOL, "basis matrix is not unitary: deviation {:g}")
         object.__setattr__(self, "matrix", _frozen(mat))
 

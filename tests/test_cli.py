@@ -844,6 +844,24 @@ def test_pointer_estimate_rejects_oversized_sections(section, body):
     assert need[section] > cli.BYTE_BUDGET
 
 
+@pytest.mark.parametrize("section", ["correlation", "sieve"])
+@pytest.mark.parametrize("n_spins, samples", [(64, 512), (13, 401), (8, 4096), (1000, 2000)])
+def test_pointer_grid_estimates_cover_the_section(tmp_path, section, n_spins, samples):
+    # r(t) on the grid holds the kernel's tile buffers however short the grid
+    body = dict(POINTER_CFG[section], samples=samples)
+    config = {"experiment": "pointer", "branch_amplitudes": POINTER_CFG["branch_amplitudes"],
+              "environment": {"n_spins": n_spins, "ensemble": "random"}, section: body}
+    out = cli._Output(str(tmp_path), "pointer", {}, 0, quiet=True)
+    cli.run_pointer(config, 0, 1, out)  # the peak of a warm run: no first-call caches
+    tracemalloc.start()
+    try:
+        assert cli.run_pointer(config, 0, 1, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli.pointer_bytes(config)[section] >= peak
+
+
 def test_pointer_estimate_holds_the_bath_in_every_section():
     def need(n_spins):
         return cli.pointer_bytes(dict(POINTER_CFG, environment={"n_spins": n_spins}))

@@ -209,7 +209,9 @@ CASES = [
 def test_non_finite_float_input_raises_naming_the_argument(name, arg, label):
     kwargs, floats = FLOAT_INPUTS[name]
     bad = dict(kwargs, **{arg: _poisoned(kwargs[arg], BAD_VALUES[label])})
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+    # rejected before numpy warns about the value
+    with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        warnings.simplefilter("error")
         getattr(decolab, name)(**bad)
     assert re.search(rf"(?<!\w){re.escape(floats[arg])}(?!\w)", str(info.value)), (
         str(info.value)

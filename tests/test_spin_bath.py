@@ -490,6 +490,52 @@ def test_recurrence_intervals_match_run_by_run_reference():
     assert intervals[-1][1] == horizon
 
 
+def test_recurrence_scan_evaluates_every_chunk_by_angle_addition(monkeypatch):
+    # a grid of two chunks: every chunk takes the kernel's 64 offsets, and no
+    # time reaches the arbitrary-time path
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan took the arbitrary-time path")
+
+    calls = []
+    product = spin_bath._product
+
+    def spy(cfg, t_anchor, t_offset, name):
+        calls.append((t_anchor.size, t_offset.size))
+        return product(cfg, t_anchor, t_offset, name)
+
+    monkeypatch.setattr(spin_bath, "decoherence_factor", refuse)
+    monkeypatch.setattr(spin_bath, "_product", spy)
+    cfg = SpinBathConfig.balanced([0.3, 0.5, 0.7, 0.9])
+    intervals = recurrence_scan(cfg, 15000.0, 0.01)
+    assert intervals
+    n_pts = sum(rows * width for rows, width in calls)
+    chunks = -(-n_pts // spin_bath._SCAN_CHUNK)
+    assert chunks > 1
+    assert [width for _, width in calls] == [64] * chunks
+    assert [rows for rows, _ in calls[:-1]] == [spin_bath._SCAN_CHUNK // 64] * (chunks - 1)
+
+
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_recurrence_intervals_do_not_depend_on_the_chunk_size(monkeypatch, bath):
+    # integer couplings revive at every multiple of pi/2 whatever the spins'
+    # amplitudes; 128-point chunks split the grid into 79, the last of 17
+    gen = np.random.default_rng(29)
+    n = 3 if bath == "balanced" else 8
+    g = np.arange(1.0, n + 1.0)
+    if bath == "balanced":
+        cfg = SpinBathConfig.balanced(g)
+    else:
+        base = SpinBathConfig.random(n, gen) if bath == "random" else _mixed_bath(n, gen)
+        cfg = SpinBathConfig(base.a, base.b, g, base.alpha, base.beta)
+    horizon, eps, step = 10.0, 0.01, 1e-3
+    n_pts = int(np.ceil(horizon / step)) + 1
+    assert n_pts > 128 and 0 < n_pts % 128 < 64
+    whole = recurrence_scan(cfg, horizon, eps, step=step)
+    monkeypatch.setattr(spin_bath, "_SCAN_CHUNK", 128)
+    assert recurrence_scan(cfg, horizon, eps, step=step) == whole
+    assert len(whole) >= 6
+
+
 def test_recurrence_eigenstate_never_departs():
     cfg = SpinBathConfig(0.6, 0.8, [0.4, 1.3], [0.0, 0.0], [1.0, 1.0])
     assert recurrence_scan(cfg, 25.0, 0.05) == [(0.0, 25.0)]

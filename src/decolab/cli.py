@@ -1022,9 +1022,10 @@ _FOCK_DENSITIES = [[8, 8], [16, 16], [32, 32]]
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
 # rounded up, for d = n_max + 1 levels: bytes per entry of the FockSpace
-# operators (d^2), of the coherent amplitude table and its scaled copies
-# (grid nodes x d), of the Ehrenfest amplitude grid (time points x d), and per
-# entry of the Hamiltonian and its eigendecomposition (d^2).
+# operators (d^2), of the coherent amplitude table and its scaled copy
+# (grid nodes x d), of an Ehrenfest amplitude grid (time points x d, an upper
+# bound since the states are streamed in blocks), and per entry of the
+# Hamiltonian and its eigendecomposition (d^2).
 _FOCK_SPACE_BYTES = 96
 _COHERENT_BYTES = 64
 _EHRENFEST_STEP_BYTES = 64
@@ -1039,8 +1040,12 @@ def fock_bytes(config: dict) -> dict:
     off the d amplitudes of the coherent state, and its completeness row is
     exact, so both add only O(d); the coherent-grid audit is a closed form
     over the K x d amplitude table, K the largest grid (the 64 x 64 default
-    included); ``ehrenfest`` holds the state on every time point and one
-    dense eigendecomposition.  ``FockSpace`` itself refuses d above
+    included), which holds that table and one scaled copy; ``ehrenfest``
+    holds one dense eigendecomposition, two blocks of about 1 MiB of
+    amplitudes and a few floats per time point.  The ``ehrenfest`` term
+    still charges 64 B per time point and level, the cost of holding the
+    state on every time point, so it stays an upper bound and no config's
+    exit code moves.  ``FockSpace`` itself refuses d above
     ``states.DENSITY_CAP``, which stops a ``counting`` section past n_max
     4095 before this estimate would.
     """

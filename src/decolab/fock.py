@@ -215,12 +215,17 @@ def coherent_completeness_deviation(space: FockSpace, grid: CoherentGrid | None 
     deviation of that sum from the identity, equal to
     ``coherent_measurement_set(space, grid).completeness_deviation()`` up to
     rounding, in O(K n_max) memory and O(K n_max^2) flops instead of
-    O(K n_max^2) memory and O(K n_max^3) flops.
+    O(K n_max^2) memory and O(K n_max^3) flops.  The sum is formed as its
+    conjugate (conj(B) diag(dA/pi))^T B, so the scaled table is the one
+    K x (n_max+1) temporary beside B.  Conjugation commutes with every
+    rounded product and sum, and |conj(z) - 1| = |z - 1|, so the deviation
+    is bit-identical to that of B^T diag(dA/pi) conj(B).
     """
     grid = _checked_grid(space, grid)
     bra = _coherent_table(grid.points, space.dim)
-    effect_sum = (bra * (grid.weights / math.pi)[:, None]).T @ bra.conj()
-    return float(np.max(np.abs(effect_sum - np.eye(space.dim))))
+    scaled = bra * (grid.weights / math.pi)[:, None]
+    np.conjugate(scaled, out=scaled)
+    return float(np.max(np.abs(scaled.T @ bra - np.eye(space.dim))))
 
 
 @dataclass(frozen=True)
@@ -252,11 +257,14 @@ def ehrenfest_check(
 
     The state is evolved densely under H = p^2/(2m) + m omega^2 x^2 / 2 and
     the centered difference of <p> is compared with -m omega^2 <x> at every
-    interior grid point; the report carries the worst residual.  The grid of
-    states comes from one eigendecomposition
-    (:func:`~decolab.oracle.evolve_dense_grid`), and each of <x>, <p> is one
-    BLAS product y = amps X^T over the whole grid followed by the real dot
-    product Re sum_i conj(a_ti) y_ti.  That rounds <p> by about
+    interior grid point; the report carries the worst residual.  The states
+    come from one eigendecomposition a block of about 1 MiB of amplitudes at
+    a time (the blocks of :func:`~decolab.oracle.evolve_dense_grid`), and
+    each block is reduced to its <x>, <p> and tail before the next is built,
+    so the working set is two blocks plus a few floats per grid point.  Each
+    of <x>, <p> is one BLAS product y = amps X^T per block followed by the
+    real dot product Re sum_i conj(a_ti) y_ti, every row bit-identical to the
+    same product over the whole grid.  That rounds <p> by about
     d eps |a|^T |p| |a| (d = n_max + 1; for a coherent state about
     d eps max|<p>|), so the residual has a rounding floor of about
     d eps max|<p>| / dt (2e-11 at n_max 48, |alpha| 1.5, dt 1e-3):
@@ -291,18 +299,23 @@ def ehrenfest_check(
             + 0.5 * mass * omega_sq * (space.position @ space.position)
     if not np.isfinite(ham).all():
         raise ValueError(f"omega {omega:g} and mass {mass:g} overflow the Hamiltonian")
-    amps = oracle.evolve_dense_grid(ham, initial, t_grid)
-    # the dynamics can squeeze the state onto the edge (m omega far from 1)
-    upper = amps[:, cut + 1 :].view(float)
-    tails = np.einsum("ti,ti->t", upper, upper)
-    bad = np.flatnonzero(~(tails <= _SUPPORT_TOL))
-    if bad.size:
-        raise TruncationError(
-            f"evolved state carries {tails[bad[0]]:g} population above level {cut} "
-            f"at t = {t_grid[bad[0]]:g}; enlarge the space before trusting the dynamics"
-        )
-    exp_x = _expectations(amps, space.position)
-    exp_p = _expectations(amps, space.momentum)
+    _, blocks = oracle._dense_blocks(ham, initial, t_grid)
+    exp_x, exp_p = np.empty(t_grid.size), np.empty(t_grid.size)
+    for start, amps in blocks:
+        # the dynamics can squeeze the state onto the edge (m omega far from 1)
+        upper = amps[:, cut + 1 :].view(float)
+        tails = np.einsum("ti,ti->t", upper, upper)
+        bad = np.flatnonzero(~(tails <= _SUPPORT_TOL))
+        if bad.size:
+            raise TruncationError(
+                f"evolved state carries {tails[bad[0]]:g} population above level {cut} "
+                f"at t = {t_grid[start + bad[0]]:g}; enlarge the space before trusting "
+                "the dynamics"
+            )
+        stop = start + amps.shape[0]
+        exp_x[start:stop] = _expectations(amps, space.position)
+        exp_p[start:stop] = _expectations(amps, space.momentum)
+        del amps, upper  # free the block before the next one is built
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
     residuals = _frozen(np.abs(dpdt + mass * omega_sq * exp_x[1:-1]))
     return EhrenfestReport(

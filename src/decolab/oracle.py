@@ -86,10 +86,34 @@ def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
 def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     """Amplitudes of exp(-i H t)|psi0> for every t in a grid.
 
-    One eigendecomposition is shared across the whole grid, and the phase
-    table is built in place, so one (len(t_grid), dim) buffer is live beside
-    the result.  Returns a (len(t_grid), dim) complex array; rows are unit
-    vectors.
+    One eigendecomposition is shared across the whole grid, and the rows are
+    filled a block of times at a time (:func:`_dense_blocks`), so about 2 MiB
+    of phase and amplitude blocks are live beside the result.  Returns a
+    (len(t_grid), dim) complex array; rows are unit vectors, bit-identical to
+    the whole-grid product (exp(-i t E) coeff) evecs^T.
+    """
+    t_grid, blocks = _dense_blocks(h, psi0, t_grid)
+    rows = np.empty((t_grid.size, psi0.dim), dtype=complex)
+    for start, amps in blocks:
+        rows[start : start + amps.shape[0]] = amps
+    return rows
+
+
+#: Bytes of amplitudes in one block of :func:`_dense_blocks`.
+_BLOCK_BYTES = 2 ** 20
+
+
+def _dense_blocks(h, psi0: StateVector, t_grid):
+    """Check and diagonalise ``h`` once, then evolve ``psi0`` block by block.
+
+    Returns the checked grid and a generator of (start, amplitudes), the
+    amplitudes for ``t_grid[start : start + len(amplitudes)]``.  Each block
+    holds its phase table and the amplitudes built from it, at most
+    ``_BLOCK_BYTES`` each.  The grid is split into equal blocks, so a grid
+    of several times never gets a one-row block: numpy sends a one-row
+    product to gemv, which may round differently from gemm, and a gemm row
+    does not depend on the other rows, so every block equals its rows of the
+    whole-grid product bit for bit.
     """
     h = np.asarray(h, dtype=complex)
     _check_square("Hamiltonian", h, _HERM_ATOL)
@@ -98,10 +122,17 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     t_grid = _finite("t_grid", t_grid).reshape(-1)
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0.amps
-    phases = -1j * np.outer(t_grid, evals)
-    np.exp(phases, out=phases)
-    phases *= coeff
-    return phases @ evecs.T
+    count = t_grid.size
+    blocks = -(-count // max(1, _BLOCK_BYTES // (16 * psi0.dim)))
+    bounds = [count * k // blocks for k in range(blocks + 1)]
+
+    def evolve(start, stop):
+        phases = -1j * np.outer(t_grid[start:stop], evals)
+        np.exp(phases, out=phases)
+        phases *= coeff
+        return phases @ evecs.T
+
+    return t_grid, ((start, evolve(start, stop)) for start, stop in zip(bounds, bounds[1:]))
 
 
 def _spin_sums(g: np.ndarray) -> np.ndarray:

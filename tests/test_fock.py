@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from decolab import oracle
 from decolab.fock import (
     FockSpace,
     TruncationError,
     _coherent_table,
+    _expectations,
     coherent_completeness_deviation,
     coherent_measurement_set,
     coherent_state,
@@ -27,6 +29,15 @@ def fock_level(space, n):
     amps = np.zeros(space.dim)
     amps[n] = 1.0
     return StateVector((space.dim,), amps)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------ operators
@@ -195,6 +206,15 @@ def test_coherent_set_default_grid_is_tight():
     assert report.deviation < 1e-10
 
 
+def _two_temporary_deviation(space, grid):
+    # the audit as B^T diag(dA/pi) conj(B), with both scaled and conjugate tables
+    if grid is None:
+        grid = default_coherent_grid(space)
+    bra = _coherent_table(grid.points, space.dim)
+    effect_sum = (bra * (grid.weights / math.pi)[:, None]).T @ bra.conj()
+    return float(np.max(np.abs(effect_sum - np.eye(space.dim))))
+
+
 @pytest.mark.parametrize("n_max", [2, 10, 20, 48])
 def test_closed_form_completeness_matches_materialised_set(n_max):
     space = FockSpace(n_max)
@@ -204,6 +224,24 @@ def test_closed_form_completeness_matches_materialised_set(n_max):
     for grid in grids:
         want = coherent_measurement_set(space, grid).completeness_deviation()
         assert abs(coherent_completeness_deviation(space, grid) - want) <= 1e-13
+        # conjugation commutes with every rounded product and sum, so forming
+        # the effect sum as its conjugate leaves the deviation bit for bit
+        # the same (at n_max 48 these are the benchmark's grids)
+        assert coherent_completeness_deviation(space, grid) == _two_temporary_deviation(space, grid)
+
+
+@pytest.mark.parametrize(
+    "n_max, n", [(48, 8), (48, 16), (48, 32), (48, 64), (10, 64), (200, 32)]
+)
+def test_completeness_audit_holds_one_scaled_table(n_max, n):
+    # the K x d amplitude table and its scaled conjugate, three d x d
+    # matrices (the sum, its deviation and its modulus, with the identity
+    # beside them) and per-node vectors of the amplitude recurrence
+    space = FockSpace(n_max)
+    grid = polar_grid(float(math.ceil(2.5 * math.sqrt(n_max))), n, n)
+    k, d = len(grid), space.dim
+    peak = _peak(lambda: coherent_completeness_deviation(space, grid))
+    assert peak < 2 * k * d * 16 + 4 * d * d * 16 + 256 * k
 
 
 def test_coherent_outcome_projects_onto_coherent_state():
@@ -297,6 +335,74 @@ def test_ehrenfest_residuals_match_the_three_operand_einsum(n_max, alpha, kind, 
     bound = 4 * d * eps * (kappa_p / dt + mass * omega ** 2 * kappa_x)
     assert np.max(np.abs(report.residuals - want)) <= bound
     assert report.t.tobytes() == t[1:-1].tobytes()
+
+
+def _harmonic(space, omega, mass):
+    return space.momentum @ space.momentum / (2.0 * mass) \
+        + 0.5 * mass * omega ** 2 * (space.position @ space.position)
+
+
+def _whole_grid_amplitudes(ham, psi, t):
+    evals, evecs = np.linalg.eigh(ham)
+    coeff = evecs.conj().T @ psi.amps
+    return (np.exp(-1j * np.outer(t, evals)) * coeff) @ evecs.T
+
+
+def _block_rows(space):
+    return oracle._BLOCK_BYTES // (16 * space.dim)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, None])
+@pytest.mark.parametrize("omega, mass", [(1.0, 1.0), (1.7, 0.6)])
+def test_ehrenfest_report_equals_the_whole_grid_reduction(offset, omega, mass):
+    # the blocks are reduced one at a time; every value must be the one the
+    # whole amplitude grid gives, byte for byte
+    space = FockSpace(48)
+    psi = coherent_state(space, 1.5 * np.exp(0.7j))
+    points = 5001 if offset is None else _block_rows(space) + offset
+    dt = 1e-3
+    t = np.arange(points) * dt
+    report = ehrenfest_check(space, psi, omega, mass, t)
+
+    amps = _whole_grid_amplitudes(_harmonic(space, omega, mass), psi, t)
+    exp_x = _expectations(amps, space.position)
+    exp_p = _expectations(amps, space.momentum)
+    dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
+    residuals = np.abs(dpdt + mass * omega ** 2 * exp_x[1:-1])
+    assert report.t.tobytes() == t[1:-1].tobytes()
+    assert report.residuals.tobytes() == residuals.tobytes()
+    assert report.max_residual == float(np.max(residuals))
+
+
+def test_ehrenfest_memory_grows_only_with_its_per_point_arrays():
+    # the states are streamed in blocks, so ten times the grid costs only the
+    # floats kept per point: <x>, <p> and the report's t and residuals
+    space = FockSpace(48)
+    psi = coherent_state(space, 1.5 * np.exp(0.7j))
+    grids = [np.arange(points) * 1e-3 for points in (5001, 50001)]
+    small, large = (_peak(lambda t=t: ehrenfest_check(space, psi, 1.0, 1.0, t)) for t in grids)
+    assert large - small <= (50001 - 5001) * 4 * 8
+    assert small < 4 * oracle._BLOCK_BYTES
+
+
+def test_ehrenfest_names_the_first_bad_time_of_a_later_block():
+    # m omega = 2 squeezes the state onto the edge near t = 0.068, in the
+    # third block of this grid: the message must be the whole grid's
+    space = FockSpace(20)
+    psi = coherent_state(space, 1.0)
+    t = np.arange(10001) * 1e-5
+    amps = _whole_grid_amplitudes(_harmonic(space, 2.0, 1.0), psi, t)
+    upper = amps[:, 11:].view(float)
+    tails = np.einsum("ti,ti->t", upper, upper)
+    first = int(np.flatnonzero(~(tails <= 1e-6))[0])
+    assert first > _block_rows(space)
+    want = (
+        f"evolved state carries {tails[first]:g} population above level 10 "
+        f"at t = {t[first]:g}; enlarge the space before trusting the dynamics"
+    )
+    with pytest.raises(TruncationError) as err:
+        ehrenfest_check(space, psi, 2.0, 1.0, t)
+    assert str(err.value) == want
 
 
 def test_ehrenfest_grid_validation():

@@ -103,7 +103,19 @@ def test_evolve_dense_grid_matches_pointwise():
         np.testing.assert_allclose(rows[i], evolve_dense(h, psi, t).amps, atol=1e-11)
 
 
-@pytest.mark.parametrize("dim, points", [(7, 11), (49, 5001)])
+def _block_rows(dim):
+    return oracle._BLOCK_BYTES // (16 * dim)
+
+
+# grids around the block size split into blocks of unequal or equal rows; at
+# dim 201 a grid one past the block would otherwise leave a one-row block,
+# which numpy's matmul sends to gemv
+@pytest.mark.parametrize(
+    "dim, points",
+    [(7, 11), (49, 5001)]
+    + [(dim, _block_rows(dim) + k) for dim in (49, 201) for k in (-1, 0, 1)]
+    + [(201, 2 * _block_rows(201) + 1)],
+)
 def test_evolve_dense_grid_rows_equal_the_plain_expression_bit_for_bit(dim, points):
     h = random_hermitian(dim)
     psi = random_state(dim)

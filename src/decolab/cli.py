@@ -29,15 +29,20 @@ writes each config section through ``out`` in a fixed order as soon as that
 section is computed, rather than returning its tables, so a section that
 fails leaves the files of the sections before it.  ``spin-bath`` starts one
 process pool per run (``_pmap``) and submits every ``scaling`` and
-``gaussian_fit`` task up front; while the workers run, the parent computes
-and writes ``trace.csv``, whose rows (10^5 in the benchmark) are made from
-the arrays one slice at a time, never held as lists of Python floats.  Each
-Gaussian fit evaluates r(t) only up to its window (``_fit_task``).  Every
-section that holds a time grid (``trace``, ``scaling``, ``gaussian_fit``,
-and ``pointer``'s ``correlation`` and ``sieve``) hands it to
-``spin_bath.decoherence_on_grid``, which alone picks the evaluator, and
-``recurrence`` hands its horizon to ``spin_bath.recurrence_scan``.  All
-these grids are uniform, so r(t) is evaluated there by angle addition on
+``gaussian_fit`` task up front; while the workers run, the parent evaluates
+and writes ``trace.csv`` (10^5 rows in the benchmark) one ``_ROW_SLICE``
+of r(t) at a time, never holding the whole grid's r(t) or its rows as
+Python floats.  Each Gaussian fit evaluates r(t) only up to its window
+(``_fit_task``).  Every section that holds a time grid (``trace``,
+``scaling``, ``gaussian_fit``, and ``pointer``'s ``correlation`` and
+``sieve``) has it walked by ``spin_bath._slices``, which alone picks the
+evaluator: ``trace`` directly, slice by slice, which checks the whole grid
+before ``trace.csv`` is opened; ``scaling`` through
+``spin_bath.time_averaged_r2``, slice by slice too; the rest through
+``spin_bath.decoherence_on_grid``, the walk's one-slice case.
+``recurrence`` hands its horizon to ``spin_bath.recurrence_scan``, which
+walks its grid a chunk at a time without building it.  All these grids
+are uniform, so r(t) is evaluated there by angle addition on
 64-sample blocks, and their r-derived columns reproduce across numpy and
 libm builds only to its rounding floor, about N eps (1 + max |2 g t|);
 reruns on one build are byte-identical.  ``oracle-compare`` evaluates r(t)
@@ -623,8 +628,8 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 _SCALING_SAMPLES = 200001
 _FIT_SAMPLES = 1200
 
-#: trace.csv rows made from the arrays at a time; only one slice of rows is
-#: held as Python floats.
+#: trace.csv rows evaluated and written at a time; only one slice of r(t)
+#: and of its rows as Python floats is held.
 _ROW_SLICE = 4096
 
 # Working-set sizes that grow with the config, measured with tracemalloc and
@@ -639,6 +644,10 @@ _ROW_SLICE = 4096
 # r(t) evaluation, the kernel's fixed tile buffers (one complex and one
 # float buffer of spin_bath._GRID_ENTRIES entries, 768 KiB; 32 bytes per
 # entry, 1 MiB, bounds them with the kernel's smaller per-tile temporaries).
+# ``trace``, ``scaling`` and ``recurrence`` walk r(t) in slices and hold less
+# than these sizes charge (the scan holds no grid array at all); they are
+# kept as upper bounds, so every section's estimate, and so which configs
+# exit 2, does not depend on the slice sizes.
 _POINT_BYTES = 64
 _TRACE_ROW_BYTES = 160
 _SCAN_POINT_BYTES = 32
@@ -785,12 +794,11 @@ def _spin_bath_task(payload):
     return _scaling_task(args) if section == "scaling" else _fit_task(args)
 
 
-def _trace_rows(t_grid, r):
-    """trace.csv's rows, made ``_ROW_SLICE`` at a time from the arrays."""
-    for lo in range(0, t_grid.size, _ROW_SLICE):
-        part = r[lo : lo + _ROW_SLICE]
+def _trace_rows(t_grid, slices):
+    """trace.csv's rows, made from each (start, r) slice of ``t_grid`` as it comes."""
+    for lo, part in slices:
         yield from zip(
-            t_grid[lo : lo + _ROW_SLICE].tolist(),
+            t_grid[lo : lo + part.size].tolist(),
             part.real.tolist(),
             part.imag.tolist(),
             (np.abs(part) ** 2).tolist(),
@@ -800,8 +808,9 @@ def _trace_rows(t_grid, r):
 def _write_trace(sec: dict, child, out) -> None:
     cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), child)
     t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
-    r = spin_bath.decoherence_on_grid(cfg, t_grid)
-    out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, r))
+    # checks the whole grid before trace.csv is opened
+    slices = spin_bath._slices(cfg, t_grid, _ROW_SLICE, "t_grid")
+    out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, slices))
 
 
 def run_spin_bath(config, seed, workers, out) -> int:

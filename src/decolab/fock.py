@@ -23,6 +23,10 @@ _SUPPORT_TOL = 1e-6
 #: Radial and angular node count of :func:`default_coherent_grid`.
 DEFAULT_DENSITY = 64
 
+# Bytes of the scaled columns of the amplitude table that one block of
+# coherent_completeness_deviation holds.
+_AUDIT_BLOCK_BYTES = 1 << 18
+
 
 class TruncationError(ValueError):
     """A request would push significant amplitude against the truncation edge."""
@@ -206,6 +210,22 @@ def coherent_measurement_set(space: FockSpace, grid: CoherentGrid | None = None)
     return KrausSet._from_stack(ops, labels=None, completeness_tol=None)
 
 
+def _effect_sum_blocks(bra: np.ndarray, weight: np.ndarray):
+    """The conjugate effect sum (conj(B) diag(weight))^T B in blocks of its rows.
+
+    Yields (lo, rows lo: of the sum) over equal blocks of at least 2 rows
+    (``oracle._row_blocks``).  A block scales and conjugates only its
+    columns of B, at most ``_AUDIT_BLOCK_BYTES`` of them, so B is the one
+    K x d table, and each block is its rows of the whole product bit for bit.
+    """
+    count, dim = bra.shape
+    bounds = oracle._row_blocks(dim, _AUDIT_BLOCK_BYTES // (16 * count))
+    for lo, hi in zip(bounds, bounds[1:]):
+        scaled = bra[:, lo:hi] * weight[:, None]
+        np.conjugate(scaled, out=scaled)
+        yield lo, scaled.T @ bra
+
+
 def coherent_completeness_deviation(space: FockSpace, grid: CoherentGrid | None = None) -> float:
     """Completeness deviation of :func:`coherent_measurement_set`, in closed form.
 
@@ -216,16 +236,22 @@ def coherent_completeness_deviation(space: FockSpace, grid: CoherentGrid | None 
     ``coherent_measurement_set(space, grid).completeness_deviation()`` up to
     rounding, in O(K n_max) memory and O(K n_max^2) flops instead of
     O(K n_max^2) memory and O(K n_max^3) flops.  The sum is formed as its
-    conjugate (conj(B) diag(dA/pi))^T B, so the scaled table is the one
-    K x (n_max+1) temporary beside B.  Conjugation commutes with every
-    rounded product and sum, and |conj(z) - 1| = |z - 1|, so the deviation
-    is bit-identical to that of B^T diag(dA/pi) conj(B).
+    conjugate (conj(B) diag(dA/pi))^T B in blocks of its rows
+    (``_effect_sum_blocks``), so B is the one K x (n_max+1) table and a
+    block's scaled columns of it stay within ``_AUDIT_BLOCK_BYTES``; each
+    block is reduced to its largest deviation before the next is formed.
+    Every block is its rows of the whole product bit for bit, conjugation
+    commutes with every rounded product and sum, and |conj(z) - 1| = |z - 1|,
+    so the deviation is bit-identical to that of B^T diag(dA/pi) conj(B).
     """
     grid = _checked_grid(space, grid)
     bra = _coherent_table(grid.points, space.dim)
-    scaled = bra * (grid.weights / math.pi)[:, None]
-    np.conjugate(scaled, out=scaled)
-    return float(np.max(np.abs(scaled.T @ bra - np.eye(space.dim))))
+    worst = []
+    for lo, part in _effect_sum_blocks(bra, grid.weights / math.pi):
+        diag = np.arange(part.shape[0])
+        part[diag, lo + diag] -= 1.0  # the block's rows of the identity
+        worst.append(np.max(np.abs(part)))
+    return float(np.max(worst))  # a NaN anywhere is kept, as by one whole-sum max
 
 
 @dataclass(frozen=True)

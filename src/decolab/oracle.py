@@ -103,16 +103,28 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
 _BLOCK_BYTES = 2 ** 20
 
 
+def _row_blocks(rows: int, block: int) -> list:
+    """Bounds of equal blocks of about ``block`` (at least 2) of ``rows`` rows.
+
+    No block has a single row unless ``rows`` is 1: numpy sends a one-row
+    product to gemv, which may round differently from gemm, while a gemm row
+    does not depend on the other rows, so a product formed block by block
+    equals the whole product bit for bit.
+    """
+    if rows == 0:
+        return [0]
+    blocks = max(1, min(-(-rows // max(2, block)), rows // 2))
+    return [rows * k // blocks for k in range(blocks + 1)]
+
+
 def _dense_blocks(h, psi0: StateVector, t_grid):
     """Check and diagonalise ``h`` once, then evolve ``psi0`` block by block.
 
     Returns the checked grid and a generator of (start, amplitudes), the
     amplitudes for ``t_grid[start : start + len(amplitudes)]``.  Each block
     holds its phase table and the amplitudes built from it, at most
-    ``_BLOCK_BYTES`` each.  The grid is split into equal blocks, so a grid
-    of several times never gets a one-row block: numpy sends a one-row
-    product to gemv, which may round differently from gemm, and a gemm row
-    does not depend on the other rows, so every block equals its rows of the
+    ``_BLOCK_BYTES`` each.  The grid is split into equal blocks of at least
+    two times (``_row_blocks``), so every block equals its rows of the
     whole-grid product bit for bit.
     """
     h = np.asarray(h, dtype=complex)
@@ -122,9 +134,7 @@ def _dense_blocks(h, psi0: StateVector, t_grid):
     t_grid = _finite("t_grid", t_grid).reshape(-1)
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0.amps
-    count = t_grid.size
-    blocks = -(-count // max(1, _BLOCK_BYTES // (16 * psi0.dim)))
-    bounds = [count * k // blocks for k in range(blocks + 1)]
+    bounds = _row_blocks(t_grid.size, _BLOCK_BYTES // (16 * psi0.dim))
 
     def evolve(start, stop):
         phases = -1j * np.outer(t_grid[start:stop], evals)

@@ -12,11 +12,14 @@ and spins in an even superposition (|alpha_k| = |beta_k|) enter as a real
 product of cosines.  At T arbitrary times (``decoherence_factor``) every
 time is its own anchor and the offset is 0, the kernel's zero-offset case:
 O(T*N) time, one cosine (two for an uneven spin) per spin and time, and 24
-bytes per time plus one tile.  Every caller that holds a time grid
-(``decoherence_trace``, ``time_averaged_r2`` and the pointer diagnostics)
-calls ``decoherence_on_grid``, which alone picks the evaluator.  Every
-uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of
-one, and each chunk of ``recurrence_scan``'s grid) goes to one builder,
+bytes per time plus one tile.  Every time grid is walked by one slice
+walker (``_slices``), which alone picks the evaluator and checks the whole
+grid before the first slice: ``decoherence_on_grid`` (and through it
+``decoherence_trace`` and the pointer diagnostics) is its one-slice case,
+while ``time_averaged_r2``, ``recurrence_scan`` and the CLI's trace writer
+hold one slice of r(t) at a time.  Every uniform grid t_j = j h
+(``np.linspace(0, t_max, samples)`` or a prefix of one, and
+``recurrence_scan``'s grid, which is never built) goes to one builder,
 ``_on_uniform``: the anchors are every 64th sample and the offsets the 64
 steps of a block, recombined by angle addition, so a spin costs
 2 (64 + T/64) cosines and sines instead of T; the work is still O(T*N), now
@@ -56,9 +59,13 @@ _GRID_SPINS = 64
 _TILE_ROW = 1 << 12
 _GRID_ENTRIES = 1 << 15
 
-# Grid points whose r(t) a recurrence scan holds at a time; a multiple of
-# _GRID_BLOCK, so every chunk starts on an anchor.
+# Samples whose r(t) a grid walk holds at a time (``_slices``): a
+# recurrence scan's chunk, and a slice of a grid that a time average reduces
+# or the uniform-grid test compares.  Each is a multiple of _GRID_BLOCK, so
+# every slice starts on an anchor; below about 2^14 samples the per-slice
+# calls of the kernel start to cost time on a small bath.
 _SCAN_CHUNK = 1 << 18
+_GRID_SLICE = 1 << 14
 
 
 class FitWindowError(RuntimeError):
@@ -163,6 +170,19 @@ def decoherence_factor(cfg: SpinBathConfig, t):
     return complex(r) if t_arr.ndim == 0 else r
 
 
+def _check_phase(cfg: SpinBathConfig, times, name: str) -> None:
+    """Reject a sample time whose phase 2 g t overflows (cos and sin of inf are NaN).
+
+    A sample's |t| is at most the sum of the largest |t| of each array in
+    ``times`` (its anchors and offsets); ``name`` is the caller's time
+    argument, which the error names.
+    """
+    t_max = sum(float(np.abs(t).max(initial=0.0)) for t in times)
+    g_max = float(np.abs(cfg.g).max())
+    if not math.isfinite(g_max * (2.0 * t_max)):  # NaN when 2 t is inf and g is 0
+        raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
+
+
 def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
              name: str) -> np.ndarray:
     """r at t_anchor[m] + t_offset[i], as an (anchors, offsets) array.
@@ -179,12 +199,7 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
     most ``_GRID_ENTRIES`` entries.  ``name`` is the caller's time argument,
     which a phase overflow is reported against.
     """
-    # |t| is at most max |t_anchor| + max |t_offset|; cos and sin of an
-    # infinite phase are NaN
-    t_max = sum(float(np.abs(t).max(initial=0.0)) for t in (t_anchor, t_offset))
-    g_max = float(np.abs(cfg.g).max())
-    if not math.isfinite(g_max * (2.0 * t_max)):  # NaN when 2 t is inf and g is 0
-        raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
+    _check_phase(cfg, (t_anchor, t_offset), name)
     rows, width = t_anchor.size, t_offset.size
     # |alpha_k|^2 - |beta_k|^2: 0 for a spin in an even superposition
     weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
@@ -242,16 +257,22 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
 def _grid_step(t_grid: np.ndarray) -> float | None:
     """The step h when ``t_grid`` is t_j = j * h bit for bit, as
     ``np.linspace(0, t_max, samples)`` makes it (whose last point may be t_max
-    rather than (samples - 1) * h) and any prefix of one; otherwise None."""
+    rather than (samples - 1) * h) and any prefix of one; otherwise None.
+    The grid is compared ``_GRID_SLICE`` points at a time, never copied."""
     n = t_grid.size
     if n < 2 or t_grid[0] != 0.0 or not t_grid[1] > 0.0:
         return None
     step = float(t_grid[1])
-    uniform = np.arange(n, dtype=float)
-    uniform *= step
-    if t_grid[-1] / (n - 1) == step:
-        uniform[-1] = t_grid[-1]
-    return step if np.array_equal(uniform, t_grid) else None
+    last_is_t_max = t_grid[-1] / (n - 1) == step
+    for lo in range(0, n, _GRID_SLICE):
+        part = t_grid[lo : lo + _GRID_SLICE]
+        uniform = np.arange(lo, lo + part.size, dtype=float)
+        uniform *= step
+        if last_is_t_max and lo + part.size == n:
+            uniform[-1] = t_grid[-1]
+        if not np.array_equal(uniform, part):
+            return None
+    return step
 
 
 def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int,
@@ -266,21 +287,67 @@ def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int,
     is bit for bit that part of the whole grid.  ``name`` is the caller's
     time argument, which a phase overflow is reported against.
     """
+    return _product(cfg, *_uniform_times(step, start, count), name).reshape(-1)[:count]
+
+
+def _uniform_times(step: float, start: int, count: int):
+    """The anchor and offset times ``_on_uniform`` forms for samples
+    [start, start + count): every 64th sample and the steps of one block,
+    each j * step as np.linspace forms it."""
     width = min(_GRID_BLOCK, start + count)
     rows = -(-count // width)
-    # t at each anchor (every 64th sample) and at each offset in a block,
-    # formed as np.linspace forms it
-    with np.errstate(over="ignore"):  # _product rejects an infinite time
-        t_anchor = np.arange(start, start + rows * width, width, dtype=float) * step
-        t_offset = np.arange(width, dtype=float) * step
-    return _product(cfg, t_anchor, t_offset, name).reshape(-1)[:count]
+    with np.errstate(over="ignore"):  # _check_phase rejects an infinite time
+        return (np.arange(start, start + rows * width, width, dtype=float) * step,
+                np.arange(width, dtype=float) * step)
+
+
+def _slices(cfg: SpinBathConfig, grid, size: int | None, name: str, step: float | None = None):
+    """r(t) over a time grid, as an iterator of (start, r) slices of ``size`` samples.
+
+    The package's one place that picks how the r(t) kernel runs over a grid.
+    A uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix
+    of one) goes to ``_on_uniform``, slice by slice, and every slice is bit
+    for bit that part of the whole grid; any other grid goes to the
+    zero-offset case of ``_product``, a slice of times at a time.  ``grid``
+    is the grid's times, flattened, or, with ``step`` given, the sample count
+    of the uniform grid t_j = j * step, which is then never built.  ``size``
+    is a multiple of 64, or None for the whole grid in one slice.
+
+    The whole grid is checked here, before any slice is evaluated: it must be
+    finite and not empty, and a grid whose phase 2 g t overflows anywhere is
+    rejected, each naming ``name``.  So a caller that writes slices as they
+    come learns of a bad grid before it opens anything.
+    """
+    if step is None:
+        grid = _finite(name, grid).reshape(-1)
+        if grid.size == 0:
+            raise ValueError(f"{name}: empty time grid")
+        step, count = _grid_step(grid), grid.size
+    else:
+        count = grid
+    size = size or count
+    if step is None:
+        _check_phase(cfg, (grid,), name)
+
+        def evaluate(lo):
+            return _product(cfg, grid[lo : lo + size], np.zeros(1), name).reshape(-1)
+    else:
+        # the last slice holds the grid's largest anchor and offset
+        last = (count - 1) // size * size
+        _check_phase(cfg, _uniform_times(step, last, count - last), name)
+
+        def evaluate(lo):
+            return _on_uniform(cfg, step, lo, min(size, count - lo), name)
+    # a fresh pair per slice, so nothing here keeps a slice alive while the
+    # next one is evaluated
+    return ((lo, evaluate(lo)) for lo in range(0, count, size))
 
 
 def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
     """r(t) over a time grid, evaluated the cheapest way the grid allows.
 
-    Every caller that holds a time grid comes here, and this function alone
-    picks how the r(t) kernel runs.  A uniform grid t_j = j h
+    The one-slice case of ``_slices``, which alone picks how the r(t)
+    kernel runs over a grid.  A uniform grid t_j = j h
     (``np.linspace(0, t_max, samples)`` or a prefix of one) is evaluated by
     angle addition (``_on_uniform``): a prefix is bit for bit the start of
     a longer grid, and a sample with j < 64 or j a multiple of 64 (where the
@@ -294,13 +361,8 @@ def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
 
     Returns a complex array of the grid's length.
     """
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    if t_grid.size == 0:
-        raise ValueError("t_grid: empty time grid")
-    step = _grid_step(t_grid)
-    if step is None:
-        return _product(cfg, t_grid, np.zeros(1), "t_grid").reshape(-1)
-    return _on_uniform(cfg, step, 0, t_grid.size, "t_grid")
+    ((_, r),) = _slices(cfg, t_grid, None, "t_grid")
+    return r
 
 
 @dataclass(frozen=True)
@@ -376,11 +438,21 @@ def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:
     The grid should span many oscillation periods (>= 50 / min g_k) for the
     average to mean anything; fewer than 100 samples is rejected outright.
     For balanced bath spins and incommensurate couplings the long-time value
-    approaches 2^-N.  r is evaluated by ``decoherence_on_grid``.
+    approaches 2^-N.  r is evaluated ``_GRID_SLICE`` samples at a time, each
+    slice as ``decoherence_on_grid`` evaluates that part of the grid, and
+    |r|^2 is written into one float buffer whose ``np.mean`` is the result:
+    8 bytes per sample plus one slice, the same mean bit for bit as that of
+    the whole grid's |r|^2.
     """
     if np.size(t_grid) < 100:
         raise ValueError(f"need at least 100 samples, got {np.size(t_grid)}")
-    return float(np.mean(np.abs(decoherence_on_grid(cfg, t_grid)) ** 2))
+    slices = _slices(cfg, t_grid, _GRID_SLICE, "t_grid")
+    r2 = np.empty(np.size(t_grid))
+    for lo, r in slices:
+        part = r2[lo : lo + r.size]
+        np.abs(r, out=part)
+        np.square(part, out=part)
+    return float(np.mean(r2))
 
 
 @dataclass(frozen=True)
@@ -460,12 +532,17 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     """Find revivals: intervals where |r(t)| climbs back above 1 - eps.
 
     The grid covers [0, horizon] with step at most pi/(20 max g) (and fine
-    enough to resolve an eps-window).  Its r(t) is evaluated
-    ``_SCAN_CHUNK`` points at a time by angle addition, each chunk bit for
-    bit that part of the whole grid, as ``decoherence_on_grid`` evaluates a
-    uniform grid.  An interval counts as a recurrence only once |r| has
-    first left the band; if it never leaves (e.g. every bath spin starts in
-    an energy eigenstate) the single interval [0, horizon] is returned.
+    enough to resolve an eps-window); its points are those of
+    ``np.linspace(0, horizon, n)``, j h with the last one ``horizon``, but
+    the grid is never built.  Its r(t) is evaluated ``_SCAN_CHUNK`` points
+    at a time by angle addition (``_slices``), each chunk bit for bit that
+    part of the whole grid, as ``decoherence_on_grid`` evaluates a uniform
+    grid, and reduced to the intervals it closes before the next chunk is
+    evaluated; an interval still open at a chunk's end carries over.  So the
+    memory is one chunk plus the intervals, whatever the horizon.  An
+    interval counts as a recurrence only once |r| has first left the band;
+    if it never leaves (e.g. every bath spin starts in an energy eigenstate)
+    the single interval [0, horizon] is returned.
 
     Returns
     -------
@@ -484,8 +561,8 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
             f"step {step:g} too coarse for eps {eps:g} and these couplings; "
             f"need <= {max_step:g}"
         )
-    # checked before np.linspace: the float grid must fit one array (the
-    # count is inf when horizon / step overflows)
+    # a grid whose points would not fit one array's index range is rejected
+    # (the count is inf when horizon / step overflows)
     points = horizon / step + 1.0
     if not points <= np.iinfo(np.intp).max // 8:
         raise ValueError(
@@ -493,18 +570,33 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
             "more than one array can hold"
         )
     n_pts = int(math.ceil(horizon / step)) + 1
-    t_grid, h = np.linspace(0.0, float(horizon), n_pts, retstep=True)
-    above = np.empty(n_pts, dtype=bool)
-    for lo in range(0, n_pts, _SCAN_CHUNK):
-        r = _on_uniform(cfg, h, lo, min(_SCAN_CHUNK, n_pts - lo), "horizon")
-        above[lo : lo + r.size] = np.abs(r) > 1.0 - eps
-    departed = np.nonzero(~above)[0]
-    if departed.size == 0:
+    # np.linspace's step (NaN for a one-point grid, which _slices rejects)
+    h = horizon / (n_pts - 1) if n_pts > 1 else math.nan
+
+    def t_at(j: int) -> float:
+        return horizon if j == n_pts - 1 else j * h
+
+    intervals = []
+    departed = False  # whether |r| has left the band yet
+    enter = None  # where the run of `above` open at the last chunk's end began
+    for lo, r in _slices(cfg, n_pts, _SCAN_CHUNK, "horizon", step=h):
+        above = np.abs(r) > 1.0 - eps
+        del r  # free the chunk before the next one is evaluated
+        if not departed:
+            first = int(np.argmin(above))  # the first point out of the band, if any
+            if above[first]:
+                continue
+            departed = True
+            above[:first] = False
+        # +1 where a run of `above` begins, -1 one past where it ends
+        edges = np.diff(above.astype(np.int8), prepend=np.int8(enter is not None))
+        enters = [] if enter is None else [enter]
+        enters += (np.flatnonzero(edges == 1) + lo).tolist()
+        exits = (np.flatnonzero(edges == -1) + (lo - 1)).tolist()
+        enter = enters.pop() if len(enters) > len(exits) else None
+        intervals += [(t_at(i), t_at(j)) for i, j in zip(enters, exits)]
+    if not departed:
         return [(0.0, float(horizon))]
-    # runs of `above` after the first departure; the padding closes a run
-    # still open at the horizon
-    above[: departed[0]] = False
-    edges = np.diff(np.concatenate(([False], above, [False])).astype(np.int8))
-    enters = np.nonzero(edges == 1)[0]
-    exits = np.nonzero(edges == -1)[0] - 1
-    return [(float(t_grid[i]), float(t_grid[j])) for i, j in zip(enters, exits)]
+    if enter is not None:
+        intervals.append((t_at(enter), t_at(n_pts - 1)))
+    return intervals

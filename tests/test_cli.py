@@ -357,9 +357,10 @@ def test_failing_fit_task_leaves_earlier_sections_and_no_workers(
 def test_trace_rows_streamed_in_slices_match_whole_array_rows():
     bath = SpinBathConfig.random(6, np.random.default_rng(5))
     t_grid = np.linspace(0.0, 9.0, 3 * cli._ROW_SLICE + 17)
-    r = decoherence_factor(bath, t_grid)
+    r = cli.spin_bath.decoherence_on_grid(bath, t_grid)
     whole = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
-    rows = list(cli._trace_rows(t_grid, r))
+    slices = cli.spin_bath._slices(bath, t_grid, cli._ROW_SLICE, "t_grid")
+    rows = list(cli._trace_rows(t_grid, slices))
     assert np.array(rows).tobytes() == np.array(list(whole)).tobytes()
 
 
@@ -921,19 +922,20 @@ def test_pointer_runs_past_the_old_13_spin_cap(tmp_path, n_spins):
 
 
 def _count_grid_calls(monkeypatch):
-    """Record (cfg, t_grid) of every call into the grid entry; refuse decoherence_factor."""
+    """Record (cfg, t_grid) of every grid walked by the one evaluator picker,
+    ``spin_bath._slices``; refuse decoherence_factor."""
     calls = []
-    real = cli.spin_bath.decoherence_on_grid
+    real = cli.spin_bath._slices
 
-    def counted(cfg, t_grid):
+    def counted(cfg, t_grid, *args, **kwargs):
         calls.append((cfg, np.array(t_grid)))
-        return real(cfg, t_grid)
+        return real(cfg, t_grid, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a time grid went to decoherence_factor")
 
+    monkeypatch.setattr(cli.spin_bath, "_slices", counted)
     for owner in (cli.spin_bath, cli.pointer):
-        monkeypatch.setattr(owner, "decoherence_on_grid", counted)
         monkeypatch.setattr(owner, "decoherence_factor", refuse, raising=False)
     return calls
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decolab import oracle
+from decolab import fock, oracle
 from decolab.fock import (
     FockSpace,
     TruncationError,
@@ -242,6 +242,60 @@ def test_completeness_audit_holds_one_scaled_table(n_max, n):
     k, d = len(grid), space.dim
     peak = _peak(lambda: coherent_completeness_deviation(space, grid))
     assert peak < 2 * k * d * 16 + 4 * d * d * 16 + 256 * k
+
+
+def _whole_product(space, grid):
+    # the conjugate effect sum as one product (conj(B) dA/pi)^T B
+    if grid is None:
+        grid = default_coherent_grid(space)
+    bra = _coherent_table(grid.points, space.dim)
+    scaled = np.conjugate(bra * (grid.weights / math.pi)[:, None])
+    return bra, grid.weights / math.pi, scaled.T @ bra
+
+
+def _audit_grids(n_max):
+    radius = float(math.ceil(2.5 * math.sqrt(n_max)))
+    return [polar_grid(radius, n, n) for n in (8, 16, 32)] + [None]
+
+
+def _assert_blocks_equal_the_whole_product(space, grid):
+    bra, weight, whole = _whole_product(space, grid)
+    blocks = list(fock._effect_sum_blocks(bra, weight))
+    rows = fock._AUDIT_BLOCK_BYTES // (16 * bra.shape[0])
+    assert [lo for lo, _ in blocks] == oracle._row_blocks(space.dim, rows)[:-1]
+    assert np.concatenate([part for _, part in blocks]).tobytes() == whole.tobytes()
+    want = float(np.max(np.abs(whole - np.eye(space.dim))))
+    assert coherent_completeness_deviation(space, grid) == want
+
+
+@pytest.mark.parametrize("n_max", [48, 10, 20])
+def test_blocked_audit_equals_the_whole_product_bit_for_bit(n_max):
+    # n_max 48: the benchmark's grids; d = 11 and 21, where blocks of a
+    # fixed size would leave one row over (a one-row product goes to gemv)
+    space = FockSpace(n_max)
+    for grid in _audit_grids(n_max):
+        _assert_blocks_equal_the_whole_product(space, grid)
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+@pytest.mark.parametrize("rows", [2, 4, 5, 10])
+def test_audit_blocks_that_would_leave_one_row_still_match(monkeypatch, n_max, rows):
+    # a block budget of `rows` rows of the default 4096-node table: d = 11
+    # or 21 is then one row past a multiple of the rows (but for 4 at d = 11)
+    monkeypatch.setattr(fock, "_AUDIT_BLOCK_BYTES", rows * 16 * 4096)
+    _assert_blocks_equal_the_whole_product(FockSpace(n_max), None)
+
+
+@pytest.mark.parametrize("n_max", [48, 200])
+def test_completeness_audit_scales_one_block_at_a_time(n_max):
+    # beside B (K x d) only a K x block scaled slice of at most
+    # _AUDIT_BLOCK_BYTES, the block's rows of the sum and their modulus,
+    # and per-node vectors of the amplitude recurrence
+    space = FockSpace(n_max)
+    grid = default_coherent_grid(space)
+    k, d = len(grid), space.dim
+    peak = _peak(lambda: coherent_completeness_deviation(space, grid))
+    assert peak < k * d * 16 + fock._AUDIT_BLOCK_BYTES + 2 * 16 * d * d + 256 * k
 
 
 def test_coherent_outcome_projects_onto_coherent_state():

@@ -312,3 +312,15 @@ def test_nan_hamiltonian_is_rejected_by_name():
         evolve_dense_grid(h, psi, [0.5])
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
         evolve_dense(h, psi, 0.5)
+
+
+@pytest.mark.parametrize("rows", range(1, 12))
+@pytest.mark.parametrize("count", [2, 3, 11, 21, 49, 201])
+def test_row_blocks_are_equal_and_never_a_single_row(rows, count):
+    bounds = oracle._row_blocks(count, rows)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == count
+    assert sizes.min() >= 2 and sizes.max() - sizes.min() <= 1
+    # as many blocks as `rows` (at least 2) allows, so no block is needlessly large
+    assert sizes.size == min(-(-count // max(2, rows)), count // 2)
+    assert oracle._row_blocks(1, rows) == [0, 1] and oracle._row_blocks(0, rows) == [0]

@@ -536,6 +536,156 @@ def test_recurrence_intervals_do_not_depend_on_the_chunk_size(monkeypatch, bath)
     assert len(whole) >= 6
 
 
+def _whole_grid_scan(cfg, horizon, eps, step):
+    """The scan over the whole grid at once, its t_grid and ``above`` arrays
+    held whole, kept as a reference."""
+    n_pts = int(np.ceil(horizon / step)) + 1
+    t_grid = np.linspace(0.0, float(horizon), n_pts)
+    above = np.abs(decoherence_on_grid(cfg, t_grid)) > 1.0 - eps
+    departed = np.nonzero(~above)[0]
+    if departed.size == 0:
+        return [(0.0, float(horizon))]
+    above[: departed[0]] = False
+    edges = np.diff(np.concatenate(([False], above, [False])).astype(np.int8))
+    enters = np.nonzero(edges == 1)[0]
+    exits = np.nonzero(edges == -1)[0] - 1
+    return [(float(t_grid[i]), float(t_grid[j])) for i, j in zip(enters, exits)]
+
+
+def _commensurate_bath(kind):
+    # couplings 0.1 x odd numbers: |r| returns to 1 near every multiple of
+    # 5 pi whatever the spins' amplitudes
+    g = [0.3, 0.5, 0.7, 0.9]
+    if kind == "balanced":
+        return SpinBathConfig.balanced(g)
+    if kind == "eigenstate":
+        return SpinBathConfig(0.6, 0.8, g, [1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0])
+    base = _bath(kind, 4, np.random.default_rng(41))
+    return SpinBathConfig(base.a, base.b, g, base.alpha, base.beta)
+
+
+@pytest.mark.parametrize("chunk", [64, 128, None], ids=["64", "128", "default"])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed", "eigenstate"])
+@pytest.mark.parametrize("horizon, eps, step", [
+    (100.0, 0.01, None),  # six closed revivals over 1 812 points
+    (31.42, 0.01, 2.5e-4),  # |r| leaves the band past 128 points; the last run is open
+    (47.2, 0.05, 2e-3),  # wider windows, the last run open at the horizon
+])
+def test_streamed_scan_equals_the_whole_grid_scan(monkeypatch, chunk, bath, horizon, eps, step):
+    cfg = _commensurate_bath(bath)
+    if chunk is not None:
+        monkeypatch.setattr(spin_bath, "_SCAN_CHUNK", chunk)
+    got = recurrence_scan(cfg, horizon, eps, step=step)
+    if step is None:
+        step = spin_bath._scan_step(float(np.max(cfg.g)), float(np.dot(cfg.g, cfg.g)), eps)
+    want = _whole_grid_scan(cfg, horizon, eps, step)
+    assert got == want
+    if bath == "eigenstate":
+        assert got == [(0.0, horizon)]
+    else:
+        assert len(got) >= 2
+
+
+def _scan_peak(cfg, horizon):
+    """The scan's tracemalloc peak beyond the list of intervals it returns."""
+    tracemalloc.start()
+    try:
+        intervals = recurrence_scan(cfg, horizon, 0.01)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return len(intervals), peak - held
+
+
+def test_recurrence_scan_memory_does_not_grow_with_the_horizon():
+    # 2.7e5 grid points (one full chunk) against 1.81e7 (70 chunks and
+    # 63 661 intervals); the whole-grid scan held 19-21 bytes per point
+    cfg = SpinBathConfig.balanced([0.3, 0.5, 0.7, 0.9])
+    short, small = _scan_peak(cfg, 1.5e4)
+    long, large = _scan_peak(cfg, 1e6)
+    assert (short, long) == (954, 63661)
+    # what a chunk's reduction keeps while the next chunk is evaluated
+    assert large <= small + (1 << 20)
+
+
+def test_slices_check_the_whole_grid_before_the_first_slice():
+    # only the last slice's phase overflows: the walker raises when called,
+    # before any slice is evaluated or a caller opens a file for them
+    cfg = SpinBathConfig.balanced([0.5, 1.0])
+    evaluated = []
+    with np.errstate(over="ignore"):
+        for grid in (np.arange(3 * 64) * 6e305, np.r_[np.zeros(129), 1e308]):
+            with pytest.raises(ValueError, match="t_grid: the phase 2 g t overflows"):
+                evaluated += spin_bath._slices(cfg, grid, 64, "t_grid")
+            with pytest.raises(ValueError, match="t_grid: the phase 2 g t overflows"):
+                decoherence_on_grid(cfg, grid)
+    assert evaluated == []
+    with pytest.raises(ValueError, match="t_grid: empty time grid"):
+        spin_bath._slices(cfg, [], 64, "t_grid")
+    with pytest.raises(ValueError, match="horizon: the phase 2 g t overflows"):
+        spin_bath._slices(cfg, 3, 64, "horizon", step=1e308)
+
+
+def _whole_grid_step(t_grid):
+    # the uniform-grid test on a whole copy of the grid, kept as a reference
+    n = t_grid.size
+    if n < 2 or t_grid[0] != 0.0 or not t_grid[1] > 0.0:
+        return None
+    step = float(t_grid[1])
+    uniform = np.arange(n, dtype=float) * step
+    if t_grid[-1] / (n - 1) == step:
+        uniform[-1] = t_grid[-1]
+    return step if np.array_equal(uniform, t_grid) else None
+
+
+@pytest.mark.parametrize("slices", [0, 1, 3])
+@pytest.mark.parametrize("extra", [2, 17, 64])
+def test_grid_step_compared_in_slices_decides_as_the_whole_grid(slices, extra):
+    samples = slices * spin_bath._GRID_SLICE + extra
+    for t_max in (1.0, 9.0, 1e-3 / 3.0, 123.456):
+        grid = np.linspace(0.0, t_max, samples)
+        assert spin_bath._grid_step(grid) == _whole_grid_step(grid) is not None
+        # one point off its j h, in the first, a middle or the last slice
+        for j in {1, samples // 2, samples - 2, samples - 1} - {0}:
+            bent = grid.copy()
+            bent[j] = np.nextafter(bent[j], np.inf)
+            assert spin_bath._grid_step(bent) == _whole_grid_step(bent)
+            assert spin_bath._grid_step(bent) is None or j == samples - 1
+
+
+@pytest.mark.parametrize("size", [64, 128, 4096])
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_slices_are_the_whole_grid_bit_for_bit(size, bath):
+    cfg = _bath(bath, 9, np.random.default_rng(17))
+    uniform = np.linspace(0.0, 25.0, 3 * 4096 + 17)
+    other = np.sqrt(uniform * 25.0)
+    for grid in (uniform, other):
+        whole = decoherence_on_grid(cfg, grid)
+        starts, parts = zip(*spin_bath._slices(cfg, grid, size, "t_grid"))
+        assert list(starts) == list(range(0, grid.size, size))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
+def test_time_averaged_r2_equals_the_whole_grid_mean_bit_for_bit(bath):
+    cfg = _bath(bath, 12, np.random.default_rng(23))
+    for samples in (100, 4097, spin_bath._GRID_SLICE + 1, 200001):
+        for t_grid in (np.linspace(0.0, 300.0, samples), np.geomspace(1e-3, 300.0, samples)):
+            want = float(np.mean(np.abs(decoherence_on_grid(cfg, t_grid)) ** 2))
+            assert time_averaged_r2(cfg, t_grid) == want
+
+
+def test_time_averaged_r2_holds_one_float_per_sample_and_one_slice():
+    # the grid is the caller's; the mean holds |r|^2 (8 bytes a sample),
+    # one slice of r with its temporaries and the kernel's tiles, where the
+    # whole-grid mean held about 40 bytes a sample
+    cfg = SpinBathConfig.balanced(np.random.default_rng(5).uniform(0.0, 1.0, 14))
+    samples = 200001
+    t_grid = np.linspace(0.0, 400.0 / cfg.g.min(), samples)
+    peak = _peak_bytes(time_averaged_r2, cfg, t_grid)
+    assert peak < 2 * 8 * samples + 64 * spin_bath._GRID_SLICE + 32 * spin_bath._GRID_ENTRIES
+
+
 def test_recurrence_eigenstate_never_departs():
     cfg = SpinBathConfig(0.6, 0.8, [0.4, 1.3], [0.0, 0.0], [1.0, 1.0])
     assert recurrence_scan(cfg, 25.0, 0.05) == [(0.0, 25.0)]

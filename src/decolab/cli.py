@@ -48,9 +48,12 @@ libm builds only to its rounding floor, about N eps (1 + max |2 g t|);
 reruns on one build are byte-identical.  ``oracle-compare`` evaluates r(t)
 at random times (``spin_bath.decoherence_factor``).  Before it allocates
 anything, a runner estimates each section's peak bytes from the config
-alone (``_r_bytes`` for every section that evaluates r(t) on a grid) and
-rejects, as a config error, any section over the one ``BYTE_BUDGET``, and
-sections that run at once when their sum is over it.
+alone and rejects, as a config error, any section over the one
+``BYTE_BUDGET``, and sections that run at once when their sum is over it.
+An estimate sums the private ``_*_bytes`` functions that sit beside the
+library allocations they bound (``spin_bath._r_bytes`` for every section
+that evaluates r(t) on a grid) and adds what the CLI itself holds: the tasks
+handed to a pool, ``trace``'s slice of rows and each section's CSV writer.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -632,35 +635,18 @@ _FIT_SAMPLES = 1200
 #: and of its rows as Python floats is held.
 _ROW_SLICE = 4096
 
-# Working-set sizes that grow with the config, measured with tracemalloc and
-# rounded up: bytes per time point while r(t) is evaluated and reduced, per
-# trace.csv row of the slice held as Python floats (157 measured, with the
-# row's share of the arrays), per recurrence grid point, per point of one
-# recurrence chunk of spin_bath._SCAN_CHUNK points (r, its real accumulator
-# and |r|; 25 measured), per bath
-# spin (the peak of building a bath of either ensemble, the random one's
-# construction the larger; pointer baths cost the same), and per task a
-# section hands to the pool (seed, payload, result row); plus, for every
-# r(t) evaluation, the kernel's fixed tile buffers (one complex and one
-# float buffer of spin_bath._GRID_ENTRIES entries, 768 KiB; 32 bytes per
-# entry, 1 MiB, bounds them with the kernel's smaller per-tile temporaries).
-# ``trace``, ``scaling`` and ``recurrence`` walk r(t) in slices and hold less
-# than these sizes charge (the scan holds no grid array at all); they are
-# kept as upper bounds, so every section's estimate, and so which configs
-# exit 2, does not depend on the slice sizes.
-_POINT_BYTES = 64
+# Working-set sizes the CLI itself owns, measured with tracemalloc and
+# rounded up: per trace.csv row of the slice held as Python floats (157
+# measured, with the row's share of the arrays), per task a section hands to
+# the pool (seed, payload, result row; an oracle-compare task also its pool
+# future, 2.4 KiB measured with a pool of 2 workers), and one section's CSV
+# file, charged to every section: csv.writer allocates a 128 KiB record
+# buffer on its first row (CPython 3.11), 137 KB measured with the file's
+# buffers, and the rest covers a run's other small fixed allocations.
 _TRACE_ROW_BYTES = 160
-_SCAN_POINT_BYTES = 32
-_CHUNK_POINT_BYTES = 32
-_SPIN_BYTES = 192
 _TASK_BYTES = 2048
-_GRID_BYTES = 32 * spin_bath._GRID_ENTRIES
-
-
-def _r_bytes(n_spins: int, points, point_bytes: int = _POINT_BYTES):
-    """A bath of ``n_spins`` plus r(t) on ``points`` time points of
-    ``point_bytes`` each, plus the r(t) kernel's tile buffers."""
-    return n_spins * _SPIN_BYTES + points * point_bytes + _GRID_BYTES
+_ORACLE_TASK_BYTES = 3072
+_WRITER_BYTES = 160 * 1024
 
 
 def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
@@ -671,34 +657,34 @@ def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> i
 def spin_bath_bytes(config: dict, workers: int) -> dict:
     """Estimated peak bytes of each section of a spin-bath config.
 
-    Worked out from the config alone, before anything is allocated.  r(t) is
-    multiplied in a tile of spins at a time, so a section grows linearly with
-    its time samples (grid points for ``recurrence``); the bath adds only its
-    couplings and amplitudes, the r(t) kernel its tile buffers, and
-    ``trace`` one slice of Python rows.  A pooled section holds one task per
-    busy worker at a time.  ``trace``, ``scaling`` and ``gaussian_fit`` run at once, so
-    ``run_spin_bath`` also bounds their sum.
+    Worked out from the config alone, before anything is allocated: each
+    section grows linearly with its time samples (grid points for
+    ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``), ``trace``
+    adds one slice of Python rows and every section its CSV writer.  A
+    pooled section holds one task per busy worker at a time.  ``trace``,
+    ``scaling`` and ``gaussian_fit`` run at once, so ``run_spin_bath`` also
+    bounds their sum.
     """
     need = {}
     if "trace" in config:
         sec = config["trace"]
         need["trace"] = (
-            _r_bytes(sec["n_spins"], sec["samples"])
+            spin_bath._r_bytes(sec["n_spins"], sec["samples"])
             + min(sec["samples"], _ROW_SLICE) * _TRACE_ROW_BYTES
         )
     if "scaling" in config:
         sec = config["scaling"]
-        per_task = _r_bytes(max(sec["n_values"]), sec.get("samples", _SCALING_SAMPLES))
+        per_task = spin_bath._r_bytes(max(sec["n_values"]), sec.get("samples", _SCALING_SAMPLES))
         need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task, _TASK_BYTES)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
-        per_task = _r_bytes(sec["n_spins"], sec.get("samples", _FIT_SAMPLES))
+        per_task = spin_bath._r_bytes(sec["n_spins"], sec.get("samples", _FIT_SAMPLES))
         need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
     if "recurrence" in config:
         sec = config["recurrence"]
         if "couplings" in sec:
             g = np.abs(np.asarray(sec["couplings"], dtype=float))
-            with np.errstate(over="ignore"):  # _scan_step rejects an infinite sum
+            with np.errstate(over="ignore"):  # _scan_bytes rejects an infinite sum
                 g_sq = float(np.dot(g, g))
             n, g_max = g.size, float(g.max())
         elif "n_spins" in sec:
@@ -709,13 +695,8 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
             g_max, g_sq = 1.0, float(n)
         else:
             raise ConfigError("recurrence needs either 'couplings' or 'n_spins'")
-        step = spin_bath._scan_step(g_max, g_sq, sec["epsilon"])
-        points = sec["horizon"] / step + 2.0
-        need["recurrence"] = (
-            _r_bytes(n, points, _SCAN_POINT_BYTES)
-            + min(points, spin_bath._SCAN_CHUNK) * _CHUNK_POINT_BYTES
-        )
-    return need
+        need["recurrence"] = spin_bath._scan_bytes(n, g_max, g_sq, sec["horizon"], sec["epsilon"])
+    return {section: size + _WRITER_BYTES for section, size in need.items()}
 
 
 def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
@@ -925,52 +906,31 @@ def run_measure(config, seed, workers, out) -> int:
 # pointer
 
 
-# Working-set sizes that grow with the config, measured with tracemalloc and
-# rounded up: bytes per correlation time point while r(t) and one column are
-# computed, per stored correlation value (one column per angle), per
-# apparatus time point (grid, kernel and the two results), per apparatus time
-# point and mixture component (the kernel table), per branch amplitude and
-# per decay rate.  The bath costs _SPIN_BYTES per spin and the sieve
-# _POINT_BYTES per time point, and r(t) adds _GRID_BYTES (see _r_bytes).
-_CORRELATION_POINT_BYTES = 128
-_COLUMN_BYTES = 8
-_APPARATUS_POINT_BYTES = 48
-_MIXTURE_POINT_BYTES = 8
-_BRANCH_BYTES = 96
-_RATE_BYTES = 48
-
-
 def pointer_bytes(config: dict) -> dict:
     """Estimated peak bytes of each section of a pointer config.
 
     Worked out from the config alone, before anything is allocated.  The
     bath is built first and held to the end, so it is its own entry,
-    ``environment``, and part of every other one.  r(t) is multiplied in a
-    tile of spins at a time, so ``correlation`` and ``sieve`` grow linearly
-    with their time samples, ``correlation`` also with one stored column per
-    angle, and each adds the r(t) kernel's tile buffers.
-    ``apparatus`` is a closed form: linear in its samples times mixture
-    components, plus its amplitudes and rates.
+    ``environment``, and part of every other one.  ``correlation`` and
+    ``sieve`` grow linearly with their time samples, ``correlation`` also
+    with its angles; ``apparatus`` is a closed form, linear in its samples
+    times mixture components.  Every entry adds a CSV writer: the bath is
+    held while each section's file is written.
     """
     n_spins = config["environment"]["n_spins"]
-    bath = n_spins * _SPIN_BYTES
+    bath = spin_bath._bath_bytes(n_spins)
     need = {"environment": bath}
     if "correlation" in config:
         sec = config["correlation"]
-        per_point = _CORRELATION_POINT_BYTES + len(sec["thetas"]) * _COLUMN_BYTES
-        need["correlation"] = _r_bytes(n_spins, sec["samples"], per_point)
+        need["correlation"] = pointer._correlation_bytes(
+            n_spins, sec["samples"], len(sec["thetas"]))
     if "sieve" in config:
-        need["sieve"] = _r_bytes(n_spins, config["sieve"]["samples"])
+        need["sieve"] = spin_bath._r_bytes(n_spins, config["sieve"]["samples"])
     if "apparatus" in config:
         sec = config["apparatus"]
-        mixture = len(sec["decay_rates"])
-        need["apparatus"] = (
-            bath
-            + len(sec["amplitudes"]) * _BRANCH_BYTES
-            + mixture * _RATE_BYTES
-            + sec["samples"] * (_APPARATUS_POINT_BYTES + mixture * _MIXTURE_POINT_BYTES)
-        )
-    return need
+        need["apparatus"] = bath + pointer._apparatus_bytes(
+            len(sec["amplitudes"]), len(sec["decay_rates"]), sec["samples"])
+    return {section: size + _WRITER_BYTES for section, size in need.items()}
 
 
 def _sieve_bases() -> dict:
@@ -1029,17 +989,6 @@ def run_pointer(config, seed, workers, out) -> int:
 
 _FOCK_DENSITIES = [[8, 8], [16, 16], [32, 32]]
 
-# Working-set sizes that grow with the config, measured with tracemalloc and
-# rounded up, for d = n_max + 1 levels: bytes per entry of the FockSpace
-# operators (d^2), of the coherent amplitude table and its scaled copy
-# (grid nodes x d), of an Ehrenfest amplitude grid (time points x d, an upper
-# bound since the states are streamed in blocks), and per entry of the
-# Hamiltonian and its eigendecomposition (d^2).
-_FOCK_SPACE_BYTES = 96
-_COHERENT_BYTES = 64
-_EHRENFEST_STEP_BYTES = 64
-_EHRENFEST_EIG_BYTES = 128
-
 
 def fock_bytes(config: dict) -> dict:
     """Estimated peak bytes of each section of a fock config.
@@ -1047,33 +996,25 @@ def fock_bytes(config: dict) -> dict:
     Worked out from the config alone, before anything is allocated.  Every
     section holds the FockSpace operators.  Photon counting reads |psi_n|^2
     off the d amplitudes of the coherent state, and its completeness row is
-    exact, so both add only O(d); the coherent-grid audit is a closed form
-    over the K x d amplitude table, K the largest grid (the 64 x 64 default
-    included), which holds that table and one scaled copy; ``ehrenfest``
-    holds one dense eigendecomposition, two blocks of about 1 MiB of
-    amplitudes and a few floats per time point.  The ``ehrenfest`` term
-    still charges 64 B per time point and level, the cost of holding the
-    state on every time point, so it stays an upper bound and no config's
-    exit code moves.  ``FockSpace`` itself refuses d above
+    exact, so both add only O(d); the coherent-grid audit holds the K x d
+    amplitude table of the largest grid (the 64 x 64 default included);
+    ``ehrenfest`` one eigendecomposition and its states (``fock._*_bytes``).
+    Every section adds its CSV writer.  ``FockSpace`` itself refuses d above
     ``states.DENSITY_CAP``, which stops a ``counting`` section past n_max
     4095 before this estimate would.
     """
-    d = config["n_max"] + 1
-    space = d * d * _FOCK_SPACE_BYTES
+    n_max = config["n_max"]
     need = {}
     if "counting" in config:
-        need["counting"] = space
+        need["counting"] = fock._space_bytes(n_max)
     if "completeness" in config:
         densities = config["completeness"].get("densities", _FOCK_DENSITIES)
         nodes = max([n_r * n_phi for n_r, n_phi in densities] + [fock.DEFAULT_DENSITY ** 2])
-        need["completeness"] = space + nodes * d * _COHERENT_BYTES
+        need["completeness"] = fock._audit_bytes(n_max, nodes)
     if "ehrenfest" in config:
         sec = config["ehrenfest"]
-        points = sec["t_max"] / sec["dt"] + 1.0
-        need["ehrenfest"] = (
-            space + d * d * _EHRENFEST_EIG_BYTES + points * d * _EHRENFEST_STEP_BYTES
-        )
-    return need
+        need["ehrenfest"] = fock._ehrenfest_bytes(n_max, sec["t_max"] / sec["dt"] + 1.0)
+    return {section: size + _WRITER_BYTES for section, size in need.items()}
 
 
 def run_fock(config, seed, workers, out) -> int:
@@ -1125,29 +1066,20 @@ def run_fock(config, seed, workers, out) -> int:
 _TIMES_PER_TRIAL = 20
 _ORACLE_T_MAX = 20.0
 
-# Working-set sizes that grow with the config, measured with tracemalloc and
-# rounded up: bytes per joint-state amplitude while one bath is evolved, per
-# sampled time of a trial, and per task (seed child, payload, pool future,
-# result row; 2.4 KiB measured with a pool of 2 workers).
-_AMP_BYTES = 64
-_TIME_BYTES = 80
-_ORACLE_TASK_BYTES = 3072
-
 
 def oracle_compare_bytes(config: dict, workers: int) -> dict:
     """Estimated peak bytes of an oracle-compare run, keyed ``"run"``.
 
     Worked out from the config alone, before anything is allocated.  Each
     busy worker evolves one bath of the largest N at a time, 2^(N+1)
-    amplitudes, over ``times_per_trial`` times; the parent holds every task's
-    seed, payload and row.
+    amplitudes, over ``times_per_trial`` times; the parent holds every
+    task's seed, payload and row, and the CSV writer.
     """
     tasks = config["trials"] * len(config["n_values"])
-    per_task = (
-        2 ** (max(config["n_values"]) + 1) * _AMP_BYTES
-        + config.get("times_per_trial", _TIMES_PER_TRIAL) * _TIME_BYTES
-    )
-    return {"run": _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)}
+    per_task = oracle._oracle_r_bytes(
+        2 ** (max(config["n_values"]) + 1), config.get("times_per_trial", _TIMES_PER_TRIAL))
+    run = _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)
+    return {"run": run + _WRITER_BYTES}
 
 
 def oracle_float_floor(config: dict) -> float:
@@ -1400,6 +1332,8 @@ def main(argv=None) -> int:
     check = args.subcommand == "check"
     try:
         max_workers = os.cpu_count() or 1
+        if args.workers < 1:
+            raise ConfigError(f"--workers {args.workers} is below 1")
         if args.workers > max_workers:
             raise ConfigError(
                 f"--workers {args.workers} exceeds the {max_workers} CPUs of this machine"

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spin_bath import SpinBathConfig, decoherence_on_grid, environment_branch
+from .spin_bath import SpinBathConfig, _mean_r2, _r_bytes, decoherence_on_grid, environment_branch
 from .states import (
     BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
     _square,
@@ -119,6 +119,14 @@ def _rotated_correlation(cfg: TriConfig, theta: float, r: np.ndarray) -> np.ndar
     return np.abs(np.sqrt(diag[:, 0] * diag[:, 3]) - np.sqrt(diag[:, 1] * diag[:, 2]))
 
 
+def _correlation_bytes(n_spins: int, samples: int, angles: int) -> int:
+    """Peak bytes of r(t) on ``samples`` times (``spin_bath._r_bytes``) and
+    its correlation at ``angles`` readout angles (``_rotated_correlation``):
+    128 a time while r(t) and one column are computed and 8 a stored value,
+    measured with tracemalloc and rounded up."""
+    return _r_bytes(n_spins, samples, 128 + angles * 8)
+
+
 def predictability_sieve(
     candidates: Sequence[BasisSpec], cfg: TriConfig, t_grid
 ) -> list[tuple[BasisSpec, float]]:
@@ -128,9 +136,10 @@ def predictability_sieve(
     column (u0, u1) (the system is left out) and dephased by the environment
     of ``cfg``.  Its purity is |u0|^4 + |u1|^4 + 2 |u0 u1|^2 |r(t)|^2, so the
     score, the time-averaged purity averaged over the columns, needs only
-    the mean of |r|^2 over the grid, evaluated by
-    ``spin_bath.decoherence_on_grid``.  A basis of conserved states scores
-    exactly 1; nothing can score higher.
+    the mean of |r|^2 over the grid.  r(t) is walked in slices for it, as
+    ``spin_bath.time_averaged_r2`` walks it, and the mean is bit for bit that
+    of ``spin_bath.decoherence_on_grid`` over the whole grid.  A basis of
+    conserved states scores exactly 1; nothing can score higher.
 
     Returns the candidates sorted by descending score, ties keeping input
     order.
@@ -138,7 +147,7 @@ def predictability_sieve(
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("the sieve needs at least two candidate bases")
-    mean_r2 = float(np.mean(np.abs(decoherence_on_grid(cfg.bath, t_grid)) ** 2))
+    mean_r2 = _mean_r2(cfg.bath, t_grid)
     scored = []
     for basis in candidates:
         if basis.dim != 2:
@@ -232,6 +241,14 @@ def apparatus_reduced_state(model: ApparatusModel, t: float) -> DensityMatrix:
             mat[i + 1, j + 1] = c[i] * np.conj(c[j]) * avg
             mat[j + 1, i + 1] = np.conj(mat[i + 1, j + 1])
     return DensityMatrix((n + 1,), mat)
+
+
+def _apparatus_bytes(amplitudes: int, rates: int, samples: int) -> int:
+    """Peak bytes of ``apparatus_dephasing`` for ``amplitudes`` branches,
+    ``rates`` mixture components and ``samples`` times, measured with
+    tracemalloc and rounded up: 96 a branch, 48 a rate, and a time 48 (grid,
+    kernel and the two results) plus 8 a component (the kernel table)."""
+    return amplitudes * 96 + rates * 48 + samples * (48 + rates * 8)
 
 
 def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -144,6 +144,14 @@ class SpinBathConfig:
         return cls(a, b, g, z / norm, w / norm)
 
 
+def _bath_bytes(n_spins: int) -> int:
+    """Peak bytes of building a bath of ``n_spins`` spins of either ensemble:
+    192 a spin, measured with tracemalloc (the random one's the larger) and
+    rounded up.  Like every ``_*_bytes`` here, the CLI sums it into its
+    estimates before anything is allocated."""
+    return n_spins * 192
+
+
 def decoherence_factor(cfg: SpinBathConfig, t):
     """Off-diagonal suppression factor r(t) at arbitrary times.
 
@@ -252,6 +260,15 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
                 np.multiply.reduce(fac, axis=0, out=seg)
     r *= real
     return r
+
+
+def _r_bytes(n_spins: int, points, point_bytes: int = 64):
+    """A bath of ``n_spins`` plus r(t) on ``points`` time points of
+    ``point_bytes`` each (64 measured while r(t) is evaluated and reduced; a
+    walk in slices holds less, so no estimate depends on the slice sizes),
+    plus the tile buffers, which 32 bytes per entry bound with the kernel's
+    smaller per-tile temporaries."""
+    return _bath_bytes(n_spins) + points * point_bytes + 32 * _GRID_ENTRIES
 
 
 def _grid_step(t_grid: np.ndarray) -> float | None:
@@ -433,19 +450,27 @@ def environment_branch(cfg: SpinBathConfig, t: float, branch: str = "up") -> Sta
 
 
 def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:
-    """Mean of |r(t)|^2 over the grid.
+    """Mean of |r(t)|^2 over the grid (``_mean_r2``).
 
     The grid should span many oscillation periods (>= 50 / min g_k) for the
     average to mean anything; fewer than 100 samples is rejected outright.
     For balanced bath spins and incommensurate couplings the long-time value
-    approaches 2^-N.  r is evaluated ``_GRID_SLICE`` samples at a time, each
-    slice as ``decoherence_on_grid`` evaluates that part of the grid, and
-    |r|^2 is written into one float buffer whose ``np.mean`` is the result:
-    8 bytes per sample plus one slice, the same mean bit for bit as that of
-    the whole grid's |r|^2.
+    approaches 2^-N.
     """
     if np.size(t_grid) < 100:
         raise ValueError(f"need at least 100 samples, got {np.size(t_grid)}")
+    return _mean_r2(cfg, t_grid)
+
+
+def _mean_r2(cfg: SpinBathConfig, t_grid) -> float:
+    """Mean of |r(t)|^2 over a grid of any length, walked in slices.
+
+    r is evaluated ``_GRID_SLICE`` samples at a time, each slice as
+    ``decoherence_on_grid`` evaluates that part of the grid, and |r|^2 is
+    written into one float buffer whose ``np.mean`` is the result: 8 bytes
+    per sample plus one slice, the same mean bit for bit as that of the whole
+    grid's |r|^2.
+    """
     slices = _slices(cfg, t_grid, _GRID_SLICE, "t_grid")
     r2 = np.empty(np.size(t_grid))
     for lo, r in slices:
@@ -526,6 +551,16 @@ def _scan_step(g_max: float, g_sq: float, eps: float) -> float:
         # sum g^2 overflowed or underflowed to 0, or a coupling is not finite
         raise ValueError(f"couplings up to {g_max:g} leave no usable scan step")
     return step
+
+
+def _scan_bytes(n_spins: int, g_max: float, g_sq: float, horizon: float, eps: float):
+    """Peak bytes of ``recurrence_scan`` over a bath of ``n_spins`` spins with
+    max |g_k| = g_max and sum g_k^2 = g_sq, at the step the scan takes
+    (``_scan_step``): 32 bytes per grid point, an upper bound (no grid array
+    is kept), and 32 per point of the chunk it holds (r, its real
+    accumulator and |r|; 25 measured)."""
+    points = horizon / _scan_step(g_max, g_sq, eps) + 2.0
+    return _r_bytes(n_spins, points, 32) + min(points, _SCAN_CHUNK) * 32
 
 
 def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float | None = None):

@@ -1,4 +1,8 @@
+import json
 import os
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,23 @@ def cli_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(extra or {})
     return env
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_CONFIGS = [
+    json.loads(block)
+    for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+]
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 # One line per acceptance criterion, echoed after the run so the pass/fail
 # status of each is visible even when pytest captures stdout.

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import cli_env
+from conftest import README, README_CONFIGS, cli_env, traced_peak
 from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet, povm_probabilities
@@ -502,6 +501,15 @@ def test_workers_above_cpu_count_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path / "c.json", SPIN_CFG)
+    out = tmp_path / "o"
+    for args in (["spin-bath", "--config", cfg, "--out", str(out)], ["check"]):
+        _usage_error(capsys, args + ["--workers", workers], f"--workers {workers} is below 1")
+    assert not out.exists()
+
+
 # one config per subcommand holding a NaN, an infinity or a literal that
 # overflows a double; the loader must reject each before the schema sees it
 NON_FINITE_CONFIGS = {
@@ -536,25 +544,6 @@ def test_non_finite_config_is_usage_error(tmp_path, capsys, subcommand):
 # ------------------------------------------------------------ resource bounds
 
 BIG = 10 ** 12
-
-
-@pytest.mark.parametrize(
-    "section, body",
-    [
-        ("trace", {"n_spins": 4, "t_max": 1.0, "samples": BIG}),
-        ("trace", {"n_spins": BIG, "t_max": 1.0, "samples": 10}),
-        ("scaling", {"n_values": [4], "samples": BIG}),
-        ("scaling", {"n_values": [4] * 2 * 10 ** 6}),
-        ("gaussian_fit", {"n_spins": 4, "n_seeds": 1, "samples": BIG}),
-        ("gaussian_fit", {"n_spins": 4, "n_seeds": BIG}),
-        ("recurrence", {"couplings": [1.0], "horizon": 1e12, "epsilon": 0.01}),
-        ("recurrence", {"n_spins": BIG, "horizon": 1.0, "epsilon": 0.01}),
-        ("recurrence", {"n_spins": 2, "horizon": float("inf"), "epsilon": 0.01}),
-    ],
-)
-def test_spin_bath_estimate_rejects_oversized_sections(section, body):
-    need = cli.spin_bath_bytes({"experiment": "spin-bath", section: body}, workers=2)
-    assert need[section] > cli.BYTE_BUDGET
 
 
 def test_spin_bath_estimate_grows_with_samples_not_spins():
@@ -605,44 +594,6 @@ def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
     assert os.listdir(tmp_path / "o") == []
 
 
-def test_trace_estimate_covers_the_streamed_section(tmp_path):
-    out = cli._Output(str(tmp_path), "spin-bath", {}, 0, quiet=True)
-    for samples in (cli._ROW_SLICE, 5 * cli._ROW_SLICE + 1):
-        trace = {"n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": samples}
-        tracemalloc.start()
-        try:
-            cli._write_trace(trace, np.random.SeedSequence(0), out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cli.spin_bath_bytes({"trace": trace}, workers=1)["trace"] >= peak
-
-
-@pytest.mark.parametrize(
-    "section, args, fallback",
-    [
-        pytest.param("scaling", (14, 400.0, 200001), False, id="scaling"),
-        pytest.param("gaussian_fit", (200, 2000), False, id="fit-prefix"),
-        # a prefix that never reaches the window: the whole grid follows it
-        pytest.param("gaussian_fit", (200, 2000), True, id="fit-fallback"),
-    ],
-)
-def test_pooled_task_estimates_cover_one_task(monkeypatch, section, args, fallback):
-    if fallback:
-        monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
-    if section == "scaling":
-        body = {"n_values": [args[0]], "span_periods": args[1], "samples": args[2]}
-    else:
-        body = {"n_spins": args[0], "n_seeds": 1, "samples": args[1]}
-    tracemalloc.start()
-    try:
-        cli._spin_bath_task((section, (*args, np.random.SeedSequence(3))))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cli.spin_bath_bytes({section: body}, workers=1)[section] >= peak
-
-
 def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("outcomes were sampled")
@@ -674,39 +625,11 @@ def _benchmark_configs(directory, subcommand):
     return configs
 
 
-def test_shipped_spin_bath_configs_fit_the_budget(tmp_path):
-    shipped = [c for c in README_CONFIGS if c["experiment"] == "spin-bath"]
-    shipped += _benchmark_configs(tmp_path, "spin-bath")
-    assert len(shipped) == 2
-    for config in shipped:
-        need = cli.spin_bath_bytes(config, workers=os.cpu_count() or 1)
-        assert set(need) == {"trace", "scaling", "gaussian_fit", "recurrence"}
-        assert max(need.values()) <= cli.BYTE_BUDGET
-
-
 FOCK_SECTIONS = {
     "counting": {"alpha": [1.0, 0.0]},
     "completeness": {},
     "ehrenfest": {"alpha": [1.0, 0.0], "t_max": 1.0, "dt": 0.01},
 }
-
-
-@pytest.mark.parametrize(
-    "section, n_max, body",
-    [
-        ("counting", 5000, FOCK_SECTIONS["counting"]),
-        ("completeness", 5000, {}),
-        ("completeness", 48, {"densities": [[10 ** 5, 10 ** 5]]}),
-        ("completeness", 48, {"densities": [[8, 8], [1, 10 ** 8]]}),
-        ("ehrenfest", 5000, FOCK_SECTIONS["ehrenfest"]),
-        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e9, "dt": 1e-3}),
-        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e308, "dt": 1e-308}),
-        ("ehrenfest", BIG, FOCK_SECTIONS["ehrenfest"]),
-    ],
-)
-def test_fock_estimate_rejects_oversized_sections(section, n_max, body):
-    need = cli.fock_bytes({"experiment": "fock", "n_max": n_max, section: body})
-    assert need[section] > cli.BYTE_BUDGET
 
 
 def test_fock_estimate_scales_with_the_section_sizes():
@@ -739,23 +662,6 @@ def test_oversized_fock_is_rejected_before_allocation(tmp_path, monkeypatch, cap
     assert err.startswith("decolab: ") and "'completeness'" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n_max, points", [(48, 5001), (400, 101)])
-def test_ehrenfest_estimate_covers_the_section(tmp_path, n_max, points):
-    dt = 1e-3
-    config = {"experiment": "fock", "n_max": n_max,
-              "ehrenfest": {"alpha": [1.5, 0.0], "t_max": (points - 1) * dt, "dt": dt}}
-    out = cli._Output(str(tmp_path), "fock", {}, 0, quiet=True)
-    tracemalloc.start()
-    try:
-        assert cli.run_fock(config, 0, 1, out) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    _, rows = read_csv(tmp_path / "ehrenfest.csv")
-    assert len(rows) == points - 1
-    assert cli.fock_bytes(config)["ehrenfest"] >= peak
-
-
 @pytest.mark.parametrize("omega, mass", [(10.0, 1.0), (1.0, 25.0)])
 def test_ehrenfest_dynamics_past_the_truncation_is_a_usage_error(tmp_path, capsys, omega, mass):
     # m omega far from 1 squeezes the coherent state onto the edge of n_max 20
@@ -768,16 +674,6 @@ def test_ehrenfest_dynamics_past_the_truncation_is_a_usage_error(tmp_path, capsy
     assert code == 2
     assert err.startswith("decolab: evolved state carries ") and err.count("\n") == 1
     assert not (tmp_path / "o" / "ehrenfest.csv").exists()
-
-
-def test_shipped_fock_configs_fit_the_budget(tmp_path):
-    shipped = [c for c in README_CONFIGS if c["experiment"] == "fock"]
-    shipped += _benchmark_configs(tmp_path, "fock")
-    assert len(shipped) == 2
-    for config in shipped:
-        need = cli.fock_bytes(config)
-        assert set(need) == {"counting", "completeness", "ehrenfest"}
-        assert max(need.values()) <= cli.BYTE_BUDGET
 
 
 def test_fock_counting_never_builds_the_operator_array(tmp_path, monkeypatch):
@@ -801,20 +697,6 @@ def test_fock_counting_never_builds_the_operator_array(tmp_path, monkeypatch):
     assert rows[1] == ["photon_counting", "exact", "0"]
 
 
-@pytest.mark.parametrize("ensemble", ["balanced", "random"])
-def test_spin_estimate_covers_building_either_ensemble(ensemble):
-    n = 10 ** 5
-    tracemalloc.start()
-    try:
-        cli._bath_from(n, ensemble, np.random.SeedSequence(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    trace = {"n_spins": n, "t_max": 1.0, "samples": 2}
-    assert cli.spin_bath_bytes({"trace": trace}, workers=1)["trace"] >= peak
-    assert cli.pointer_bytes({"environment": {"n_spins": n}})["environment"] >= peak
-
-
 POINTER_CFG = {
     "experiment": "pointer",
     "seed": 3,
@@ -825,42 +707,6 @@ POINTER_CFG = {
     "apparatus": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]], "decay_rates": [0.5, 2.0],
                   "t_max": 3.0, "samples": 21},
 }
-
-
-@pytest.mark.parametrize(
-    "section, body",
-    [
-        ("environment", {"n_spins": BIG}),
-        ("correlation", {"thetas": [0.0], "t_max": 1.0, "samples": BIG}),
-        ("correlation", {"thetas": [0.1] * 10 ** 5, "t_max": 1.0, "samples": 10 ** 4}),
-        ("sieve", {"t_max": 1.0, "samples": BIG}),
-        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0],
-                       "t_max": 1.0, "samples": BIG}),
-        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0] * 10 ** 5,
-                       "t_max": 1.0, "samples": 10 ** 4}),
-    ],
-)
-def test_pointer_estimate_rejects_oversized_sections(section, body):
-    need = cli.pointer_bytes(dict(POINTER_CFG, **{section: body}))
-    assert need[section] > cli.BYTE_BUDGET
-
-
-@pytest.mark.parametrize("section", ["correlation", "sieve"])
-@pytest.mark.parametrize("n_spins, samples", [(64, 512), (13, 401), (8, 4096), (1000, 2000)])
-def test_pointer_grid_estimates_cover_the_section(tmp_path, section, n_spins, samples):
-    # r(t) on the grid holds the kernel's tile buffers however short the grid
-    body = dict(POINTER_CFG[section], samples=samples)
-    config = {"experiment": "pointer", "branch_amplitudes": POINTER_CFG["branch_amplitudes"],
-              "environment": {"n_spins": n_spins, "ensemble": "random"}, section: body}
-    out = cli._Output(str(tmp_path), "pointer", {}, 0, quiet=True)
-    cli.run_pointer(config, 0, 1, out)  # the peak of a warm run: no first-call caches
-    tracemalloc.start()
-    try:
-        assert cli.run_pointer(config, 0, 1, out) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cli.pointer_bytes(config)[section] >= peak
 
 
 def test_pointer_estimate_holds_the_bath_in_every_section():
@@ -897,16 +743,6 @@ def test_oversized_pointer_is_rejected_before_allocation(tmp_path, monkeypatch, 
     assert code == 2
     assert err.startswith("decolab: ") and f"'{section}'" in err and err.count("\n") == 1
     assert "GiB memory budget" in err and not any((tmp_path / "o").iterdir())
-
-
-def test_shipped_pointer_configs_fit_the_budget(tmp_path):
-    shipped = [c for c in README_CONFIGS if c["experiment"] == "pointer"]
-    shipped += _benchmark_configs(tmp_path, "pointer")
-    assert len(shipped) == 2
-    for config in shipped:
-        need = cli.pointer_bytes(config)
-        assert set(need) == {"environment", "correlation", "sieve", "apparatus"}
-        assert max(need.values()) <= cli.BYTE_BUDGET
 
 
 @pytest.mark.parametrize("n_spins", [14, 200])
@@ -999,23 +835,10 @@ def test_oracle_compare_spin_maximum_is_the_oracle_cap():
     assert 2 ** (items["maximum"] + 1) == DIM_CAP
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        {"trials": BIG},
-        {"times_per_trial": BIG},
-        {"n_values": [1] * 10 ** 6},
-    ],
-)
-def test_oracle_compare_estimate_rejects_oversized_runs(body):
-    need = cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers=2)
-    assert set(need) == {"run"}
-    assert need["run"] > cli.BYTE_BUDGET
-
-
 def test_oracle_compare_estimate_scales_with_spins_times_and_workers():
     def need(workers=1, **body):
-        return cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers)["run"]
+        run = cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers)["run"]
+        return run - cli._WRITER_BYTES  # the part that scales
 
     # one 2^15-amplitude bath per busy worker, never more than there are tasks
     assert 1.9 < need(workers=2) / need(workers=1) < 2.1
@@ -1054,14 +877,181 @@ def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsy
     assert err.startswith("decolab: ") and "float floor" in err and err.count("\n") == 1
 
 
-def test_shipped_oracle_compare_configs_fit_the_budget_and_floor(tmp_path):
-    shipped = [c for c in README_CONFIGS if c["experiment"] == "oracle-compare"]
-    shipped += _benchmark_configs(tmp_path, "oracle-compare")
+# ------------------------------------------------------------ estimates vs peaks
+
+
+def _need(config, workers=1):
+    """The CLI's byte estimate of ``config``, by section."""
+    name = config["experiment"].replace("-", "_")
+    args = (workers,) if name in ("spin_bath", "oracle_compare") else ()
+    return getattr(cli, f"{name}_bytes")(config, *args)
+
+
+@pytest.mark.parametrize("config, section", [
+    *[({"experiment": "spin-bath", section: body}, section) for section, body in [
+        ("trace", {"n_spins": 4, "t_max": 1.0, "samples": BIG}),
+        ("trace", {"n_spins": BIG, "t_max": 1.0, "samples": 10}),
+        ("scaling", {"n_values": [4], "samples": BIG}),
+        ("scaling", {"n_values": [4] * 2 * 10 ** 6}),
+        ("gaussian_fit", {"n_spins": 4, "n_seeds": 1, "samples": BIG}),
+        ("gaussian_fit", {"n_spins": 4, "n_seeds": BIG}),
+        ("recurrence", {"couplings": [1.0], "horizon": 1e12, "epsilon": 0.01}),
+        ("recurrence", {"n_spins": BIG, "horizon": 1.0, "epsilon": 0.01}),
+        ("recurrence", {"n_spins": 2, "horizon": float("inf"), "epsilon": 0.01}),
+    ]],
+    *[({"experiment": "fock", "n_max": n_max, section: body}, section)
+      for section, n_max, body in [
+        ("counting", 5000, FOCK_SECTIONS["counting"]),
+        ("completeness", 5000, {}),
+        ("completeness", 48, {"densities": [[10 ** 5, 10 ** 5]]}),
+        ("completeness", 48, {"densities": [[8, 8], [1, 10 ** 8]]}),
+        ("ehrenfest", 5000, FOCK_SECTIONS["ehrenfest"]),
+        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e9, "dt": 1e-3}),
+        ("ehrenfest", 48, {"alpha": [1.0, 0.0], "t_max": 1e308, "dt": 1e-308}),
+        ("ehrenfest", BIG, FOCK_SECTIONS["ehrenfest"]),
+    ]],
+    *[(dict(POINTER_CFG, **{section: body}), section) for section, body in [
+        ("environment", {"n_spins": BIG}),
+        ("correlation", {"thetas": [0.0], "t_max": 1.0, "samples": BIG}),
+        ("correlation", {"thetas": [0.1] * 10 ** 5, "t_max": 1.0, "samples": 10 ** 4}),
+        ("sieve", {"t_max": 1.0, "samples": BIG}),
+        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0],
+                       "t_max": 1.0, "samples": BIG}),
+        ("apparatus", {"amplitudes": [[1.0, 0.0]], "decay_rates": [1.0] * 10 ** 5,
+                       "t_max": 1.0, "samples": 10 ** 4}),
+    ]],
+    *[(dict(ORACLE_CFG, **body), "run") for body in [
+        {"trials": BIG},
+        {"times_per_trial": BIG},
+        {"n_values": [1] * 10 ** 6},
+    ]],
+])
+def test_estimate_rejects_oversized_sections(config, section):
+    assert _need(config, workers=2)[section] > cli.BYTE_BUDGET
+
+
+@pytest.mark.parametrize("experiment, sections", [
+    ("spin-bath", {"trace", "scaling", "gaussian_fit", "recurrence"}),
+    ("pointer", {"environment", "correlation", "sieve", "apparatus"}),
+    ("fock", {"counting", "completeness", "ehrenfest"}),
+    ("oracle-compare", {"run"}),
+])
+def test_shipped_configs_fit_the_budget(tmp_path, experiment, sections):
+    shipped = [c for c in README_CONFIGS if c["experiment"] == experiment]
+    shipped += _benchmark_configs(tmp_path, experiment)
     assert len(shipped) == 2
     for config in shipped:
-        need = cli.oracle_compare_bytes(config, workers=os.cpu_count() or 1)
-        assert need["run"] <= cli.BYTE_BUDGET
-        assert config["tolerance"] >= cli.oracle_float_floor(config)
+        need = _need(config, workers=os.cpu_count() or 1)
+        assert set(need) == sections
+        assert max(need.values()) <= cli.BYTE_BUDGET
+        if experiment == "oracle-compare":
+            assert config["tolerance"] >= cli.oracle_float_floor(config)
+
+
+@pytest.mark.parametrize("section, n_max, body", [
+    ("completeness", 3556, {}),
+    ("ehrenfest", 2955, {"alpha": [1.0, 0.0], "t_max": 999.0, "dt": 1.0}),
+])
+def test_readme_fock_limits_hold(tmp_path, monkeypatch, capsys, section, n_max, body):
+    # README: completeness with the default grid up to n_max 3 556, ehrenfest
+    # over 1 000 time points up to 2 955; one level more is rejected unbuilt
+    config = {"experiment": "fock", "n_max": n_max, section: body}
+    cli._enforce_budget("fock", cli.fock_bytes(config))
+    monkeypatch.setattr(cli.fock, "FockSpace", None)  # a space built would raise
+    cfg = write_config(tmp_path / "c.json", dict(config, n_max=n_max + 1))
+    _usage_error(capsys, ["fock", "--config", cfg, "--out", str(tmp_path / "o")],
+                 f"section {section!r} exceeds the 2 GiB memory budget")
+
+
+def _row(section, config_of, sizes):
+    """A table row: the estimate of ``section`` of ``config_of(size)`` and a
+    serial run of that config, at each of ``sizes``."""
+    def run(size, out):
+        config = config_of(size)
+        assert cli._RUNNERS[config["experiment"]](config, 0, 1, out) == 0
+
+    return lambda size: _need(config_of(size))[section], run, sizes
+
+
+def _pointer(section):
+    return lambda size: {
+        "experiment": "pointer", "branch_amplitudes": POINTER_CFG["branch_amplitudes"],
+        "environment": {"n_spins": size[0], "ensemble": "random"},
+        section: dict(POINTER_CFG[section], samples=size[1])}
+
+
+def _fit(size):
+    return {"experiment": "spin-bath",
+            "gaussian_fit": {"n_spins": size[0], "n_seeds": 1, "samples": size[1]}}
+
+
+def _recurrence(horizon):
+    return {"experiment": "spin-bath", "recurrence": {
+        "couplings": [0.3, 0.5, 0.7, 0.9], "horizon": horizon, "epsilon": 0.01}}
+
+
+# Each row: (estimate of a size, workload of that size writing to ``out``,
+# sizes).  At the smallest size of every row fixed costs dominate.
+ESTIMATE_ROWS = {
+    "trace": _row("trace", lambda s: {"experiment": "spin-bath", "trace": {
+        "n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": s}},
+        [31, cli._ROW_SLICE, 5 * cli._ROW_SLICE + 1]),
+    # pooled sections: one task, run in process
+    "scaling": _row("scaling", lambda s: {"experiment": "spin-bath", "scaling": {
+        "n_values": [s[0]], "span_periods": 400.0, "samples": s[1]}},
+        [(2, 100), (14, 20001), (14, 200001)]),
+    "fit-prefix": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
+    # a prefix that never reaches the window: the whole grid follows it
+    "fit-fallback": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
+    # 15000: past one chunk of the scan
+    "recurrence": _row("recurrence", _recurrence, [10.0, 100.0, 2000.0, 10000.0, 15000.0]),
+    # the bath alone, held as pointer's environment and by a 2-sample trace
+    **{f"ensemble-{ensemble}": (
+        lambda n: min(
+            _need({"experiment": "pointer", "environment": {"n_spins": n}})["environment"],
+            _need({"experiment": "spin-bath",
+                   "trace": {"n_spins": n, "t_max": 1.0, "samples": 2}})["trace"]),
+        lambda n, out, ensemble=ensemble: cli._bath_from(n, ensemble, np.random.SeedSequence(3)),
+        [1, 1000, 10 ** 5]) for ensemble in ("balanced", "random")},
+    # r(t) on the grid holds the kernel's tile buffers however short the grid
+    "correlation": _row("correlation", _pointer("correlation"),
+                        [(13, 401), (64, 512), (8, 4096), (1000, 2000)]),
+    "sieve": _row("sieve", _pointer("sieve"), [(13, 401), (64, 512), (8, 4096), (1000, 2000)]),
+    "apparatus": _row("apparatus", _pointer("apparatus"), [(4, 21), (4, 10 ** 4), (4, 10 ** 5)]),
+    "counting": _row("counting", lambda n: {
+        "experiment": "fock", "n_max": n, "counting": {"alpha": [0.5, 0.0]}}, [2, 48, 400]),
+    "completeness": _row("completeness", lambda n: {
+        "experiment": "fock", "n_max": n, "completeness": {}}, [2, 20, 48]),
+    "ehrenfest": _row("ehrenfest", lambda s: {"experiment": "fock", "n_max": s[0], "ehrenfest": {
+        "alpha": [s[2], 0.0], "t_max": (s[1] - 1) * 1e-3, "dt": 1e-3}},
+        [(8, 3, 0.1), (48, 5001, 1.5), (400, 101, 1.5)]),
+    "oracle-compare": _row("run", lambda s: {
+        "experiment": "oracle-compare", "n_values": [s[0]], "trials": 2,
+        "times_per_trial": s[1], "tolerance": 1e-8}, [(1, 20), (4, 20), (10, 20), (14, 20)]),
+}
+
+
+@pytest.mark.parametrize("row, size", [
+    pytest.param(row, size, id=f"{row}-{size}")
+    for row, (_, _, sizes) in ESTIMATE_ROWS.items() for size in sizes
+] + [
+    pytest.param("oracle-compare", (4, 10 ** 4), id="oracle-compare-(4, 10000)", marks=(
+        pytest.mark.xfail(strict=True, reason="the estimate leaves out the closed form's "
+                          "tile buffers, up to 768 KiB at 10^4 times"))),
+])
+def test_estimate_covers_the_traced_peak(tmp_path, monkeypatch, row, size):
+    estimate, workload, _ = ESTIMATE_ROWS[row]
+    if row == "fit-fallback":
+        monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
+    out = cli._Output(str(tmp_path), "x", {}, 0, quiet=True)
+    workload(size, out)  # the peak of a warm run: no first-call caches
+    assert estimate(size) >= traced_peak(workload, size, out)
+
+
+def test_recurrence_row_reaches_past_one_chunk_of_the_scan():
+    g = np.array(_recurrence(15000.0)["recurrence"]["couplings"])
+    step = cli.spin_bath._scan_step(float(g.max()), float(np.dot(g, g)), 0.01)
+    assert 15000.0 / step > cli.spin_bath._SCAN_CHUNK
 
 
 # ------------------------------------------------------------ CSV writer
@@ -1104,11 +1094,6 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path):
 
 # ------------------------------------------------------------ README examples
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-README_CONFIGS = [
-    json.loads(block)
-    for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-]
 
 
 def test_readme_dotted_names_resolve():
@@ -1305,24 +1290,6 @@ def test_bad_kraus_file_fails_before_sampling_or_writing(
     out = tmp_path / "o"
     _usage_error(capsys, ["measure", "--config", cfg, "--out", str(out)], expected)
     assert _no_files(out)
-
-
-@pytest.mark.parametrize("horizon", [10.0, 100.0, 2000.0, 10000.0, 15000.0])
-def test_recurrence_estimate_covers_the_scan(horizon):
-    couplings = [0.3, 0.5, 0.7, 0.9]
-    sec = {"couplings": couplings, "horizon": horizon, "epsilon": 0.01}
-    need = cli.spin_bath_bytes({"recurrence": sec}, workers=1)["recurrence"]
-    cfg = SpinBathConfig.balanced(np.array(couplings))
-    if horizon == 15000.0:  # past one chunk of the scan
-        step = cli.spin_bath._scan_step(0.9, float(np.dot(cfg.g, cfg.g)), 0.01)
-        assert horizon / step > cli.spin_bath._SCAN_CHUNK
-    tracemalloc.start()
-    try:
-        cli.spin_bath.recurrence_scan(cfg, horizon, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert need >= peak
 
 
 def _crashing_check():

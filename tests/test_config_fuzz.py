@@ -17,19 +17,14 @@ import csv
 import json
 import math
 import random
-import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from conftest import README_CONFIGS
 from decolab import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-README_CONFIGS = [
-    json.loads(block)
-    for block in re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-]
 # the Kraus file the README's measure config names: a projective readout
 KRAUS = {"shape": [2, 2], "labels": ["up", "down"], "completeness_tol": 1e-10,
          "operators": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],

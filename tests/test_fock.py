@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from decolab import fock, oracle
 from decolab.fock import (
     FockSpace,
@@ -29,15 +30,6 @@ def fock_level(space, n):
     amps = np.zeros(space.dim)
     amps[n] = 1.0
     return StateVector((space.dim,), amps)
-
-
-def _peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # ------------------------------------------------------------ operators
@@ -240,7 +232,7 @@ def test_completeness_audit_holds_one_scaled_table(n_max, n):
     space = FockSpace(n_max)
     grid = polar_grid(float(math.ceil(2.5 * math.sqrt(n_max))), n, n)
     k, d = len(grid), space.dim
-    peak = _peak(lambda: coherent_completeness_deviation(space, grid))
+    peak = traced_peak(coherent_completeness_deviation, space, grid)
     assert peak < 2 * k * d * 16 + 4 * d * d * 16 + 256 * k
 
 
@@ -294,7 +286,7 @@ def test_completeness_audit_scales_one_block_at_a_time(n_max):
     space = FockSpace(n_max)
     grid = default_coherent_grid(space)
     k, d = len(grid), space.dim
-    peak = _peak(lambda: coherent_completeness_deviation(space, grid))
+    peak = traced_peak(coherent_completeness_deviation, space, grid)
     assert peak < k * d * 16 + fock._AUDIT_BLOCK_BYTES + 2 * 16 * d * d + 256 * k
 
 
@@ -434,7 +426,7 @@ def test_ehrenfest_memory_grows_only_with_its_per_point_arrays():
     space = FockSpace(48)
     psi = coherent_state(space, 1.5 * np.exp(0.7j))
     grids = [np.arange(points) * 1e-3 for points in (5001, 50001)]
-    small, large = (_peak(lambda t=t: ehrenfest_check(space, psi, 1.0, 1.0, t)) for t in grids)
+    small, large = (traced_peak(ehrenfest_check, space, psi, 1.0, 1.0, t) for t in grids)
     assert large - small <= (50001 - 5001) * 4 * 8
     assert small < 4 * oracle._BLOCK_BYTES
 

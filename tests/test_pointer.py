@@ -13,7 +13,7 @@ from decolab.pointer import (
     predictability_sieve,
     tridecompose_state,
 )
-from decolab.spin_bath import SpinBathConfig, decoherence_factor
+from decolab.spin_bath import SpinBathConfig, decoherence_factor, decoherence_on_grid
 from decolab.states import (
     DIM_CAP,
     BasisSpec,
@@ -150,6 +150,18 @@ def test_sieve_conjugate_basis_matches_closed_form():
     r2 = np.abs(decoherence_factor(cfg.bath, t_grid)) ** 2
     want = float(np.mean((1.0 + r2) / 2.0))
     assert abs(scores[id(X_BASIS)] - want) < 1e-10
+
+
+@pytest.mark.parametrize("n, samples", [(13, 401), (4, 41), (40, 70001), (1000, 2000)])
+def test_sieve_scores_use_the_whole_grid_mean_bit_for_bit(n, samples):
+    # the sieve walks r(t) in slices; its mean of |r|^2 is the whole grid's
+    cfg = tri_config(n, balanced=False)
+    uniform = np.linspace(0.0, 6.0, samples)
+    for t_grid in (uniform, np.sqrt(uniform * 6.0)):
+        mean_r2 = float(np.mean(np.abs(decoherence_on_grid(cfg.bath, t_grid)) ** 2))
+        for basis, score in predictability_sieve([X_BASIS, Z_BASIS], cfg, t_grid):
+            w0, w1 = np.abs(basis.matrix) ** 2
+            assert score == float(np.mean(w0 ** 2 + w1 ** 2 + 2.0 * w0 * w1 * mean_r2))
 
 
 def test_sieve_needs_two_candidates():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from decolab import spin_bath
 from decolab.oracle import oracle_r
 from decolab.spin_bath import (
@@ -201,21 +202,12 @@ def test_decoherence_factor_equals_the_spin_loop_bit_for_bit(n, bath):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), t
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n, count", [(10, 1 << 18), (40, 10 ** 6)])
 def test_decoherence_factor_holds_less_than_the_spin_loop(n, count):
     # 24 bytes per time plus one tile, where the loop held 56
     cfg = SpinBathConfig.balanced(np.random.default_rng(n).uniform(0.0, 1.0, n))
     t = np.linspace(0.0, 50.0, count)
-    assert _peak_bytes(decoherence_factor, cfg, t) < _peak_bytes(_spin_loop_r, cfg, t)
+    assert traced_peak(decoherence_factor, cfg, t) < traced_peak(_spin_loop_r, cfg, t)
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (20, 20), (13, 401), (200, 2000), (6, 2000)])
@@ -223,7 +215,7 @@ def test_decoherence_factor_holds_less_than_the_spin_loop(n, count):
 def test_decoherence_factor_small_calls_exceed_the_spin_loop_by_at_most_a_tile(n, count, bath):
     cfg = _bath(bath, n, np.random.default_rng(count))
     t = np.linspace(0.0, 10.0, count)
-    extra = _peak_bytes(decoherence_factor, cfg, t) - _peak_bytes(_spin_loop_r, cfg, t)
+    extra = traced_peak(decoherence_factor, cfg, t) - traced_peak(_spin_loop_r, cfg, t)
     assert extra <= 1 << 20
 
 
@@ -682,7 +674,7 @@ def test_time_averaged_r2_holds_one_float_per_sample_and_one_slice():
     cfg = SpinBathConfig.balanced(np.random.default_rng(5).uniform(0.0, 1.0, 14))
     samples = 200001
     t_grid = np.linspace(0.0, 400.0 / cfg.g.min(), samples)
-    peak = _peak_bytes(time_averaged_r2, cfg, t_grid)
+    peak = traced_peak(time_averaged_r2, cfg, t_grid)
     assert peak < 2 * 8 * samples + 64 * spin_bath._GRID_SLICE + 32 * spin_bath._GRID_ENTRIES
 
 

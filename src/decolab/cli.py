@@ -640,9 +640,9 @@ _ROW_SLICE = 4096
 # measured, with the row's share of the arrays), per task a section hands to
 # the pool (seed, payload, result row; an oracle-compare task also its pool
 # future, 2.4 KiB measured with a pool of 2 workers), and one section's CSV
-# file, charged to every section: csv.writer allocates a 128 KiB record
-# buffer on its first row (CPython 3.11), 137 KB measured with the file's
-# buffers, and the rest covers a run's other small fixed allocations.
+# file, charged to every section and once to sections that run at once:
+# csv.writer allocates a 128 KiB record buffer on its first row (CPython
+# 3.11), 137 KB measured with the file's buffers.
 _TRACE_ROW_BYTES = 160
 _TASK_BYTES = 2048
 _ORACLE_TASK_BYTES = 3072
@@ -703,7 +703,8 @@ def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
     """Reject, before anything is allocated, a config estimated over ``BYTE_BUDGET``.
 
     Each section must fit alone, and the sections named in ``together``,
-    which run at once, must fit by their sum.
+    which run at once, must fit by their sum, one CSV writer charged: they
+    write their files one after another.
     """
     for section, size in need.items():
         if size > BYTE_BUDGET:
@@ -712,7 +713,8 @@ def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
                 f"{BYTE_BUDGET >> 30} GiB memory budget"
             )
     running = [section for section in together if section in need]
-    if sum(need[section] for section in running) > BYTE_BUDGET:
+    writers = max(len(running) - 1, 0) * _WRITER_BYTES
+    if sum(need[section] for section in running) - writers > BYTE_BUDGET:
         raise ConfigError(
             f"{subcommand} sections {', '.join(map(repr, running))} run at once "
             f"and together exceed the {BYTE_BUDGET >> 30} GiB memory budget"

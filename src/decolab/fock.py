@@ -64,13 +64,13 @@ class FockSpace:
 
 
 # Peak bytes, measured with tracemalloc and rounded up, for d = n_max + 1:
-# of FockSpace(n_max), 96 an entry of its d x d operators; of it and
+# of FockSpace(n_max), 8 KiB and 96 an entry of its d x d operators; of it and
 # coherent_completeness_deviation on K nodes, 64 an entry of the K x d table
 # and its scaled copy; of it and ehrenfest_check on T times, 128 an entry of
 # the Hamiltonian and its eigendecomposition (d^2) and 64 an amplitude of the
 # state on every time, an upper bound (the states are streamed in blocks).
 def _space_bytes(n_max: int) -> int:
-    return (n_max + 1) * (n_max + 1) * 96
+    return 8192 + (n_max + 1) * (n_max + 1) * 96
 
 
 def _audit_bytes(n_max: int, nodes: int) -> int:

@@ -225,9 +225,9 @@ def oracle_r(cfg, t):
 def _oracle_r_bytes(amps: int, times: int) -> int:
     """Peak bytes of :func:`oracle_r` on a joint state of ``amps`` amplitudes
     (2^(N+1) for N bath spins) at ``times`` times beside the closed form's
-    values: 64 an amplitude and 80 a time, measured with tracemalloc and
-    rounded up."""
-    return amps * 64 + times * 80
+    values: 16 KiB, 64 an amplitude and 80 a time, measured with tracemalloc
+    and rounded up."""
+    return 16384 + amps * 64 + times * 80
 
 
 def oracle_rho_sa(cfg, t: float) -> DensityMatrix:

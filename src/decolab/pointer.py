@@ -246,9 +246,9 @@ def apparatus_reduced_state(model: ApparatusModel, t: float) -> DensityMatrix:
 def _apparatus_bytes(amplitudes: int, rates: int, samples: int) -> int:
     """Peak bytes of ``apparatus_dephasing`` for ``amplitudes`` branches,
     ``rates`` mixture components and ``samples`` times, measured with
-    tracemalloc and rounded up: 96 a branch, 48 a rate, and a time 48 (grid,
-    kernel and the two results) plus 8 a component (the kernel table)."""
-    return amplitudes * 96 + rates * 48 + samples * (48 + rates * 8)
+    tracemalloc and rounded up: 4 KiB, 96 a branch, 48 a rate, and a time 48
+    (grid, kernel and the two results) plus 8 a component (the kernel table)."""
+    return 4096 + amplitudes * 96 + rates * 48 + samples * (48 + rates * 8)
 
 
 def apparatus_dephasing(amplitudes, decay_rates, weights, t_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -146,10 +146,10 @@ class SpinBathConfig:
 
 def _bath_bytes(n_spins: int) -> int:
     """Peak bytes of building a bath of ``n_spins`` spins of either ensemble:
-    192 a spin, measured with tracemalloc (the random one's the larger) and
-    rounded up.  Like every ``_*_bytes`` here, the CLI sums it into its
-    estimates before anything is allocated."""
-    return n_spins * 192
+    192 a spin and 4 KiB for its generator, measured with tracemalloc (the
+    random one's the larger) and rounded up.  Like every ``_*_bytes`` here,
+    the CLI sums it into its estimates before anything is allocated."""
+    return n_spins * 192 + 4096
 
 
 def decoherence_factor(cfg: SpinBathConfig, t):

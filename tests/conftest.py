@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +28,13 @@ def cli_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.update(extra or {})
     return env
+
+
+def run_cli(args, env_extra=None, cwd=None):
+    """``python -m decolab args`` in a child process with ``cli_env(env_extra)``."""
+    return subprocess.run([sys.executable, "-m", "decolab", *args], capture_output=True,
+                          text=True, env=cli_env(env_extra), cwd=cwd)
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_CONFIGS = [

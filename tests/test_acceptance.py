@@ -8,15 +8,12 @@ import filecmp
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from conftest import cli_env
+from conftest import run_cli
 from decolab.fock import (
     FockSpace,
     coherent_measurement_set,
@@ -415,16 +412,6 @@ DETERMINISM_CONFIGS = {
 }
 
 
-def _run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "decolab", *args],
-        capture_output=True,
-        text=True,
-        env=cli_env(),
-        cwd=cwd,
-    )
-
-
 def _dir_bytes_equal(d1, d2):
     names1 = sorted(os.listdir(d1))
     if names1 != sorted(os.listdir(d2)):
@@ -454,8 +441,8 @@ def test_criterion_14_cli_determinism(criterion_log, tmp_path):
                 json.dump(config, fh)
             base += ["--config", str(cfg_path)]
         out1, out2 = tmp_path / f"{name}-1", tmp_path / f"{name}-2"
-        first = _run_cli(base + ["--out", str(out1), "--quiet"], cwd=tmp_path)
-        second = _run_cli(
+        first = run_cli(base + ["--out", str(out1), "--quiet"], cwd=tmp_path)
+        second = run_cli(
             base + ["--out", str(out2), "--quiet", "--workers", "2"], cwd=tmp_path
         )
         assert first.returncode == 0, (name, first.stderr)

@@ -6,8 +6,6 @@ import json
 import multiprocessing
 import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import README, README_CONFIGS, cli_env, traced_peak
+from conftest import README, README_CONFIGS, run_cli, traced_peak
 from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet, povm_probabilities
@@ -27,16 +25,6 @@ from decolab.spin_bath import (
     fit_gaussian_decay,
 )
 from decolab.states import DIM_CAP
-
-
-def run_cli(args, env_extra=None, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "decolab", *args],
-        capture_output=True,
-        text=True,
-        env=cli_env(env_extra),
-        cwd=cwd,
-    )
 
 
 def write_config(path, payload):
@@ -87,10 +75,8 @@ def test_config_for_wrong_subcommand_is_usage_error(tmp_path):
 
 def test_config_for_wrong_subcommand_names_both_experiments(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", SPIN_CFG)
-    code = main(["measure", "--config", cfg, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "'spin-bath'" in err and "'measure'" in err
+    args = ["measure", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert "'spin-bath'" in _usage_error(capsys, args, "'measure'")
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -121,13 +107,15 @@ def test_every_subcommand_has_a_schema():
     }
 
 
-def _usage_error(capsys, args, expected):
-    """Run ``main`` in process: exit 2, one stderr line that holds ``expected``."""
+def _usage_error(capsys, args, expected=""):
+    """Run ``main`` in process: exit 2, one stderr line that holds ``expected``;
+    returns the line."""
     code = main(args)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("decolab: ") and err.count("\n") == 1, err
     assert expected in err, err
+    return err
 
 
 def test_out_naming_an_existing_file_is_usage_error(tmp_path, capsys):
@@ -485,28 +473,19 @@ def test_library_rejection_is_usage_error_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_workers_above_cpu_count_is_usage_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("workers, expected", [
+    ("0", "is below 1"), ("-3", "is below 1"),
+    (str((os.cpu_count() or 1) + 1), f"exceeds the {os.cpu_count() or 1} CPUs"),
+])
+def test_workers_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, workers, expected):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = write_config(tmp_path / "c.json", SPIN_CFG)
-    too_many = str((os.cpu_count() or 1) + 1)
-    out = tmp_path / "o"
-    code = main(["spin-bath", "--config", cfg, "--out", str(out), "--workers", too_many])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and err.count("\n") == 1
-    assert "--workers" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_is_usage_error(tmp_path, capsys, workers):
-    cfg = write_config(tmp_path / "c.json", SPIN_CFG)
     out = tmp_path / "o"
     for args in (["spin-bath", "--config", cfg, "--out", str(out)], ["check"]):
-        _usage_error(capsys, args + ["--workers", workers], f"--workers {workers} is below 1")
+        _usage_error(capsys, args + ["--workers", workers], f"--workers {workers} {expected}")
     assert not out.exists()
 
 
@@ -533,11 +512,9 @@ def test_non_finite_config_is_usage_error(tmp_path, capsys, subcommand):
     cfg = tmp_path / "c.json"
     cfg.write_text(NON_FINITE_CONFIGS[subcommand], encoding="utf-8")
     out = tmp_path / "o"
-    code = main([subcommand, "--config", str(cfg), "--out", str(out), "--workers", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
+    args = [subcommand, "--config", str(cfg), "--out", str(out), "--workers", "1"]
+    err = _usage_error(capsys, args)
     assert err.startswith("decolab: config holds the non-finite number ")
-    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -562,10 +539,8 @@ def test_oversized_spin_bath_is_rejected_before_allocation(tmp_path, monkeypatch
     monkeypatch.setattr(np, "linspace", no_grid)
     config = dict(SPIN_CFG, trace={"n_spins": 4, "t_max": 1.0, "samples": BIG})
     cfg = write_config(tmp_path / "c.json", config)
-    code = main(["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and "'trace'" in err and err.count("\n") == 1
+    _usage_error(capsys, ["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"),
+                          "--workers", "1"], "section 'trace' exceeds the 2 GiB memory budget")
 
 
 def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
@@ -581,7 +556,11 @@ def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
         scaling={"n_values": [4], "samples": 2 * 10 ** 7},
     )
     need = cli.spin_bath_bytes(config, workers=1)
-    assert max(need.values()) <= cli.BYTE_BUDGET < need["trace"] + need["scaling"]
+    assert max(need.values()) <= cli.BYTE_BUDGET
+    assert cli.BYTE_BUDGET < need["trace"] + need["scaling"] - cli._WRITER_BYTES
+    # they write their files one after another: one CSV writer is charged
+    fits = dict(need, trace=cli.BYTE_BUDGET + cli._WRITER_BYTES - need["scaling"])
+    cli._enforce_budget("spin-bath", fits, ("trace", "scaling"))
     monkeypatch.setattr(np, "linspace", no_grid)
     cfg = write_config(tmp_path / "c.json", config)
     code = main(["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
@@ -601,10 +580,8 @@ def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypa
     monkeypatch.setattr(cli.measurement, "sample_outcomes", no_sampling)
     config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.0, 0.8]}, "shots": BIG}
     cfg = write_config(tmp_path / "c.json", config)
-    code = main(["measure", "--config", cfg, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: config invalid at shots") and err.count("\n") == 1
+    err = _usage_error(capsys, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert err.startswith("decolab: config invalid at shots")
     jsonschema.validate(dict(config, shots=cli.MAX_SHOTS), CONFIG_SCHEMAS["measure"])
 
 
@@ -656,10 +633,8 @@ def test_oversized_fock_is_rejected_before_allocation(tmp_path, monkeypatch, cap
     config = {"experiment": "fock", "n_max": 48,
               "completeness": {"densities": [[10 ** 5, 10 ** 5]]}}
     cfg = write_config(tmp_path / "c.json", config)
-    code = main(["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and "'completeness'" in err and err.count("\n") == 1
+    _usage_error(capsys, ["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"],
+                 "section 'completeness' exceeds the 2 GiB memory budget")
 
 
 @pytest.mark.parametrize("omega, mass", [(10.0, 1.0), (1.0, 25.0)])
@@ -669,10 +644,8 @@ def test_ehrenfest_dynamics_past_the_truncation_is_a_usage_error(tmp_path, capsy
               "ehrenfest": {"alpha": [1.0, 0.0], "omega": omega, "mass": mass,
                             "t_max": 1.0, "dt": 1e-3}}
     cfg = write_config(tmp_path / "c.json", config)
-    code = main(["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: evolved state carries ") and err.count("\n") == 1
+    err = _usage_error(capsys, ["fock", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert err.startswith("decolab: evolved state carries ")
     assert not (tmp_path / "o" / "ehrenfest.csv").exists()
 
 
@@ -738,11 +711,9 @@ def test_oversized_pointer_is_rejected_before_allocation(tmp_path, monkeypatch, 
             "sieve": dict(POINTER_CFG["sieve"], samples=BIG),
             "apparatus": dict(POINTER_CFG["apparatus"], samples=BIG)}[section]
     cfg = write_config(tmp_path / "c.json", dict(POINTER_CFG, **{section: body}))
-    code = main(["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and f"'{section}'" in err and err.count("\n") == 1
-    assert "GiB memory budget" in err and not any((tmp_path / "o").iterdir())
+    _usage_error(capsys, ["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"],
+                 f"section '{section}' exceeds the 2 GiB memory budget")
+    assert not any((tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("n_spins", [14, 200])
@@ -858,10 +829,8 @@ def _no_spawn(monkeypatch):
 def test_oversized_oracle_compare_is_rejected_before_spawning(tmp_path, monkeypatch, capsys):
     _no_spawn(monkeypatch)
     cfg = write_config(tmp_path / "c.json", dict(ORACLE_CFG, times_per_trial=BIG))
-    code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and "GiB memory budget" in err and err.count("\n") == 1
+    _usage_error(capsys, ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")],
+                 "section 'run' exceeds the 2 GiB memory budget")
 
 
 def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -871,10 +840,8 @@ def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsy
     assert cli.oracle_float_floor(config) == np.finfo(float).eps * 1e6 * 14
     _no_spawn(monkeypatch)
     cfg = write_config(tmp_path / "c.json", config)
-    code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("decolab: ") and "float floor" in err and err.count("\n") == 1
+    _usage_error(capsys, ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")],
+                 "float floor")
 
 
 # ------------------------------------------------------------ estimates vs peaks
@@ -985,13 +952,39 @@ def _fit(size):
             "gaussian_fit": {"n_spins": size[0], "n_seeds": 1, "samples": size[1]}}
 
 
+_COUPLINGS = [0.3, 0.5, 0.7, 0.9]
+
+
 def _recurrence(horizon):
     return {"experiment": "spin-bath", "recurrence": {
-        "couplings": [0.3, 0.5, 0.7, 0.9], "horizon": horizon, "epsilon": 0.01}}
+        "couplings": _COUPLINGS, "horizon": horizon, "epsilon": 0.01}}
+
+
+def _bath(n, ensemble="random"):
+    return cli._bath_from(n, ensemble, np.random.SeedSequence(3))
+
+
+def _lib(estimate, call, sizes):
+    """A library row: a byte function against the calls it bounds, no CLI."""
+    return lambda size: estimate(*size), lambda size, out: call(*size), sizes
+
+
+def _rotated(n, samples, angles):
+    tri = cli.pointer.TriConfig(0.6, 0.8, _bath(n))
+    r = cli.spin_bath.decoherence_on_grid(tri.bath, np.linspace(0.0, 10.0, samples))
+    return [cli.pointer._rotated_correlation(tri, th, r) for th in np.linspace(0, 1.5, angles)]
+
+
+def _ehrenfest(n_max, points):
+    space = cli.fock.FockSpace(n_max)
+    state = cli.fock.coherent_state(space, 0.1)
+    cli.fock.ehrenfest_check(space, state, 1.0, 1.0, np.arange(points) * 1e-3)
 
 
 # Each row: (estimate of a size, workload of that size writing to ``out``,
-# sizes).  At the smallest size of every row fixed costs dominate.
+# sizes).  At the smallest size of every row fixed costs dominate.  The CLI
+# rows check a section's estimate against its serial CLI run; the library
+# rows each ``_*_bytes`` of the library against the calls it bounds.
 ESTIMATE_ROWS = {
     "trace": _row("trace", lambda s: {"experiment": "spin-bath", "trace": {
         "n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": s}},
@@ -1005,14 +998,9 @@ ESTIMATE_ROWS = {
     "fit-fallback": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
     # 15000: past one chunk of the scan
     "recurrence": _row("recurrence", _recurrence, [10.0, 100.0, 2000.0, 10000.0, 15000.0]),
-    # the bath alone, held as pointer's environment and by a 2-sample trace
-    **{f"ensemble-{ensemble}": (
-        lambda n: min(
-            _need({"experiment": "pointer", "environment": {"n_spins": n}})["environment"],
-            _need({"experiment": "spin-bath",
-                   "trace": {"n_spins": n, "t_max": 1.0, "samples": 2}})["trace"]),
-        lambda n, out, ensemble=ensemble: cli._bath_from(n, ensemble, np.random.SeedSequence(3)),
-        [1, 1000, 10 ** 5]) for ensemble in ("balanced", "random")},
+    # the bath alone, held as pointer's environment
+    **{f"ensemble-{ensemble}": (cli.spin_bath._bath_bytes, lambda n, out, e=ensemble: _bath(n, e),
+                                [1, 1000, 10 ** 5]) for ensemble in ("balanced", "random")},
     # r(t) on the grid holds the kernel's tile buffers however short the grid
     "correlation": _row("correlation", _pointer("correlation"),
                         [(13, 401), (64, 512), (8, 4096), (1000, 2000)]),
@@ -1022,12 +1010,35 @@ ESTIMATE_ROWS = {
         "experiment": "fock", "n_max": n, "counting": {"alpha": [0.5, 0.0]}}, [2, 48, 400]),
     "completeness": _row("completeness", lambda n: {
         "experiment": "fock", "n_max": n, "completeness": {}}, [2, 20, 48]),
+    # 2001: t_max / dt reads just under 2001, so only a rounded step count
+    # gives every point
     "ehrenfest": _row("ehrenfest", lambda s: {"experiment": "fock", "n_max": s[0], "ehrenfest": {
         "alpha": [s[2], 0.0], "t_max": (s[1] - 1) * 1e-3, "dt": 1e-3}},
-        [(8, 3, 0.1), (48, 5001, 1.5), (400, 101, 1.5)]),
+        [(8, 3, 0.1), (48, 2002, 1.5), (48, 5001, 1.5), (400, 101, 1.5)]),
     "oracle-compare": _row("run", lambda s: {
         "experiment": "oracle-compare", "n_values": [s[0]], "trials": 2,
         "times_per_trial": s[1], "tolerance": 1e-8}, [(1, 20), (4, 20), (10, 20), (14, 20)]),
+    "r-on-grid": _lib(cli.spin_bath._r_bytes, lambda n, s: cli.spin_bath.decoherence_on_grid(
+        _bath(n), np.linspace(0.0, 20.0, s)), [(1, 2), (40, 4096), (14, 200001)]),
+    "scan": _lib(lambda h: cli.spin_bath._scan_bytes(4, 0.9, float(np.dot(_COUPLINGS, _COUPLINGS)),
+                                                     h, 0.01),
+                 lambda h: cli.spin_bath.recurrence_scan(SpinBathConfig.balanced(
+                     np.array(_COUPLINGS)), h, 0.01), [(1.0,), (100.0,), (15000.0,)]),
+    "rotated-correlation": _lib(cli.pointer._correlation_bytes, _rotated,
+                                [(1, 2, 1), (13, 401, 3), (1000, 2000, 8)]),
+    "apparatus-dephasing": _lib(cli.pointer._apparatus_bytes, lambda a, k, s: (
+        cli.pointer.apparatus_dephasing(np.full(a, a ** -0.5), np.linspace(0.5, 1.0, k), None,
+                                        np.linspace(0.0, 10.0, s))),
+        [(2, 1, 2), (2, 2, 21), (3, 4, 10 ** 5)]),
+    "fock-space": _lib(cli.fock._space_bytes, cli.fock.FockSpace, [(1,), (8,), (400,)]),
+    "coherent-audit": _lib(lambda n: cli.fock._audit_bytes(n, cli.fock.DEFAULT_DENSITY ** 2),
+                           lambda n: cli.fock.coherent_completeness_deviation(
+                               cli.fock.FockSpace(n)), [(1,), (20,), (48,)]),
+    "ehrenfest-check": _lib(cli.fock._ehrenfest_bytes, _ehrenfest,
+                            [(8, 3), (48, 5001), (400, 101)]),
+    "oracle-r": _lib(lambda n, t: cli.oracle._oracle_r_bytes(2 ** (n + 1), t),
+                     lambda n, t: cli.oracle.oracle_r(_bath(n), np.linspace(0.0, 20.0, t)),
+                     [(1, 1), (4, 10 ** 4), (14, 20)]),
 }
 
 
@@ -1046,6 +1057,8 @@ def test_estimate_covers_the_traced_peak(tmp_path, monkeypatch, row, size):
     out = cli._Output(str(tmp_path), "x", {}, 0, quiet=True)
     workload(size, out)  # the peak of a warm run: no first-call caches
     assert estimate(size) >= traced_peak(workload, size, out)
+    if row == "ehrenfest":  # run_fock writes every point of its grid but t = 0
+        assert len(read_csv(tmp_path / "ehrenfest.csv")[1]) == size[1] - 1
 
 
 def test_recurrence_row_reaches_past_one_chunk_of_the_scan():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,14 +65,11 @@ def test_operator_matrices_are_frozen():
 def test_fock_space_over_the_density_cap_allocates_nothing():
     # n_max = DENSITY_CAP means DENSITY_CAP + 1 levels: five such complex
     # matrices would be 1.3 GB, so the cap must fire before the first one
-    tracemalloc.start()
-    try:
+    def build():
         with pytest.raises(DimensionCapError, match="density cap"):
             FockSpace(DENSITY_CAP)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+
+    assert traced_peak(build) < 2 ** 20
 
 
 # ------------------------------------------------------------ coherent states

@@ -18,11 +18,9 @@ from decolab.states import (
     DIM_CAP,
     BasisSpec,
     DimensionCapError,
-    StateVector,
     offdiag_norm,
     purity,
     reduced_density,
-    tensor,
 )
 
 rng = np.random.default_rng(5005)

@@ -1073,13 +1073,16 @@ def oracle_compare_bytes(config: dict, workers: int) -> dict:
     """Estimated peak bytes of an oracle-compare run, keyed ``"run"``.
 
     Worked out from the config alone, before anything is allocated.  Each
-    busy worker evolves one bath of the largest N at a time, 2^(N+1)
-    amplitudes, over ``times_per_trial`` times; the parent holds every
-    task's seed, payload and row, and the CSV writer.
+    busy worker takes one bath of the largest N at a time over
+    ``times_per_trial`` times: the closed form's bath and tile buffers
+    (``spin_bath._r_bytes`` at no points, since the oracle's per-time charge
+    covers the closed form's times too) and the oracle's 2^(N+1)
+    amplitudes; the parent holds every task's seed, payload and row, and
+    the CSV writer.
     """
     tasks = config["trials"] * len(config["n_values"])
-    per_task = oracle._oracle_r_bytes(
-        2 ** (max(config["n_values"]) + 1), config.get("times_per_trial", _TIMES_PER_TRIAL))
+    spins, times = max(config["n_values"]), config.get("times_per_trial", _TIMES_PER_TRIAL)
+    per_task = spin_bath._r_bytes(spins, 0) + oracle._oracle_r_bytes(2 ** (spins + 1), times)
     run = _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)
     return {"run": run + _WRITER_BYTES}
 

@@ -5,10 +5,13 @@ closed-form dephasing product.  Everything is computed by explicitly
 evolving a joint state vector (diagonal phases or a dense eigendecomposition)
 and partial-tracing, so agreement with the analytic layer is a real test and
 not a tautology.  ``oracle_r`` takes one time or a whole grid: it builds the
-joint state and the dephasing Hamiltonian once per bath and evolves them to
-each time in turn.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the
-dense references for the pointer diagnostics; the tests cross-check with
-them and the package does not export them.
+joint state and the dephasing Hamiltonian once per bath and evolves them a
+block of times at a time (``_dephasing_blocks``), checking every time as a
+``StateVector`` and a ``DensityMatrix`` of it would be checked, and each
+value equals :func:`evolve_diagonal` and ``reduced_density`` at that time
+bit for bit.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the dense
+references for the pointer diagnostics; the tests cross-check with them and
+the package does not export them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import numpy as np
 from .pointer import tridecompose_state
 from .spin_bath import environment_branch
 from .states import (
-    DensityMatrix, StateVector, _check_dims, _check_square, _finite, _frozen, purity,
-    reduced_density,
+    _EIG_FLOOR, _NORM_ATOL, _TRACE_ATOL, DensityMatrix, StateVector, _check_dims, _check_square,
+    _finite, _frozen, reduced_density,
 )
+from .states import _HERM_ATOL as _DENSITY_HERM_ATOL
 
 _HERM_ATOL = 1e-10
 
@@ -58,11 +62,15 @@ class DiagonalHamiltonian:
 def evolve_diagonal(ham: DiagonalHamiltonian, psi0: StateVector, t: float) -> StateVector:
     """Evolve ``psi0`` for time t under a diagonal Hamiltonian.
 
-    Returns a new StateVector with amplitudes amps_j * exp(-i E_j t).
+    Returns a new StateVector with amplitudes exp(-i E_j t) * amps_j, the
+    phase the left factor at every size (complex multiplication need not
+    commute bit for bit, and numpy reorders ``amps * phases`` when it reuses
+    a large temporary).
     """
     if ham.dims != psi0.dims:
         raise ValueError(f"dimension mismatch: {ham.dims} vs {psi0.dims}")
-    return StateVector(psi0.dims, psi0.amps * np.exp(-1j * ham.energies * float(_finite("t", t))))
+    phases = np.exp(-1j * ham.energies * float(_finite("t", t)))
+    return StateVector(psi0.dims, np.multiply(phases, psi0.amps, out=phases))
 
 
 def evolve_dense(h, psi0: StateVector, t: float) -> StateVector:
@@ -103,17 +111,17 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
 _BLOCK_BYTES = 2 ** 20
 
 
-def _row_blocks(rows: int, block: int) -> list:
-    """Bounds of equal blocks of about ``block`` (at least 2) of ``rows`` rows.
+def _row_blocks(rows: int, block: int, least: int = 2) -> list:
+    """Bounds of equal blocks of about ``block`` (at least ``least``) of ``rows`` rows.
 
-    No block has a single row unless ``rows`` is 1: numpy sends a one-row
-    product to gemv, which may round differently from gemm, while a gemm row
-    does not depend on the other rows, so a product formed block by block
-    equals the whole product bit for bit.
+    By default no block has a single row unless ``rows`` is 1: numpy sends a
+    one-row product to gemv, which may round differently from gemm, while a
+    gemm row does not depend on the other rows, so a product formed block by
+    block equals the whole product bit for bit.
     """
     if rows == 0:
         return [0]
-    blocks = max(1, min(-(-rows // max(2, block)), rows // 2))
+    blocks = max(1, min(-(-rows // max(least, block)), rows // least))
     return [rows * k // blocks for k in range(blocks + 1)]
 
 
@@ -180,16 +188,90 @@ def _joint_state(column, bath) -> StateVector:
     return StateVector((2,) * (bath.n_spins + 1), amps)
 
 
+def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.ndarray):
+    """The qubit's reduced density matrices as ``psi0`` evolves under ``ham``,
+    a block of times at a time: the diagonal counterpart of
+    :func:`_dense_blocks`.
+
+    ``ham`` is a :func:`dephasing_hamiltonian`, whose qubit-down energies are
+    its qubit-up energies negated, so the qubit-down phases are the
+    conjugates of the qubit-up phases bit for bit: a block forms
+    exp((-i E_up) t) once, conjugates it, multiplies both into the
+    amplitudes in place, phase first as :func:`evolve_diagonal` does, and
+    traces the bath out as one stacked product M M^H, which is
+    ``reduced_density``'s product on every time.  ``t_grid`` is a flat,
+    checked grid.  Returns a generator of (start, rho), the (times, 2, 2)
+    matrices at ``t_grid[start : start + len(rho)]``; ``ham`` is not kept.
+    A block holds at most ``_BLOCK_BYTES`` (:func:`_dephasing_time_bytes` a
+    time) unless a single time needs more, which at N = 14 it does by its
+    reduced matrix, and every time passes the checks a StateVector and a
+    DensityMatrix of it would run (:func:`_check_evolved`).
+    """
+    half = psi0.dim // 2
+    up, down = psi0.amps[:half], psi0.amps[half:]
+    angles = -1j * ham.energies[:half]
+    bounds = _row_blocks(t_grid.size, _BLOCK_BYTES // _dephasing_time_bytes(psi0.dim), least=1)
+
+    def blocks():
+        # one pair of buffers serves every block, made once ``ham`` is gone;
+        # each step reads one and writes the other or itself, so no ufunc
+        # copies an input that may overlap its output
+        buf = np.empty((2, max(np.diff(bounds), default=0), 2, half), dtype=complex)
+        for start, stop in zip(bounds, bounds[1:]):
+            amps, conj = buf[:, : stop - start]
+            # the angles a time at a time, as numpy buffers a broadcast
+            # operand: a one-time block (N >= 13) then buffers nothing
+            for row, t in zip(amps[:, 0], t_grid[start:stop]):
+                np.multiply(angles, t, out=row)
+            np.exp(amps[:, 0], out=amps[:, 0])
+            np.multiply(np.conjugate(amps[:, 0], out=conj[:, 0]), down, out=amps[:, 1])
+            np.multiply(amps[:, 0], up, out=amps[:, 0])
+            rho = amps @ np.conjugate(amps, out=conj).swapaxes(1, 2)
+            _check_evolved(psi0.dims, amps.reshape(stop - start, -1), rho)
+            yield start, rho
+
+    return blocks()
+
+
+def _dephasing_time_bytes(dim: int) -> int:
+    """Bytes one time holds in a block of :func:`_dephasing_blocks` on a
+    joint state of ``dim`` amplitudes: 16 an amplitude and 16 its conjugate,
+    and 256 for its reduced density matrix and the temporaries of its
+    checks (about 130 measured with tracemalloc, rounded up)."""
+    return 32 * dim + 256
+
+
+def _check_evolved(dims, amps: np.ndarray, rho: np.ndarray) -> None:
+    """Run on every row of a block the checks that ``StateVector(dims,
+    amps[k])`` and ``DensityMatrix((2,), rho[k])`` run, with their messages.
+
+    The norm (``np.vdot``, as StateVector takes it), the Hermiticity, the
+    trace and the smallest eigenvalue are formed as the two classes form
+    them, for the whole block at once; a time that fails one is rebuilt as
+    those objects, which raise their own ValueError.
+    """
+    norms = np.fromiter((np.vdot(row, row).real for row in amps), float, amps.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails every test
+        ok = np.abs(norms - 1.0) <= _NORM_ATOL
+        ok &= np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= _DENSITY_HERM_ATOL
+        trace = rho[:, 0, 0] + rho[:, 1, 1]
+        ok &= np.hypot(trace.real - 1.0, trace.imag) <= _TRACE_ATOL
+    ok[ok] = np.linalg.eigvalsh(rho[ok])[:, 0] >= _EIG_FLOOR
+    for k in np.flatnonzero(~ok):
+        StateVector(dims, amps[k])
+        DensityMatrix((2,), rho[k])
+
+
 def oracle_r(cfg, t):
     """Dephasing factor obtained by explicit joint evolution.
 
     Builds the full qubit+bath product state from ``cfg`` (a
     :class:`~decolab.spin_bath.SpinBathConfig`) and
-    :func:`dephasing_hamiltonian` once, then for every time evolves with
-    :func:`evolve_diagonal`, partial traces down to the qubit, and divides
-    the off-diagonal entry by a * conj(b).  The joint state has dimension
-    2^(N+1), so N <= 14 bath spins under ``DIM_CAP``; the cap and a vanishing
-    branch are checked before anything of size 2^N is built.
+    :func:`dephasing_hamiltonian` once, then evolves a block of times at a
+    time (:func:`_dephasing_blocks`), partial traces down to the qubit, and
+    divides the off-diagonal entry by a * conj(b).  The joint state has
+    dimension 2^(N+1), so N <= 14 bath spins under ``DIM_CAP``; the cap and a
+    vanishing branch are checked before anything of size 2^N is built.
 
     Parameters
     ----------
@@ -201,7 +283,8 @@ def oracle_r(cfg, t):
     Returns
     -------
     complex or complex ndarray of t's shape.  Each value is bit-identical to
-    a scalar call at that time.
+    a scalar call at that time, and to :func:`evolve_diagonal` followed by
+    ``reduced_density`` there.
     """
     _check_dims((2,) * (cfg.n_spins + 1))
     a, b = complex(cfg.a), complex(cfg.b)
@@ -210,24 +293,28 @@ def oracle_r(cfg, t):
             "off-diagonal ratio undefined: a branch amplitude is zero"
         )
     psi0 = _joint_state([a, b], cfg)
-    ham = dephasing_hamiltonian(cfg.g)
     coherence = a * np.conj(b)
     t_arr = _finite("t", t)
-    r = np.empty(t_arr.shape, dtype=complex)
-    for idx, t_k in np.ndenumerate(t_arr):
-        rho_a = reduced_density(evolve_diagonal(ham, psi0, t_k), keep=0)
-        r[idx] = rho_a.mat[0, 1] / coherence
+    t_flat = t_arr.reshape(-1)
+    r = np.empty(t_flat.size, dtype=complex)
+    for start, rho in _dephasing_blocks(dephasing_hamiltonian(cfg.g), psi0, t_flat):
+        r[start : start + rho.shape[0]] = rho[:, 0, 1] / coherence
     if t_arr.ndim == 0:
-        return complex(r)
-    return r
+        return complex(r[0])
+    return r.reshape(t_arr.shape)
 
 
 def _oracle_r_bytes(amps: int, times: int) -> int:
     """Peak bytes of :func:`oracle_r` on a joint state of ``amps`` amplitudes
     (2^(N+1) for N bath spins) at ``times`` times beside the closed form's
-    values: 16 KiB, 64 an amplitude and 80 a time, measured with tracemalloc
-    and rounded up."""
-    return 16384 + amps * 64 + times * 80
+    values: 16 KiB, 48 an amplitude for the joint state and the phase
+    angles, one block of :func:`_dephasing_blocks`, the buffers numpy gives
+    the three operands of a binary ufunc on a strided block (``getbufsize``
+    complex entries each) and 80 a time, measured with tracemalloc and
+    rounded up."""
+    per_time = _dephasing_time_bytes(amps)
+    block = min(times * per_time, max(_BLOCK_BYTES, per_time))
+    return 16384 + amps * 48 + block + 3 * 16 * np.getbufsize() + times * 80
 
 
 def oracle_rho_sa(cfg, t: float) -> DensityMatrix:
@@ -247,16 +334,14 @@ def oracle_pointer_purity(bath, column, t_grid) -> np.ndarray:
 
     The pointer starts in ``column`` (two amplitudes) next to the bath
     product state of ``bath`` (a :class:`~decolab.spin_bath.SpinBathConfig`)
-    and evolves with :func:`evolve_diagonal` under
-    :func:`dephasing_hamiltonian`; the bath is traced out at every time.
+    and evolves under :func:`dephasing_hamiltonian` a block of times at a
+    time (:func:`_dephasing_blocks`); the bath is traced out at every time.
     Reference for :func:`~decolab.pointer.predictability_sieve`, whose score
     of a basis is this purity averaged over the grid and the basis columns.
     """
     psi0 = _joint_state(column, bath)
-    ham = dephasing_hamiltonian(bath.g)
-    return np.array(
-        [
-            purity(reduced_density(evolve_diagonal(ham, psi0, t), keep=0))
-            for t in _finite("t_grid", t_grid).reshape(-1)
-        ]
-    )
+    t_grid = _finite("t_grid", t_grid).reshape(-1)
+    out = np.empty(t_grid.size)
+    for start, rho in _dephasing_blocks(dephasing_hamiltonian(bath.g), psi0, t_grid):
+        out[start : start + rho.shape[0]] = [np.vdot(m, m).real for m in rho]
+    return out

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from decolab.oracle import (
     oracle_r,
 )
 from decolab.spin_bath import SpinBathConfig, decoherence_factor
-from decolab.states import DimensionCapError, StateVector
+from decolab.states import DensityMatrix, DimensionCapError, StateVector, reduced_density
 
 rng = np.random.default_rng(2002)
 
@@ -256,6 +257,106 @@ def test_oracle_r_grid_is_bit_identical_to_scalar_calls(n):
         assert np.array_equal(grid, loop)
 
 
+def _block_rows(n):
+    return max(1, oracle._BLOCK_BYTES // oracle._dephasing_time_bytes(2 ** (n + 1)))
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_oracle_r_grid_is_bit_identical_to_scalar_calls_at_block_boundaries(n):
+    rows = _block_rows(n)
+    assert len(oracle._row_blocks(rows + 1, rows, least=1)) == 3  # rows + 1 times: two blocks
+    cfg = SpinBathConfig.random(n, rng)
+    for times in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        t_grid = rng.uniform(0.0, 30.0, times)
+        loop = np.array([oracle_r(cfg, float(t)) for t in t_grid], dtype=complex)
+        assert np.array_equal(oracle_r(cfg, t_grid), loop)
+
+
+def _per_time(cfg, t):
+    """r(t) as one StateVector and one DensityMatrix per time would give it."""
+    psi0 = oracle._joint_state([cfg.a, cfg.b], cfg)
+    rho = reduced_density(evolve_diagonal(dephasing_hamiltonian(cfg.g), psi0, t), keep=0)
+    return rho.mat[0, 1] / (complex(cfg.a) * np.conj(complex(cfg.b)))
+
+
+# from 2^14 amplitudes (N >= 13) numpy reuses a temporary in ``amps * phases``
+# and swaps its operands; complex multiplication need not commute bit for bit
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_evolve_diagonal_rounds_the_same_at_every_size(n):
+    cfg = SpinBathConfig.random(n, rng)
+    psi0 = oracle._joint_state([cfg.a, cfg.b], cfg)
+    ham = dephasing_hamiltonian(cfg.g)
+    for t in rng.uniform(0.0, 30.0, 3):
+        phases = np.exp(-1j * ham.energies * t)
+        want = np.multiply(phases, psi0.amps)
+        assert np.array_equal(evolve_diagonal(ham, psi0, t).amps.view(float), want.view(float))
+
+
+def test_oracle_r_equals_the_per_time_evolution_at_every_size():
+    for n in range(1, 15):
+        cfg = SpinBathConfig.random(n, rng)
+        t_grid = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 3)])
+        assert np.array_equal(oracle_r(cfg, t_grid), [_per_time(cfg, t) for t in t_grid])
+
+
+def test_every_time_is_checked_once(monkeypatch):
+    checked = []
+    real = oracle._check_evolved
+
+    def counted(dims, amps, rho):
+        checked.append(amps.shape[0])
+        real(dims, amps, rho)
+
+    monkeypatch.setattr(oracle, "_check_evolved", counted)
+    for n, times in ((2, 20000), (10, 40), (14, 3)):
+        checked.clear()
+        oracle_r(SpinBathConfig.random(n, rng), rng.uniform(0.0, 30.0, times))
+        assert sum(checked) == times and len(checked) > 1
+
+
+def _message(build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+def test_a_block_off_unit_norm_raises_the_state_vector_message():
+    cfg = SpinBathConfig.random(3, rng)
+    psi0 = oracle._joint_state([cfg.a, cfg.b], cfg)
+    ham = dephasing_hamiltonian(cfg.g)
+    # t = 0 keeps the amplitudes as they are: the phase is exactly 1
+    off = SimpleNamespace(dims=psi0.dims, dim=psi0.dim, amps=psi0.amps * math.sqrt(1 + 1e-11))
+    want = _message(StateVector, psi0.dims, off.amps)
+    assert want.startswith("state is not normalized")
+    for t_grid in ([0.0], [0.0, 1.0, 2.0]):
+        blocks = oracle._dephasing_blocks(ham, off, np.array(t_grid))
+        assert _message(list, blocks) == want
+
+
+@pytest.mark.parametrize("bad, kind", [
+    ([[0.5, 1e-11], [0.0, 0.5]], "not Hermitian"),
+    ([[0.5, 0.0], [0.0, 0.5 + 1e-11]], "trace"),
+    ([[1.5, 0.0], [0.0, -0.5]], "not positive semidefinite"),
+    ([[np.nan, 0.0], [0.0, 0.5]], "not Hermitian"),
+])
+def test_a_bad_reduced_matrix_raises_the_density_matrix_message(bad, kind):
+    want = _message(DensityMatrix, (2,), bad)
+    assert kind in want
+    amps = np.zeros((3, 4), dtype=complex)
+    amps[:, 0] = 1.0
+    rho = np.array([[[1.0, 0.0], [0.0, 0.0]], bad, np.eye(2) / 2], dtype=complex)
+    assert _message(oracle._check_evolved, (2, 2), amps, rho) == want
+
+
+def test_the_first_time_to_fail_names_its_own_check():
+    amps = np.zeros((3, 4), dtype=complex)
+    amps[:, 0] = 1.0
+    amps[2] *= 2.0  # the norm fails at the last time only
+    rho = np.array([np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]], np.eye(2) / 2], dtype=complex)
+    want = _message(DensityMatrix, (2,), rho[1])
+    assert _message(oracle._check_evolved, (2, 2), amps, rho) == want
+
+
 def test_oracle_r_follows_the_closed_form_shape_rule():
     cfg = SpinBathConfig.random(4, rng)
     t_2d = rng.uniform(0.0, 10.0, (2, 3))
@@ -324,3 +425,11 @@ def test_row_blocks_are_equal_and_never_a_single_row(rows, count):
     # as many blocks as `rows` (at least 2) allows, so no block is needlessly large
     assert sizes.size == min(-(-count // max(2, rows)), count // 2)
     assert oracle._row_blocks(1, rows) == [0, 1] and oracle._row_blocks(0, rows) == [0]
+
+
+@pytest.mark.parametrize("rows", range(1, 12))
+@pytest.mark.parametrize("count", [1, 2, 3, 11, 49])
+def test_row_blocks_of_single_rows_when_asked(rows, count):
+    sizes = np.diff(oracle._row_blocks(count, rows, least=1))
+    assert sizes.sum() == count and sizes.max() <= rows and sizes.max() - sizes.min() <= 1
+    assert sizes.size == -(-count // rows)

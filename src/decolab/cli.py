@@ -578,12 +578,21 @@ class _Output:
         self.quiet = quiet
 
     def csv(self, name: str, header, rows) -> None:
-        if self.out_dir is not None:
-            _write_csv(os.path.join(self.out_dir, name), header, rows, self.prov, self.quiet)
+        self._write(_write_csv, name, header, rows)
 
     def json(self, name: str, payload: dict) -> None:
+        self._write(_write_json, name, payload)
+
+    def _write(self, writer, name: str, *content) -> None:
+        """``writer`` to ``name`` with the provenance block; an artifact
+        that cannot be written is a ConfigError, as an --out that cannot be
+        created is."""
         if self.out_dir is not None:
-            _write_json(os.path.join(self.out_dir, name), payload, self.prov, self.quiet)
+            path = os.path.join(self.out_dir, name)
+            try:
+                writer(path, *content, self.prov, self.quiet)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
 
     def say(self, line: str) -> None:
         """Print a progress or summary line unless ``--quiet``."""

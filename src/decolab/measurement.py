@@ -16,7 +16,7 @@ import numpy as np
 
 from .states import (
     BasisSpec, DensityMatrix, StateVector, _check_close, _check_square, _finite, _frozen,
-    _positive, _split,
+    _positive, _split, tensor,
 )
 
 _IMPOSSIBLE_P = 1e-14
@@ -136,10 +136,15 @@ class KrausSet:
         """Inverse of :meth:`to_dict`.
 
         ``completeness_tol`` defaults to the stored value; pass a float or
-        None to override.
+        None to override.  ``labels`` is missing, null, or an array of
+        strings and numbers (not booleans).
         """
         if not isinstance(data, dict):
             raise ValueError(f"a Kraus set is a JSON object, got {type(data).__name__}")
+        labels = data.get("labels")
+        if labels is not None and not (isinstance(labels, list) and all(
+                isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in labels)):
+            raise ValueError("labels must be an array of strings and numbers")
         rows, cols = (int(x) for x in data["shape"])
         ops = []
         for flat in data["operators"]:
@@ -148,7 +153,7 @@ class KrausSet:
                 raise ValueError("operator entry count does not match shape")
             ops.append(arr.reshape(rows, cols))
         tol = data.get("completeness_tol", 1e-10) if completeness_tol == "stored" else completeness_tol
-        return cls(ops, labels=data.get("labels"), completeness_tol=tol)
+        return cls(ops, labels=labels, completeness_tol=tol)
 
 
 class Projector:
@@ -201,8 +206,7 @@ def premeasure_cnot(system: StateVector, apparatus: StateVector) -> StateVector:
     ready = np.array([1.0, 0.0])
     _check_close(float(np.max(np.abs(apparatus.amps - ready))), 0.0, 1e-12,
                  "apparatus must start in the ready state (1, 0)")
-    joint = np.kron(system.amps, apparatus.amps)
-    flipped = joint[[0, 1, 3, 2]]  # pointer flips iff the control is down
+    flipped = tensor(system, apparatus).amps[[0, 1, 3, 2]]  # pointer flips iff the control is down
     return StateVector((2, 2), flipped)
 
 

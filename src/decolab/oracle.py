@@ -6,12 +6,10 @@ evolving a joint state vector (diagonal phases or a dense eigendecomposition)
 and partial-tracing, so agreement with the analytic layer is a real test and
 not a tautology.  ``oracle_r`` takes one time or a whole grid: it builds the
 joint state and the dephasing Hamiltonian once per bath and evolves them a
-block of times at a time (``_dephasing_blocks``), checking every time as a
-``StateVector`` and a ``DensityMatrix`` of it would be checked, and each
-value equals :func:`evolve_diagonal` and ``reduced_density`` at that time
-bit for bit.  ``oracle_rho_sa`` and ``oracle_pointer_purity`` are the dense
-references for the pointer diagnostics; the tests cross-check with them and
-the package does not export them.
+block of times at a time (``_dephasing_blocks``), reducing and checking each
+block with the functions of ``decolab.states`` that ``reduced_density``,
+``StateVector`` and ``DensityMatrix`` run on one state, so each value equals
+:func:`evolve_diagonal` and ``reduced_density`` at that time bit for bit.
 """
 
 from __future__ import annotations
@@ -21,13 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pointer import tridecompose_state
 from .spin_bath import environment_branch
 from .states import (
-    _EIG_FLOOR, _NORM_ATOL, _TRACE_ATOL, DensityMatrix, StateVector, _check_dims, _check_square,
-    _finite, _frozen, reduced_density,
+    StateVector, _check_dims, _check_square, _check_stack, _finite, _frozen, _reduce, tensor,
 )
-from .states import _HERM_ATOL as _DENSITY_HERM_ATOL
 
 _HERM_ATOL = 1e-10
 
@@ -184,8 +179,7 @@ def dephasing_hamiltonian(couplings) -> DiagonalHamiltonian:
 
 def _joint_state(column, bath) -> StateVector:
     """Qubit ``column`` (two amplitudes) next to the product state of ``bath``."""
-    amps = np.kron(np.asarray(column, dtype=complex), environment_branch(bath, 0.0).amps)
-    return StateVector((2,) * (bath.n_spins + 1), amps)
+    return tensor(StateVector((2,), column), environment_branch(bath, 0.0))
 
 
 def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.ndarray):
@@ -196,16 +190,17 @@ def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.nd
     ``ham`` is a :func:`dephasing_hamiltonian`, whose qubit-down energies are
     its qubit-up energies negated, so the qubit-down phases are the
     conjugates of the qubit-up phases bit for bit: a block forms
-    exp((-i E_up) t) once, conjugates it, multiplies both into the
-    amplitudes in place, phase first as :func:`evolve_diagonal` does, and
-    traces the bath out as one stacked product M M^H, which is
-    ``reduced_density``'s product on every time.  ``t_grid`` is a flat,
-    checked grid.  Returns a generator of (start, rho), the (times, 2, 2)
-    matrices at ``t_grid[start : start + len(rho)]``; ``ham`` is not kept.
-    A block holds at most ``_BLOCK_BYTES`` (:func:`_dephasing_time_bytes` a
-    time) unless a single time needs more, which at N = 14 it does by its
-    reduced matrix, and every time passes the checks a StateVector and a
-    DensityMatrix of it would run (:func:`_check_evolved`).
+    exp((-i E_up) t) once, conjugates it into the qubit-down half and
+    multiplies both halves into the amplitudes in place, phase first as
+    :func:`evolve_diagonal` does.  The block's states are then reduced to the
+    qubit and checked by ``states._reduce`` and ``states._check_stack``, which
+    ``reduced_density``, ``StateVector`` and ``DensityMatrix`` run on one
+    state, so every time gets their values and, if it fails, their message.
+    ``t_grid`` is a flat, checked grid.  Returns a generator of (start, rho),
+    the (times, 2, 2) matrices at ``t_grid[start : start + len(rho)]``;
+    ``ham`` is not kept.  A block holds at most ``_BLOCK_BYTES``
+    (:func:`_dephasing_time_bytes` a time) unless a single time needs more,
+    which at N = 14 it does by its reduced matrix.
     """
     half = psi0.dim // 2
     up, down = psi0.amps[:half], psi0.amps[half:]
@@ -213,21 +208,21 @@ def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.nd
     bounds = _row_blocks(t_grid.size, _BLOCK_BYTES // _dephasing_time_bytes(psi0.dim), least=1)
 
     def blocks():
-        # one pair of buffers serves every block, made once ``ham`` is gone;
-        # each step reads one and writes the other or itself, so no ufunc
-        # copies an input that may overlap its output
-        buf = np.empty((2, max(np.diff(bounds), default=0), 2, half), dtype=complex)
+        # one buffer serves every block, made once ``ham`` is gone; each step
+        # writes the half it reads or the other half of the same times, so
+        # no ufunc copies an input that may overlap its output
+        buf = np.empty((max(np.diff(bounds), default=0), 2, half), dtype=complex)
         for start, stop in zip(bounds, bounds[1:]):
-            amps, conj = buf[:, : stop - start]
+            amps = buf[: stop - start]
             # the angles a time at a time, as numpy buffers a broadcast
             # operand: a one-time block (N >= 13) then buffers nothing
             for row, t in zip(amps[:, 0], t_grid[start:stop]):
                 np.multiply(angles, t, out=row)
             np.exp(amps[:, 0], out=amps[:, 0])
-            np.multiply(np.conjugate(amps[:, 0], out=conj[:, 0]), down, out=amps[:, 1])
+            np.multiply(np.conjugate(amps[:, 0], out=amps[:, 1]), down, out=amps[:, 1])
             np.multiply(amps[:, 0], up, out=amps[:, 0])
-            rho = amps @ np.conjugate(amps, out=conj).swapaxes(1, 2)
-            _check_evolved(psi0.dims, amps.reshape(stop - start, -1), rho)
+            rho = _reduce(psi0.dims, amps, [0])
+            _check_stack(amps, rho)
             yield start, rho
 
     return blocks()
@@ -235,31 +230,11 @@ def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.nd
 
 def _dephasing_time_bytes(dim: int) -> int:
     """Bytes one time holds in a block of :func:`_dephasing_blocks` on a
-    joint state of ``dim`` amplitudes: 16 an amplitude and 16 its conjugate,
-    and 256 for its reduced density matrix and the temporaries of its
-    checks (about 130 measured with tracemalloc, rounded up)."""
+    joint state of ``dim`` amplitudes: 16 an amplitude, 16 for its conjugate
+    in ``states._reduce``, and 256 for its reduced density matrix and the
+    temporaries of its checks (about 130 measured with tracemalloc, rounded
+    up)."""
     return 32 * dim + 256
-
-
-def _check_evolved(dims, amps: np.ndarray, rho: np.ndarray) -> None:
-    """Run on every row of a block the checks that ``StateVector(dims,
-    amps[k])`` and ``DensityMatrix((2,), rho[k])`` run, with their messages.
-
-    The norm (``np.vdot``, as StateVector takes it), the Hermiticity, the
-    trace and the smallest eigenvalue are formed as the two classes form
-    them, for the whole block at once; a time that fails one is rebuilt as
-    those objects, which raise their own ValueError.
-    """
-    norms = np.fromiter((np.vdot(row, row).real for row in amps), float, amps.shape[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails every test
-        ok = np.abs(norms - 1.0) <= _NORM_ATOL
-        ok &= np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= _DENSITY_HERM_ATOL
-        trace = rho[:, 0, 0] + rho[:, 1, 1]
-        ok &= np.hypot(trace.real - 1.0, trace.imag) <= _TRACE_ATOL
-    ok[ok] = np.linalg.eigvalsh(rho[ok])[:, 0] >= _EIG_FLOOR
-    for k in np.flatnonzero(~ok):
-        StateVector(dims, amps[k])
-        DensityMatrix((2,), rho[k])
 
 
 def oracle_r(cfg, t):
@@ -308,40 +283,11 @@ def _oracle_r_bytes(amps: int, times: int) -> int:
     """Peak bytes of :func:`oracle_r` on a joint state of ``amps`` amplitudes
     (2^(N+1) for N bath spins) at ``times`` times beside the closed form's
     values: 16 KiB, 48 an amplitude for the joint state and the phase
-    angles, one block of :func:`_dephasing_blocks`, the buffers numpy gives
+    angles, one block of :func:`_dephasing_blocks` (its amplitudes and the
+    conjugate ``states._reduce`` takes of them), the buffers numpy gives
     the three operands of a binary ufunc on a strided block (``getbufsize``
     complex entries each) and 80 a time, measured with tracemalloc and
     rounded up."""
     per_time = _dephasing_time_bytes(amps)
     block = min(times * per_time, max(_BLOCK_BYTES, per_time))
     return 16384 + amps * 48 + block + 3 * 16 * np.getbufsize() + times * 80
-
-
-def oracle_rho_sa(cfg, t: float) -> DensityMatrix:
-    """System+pointer state obtained from the explicit tripartite state.
-
-    Traces the environment out of
-    :func:`~decolab.pointer.tridecompose_state` for ``cfg`` (a
-    :class:`~decolab.pointer.TriConfig`).  Reference for
-    :func:`~decolab.pointer.basis_correlation_decay`; limited to N <= 13
-    bath spins.
-    """
-    return reduced_density(tridecompose_state(cfg, t), keep=(0, 1))
-
-
-def oracle_pointer_purity(bath, column, t_grid) -> np.ndarray:
-    """Purity of a pointer dephased by ``bath``, by explicit joint evolution.
-
-    The pointer starts in ``column`` (two amplitudes) next to the bath
-    product state of ``bath`` (a :class:`~decolab.spin_bath.SpinBathConfig`)
-    and evolves under :func:`dephasing_hamiltonian` a block of times at a
-    time (:func:`_dephasing_blocks`); the bath is traced out at every time.
-    Reference for :func:`~decolab.pointer.predictability_sieve`, whose score
-    of a basis is this purity averaged over the grid and the basis columns.
-    """
-    psi0 = _joint_state(column, bath)
-    t_grid = _finite("t_grid", t_grid).reshape(-1)
-    out = np.empty(t_grid.size)
-    for start, rho in _dephasing_blocks(dephasing_hamiltonian(bath.g), psi0, t_grid):
-        out[start : start + rho.shape[0]] = [np.vdot(m, m).real for m in rho]
-    return out

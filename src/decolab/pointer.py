@@ -23,8 +23,8 @@ import numpy as np
 
 from .spin_bath import SpinBathConfig, _mean_r2, _r_bytes, decoherence_on_grid, environment_branch
 from .states import (
-    BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
-    _square,
+    BasisSpec, DensityMatrix, StateVector, _check_close, _check_dims, _check_qubit_pair, _finite,
+    _frozen,
 )
 
 
@@ -44,8 +44,7 @@ class TriConfig:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        _check_close(_square(abs(self.a)) + _square(abs(self.b)), 1.0, 1e-12,
-                     "|a|^2 + |b|^2 = {!r}, expected 1")
+        _check_qubit_pair(self.a, self.b)
         if not isinstance(self.bath, SpinBathConfig):
             raise TypeError("bath must be a SpinBathConfig")
 

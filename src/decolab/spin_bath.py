@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _finite, _frozen,
-    _kron, _positive, _square,
+    _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _check_qubit_pair,
+    _finite, _frozen, _kron, _positive,
 )
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
@@ -105,8 +105,7 @@ class SpinBathConfig:
                 f"g, alpha, beta must have equal length, got "
                 f"{g.size}, {alpha.size}, {beta.size}"
             )
-        _check_close(_square(abs(self.a)) + _square(abs(self.b)), 1.0, _NORM_ATOL,
-                     "|a|^2 + |b|^2 = {!r}, expected 1")
+        _check_qubit_pair(self.a, self.b)
         spin_norms = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         worst = float(spin_norms[np.argmax(np.abs(spin_norms - 1.0))])  # or the first NaN
         _check_close(worst, 1.0, _NORM_ATOL, "bath spin |alpha|^2 + |beta|^2 = {!r}, expected 1")

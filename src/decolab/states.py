@@ -11,10 +11,18 @@ these two, and checked here as well: ``_check_dims`` and
 before the array is allocated.
 
 The input checks of every module live here too, written so that NaN fails
-them: ``_finite``, ``_positive``, ``_check_close`` and ``_check_square`` are
-the package's only finiteness, tolerance and Hermiticity tests, and every
+them: ``_finite``, ``_positive``, ``_check_close`` and ``_hermitian_deviation``
+are the package's only finiteness, tolerance and Hermiticity tests, and every
 public float input must be finite.  ``_square`` squares a user's float
 without raising OverflowError.
+
+The invariants of states are written once, for a stack of states:
+``_check_stack`` runs the checks of a ``StateVector`` and of a
+``DensityMatrix`` on every row of a stack, and ``_reduce`` forms the reduced
+density matrices of a stack of pure states.  The classes and
+``reduced_density`` call them on a stack of one, and the dense oracle on each
+block of evolved times, so a block is checked and reduced exactly as its
+times one by one would be.
 """
 
 from __future__ import annotations
@@ -111,16 +119,61 @@ def _check_close(value, target, tol: float, message: str) -> None:
         raise ValueError(message.format(value))
 
 
+def _hermitian_deviation(mats: np.ndarray) -> np.ndarray:
+    """max |M - M^H| of a matrix, or of each matrix in a stack; NaN where
+    an entry is NaN or inf, so the deviation fails every tolerance."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.abs(mats - mats.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+
+
+def _check_qubit_pair(a: complex, b: complex) -> None:
+    """A qubit's amplitudes on up and down: |a|^2 + |b|^2 = 1 within 1e-12."""
+    _check_close(_square(abs(a)) + _square(abs(b)), 1.0, _NORM_ATOL,
+                 "|a|^2 + |b|^2 = {!r}, expected 1")
+
+
 def _check_square(name: str, mat: np.ndarray, herm_tol: float | None = None) -> None:
     """A nonempty square matrix, held like a density matrix (so at most
     ``DENSITY_CAP`` rows); with ``herm_tol``, Hermitian within it."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
     _check_density_dim(mat.shape[0])
-    if herm_tol is not None:  # a NaN or inf entry makes the deviation NaN
-        with np.errstate(invalid="ignore", over="ignore"):
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
-        _check_close(dev, 0.0, herm_tol, name + " is not Hermitian: max deviation {:g}")
+    if herm_tol is not None:
+        _check_close(float(_hermitian_deviation(mat)), 0.0, herm_tol,
+                     name + " is not Hermitian: max deviation {:g}")
+
+
+def _check_stack(amps: np.ndarray | None = None, mats: np.ndarray | None = None) -> None:
+    """Run the checks of ``StateVector`` on every row of ``amps``, a (k, ...)
+    stack, and those of ``DensityMatrix`` on every matrix of ``mats``, a
+    (k, d, d) stack; either may be None.
+
+    Each value is formed as for one state, so a row gets the same value and
+    verdict in any stack: the norm ``np.vdot`` of the row (NaN or inf
+    amplitudes fail it), then the Hermiticity, the trace and, only where
+    those pass, the smallest eigenvalue.  The first row to fail raises the
+    ValueError of its state's check or, failing that, of the first of its
+    matrix's checks to fail.
+    """
+    tests = []  # (value, passed, message) a row, in the order one row runs them
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails every test
+        if amps is not None:
+            norm = np.fromiter((np.vdot(row, row).real for row in amps), float, len(amps))
+            tests.append((norm, abs(norm - 1.0) <= _NORM_ATOL,
+                          "state is not normalized: sum |amps|^2 = {!r}"))
+        if mats is not None:
+            dev, trace = _hermitian_deviation(mats), np.trace(mats, axis1=1, axis2=2)
+            tests += [(dev, dev <= _HERM_ATOL, "matrix is not Hermitian: max deviation {:g}"),
+                      (trace, abs(trace - 1.0) <= _TRACE_ATOL, "matrix trace is {!r}, expected 1")]
+    ok = np.logical_and.reduce([passed for _, passed, _ in tests])
+    if mats is not None:  # eigvalsh only where every other test passed
+        eig = np.full(len(mats), np.nan)
+        eig[ok] = np.linalg.eigvalsh(mats[ok])[:, 0]
+        ok = eig >= _EIG_FLOOR
+        tests.append((eig, ok, "matrix is not positive semidefinite: min eigenvalue {:g}"))
+    for k in np.flatnonzero(~ok)[:1]:  # the first row to fail
+        value, _, message = next(test for test in tests if not test[1][k])
+        raise ValueError(message.format(value[k].item()))
 
 
 class StateVector:
@@ -144,9 +197,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {total}"
             )
-        # the norm is the finiteness test: NaN or inf amplitudes fail it
-        _check_close(float(np.vdot(amps, amps).real), 1.0, _NORM_ATOL,
-                     "state is not normalized: sum |amps|^2 = {!r}")
+        _check_stack(amps[None])
         self.amps = _frozen(amps)
 
     @property
@@ -174,8 +225,8 @@ class DensityMatrix:
     Construction enforces Hermiticity (1e-12), unit trace (1e-12), and
     positivity up to the floating-point floor: the smallest eigenvalue may be
     no lower than -1e-10, which tolerates the tiny negative eigenvalues that
-    partial traces of rounded data produce.  A dimension above
-    ``DENSITY_CAP`` raises ``DimensionCapError`` before ``mat`` is read.
+    partial traces of rounded data produce (``_check_stack``).  A dimension
+    above ``DENSITY_CAP`` raises ``DimensionCapError`` before ``mat`` is read.
     """
 
     def __init__(self, dims: Sequence[int], mat) -> None:
@@ -187,14 +238,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix has shape {mat.shape}, expected {(total, total)}"
             )
-        _check_square("matrix", mat, _HERM_ATOL)
-        _check_close(complex(np.trace(mat)), 1.0, _TRACE_ATOL,
-                     "matrix trace is {!r}, expected 1")
-        eig_min = float(np.linalg.eigvalsh(mat)[0])
-        if not eig_min >= _EIG_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite: min eigenvalue {eig_min:g}"
-            )
+        _check_stack(mats=mat[None])
         self.mat = _frozen(mat)
 
     @property
@@ -273,7 +317,9 @@ def tensor(*factors):
     raise TypeError("tensor() takes all StateVector or all DensityMatrix factors")
 
 
-def _check_keep(dims: tuple[int, ...], keep) -> list[int]:
+def _check_keep(dims: tuple[int, ...], keep) -> tuple[list[int], tuple[int, ...]]:
+    """``keep`` as sorted subsystem indices of ``dims``, and their dimensions,
+    whose product must be at most ``DENSITY_CAP``."""
     keep = [int(k) for k in np.atleast_1d(keep)]
     if len(keep) == 0:
         raise ValueError("keep must name at least one subsystem")
@@ -284,7 +330,10 @@ def _check_keep(dims: tuple[int, ...], keep) -> list[int]:
             raise ValueError(
                 f"keep index {k} out of range for {len(dims)} subsystems"
             )
-    return sorted(keep)
+    keep = sorted(keep)
+    new_dims = tuple(dims[k] for k in keep)
+    _check_density_dim(math.prod(new_dims))
+    return keep, new_dims
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -301,8 +350,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     -------
     DensityMatrix on the retained factors.
     """
-    keep = _check_keep(rho.dims, keep)
-    _check_density_dim(math.prod(rho.dims[k] for k in keep))
+    keep, new_dims = _check_keep(rho.dims, keep)
     n = len(rho.dims)
     resh = rho.mat.reshape(rho.dims + rho.dims)
     keep_set = set(keep)
@@ -310,27 +358,34 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     col = [n + k if k in keep_set else k for k in range(n)]
     out = [k for k in keep] + [n + k for k in keep]
     reduced = np.einsum(resh, row + col, out)
-    new_dims = tuple(rho.dims[k] for k in keep)
-    d = math.prod(new_dims)
-    return DensityMatrix(new_dims, reduced.reshape(d, d))
+    return DensityMatrix(new_dims, reduced.reshape(math.prod(new_dims), -1))
 
 
 def reduced_density(psi: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state, without materializing |psi><psi|.
 
     Equivalent to ``partial_trace(psi.density(), keep)`` but needs only
-    O(dim^1.x) memory, which matters for large environments.
+    O(dim^1.x) memory, which matters for large environments: it is
+    ``_reduce`` on a stack of one.
     """
-    keep = _check_keep(psi.dims, keep)
-    d_keep = math.prod(psi.dims[k] for k in keep)
-    _check_density_dim(d_keep)
-    n = len(psi.dims)
-    rest = [k for k in range(n) if k not in keep]
-    tensor_amps = psi.amps.reshape(psi.dims)
-    moved = np.transpose(tensor_amps, keep + rest)
-    mat = moved.reshape(d_keep, -1)
-    new_dims = tuple(psi.dims[k] for k in keep)
-    return DensityMatrix(new_dims, mat @ mat.conj().T)
+    keep, new_dims = _check_keep(psi.dims, keep)
+    return DensityMatrix(new_dims, _reduce(psi.dims, psi.amps[None], keep)[0])
+
+
+def _reduce(dims: tuple[int, ...], amps: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Reduced density matrices on the factors ``keep`` (sorted, checked) of
+    the pure states in the rows of ``amps``, a nonempty (k, ...) stack of
+    prod(dims) amplitudes a row.
+
+    Each is M M^H, with M the state's amplitudes as a matrix whose rows are
+    the kept factors: one stacked product, never |psi><psi|.  A copy of the
+    stack with the kept factors moved first (none when they lead already)
+    and its conjugate are its temporaries of the stack's size.
+    """
+    rest = [k for k in range(len(dims)) if k not in keep]
+    moved = amps.reshape((len(amps),) + dims).transpose([0] + [1 + k for k in keep + rest])
+    mat = moved.reshape(len(amps), math.prod(dims[k] for k in keep), -1)
+    return mat @ mat.conj().swapaxes(1, 2)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -125,6 +125,16 @@ def test_out_naming_an_existing_file_is_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["spin-bath", "--config", cfg, "--out", str(taken)], "--out")
 
 
+@pytest.mark.parametrize("artifact", ["outcomes.csv", "premeasured_state.json"])
+def test_artifact_that_cannot_be_written_is_usage_error(tmp_path, capsys, artifact):
+    config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]}, "shots": 10}
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)  # a directory where the file should go
+    args = ["measure", "--config", cfg, "--out", str(out), "--quiet"]
+    _usage_error(capsys, args, f"cannot write {out / artifact}: ")
+
+
 def test_config_nested_past_the_parser_is_not_valid_json(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -138,7 +148,9 @@ def test_config_nested_past_the_parser_is_not_valid_json(tmp_path, capsys):
     "[" * 100_000 + "]" * 100_000,                     # deeper than the parser goes
     '{"shape": 2, "operators": []}',                   # a number for the shape
     '{"shape": [1, 1], "operators": [[1.0, 0.0]]}',    # entries that are not pairs
-], ids=["list", "deep", "number-shape", "unpaired-entries"])
+    '{"shape": [2, 2], "labels": "ud", "operators": '  # a string for the labels
+    '[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]}',
+], ids=["list", "deep", "number-shape", "unpaired-entries", "string-labels"])
 def test_malformed_kraus_file_is_usage_error(tmp_path, capsys, kraus):
     (tmp_path / "k.json").write_text(kraus, encoding="utf-8")
     config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]},

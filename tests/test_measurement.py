@@ -454,3 +454,31 @@ def test_sample_outcomes_in_blocks_match_one_shot_draw():
 def test_kraus_from_dict_rejects_a_non_object(data):
     with pytest.raises(ValueError, match="JSON object"):
         KrausSet.from_dict(data)
+
+
+def _kraus_data(**fields):
+    up = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    down = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    return {"shape": [2, 2], "operators": [up, down], **fields}
+
+
+@pytest.mark.parametrize("labels", [
+    "ud", [[1, 2], {"x": 1}], [True, False], ["up", None], {"up": 0, "down": 1}, 2,
+], ids=["string", "containers", "booleans", "null-entry", "object", "number"])
+def test_kraus_from_dict_rejects_labels_that_are_not_an_array_of_strings_and_numbers(labels):
+    with pytest.raises(ValueError, match="labels"):
+        KrausSet.from_dict(_kraus_data(labels=labels))
+
+
+@pytest.mark.parametrize("fields, labels", [
+    ({}, (0, 1)), ({"labels": None}, (0, 1)), ({"labels": ["up", 2]}, ("up", 2)),
+    ({"labels": [0.5, "down"]}, (0.5, "down")),
+], ids=["missing", "null", "string-and-int", "float-and-string"])
+def test_kraus_from_dict_takes_missing_null_or_an_array_of_strings_and_numbers(fields, labels):
+    assert KrausSet.from_dict(_kraus_data(**fields)).labels == labels
+
+
+def test_kraus_constructor_keeps_any_labels():
+    ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    assert KrausSet(ops, labels="ud").labels == ("u", "d")
+    assert KrausSet(ops, labels=[True, (1, 2)]).labels == (True, (1, 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from decolab import cli, oracle
+from decolab import cli, oracle, states
 from decolab.oracle import (
     DiagonalHamiltonian,
     UndefinedRatioError,
@@ -301,13 +301,13 @@ def test_oracle_r_equals_the_per_time_evolution_at_every_size():
 
 def test_every_time_is_checked_once(monkeypatch):
     checked = []
-    real = oracle._check_evolved
+    real = states._check_stack
 
-    def counted(dims, amps, rho):
+    def counted(amps, rho):
         checked.append(amps.shape[0])
-        real(dims, amps, rho)
+        real(amps, rho)
 
-    monkeypatch.setattr(oracle, "_check_evolved", counted)
+    monkeypatch.setattr(oracle, "_check_stack", counted)
     for n, times in ((2, 20000), (10, 40), (14, 3)):
         checked.clear()
         oracle_r(SpinBathConfig.random(n, rng), rng.uniform(0.0, 30.0, times))
@@ -345,7 +345,7 @@ def test_a_bad_reduced_matrix_raises_the_density_matrix_message(bad, kind):
     amps = np.zeros((3, 4), dtype=complex)
     amps[:, 0] = 1.0
     rho = np.array([[[1.0, 0.0], [0.0, 0.0]], bad, np.eye(2) / 2], dtype=complex)
-    assert _message(oracle._check_evolved, (2, 2), amps, rho) == want
+    assert _message(states._check_stack, amps, rho) == want
 
 
 def test_the_first_time_to_fail_names_its_own_check():
@@ -354,7 +354,7 @@ def test_the_first_time_to_fail_names_its_own_check():
     amps[2] *= 2.0  # the norm fails at the last time only
     rho = np.array([np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]], np.eye(2) / 2], dtype=complex)
     want = _message(DensityMatrix, (2,), rho[1])
-    assert _message(oracle._check_evolved, (2, 2), amps, rho) == want
+    assert _message(states._check_stack, amps, rho) == want
 
 
 def test_oracle_r_follows_the_closed_form_shape_rule():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decolab.oracle import oracle_pointer_purity, oracle_rho_sa
+from decolab import oracle
 from decolab.pointer import (
     ApparatusModel,
     TriConfig,
@@ -342,6 +342,25 @@ def reference_config(n, balanced):
     else:
         bath = SpinBathConfig.random(n, ref_rng)
     return TriConfig(0.6, 0.64 + 0.48j, bath)
+
+
+def oracle_rho_sa(cfg, t):
+    """System+pointer state traced out of the explicit tripartite state:
+    the dense reference for ``basis_correlation_decay`` (N <= 13)."""
+    return reduced_density(tridecompose_state(cfg, t), keep=(0, 1))
+
+
+def oracle_pointer_purity(bath, column, t_grid):
+    """Purity of a pointer that starts in ``column`` next to the product state
+    of ``bath`` and dephases under the dense oracle's Hamiltonian, a block of
+    times at a time: the reference for ``predictability_sieve``, whose score
+    of a basis is this purity averaged over the grid and the basis columns."""
+    psi0 = oracle._joint_state(column, bath)
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+    out = np.empty(t_grid.size)
+    for start, rho in oracle._dephasing_blocks(oracle.dephasing_hamiltonian(bath.g), psi0, t_grid):
+        out[start : start + rho.shape[0]] = [np.vdot(m, m).real for m in rho]
+    return out
 
 
 def dense_correlation(rho_sa, theta):

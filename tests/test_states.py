@@ -17,6 +17,8 @@ from decolab.states import (
     offdiag_norm,
     partial_trace,
     purity,
+    _check_stack,
+    _reduce,
     reduced_density,
     tensor,
 )
@@ -263,6 +265,59 @@ def test_reduced_density_agrees_with_partial_trace():
         rhs = partial_trace(psi.density(), keep)
         assert lhs.dims == rhs.dims
         np.testing.assert_allclose(lhs.mat, rhs.mat, atol=1e-13)
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _message(build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    return str(info.value)
+
+
+STACK_FAULTS = {
+    "norm off by 1e-11": ("state", [np.sqrt(1 + 1e-11), 0.0, 0.0, 0.0], "not normalized"),
+    "NaN amplitude": ("state", [np.nan, 0.0, 0.0, 0.0], "not normalized"),
+    "NaN entry": ("matrix", [[np.nan, 0.0], [0.0, 0.5]], "not Hermitian"),
+    "not Hermitian": ("matrix", [[0.5, 1e-11], [0.0, 0.5]], "not Hermitian"),
+    "trace off": ("matrix", [[0.5, 0.0], [0.0, 0.5 + 1e-11]], "trace"),
+    "negative eigenvalue": ("matrix", [[1.5, 0.0], [0.0, -0.5]], "not positive semidefinite"),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("kind, bad, words", STACK_FAULTS.values(), ids=STACK_FAULTS.keys())
+def test_a_bad_row_of_a_stack_raises_the_message_of_its_own_object(kind, bad, words, k):
+    amps = np.tile(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), (5, 1))
+    mats = np.tile(np.eye(2, dtype=complex) / 2, (5, 1, 1))
+    _check_stack(amps, mats)
+    if kind == "state":
+        amps[k] = bad
+        want = _message(StateVector, (2, 2), bad)
+    else:
+        mats[k] = bad
+        want = _message(DensityMatrix, (2,), bad)
+    assert words in want
+    assert _message(_check_stack, amps, mats) == want
+
+
+def test_a_row_whose_state_and_matrix_both_fail_raises_the_state_message():
+    amps = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]], dtype=complex)
+    mats = np.array([np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]], [[2.0, 0.0], [0.0, 0.0]]])
+    want = _message(StateVector, (2,), amps[1])
+    assert want.startswith("state is not normalized")
+    assert _message(_check_stack, amps, mats.astype(complex)) == want
+
+
+def test_reduce_equals_reduced_density_row_by_row_bit_for_bit():
+    dims = (2, 3, 2, 2)
+    stack = np.array([random_state(dims).amps for _ in range(5)])
+    for keep in ([0], [1, 3], [0, 2, 3], [3]):
+        rhos = _reduce(dims, stack, keep)
+        for amps, rho in zip(stack, rhos):
+            want = reduced_density(StateVector(dims, amps), keep).mat
+            assert np.array_equal(rho.view(float), want.view(float))
 
 
 # ---------------------------------------------------------------- purity

@@ -26,19 +26,22 @@ loads the config, resolves the seed, creates ``--out`` and hands the runner an
 ``_Output``, which alone decides where an artifact goes, what provenance is
 stamped on it and whether progress lines are printed (``--quiet``).  A runner
 writes each config section through ``out`` in a fixed order as soon as that
-section is computed, rather than returning its tables, so a section that
-fails leaves the files of the sections before it.  ``spin-bath`` starts one
+section is computed, rather than returning its tables.  A run that exits 2
+has ``out`` remove the files it wrote and the ``--out`` it created
+(``_Output.discard``), so a section that fails leaves ``--out`` as the run
+found it; exits 0 and 1 keep every file.  ``spin-bath`` starts one
 process pool per run (``_pmap``) and submits every ``scaling`` and
 ``gaussian_fit`` task up front; while the workers run, the parent evaluates
 and writes ``trace.csv`` (10^5 rows in the benchmark) one ``_ROW_SLICE``
 of r(t) at a time, never holding the whole grid's r(t) or its rows as
-Python floats.  Each Gaussian fit evaluates r(t) only up to its window
-(``_fit_task``).  Every section that holds a time grid (``trace``,
+Python floats.  Every section that holds a time grid (``trace``,
 ``scaling``, ``gaussian_fit``, and ``pointer``'s ``correlation`` and
 ``sieve``) has it walked by ``spin_bath._slices``, which alone picks the
-evaluator: ``trace`` directly, slice by slice, which checks the whole grid
-before ``trace.csv`` is opened; ``scaling`` through
-``spin_bath.time_averaged_r2``, slice by slice too; the rest through
+evaluator and checks the whole grid before the first slice: ``trace``
+directly, slice by slice, so a bad grid is rejected before ``trace.csv``
+is opened; ``scaling`` through ``spin_bath.time_averaged_r2``, slice by
+slice too; ``gaussian_fit`` through ``spin_bath._fit_on_grid``, which walks
+only up to the fit window; the rest through
 ``spin_bath.decoherence_on_grid``, the walk's one-slice case.
 ``recurrence`` hands its horizon to ``spin_bath.recurrence_scan``, which
 walks its grid a chunk at a time without building it.  All these grids
@@ -563,11 +566,14 @@ class _Output:
 
     Creates ``out_dir``; every file is named relative to it and carries the
     run's provenance block.  ``out_dir`` None (``check`` without ``--out``)
-    writes nothing.  The writers are looked up as module globals on each
-    call, so the benchmark's tracer can count what they write.
+    writes nothing.  ``made`` lists what the run created, ``out_dir`` first
+    if it was missing, then each file that was not there before, so that
+    ``discard`` can remove them.  The writers are looked up as module globals
+    on each call, so the benchmark's tracer can count what they write.
     """
 
     def __init__(self, out_dir, experiment: str, config: dict, seed: int, quiet: bool):
+        self.made = [] if out_dir is None or os.path.lexists(out_dir) else [out_dir]
         if out_dir is not None:
             try:
                 os.makedirs(out_dir, exist_ok=True)
@@ -589,10 +595,19 @@ class _Output:
         created is."""
         if self.out_dir is not None:
             path = os.path.join(self.out_dir, name)
+            if not os.path.lexists(path):
+                self.made.append(path)
             try:
                 writer(path, *content, self.prov, self.quiet)
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+    def discard(self) -> None:
+        """Remove what ``made`` lists, the files before ``out_dir``; what
+        was there before the run stays."""
+        for path in reversed(self.made):
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(path) else os.remove)(path)
 
     def say(self, line: str) -> None:
         """Print a progress or summary line unless ``--quiet``."""
@@ -743,40 +758,14 @@ def _scaling_task(payload):
     return n, mean
 
 
-def _fit_prefix(samples: int) -> int:
-    """Samples of the fit grid evaluated first: the first multiple of 64 past t = 2/Gamma0.
-
-    The grid runs to 5/Gamma0, so t = 2/Gamma0 is sample 2 (samples - 1) / 5.
-    cos^2 x <= exp(-x^2) for |x| <= pi/2, so |r|^2 < e^-4 by then whenever
-    4 max g <= (pi/2) Gamma0, and the fit window ends inside the prefix.  The
-    prefix is whole anchor blocks of the angle-addition evaluator that
-    ``spin_bath.decoherence_on_grid`` picks for a prefix of a linspace grid,
-    and it computes each of those samples exactly as on the full grid.
-    """
-    needed = -(-2 * (samples - 1) // 5) + 1
-    block = spin_bath._GRID_BLOCK
-    return min(samples, -(-needed // block) * block)
-
-
 def _fit_task(payload):
-    """Gaussian-decay fit of one balanced bath on ``samples`` points up to 5/Gamma0.
-
-    r(t) is evaluated only on the grid's first ``_fit_prefix`` samples, which
-    hold the fit window whenever the bound in ``_fit_prefix`` applies; if the
-    prefix has no fit window (``spin_bath.FitWindowError``) the whole grid
-    is evaluated.  ``decoherence_trace`` hands either to
-    ``spin_bath.decoherence_on_grid``, which finds both uniform, so either
-    way the fit is the one of the whole grid, bit for bit.
-    """
+    """Gaussian-decay fit of one balanced bath on ``samples`` points up to
+    5/Gamma0, Gamma0^2 = 4 sum g^2; ``spin_bath._fit_on_grid`` evaluates r(t)
+    only up to the fit window."""
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
     gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
-    t_grid = np.linspace(0.0, 5.0 / gamma0, samples)
-    try:
-        trace = spin_bath.decoherence_trace(cfg, t_grid[: _fit_prefix(samples)])
-        fit = spin_bath.fit_gaussian_decay(trace)
-    except spin_bath.FitWindowError:
-        fit = spin_bath.fit_gaussian_decay(spin_bath.decoherence_trace(cfg, t_grid))
+    fit = spin_bath._fit_on_grid(cfg, np.linspace(0.0, 5.0 / gamma0, samples))
     return fit.gamma, fit.r_squared, fit.t_max
 
 
@@ -861,9 +850,7 @@ def _load_kraus(path) -> measurement.KrausSet:
         with open(path, "r", encoding="utf-8") as fh:
             kset = measurement.KrausSet.from_dict(
                 json.load(fh, parse_float=finite, parse_constant=finite))
-    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
-            ValueError) as exc:
-        # TypeError: a field of the wrong JSON type, such as a number for "shape"
+    except (OSError, json.JSONDecodeError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot load Kraus set: {exc}") from exc
     if kset.dim_in not in (2, 4):
         raise ConfigError(
@@ -1344,6 +1331,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     runner = _RUNNERS[args.subcommand]
     check = args.subcommand == "check"
+    out = None
     try:
         max_workers = os.cpu_count() or 1
         if args.workers < 1:
@@ -1365,6 +1353,8 @@ def main(argv=None) -> int:
         # a value from the config that the library rejects (including
         # DimensionCapError and TruncationError) is a config error too
         print(f"decolab: {exc}", file=sys.stderr)
+        if out is not None:  # exit 2 leaves --out as the run found it
+            out.discard()
         return 2
 
 

@@ -32,6 +32,11 @@ class ImpossibleOutcomeError(ValueError):
     """Selective update requested for an outcome of (numerically) zero weight."""
 
 
+def _is_number(x) -> bool:
+    """Whether ``x`` is a JSON number: an int or a float, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class KrausSet:
     """A finite family of measurement operators M_i.
 
@@ -135,24 +140,38 @@ class KrausSet:
     def from_dict(cls, data: dict, completeness_tol="stored") -> "KrausSet":
         """Inverse of :meth:`to_dict`.
 
-        ``completeness_tol`` defaults to the stored value; pass a float or
-        None to override.  ``labels`` is missing, null, or an array of
-        strings and numbers (not booleans).
+        ``completeness_tol`` defaults to the stored value, which is missing,
+        null or a number; pass a float or None to override.  ``shape`` is two
+        integers of at least 1, ``operators`` an array of operators, each an
+        array of ``[re, im]`` pairs of numbers, and ``labels`` is missing,
+        null, or an array of strings and numbers.  A boolean is never a
+        number, and anything else raises ``ValueError`` naming the field.
         """
         if not isinstance(data, dict):
             raise ValueError(f"a Kraus set is a JSON object, got {type(data).__name__}")
         labels = data.get("labels")
         if labels is not None and not (isinstance(labels, list) and all(
-                isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in labels)):
+                isinstance(x, str) or _is_number(x) for x in labels)):
             raise ValueError("labels must be an array of strings and numbers")
-        rows, cols = (int(x) for x in data["shape"])
+        shape, flats = data.get("shape"), data.get("operators")
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(_is_number(x) and x % 1 == 0 and x >= 1 for x in shape)):
+            raise ValueError("shape must be an array of two integers of at least 1")
+        if not isinstance(flats, list):
+            raise ValueError("operators must be an array")
+        rows, cols = (int(x) for x in shape)
         ops = []
-        for flat in data["operators"]:
+        for flat in flats:
+            if not (isinstance(flat, list) and all(
+                    isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in flat)):
+                raise ValueError("operators must be arrays of [re, im] pairs of numbers")
             arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
             if arr.size != rows * cols:
                 raise ValueError("operator entry count does not match shape")
             ops.append(arr.reshape(rows, cols))
         tol = data.get("completeness_tol", 1e-10) if completeness_tol == "stored" else completeness_tol
+        if tol is not None and not _is_number(tol):
+            raise ValueError("completeness_tol must be a number or null")
         return cls(ops, labels=labels, completeness_tol=tol)
 
 
@@ -239,6 +258,14 @@ def outcome_distribution(state: StateVector, basis: BasisSpec) -> np.ndarray:
     return probs
 
 
+def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcomes that uniforms ``u`` in [0, 1) pick by inverse CDF over the
+    cumulative Born weights ``cum``; rounding that reaches past the last
+    weight picks the last outcome."""
+    draws = np.searchsorted(cum, u * cum[-1], side="right")
+    return np.minimum(draws, cum.size - 1, out=draws)
+
+
 def collapse_sample(state: StateVector, basis: BasisSpec, rng_seed) -> MeasurementRecord:
     """Sample one projective outcome and collapse.
 
@@ -250,10 +277,7 @@ def collapse_sample(state: StateVector, basis: BasisSpec, rng_seed) -> Measureme
     same outcome.  Only the drawn outcome's branch is built.
     """
     probs, coeff = _lifted_weights(state, basis)
-    rng = np.random.default_rng(rng_seed)
-    cum = np.cumsum(probs)
-    i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    i = min(i, len(probs) - 1)
+    i = int(_draw(np.cumsum(probs), np.random.default_rng(rng_seed).random(1))[0])
     p = float(probs[i])
     if p <= _IMPOSSIBLE_P:
         # The sampled register can only land here through degenerate weights;
@@ -281,9 +305,7 @@ def sample_outcomes(state: StateVector, basis: BasisSpec, n_shots: int, rng_seed
     n_shots = int(n_shots)
     counts = np.zeros(len(probs), dtype=np.int64)
     for start in range(0, n_shots, _SHOT_BLOCK):
-        u = rng.random(min(_SHOT_BLOCK, n_shots - start))
-        draws = np.searchsorted(cum, u * cum[-1], side="right")
-        np.minimum(draws, len(probs) - 1, out=draws)
+        draws = _draw(cum, rng.random(min(_SHOT_BLOCK, n_shots - start)))
         counts += np.bincount(draws, minlength=len(probs))
     return counts
 

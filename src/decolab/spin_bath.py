@@ -17,17 +17,20 @@ walker (``_slices``), which alone picks the evaluator and checks the whole
 grid before the first slice: ``decoherence_on_grid`` (and through it
 ``decoherence_trace`` and the pointer diagnostics) is its one-slice case,
 while ``time_averaged_r2``, ``recurrence_scan`` and the CLI's trace writer
-hold one slice of r(t) at a time.  Every uniform grid t_j = j h
-(``np.linspace(0, t_max, samples)`` or a prefix of one, and
-``recurrence_scan``'s grid, which is never built) goes to one builder,
+hold one slice of r(t) at a time, and the CLI's Gaussian fits
+(``_fit_on_grid``) walk a grid only until the fit window closes.  Every
+uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of
+one, and ``recurrence_scan``'s grid, which is never built) goes to one builder,
 ``_on_uniform``: the anchors are every 64th sample and the offsets the 64
 steps of a block, recombined by angle addition, so a spin costs
 2 (64 + T/64) cosines and sines instead of T; the work is still O(T*N), now
-in multiplications.  Any other grid takes the zero-offset case.  The kernel
-rejects a time whose phase 2 g t overflows (cos and sin of inf are NaN); a
-finite phase past 2^53 rad is kept, though float spacing there exceeds
-2 pi.  Around it sit the branch states of the environment, long-time
-averages, Gaussian-decay fits, and a recurrence scanner.
+in multiplications.  Any other grid takes the zero-offset case.  A time
+whose phase 2 g t overflows (cos and sin of inf are NaN) is rejected once
+for all the times of a call (``_check_phase``), by ``decoherence_factor``
+or by the slice walker, before the kernel runs; a finite phase past
+2^53 rad is kept, though float spacing there exceeds 2 pi.  Around it sit
+the branch states of the environment, long-time averages, Gaussian-decay
+fits, and a recurrence scanner.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ def decoherence_factor(cfg: SpinBathConfig, t):
     complex or complex ndarray of t's shape; |r| <= 1 always, r(0) = 1.
     """
     t_arr = _finite("t", t)
-    r = _product(cfg, t_arr.reshape(-1), np.zeros(1), "t").reshape(t_arr.shape)
+    _check_phase(cfg, (t_arr,), "t")
+    r = _product(cfg, t_arr.reshape(-1), np.zeros(1)).reshape(t_arr.shape)
     return complex(r) if t_arr.ndim == 0 else r
 
 
@@ -190,8 +194,7 @@ def _check_phase(cfg: SpinBathConfig, times, name: str) -> None:
         raise ValueError(f"{name}: the phase 2 g t overflows at |t| = {t_max:g}, max g {g_max:g}")
 
 
-def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
-             name: str) -> np.ndarray:
+def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray) -> np.ndarray:
     """r at t_anchor[m] + t_offset[i], as an (anchors, offsets) array.
 
     The package's one r(t) kernel.  Spin k's phase at a sample is the anchor
@@ -203,10 +206,9 @@ def _product(cfg: SpinBathConfig, t_anchor: np.ndarray, t_offset: np.ndarray,
     complex accumulator, a tile of spins x anchors x offsets at a time, each
     multiplied in in spin order, so every sample depends on its anchor, its
     offset and the bath alone.  The tile buffers are sized to the call, at
-    most ``_GRID_ENTRIES`` entries.  ``name`` is the caller's time argument,
-    which a phase overflow is reported against.
+    most ``_GRID_ENTRIES`` entries.  Its callers check the phases first
+    (``_check_phase``), once for the whole of their times.
     """
-    _check_phase(cfg, (t_anchor, t_offset), name)
     rows, width = t_anchor.size, t_offset.size
     # |alpha_k|^2 - |beta_k|^2: 0 for a spin in an even superposition
     weight = np.abs(cfg.alpha) ** 2 - np.abs(cfg.beta) ** 2
@@ -291,8 +293,7 @@ def _grid_step(t_grid: np.ndarray) -> float | None:
     return step
 
 
-def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int,
-                name: str) -> np.ndarray:
+def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int) -> np.ndarray:
     """r at t_j = j * step for j in [start, start + count), ``start`` a multiple of 64.
 
     The package's one uniform-grid evaluator: sample j = 64 m + i is the
@@ -300,10 +301,9 @@ def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int,
     spin costs 2 (64 + count / 64) cosines and sines where the zero-offset
     case takes count (2 count for an uneven spin).  Every sample depends on
     j, h and the bath alone, so a slice of a grid, a prefix or a later chunk,
-    is bit for bit that part of the whole grid.  ``name`` is the caller's
-    time argument, which a phase overflow is reported against.
+    is bit for bit that part of the whole grid.
     """
-    return _product(cfg, *_uniform_times(step, start, count), name).reshape(-1)[:count]
+    return _product(cfg, *_uniform_times(step, start, count)).reshape(-1)[:count]
 
 
 def _uniform_times(step: float, start: int, count: int):
@@ -346,14 +346,14 @@ def _slices(cfg: SpinBathConfig, grid, size: int | None, name: str, step: float 
         _check_phase(cfg, (grid,), name)
 
         def evaluate(lo):
-            return _product(cfg, grid[lo : lo + size], np.zeros(1), name).reshape(-1)
+            return _product(cfg, grid[lo : lo + size], np.zeros(1)).reshape(-1)
     else:
         # the last slice holds the grid's largest anchor and offset
         last = (count - 1) // size * size
         _check_phase(cfg, _uniform_times(step, last, count - last), name)
 
         def evaluate(lo):
-            return _on_uniform(cfg, step, lo, min(size, count - lo), name)
+            return _on_uniform(cfg, step, lo, min(size, count - lo))
     # a fresh pair per slice, so nothing here keeps a slice alive while the
     # next one is evaluated
     return ((lo, evaluate(lo)) for lo in range(0, count, size))
@@ -536,6 +536,30 @@ def fit_gaussian_decay(trace: DecoherenceTrace) -> GaussianFit:
     else:
         r_sq = 1.0 - ss_res / ss_tot
     return GaussianFit(gamma, min(max(r_sq, 0.0), 1.0), float(t_win[-1]))
+
+
+def _fit_on_grid(cfg: SpinBathConfig, t_grid: np.ndarray) -> GaussianFit:
+    """``fit_gaussian_decay`` of r(t) on a 1-D time grid, walked only up to its window.
+
+    ``_slices`` walks the grid, and the walk stops after the first slice that
+    holds a sample with |r|^2 < ``_FIT_FLOOR``, which ends the fit window;
+    the samples walked so far are fitted.  Every slice but the last is of the
+    first slice's size, the first multiple of ``_GRID_BLOCK`` samples past
+    t = 2/Gamma0 (Gamma0^2 = 4 sum g_k^2), where the Gaussian
+    exp(-Gamma0^2 t^2) reaches ``_FIT_FLOOR``: a guess at the window that
+    costs a slice more where it falls short, not a bound.  A slice is bit
+    for bit that part of the whole grid, so the fit is the whole grid's.
+    Raises ``FitWindowError`` if |r|^2 never drops below the floor.
+    """
+    # t * sqrt(sum g^2) >= 1 is t >= 2/Gamma0, without dividing by a zero Gamma0
+    reach = int(np.searchsorted(t_grid * math.sqrt(float(np.dot(cfg.g, cfg.g))), 1.0)) + 1
+    r = np.empty(t_grid.size, dtype=complex)
+    for lo, part in _slices(cfg, t_grid, -(-reach // _GRID_BLOCK) * _GRID_BLOCK, "t_grid"):
+        end = lo + part.size
+        r[lo:end] = part
+        if np.any(np.abs(part) ** 2 < _FIT_FLOOR):
+            break
+    return fit_gaussian_decay(DecoherenceTrace(t_grid[:end], r[:end]))
 
 
 def _scan_step(g_max: float, g_sq: float, eps: float) -> float:

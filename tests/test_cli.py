@@ -108,13 +108,16 @@ def test_every_subcommand_has_a_schema():
 
 
 def _usage_error(capsys, args, expected=""):
-    """Run ``main`` in process: exit 2, one stderr line that holds ``expected``;
-    returns the line."""
+    """Run ``main`` in process: exit 2, one stderr line that holds ``expected``,
+    and no ``--out`` left behind if the run had to create it; returns the line."""
+    out = Path(args[args.index("--out") + 1]) if "--out" in args else None
+    missing = out is not None and not os.path.lexists(out)
     code = main(args)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("decolab: ") and err.count("\n") == 1, err
     assert expected in err, err
+    assert not (missing and os.path.lexists(out)), sorted(os.listdir(out))
     return err
 
 
@@ -133,6 +136,9 @@ def test_artifact_that_cannot_be_written_is_usage_error(tmp_path, capsys, artifa
     (out / artifact).mkdir(parents=True)  # a directory where the file should go
     args = ["measure", "--config", cfg, "--out", str(out), "--quiet"]
     _usage_error(capsys, args, f"cannot write {out / artifact}: ")
+    # outcomes.csv, written before premeasured_state.json failed, is removed;
+    # the directory that was there before the run stays
+    assert [p.name for p in out.iterdir()] == [artifact]
 
 
 def test_config_nested_past_the_parser_is_not_valid_json(tmp_path, capsys):
@@ -150,7 +156,15 @@ def test_config_nested_past_the_parser_is_not_valid_json(tmp_path, capsys):
     '{"shape": [1, 1], "operators": [[1.0, 0.0]]}',    # entries that are not pairs
     '{"shape": [2, 2], "labels": "ud", "operators": '  # a string for the labels
     '[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]}',
-], ids=["list", "deep", "number-shape", "unpaired-entries", "string-labels"])
+    '{"shape": [2, 2], "completeness_tol": true, "operators": '  # true, not 1.0
+    '[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}',
+    '{"shape": [true, 2], "operators": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',  # true, not 1
+    '{"shape": [2, 2], "operators": [[[true, 0], [0, 0], [0, 0], [0, 0]], '
+    '[[0, 0], [0, 0], [0, 0], [1, 0]]]}',
+    '{"operators": [[[1, 0]]]}',
+    '{"shape": [1, 1]}',
+], ids=["list", "deep", "number-shape", "unpaired-entries", "string-labels", "boolean-tolerance",
+        "boolean-shape", "boolean-entry", "no-shape", "no-operators"])
 def test_malformed_kraus_file_is_usage_error(tmp_path, capsys, kraus):
     (tmp_path / "k.json").write_text(kraus, encoding="utf-8")
     config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
@@ -182,7 +196,7 @@ def test_time_whose_phase_overflows_is_usage_error(tmp_path, capsys, experiment,
     out = tmp_path / "o"
     args = [experiment, "--config", cfg, "--out", str(out), "--workers", "1"]
     _usage_error(capsys, args, "phase 2 g t overflows")
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, body, name", [
@@ -333,9 +347,7 @@ def test_spin_bath_starts_one_pool_for_all_its_sections(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=FORKED_POOL)])
-def test_failing_fit_task_leaves_earlier_sections_and_no_workers(
-    tmp_path, monkeypatch, capsys, workers
-):
+def test_failing_fit_task_leaves_no_files_and_no_workers(tmp_path, monkeypatch, capsys, workers):
     def no_window(payload):
         raise FitWindowError("trace never decays below e^-4; no Gaussian fit window exists")
 
@@ -348,7 +360,9 @@ def test_failing_fit_task_leaves_earlier_sections_and_no_workers(
     assert capsys.readouterr().err == (
         "decolab: trace never decays below e^-4; no Gaussian fit window exists\n"
     )
-    assert sorted(p.name for p in out.iterdir()) == ["scaling.csv", "trace.csv"]
+    # trace.csv and scaling.csv were written before the fits failed; exit 2
+    # removes them and the --out the run created
+    assert not out.exists()
     assert len(starts) == (workers == "2")
     assert multiprocessing.active_children() == []
 
@@ -371,46 +385,64 @@ def _full_grid_fit(n, samples, child):
     return bath, t_grid, (fit.gamma, fit.r_squared, fit.t_max)
 
 
+def _spy_fit_slices(monkeypatch, size=0):
+    """Record (slice size, start, r) of every slice the fit walk draws from
+    ``spin_bath._slices``; with ``size`` the walk takes slices of that size
+    (None: the whole grid in one slice) instead of its own."""
+    drawn = []
+    real = cli.spin_bath._slices
+
+    def spy(cfg, grid, own, name, step=None):
+        taken = own if size == 0 else size
+        for lo, r in real(cfg, grid, taken, name, step):
+            drawn.append((taken, lo, r))
+            yield lo, r
+
+    monkeypatch.setattr(cli.spin_bath, "_slices", spy)
+    return drawn
+
+
 @pytest.mark.parametrize("samples", [50, 1200, 2000])
 @pytest.mark.parametrize("n", [2, 8, 50, 200])
-def test_fit_prefix_matches_the_full_grid_bit_for_bit(n, samples):
-    prefix = cli._fit_prefix(samples)
-    assert prefix == samples or prefix % 64 == 0
+def test_fit_walk_matches_the_full_grid_bit_for_bit(monkeypatch, n, samples):
+    drawn = _spy_fit_slices(monkeypatch)
     for seed in range(6):
         child = np.random.SeedSequence([seed, n, samples])
         bath, t_grid, want = _full_grid_fit(n, samples, child)
         full = cli.spin_bath.decoherence_on_grid(bath, t_grid)
-        head = cli.spin_bath.decoherence_on_grid(bath, t_grid[:prefix])
-        assert head.tobytes() == full[:prefix].tobytes()
+        drawn.clear()
         assert cli._fit_task((n, samples, child)) == want
+        walked = np.concatenate([r for _, _, r in drawn])
+        assert walked.tobytes() == full[: walked.size].tobytes()
+        assert all(size % 64 == 0 for size, _, _ in drawn)
 
 
-def test_fit_prefix_ends_past_two_over_gamma0():
+def test_fit_walk_first_slice_ends_past_two_over_gamma0(monkeypatch):
+    # the first multiple of 64 samples past t = 2/Gamma0, sample 2 (samples - 1) / 5
+    drawn = _spy_fit_slices(monkeypatch)
     for samples in range(50, 5000, 7):
-        prefix = cli._fit_prefix(samples)
-        assert prefix == samples or (prefix - 1) * 5 >= 2 * (samples - 1)
-        assert prefix == samples or prefix - 64 < 2 * (samples - 1) / 5 + 1
+        drawn.clear()
+        cli._fit_task((8, samples, np.random.SeedSequence(samples)))
+        size = drawn[0][0]
+        assert size % 64 == 0
+        assert size >= samples or (size - 1) * 5 >= 2 * (samples - 1)
+        assert size - 64 < 2 * (samples - 1) / 5 + 1
+    # the benchmark's fits: one slice of 832 samples holds the window
+    drawn.clear()
+    cli._fit_task((200, 2000, np.random.SeedSequence(8)))
+    assert [(size, lo) for size, lo, _ in drawn] == [(832, 0)]
 
 
-def test_fit_prefix_too_short_falls_back_to_the_full_grid(monkeypatch):
+def test_fit_walk_with_short_slices_walks_on_to_the_window(monkeypatch):
     n, samples, child = 200, 2000, np.random.SeedSequence(8)
-    _, _, want = _full_grid_fit(n, samples, child)
-    lengths = []
-    real = cli.spin_bath.decoherence_trace
-
-    def spy(bath, t_grid):
-        lengths.append(len(t_grid))
-        return real(bath, t_grid)
-
-    monkeypatch.setattr(cli.spin_bath, "decoherence_trace", spy)
-    monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
+    bath, t_grid, want = _full_grid_fit(n, samples, child)
+    below = np.abs(cli.spin_bath.decoherence_on_grid(bath, t_grid)) ** 2 < np.exp(-4.0)
+    end = int(np.argmax(below))  # the first sample past the window
+    drawn = _spy_fit_slices(monkeypatch, size=64)
     assert cli._fit_task((n, samples, child)) == want
-    assert lengths == [64, samples]
-    lengths.clear()
-    monkeypatch.undo()
-    monkeypatch.setattr(cli.spin_bath, "decoherence_trace", spy)
-    assert cli._fit_task((n, samples, child)) == want
-    assert lengths == [cli._fit_prefix(samples)]
+    # every slice up to the one that holds the window's end, and no more
+    assert [lo for _, lo, _ in drawn] == list(range(0, end // 64 * 64 + 1, 64))
+    assert len(drawn) > 1
 
 
 def test_fit_task_on_a_trace_that_never_decays_raises(monkeypatch):
@@ -419,8 +451,10 @@ def test_fit_task_on_a_trace_that_never_decays_raises(monkeypatch):
         return SpinBathConfig(0.6, 0.8, np.linspace(0.2, 1.0, n), np.ones(n), np.zeros(n))
 
     monkeypatch.setattr(cli, "_bath_from", eigenstate_bath)
+    drawn = _spy_fit_slices(monkeypatch)
     with pytest.raises(FitWindowError):
         cli._fit_task((8, 1200, np.random.SeedSequence(1)))
+    assert sum(r.size for _, _, r in drawn) == 1200
 
 
 # ------------------------------------------------------------ measure output
@@ -582,7 +616,7 @@ def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
         "decolab: spin-bath sections 'trace', 'scaling' run at once and together "
         "exceed the 2 GiB memory budget\n"
     )
-    assert os.listdir(tmp_path / "o") == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypatch, capsys):
@@ -725,7 +759,7 @@ def test_oversized_pointer_is_rejected_before_allocation(tmp_path, monkeypatch, 
     cfg = write_config(tmp_path / "c.json", dict(POINTER_CFG, **{section: body}))
     _usage_error(capsys, ["pointer", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"],
                  f"section '{section}' exceeds the 2 GiB memory budget")
-    assert not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("n_spins", [14, 200])
@@ -784,9 +818,8 @@ def test_every_grid_section_evaluates_r_through_the_grid_entry(tmp_path, monkeyp
     cfg = write_config(tmp_path / "spin.json", spin)
     argv = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "s"), "--workers", "1", "--quiet"]
     assert main(argv) == 0
-    # trace, then each scaling task, then each fit on its prefix of the grid
-    prefix = cli._fit_prefix(400)
-    assert [t.size for _, t in calls] == [101, 300, 300, prefix, prefix]
+    # trace, then each scaling task, then each fit's grid, walked up to its window
+    assert [t.size for _, t in calls] == [101, 300, 300, 400, 400]
     calls.clear()
     cfg = write_config(tmp_path / "pointer.json", POINTER_CFG)
     assert main(["pointer", "--config", cfg, "--out", str(tmp_path / "p"), "--quiet"]) == 0
@@ -1015,9 +1048,9 @@ ESTIMATE_ROWS = {
     "scaling": _row("scaling", lambda s: {"experiment": "spin-bath", "scaling": {
         "n_values": [s[0]], "span_periods": 400.0, "samples": s[1]}},
         [(2, 100), (14, 20001), (14, 200001)]),
-    "fit-prefix": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
-    # a prefix that never reaches the window: the whole grid follows it
-    "fit-fallback": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
+    "fit": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
+    # the most a fit walk holds: the whole grid walked, here in one slice
+    "fit-whole-grid": _row("gaussian_fit", _fit, [(8, 200), (200, 2000), (200, 20000)]),
     # 15000: past one chunk of the scan
     "recurrence": _row("recurrence", _recurrence, [10.0, 100.0, 2000.0, 10000.0, 15000.0]),
     # the bath alone, held as pointer's environment
@@ -1072,8 +1105,8 @@ ESTIMATE_ROWS = {
 ])
 def test_estimate_covers_the_traced_peak(tmp_path, monkeypatch, row, size):
     estimate, workload, _ = ESTIMATE_ROWS[row]
-    if row == "fit-fallback":
-        monkeypatch.setattr(cli, "_fit_prefix", lambda samples: 64)
+    if row == "fit-whole-grid":
+        _spy_fit_slices(monkeypatch, size=None)
     out = cli._Output(str(tmp_path), "x", {}, 0, quiet=True)
     workload(size, out)  # the peak of a warm run: no first-call caches
     assert estimate(size) >= traced_peak(workload, size, out)
@@ -1274,11 +1307,6 @@ def test_check_subcommand_passes_in_process(tmp_path, capsys):
 # ------------------------------------------------- config errors before work
 
 
-def _no_files(out):
-    """True when a failed run left nothing in ``--out`` (it may be an empty directory)."""
-    return not out.exists() or not any(out.iterdir())
-
-
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
     tmp_path, monkeypatch, capsys, workers
@@ -1296,7 +1324,7 @@ def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
     out = tmp_path / "o"
     args = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers]
     _usage_error(capsys, args, "recurrence needs either 'couplings' or 'n_spins'")
-    assert _no_files(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kraus, expected", [
@@ -1322,7 +1350,7 @@ def test_bad_kraus_file_fails_before_sampling_or_writing(
     cfg = write_config(tmp_path / "c.json", config)
     out = tmp_path / "o"
     _usage_error(capsys, ["measure", "--config", cfg, "--out", str(out)], expected)
-    assert _no_files(out)
+    assert not out.exists()
 
 
 def _crashing_check():

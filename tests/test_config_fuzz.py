@@ -129,6 +129,7 @@ def test_extreme_config_exits_cleanly(tmp_path, monkeypatch, capsys, config):
     assert code in (0, 1, 2), err
     if code == 2:
         assert err.startswith("decolab: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()  # exit 2 leaves no --out behind
     elif code == 0:
         assert err == ""
         for artifact in sorted((tmp_path / "o").iterdir()):

@@ -440,6 +440,16 @@ def one_shot_counts(state, basis, n_shots, seed):
     return np.bincount(draws, minlength=len(probs))
 
 
+def test_collapse_sample_draws_the_outcome_of_a_one_shot_sample():
+    # one inverse-CDF draw serves both: the first uniform of the same stream
+    joint = StateVector((2, 2), random_state(4).amps)
+    for state, basis in ((random_state(4), BasisSpec(0, np.eye(4))),
+                         (joint, BasisSpec(1, np.eye(2)))):
+        for seed in range(200):
+            counts = sample_outcomes(state, basis, 1, seed)
+            assert counts[collapse_sample(state, basis, seed).outcome] == 1
+
+
 def test_sample_outcomes_in_blocks_match_one_shot_draw():
     state = random_state(4)
     basis = BasisSpec(0, np.eye(4))
@@ -476,6 +486,53 @@ def test_kraus_from_dict_rejects_labels_that_are_not_an_array_of_strings_and_num
 ], ids=["missing", "null", "string-and-int", "float-and-string"])
 def test_kraus_from_dict_takes_missing_null_or_an_array_of_strings_and_numbers(fields, labels):
     assert KrausSet.from_dict(_kraus_data(**fields)).labels == labels
+
+
+@pytest.mark.parametrize("fields, field", [
+    ({"completeness_tol": True}, "completeness_tol"),
+    ({"completeness_tol": "1e-3"}, "completeness_tol"),
+    ({"completeness_tol": [1e-3]}, "completeness_tol"),
+    # complete 1 x 2 operators: a 1 where true stood would load
+    ({"shape": [True, 2], "operators": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "shape"),
+    ({"shape": [2, 2.5]}, "shape"),
+    ({"shape": [0, 2]}, "shape"),
+    ({"shape": [2]}, "shape"),
+    ({"shape": 2}, "shape"),
+    ({"shape": None}, "shape"),
+    ({"operators": None}, "operators"),
+    ({"operators": 3}, "operators"),
+    ({"operators": [[[True, 0.0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]},
+     "operators"),
+    ({"operators": [[["1", 0.0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]},
+     "operators"),
+    ({"operators": [[[1.0, 0.0, 0.0], [0, 0], [0, 0], [0, 0]]]}, "operators"),
+    ({"operators": [3]}, "operators"),
+    ({"operators": [[1.0, 0.0]]}, "operators"),
+], ids=["true-tolerance", "string-tolerance", "array-tolerance", "boolean-shape",
+        "fractional-shape", "zero-shape", "short-shape", "number-shape", "null-shape",
+        "null-operators", "number-operators", "boolean-entry", "string-entry", "triple-entry",
+        "number-operator", "unpaired-entries"])
+def test_kraus_from_dict_rejects_fields_of_the_wrong_type_naming_them(fields, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        KrausSet.from_dict(_kraus_data(**fields))
+
+
+@pytest.mark.parametrize("field", ["shape", "operators"])
+def test_kraus_from_dict_names_a_missing_field(field):
+    data = _kraus_data()
+    del data[field]
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        KrausSet.from_dict(data)
+
+
+@pytest.mark.parametrize("fields, tol", [
+    ({}, 1e-10), ({"completeness_tol": None}, None), ({"completeness_tol": 0}, 0),
+    ({"completeness_tol": 1e-6}, 1e-6), ({"shape": [2.0, 2]}, 1e-10),
+], ids=["missing-tolerance", "null-tolerance", "integer-tolerance", "float-tolerance",
+        "integral-float-shape"])
+def test_kraus_from_dict_takes_numbers_and_null(fields, tol):
+    kset = KrausSet.from_dict(_kraus_data(**fields))
+    assert kset.completeness_tol == tol and kset.operators.shape == (2, 2, 2)
 
 
 def test_kraus_constructor_keeps_any_labels():

@@ -286,9 +286,9 @@ def test_grid_functions_take_the_grid_evaluator_on_uniform_grids_only(monkeypatc
     widths = []
     product = spin_bath._product
 
-    def spy(cfg, t_anchor, t_offset, name):
+    def spy(cfg, t_anchor, t_offset):
         widths.append(t_offset.size)
-        return product(cfg, t_anchor, t_offset, name)
+        return product(cfg, t_anchor, t_offset)
 
     monkeypatch.setattr(spin_bath, "_product", spy)
     cfg = _mixed_bath(9, np.random.default_rng(4))
@@ -491,9 +491,9 @@ def test_recurrence_scan_evaluates_every_chunk_by_angle_addition(monkeypatch):
     calls = []
     product = spin_bath._product
 
-    def spy(cfg, t_anchor, t_offset, name):
+    def spy(cfg, t_anchor, t_offset):
         calls.append((t_anchor.size, t_offset.size))
-        return product(cfg, t_anchor, t_offset, name)
+        return product(cfg, t_anchor, t_offset)
 
     monkeypatch.setattr(spin_bath, "decoherence_factor", refuse)
     monkeypatch.setattr(spin_bath, "_product", spy)
@@ -616,6 +616,27 @@ def test_slices_check_the_whole_grid_before_the_first_slice():
         spin_bath._slices(cfg, [], 64, "t_grid")
     with pytest.raises(ValueError, match="horizon: the phase 2 g t overflows"):
         spin_bath._slices(cfg, 3, 64, "horizon", step=1e308)
+
+
+def test_phase_is_checked_once_per_call(monkeypatch):
+    # the walker checks a grid before its first slice and decoherence_factor
+    # its own times; the kernel checks nothing again, slice by slice
+    checks = []
+    real = spin_bath._check_phase
+
+    def spy(cfg, times, name):
+        checks.append(name)
+        return real(cfg, times, name)
+
+    monkeypatch.setattr(spin_bath, "_check_phase", spy)
+    cfg = _mixed_bath(5, np.random.default_rng(8))
+    uniform = np.linspace(0.0, 40.0, 3 * spin_bath._GRID_SLICE + 5)
+    for t_grid in (uniform, np.sqrt(uniform * 40.0)):
+        time_averaged_r2(cfg, t_grid)
+        decoherence_on_grid(cfg, t_grid)
+    decoherence_factor(cfg, uniform)
+    recurrence_scan(SpinBathConfig.balanced([0.3, 0.5, 0.7, 0.9]), 15000.0, 0.01)
+    assert checks == ["t_grid"] * 4 + ["t", "horizon"]
 
 
 def _whole_grid_step(t_grid):

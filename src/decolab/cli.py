@@ -32,9 +32,10 @@ has ``out`` remove the files it wrote and the ``--out`` it created
 found it; exits 0 and 1 keep every file.  ``spin-bath`` starts one
 process pool per run (``_pmap``) and submits every ``scaling`` and
 ``gaussian_fit`` task up front; while the workers run, the parent evaluates
-and writes ``trace.csv`` (10^5 rows in the benchmark) one ``_ROW_SLICE``
-of r(t) at a time, never holding the whole grid's r(t) or its rows as
-Python floats.  Every section that holds a time grid (``trace``,
+and writes ``trace.csv`` (10^5 rows in the benchmark) one slice of r(t)
+at a time, as many rows as one ``states._BLOCK_BYTES`` block holds at
+``_TRACE_ROW_BYTES`` a row, never holding the whole grid's r(t) or its rows
+as Python floats.  Every section that holds a time grid (``trace``,
 ``scaling``, ``gaussian_fit``, and ``pointer``'s ``correlation`` and
 ``sieve``) has it walked by ``spin_bath._slices``, which alone picks the
 evaluator and checks the whole grid before the first slice: ``trace``
@@ -514,13 +515,15 @@ def _pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _finite(text: str, source: str = "config") -> float:
-    """JSON float hook: NaN, +-Infinity and overflowing literals in ``source``
-    are config errors."""
-    value = float(text)
-    if not math.isfinite(value):
+def _finite(text: str, source: str = "config", parse=float):
+    """JSON number hook, ``parse`` float or int: NaN, +-Infinity and literals
+    in ``source`` that overflow a double are config errors."""
+    if not math.isfinite(float(text)):
         raise ConfigError(f"{source} holds the non-finite number {text}")
-    return value
+    return parse(text)
+
+
+_integer = functools.partial(_finite, parse=int)  # ints stay exact: seeds reach 2^64
 
 
 def _load_config(path: str, experiment: str) -> dict:
@@ -528,7 +531,7 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"'{experiment}' needs --config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            config = json.load(fh, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -655,13 +658,10 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 _SCALING_SAMPLES = 200001
 _FIT_SAMPLES = 1200
 
-#: trace.csv rows evaluated and written at a time; only one slice of r(t)
-#: and of its rows as Python floats is held.
-_ROW_SLICE = 4096
-
 # Working-set sizes the CLI itself owns, measured with tracemalloc and
 # rounded up: per trace.csv row of the slice held as Python floats (157
-# measured, with the row's share of the arrays), per task a section hands to
+# measured, with the row's share of the arrays; a slice is as many rows as
+# one states._BLOCK_BYTES block holds), per task a section hands to
 # the pool (seed, payload, result row; an oracle-compare task also its pool
 # future, 2.4 KiB measured with a pool of 2 workers), and one section's CSV
 # file, charged to every section and once to sections that run at once:
@@ -692,10 +692,8 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     need = {}
     if "trace" in config:
         sec = config["trace"]
-        need["trace"] = (
-            spin_bath._r_bytes(sec["n_spins"], sec["samples"])
-            + min(sec["samples"], _ROW_SLICE) * _TRACE_ROW_BYTES
-        )
+        rows = min(sec["samples"], spin_bath._slice_size(_TRACE_ROW_BYTES))
+        need["trace"] = spin_bath._r_bytes(sec["n_spins"], sec["samples"]) + rows * _TRACE_ROW_BYTES
     if "scaling" in config:
         sec = config["scaling"]
         per_task = spin_bath._r_bytes(max(sec["n_values"]), sec.get("samples", _SCALING_SAMPLES))
@@ -790,7 +788,7 @@ def _write_trace(sec: dict, child, out) -> None:
     cfg = _bath_from(sec["n_spins"], sec.get("ensemble", "balanced"), child)
     t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
     # checks the whole grid before trace.csv is opened
-    slices = spin_bath._slices(cfg, t_grid, _ROW_SLICE, "t_grid")
+    slices = spin_bath._slices(cfg, t_grid, spin_bath._slice_size(_TRACE_ROW_BYTES), "t_grid")
     out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, slices))
 
 
@@ -845,11 +843,11 @@ def run_spin_bath(config, seed, workers, out) -> int:
 
 def _load_kraus(path) -> measurement.KrausSet:
     """The Kraus set in ``path``; its input must be the system (2) or the joint state (4)."""
-    finite = functools.partial(_finite, source="Kraus file")
+    finite, integer = (functools.partial(hook, source="Kraus file") for hook in (_finite, _integer))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             kset = measurement.KrausSet.from_dict(
-                json.load(fh, parse_float=finite, parse_constant=finite))
+                json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite))
     except (OSError, json.JSONDecodeError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot load Kraus set: {exc}") from exc
     if kset.dim_in not in (2, 4):

@@ -4,7 +4,9 @@ A FockSpace carries the dense ladder/number/quadrature matrices on levels
 0..n_max (m = omega = 1 scalings: x = (a + a^dag)/sqrt(2)).  On top of it:
 exact photon-counting measurement operators |0><n|, a coherent-outcome
 family discretized on a quadrature grid in the complex-amplitude plane, and
-an Ehrenfest-relation residual check for harmonic dynamics.
+an Ehrenfest-relation residual check for harmonic dynamics.  The
+coherent-POVM completeness audit and the Ehrenfest evolution walk their
+rows and times one ``states._BLOCK_BYTES`` block at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle
+from . import oracle, states
 from .measurement import KrausSet
 from .states import StateVector, _check_density_dim, _finite, _frozen, _positive, _square
 
@@ -22,10 +24,6 @@ _SUPPORT_TOL = 1e-6
 
 #: Radial and angular node count of :func:`default_coherent_grid`.
 DEFAULT_DENSITY = 64
-
-# Bytes of the scaled columns of the amplitude table that one block of
-# coherent_completeness_deviation holds.
-_AUDIT_BLOCK_BYTES = 1 << 18
 
 
 class TruncationError(ValueError):
@@ -233,12 +231,12 @@ def _effect_sum_blocks(bra: np.ndarray, weight: np.ndarray):
     """The conjugate effect sum (conj(B) diag(weight))^T B in blocks of its rows.
 
     Yields (lo, rows lo: of the sum) over equal blocks of at least 2 rows
-    (``oracle._row_blocks``).  A block scales and conjugates only its
-    columns of B, at most ``_AUDIT_BLOCK_BYTES`` of them, so B is the one
-    K x d table, and each block is its rows of the whole product bit for bit.
+    (``states._row_blocks``).  A block scales and conjugates only its
+    columns of B, 16 K bytes a row, at most one ``states._BLOCK_BYTES``
+    block of them, so B is the one K x d table, and each block is its rows
+    of the whole product bit for bit.
     """
-    count, dim = bra.shape
-    bounds = oracle._row_blocks(dim, _AUDIT_BLOCK_BYTES // (16 * count))
+    bounds = states._row_blocks(bra.shape[1], states._block_items(16 * len(bra)))
     for lo, hi in zip(bounds, bounds[1:]):
         scaled = bra[:, lo:hi] * weight[:, None]
         np.conjugate(scaled, out=scaled)
@@ -257,8 +255,9 @@ def coherent_completeness_deviation(space: FockSpace, grid: CoherentGrid | None 
     O(K n_max^2) memory and O(K n_max^3) flops.  The sum is formed as its
     conjugate (conj(B) diag(dA/pi))^T B in blocks of its rows
     (``_effect_sum_blocks``), so B is the one K x (n_max+1) table and a
-    block's scaled columns of it stay within ``_AUDIT_BLOCK_BYTES``; each
-    block is reduced to its largest deviation before the next is formed.
+    block's scaled columns of it stay within one ``states._BLOCK_BYTES``
+    block; each block is reduced to its largest deviation before the next
+    is formed.
     Every block is its rows of the whole product bit for bit, conjugation
     commutes with every rounded product and sum, and |conj(z) - 1| = |z - 1|,
     so the deviation is bit-identical to that of B^T diag(dA/pi) conj(B).

@@ -3,7 +3,9 @@
 Probabilities follow the Born rule, selective post-states follow the
 projection postulate (or its Kraus generalization M rho M^dag / p).  Sampling
 is inverse-CDF over the cumulative Born weights with a seedable PRNG, so
-every stochastic path is reproducible.
+every stochastic path is reproducible.  Many operators or shots are walked a
+block at a time, one ``states._BLOCK_BYTES`` block each, so working memory
+stays fixed however many there are.
 """
 
 from __future__ import annotations
@@ -15,17 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .states import (
-    BasisSpec, DensityMatrix, StateVector, _check_close, _check_square, _finite, _frozen,
-    _positive, _split, tensor,
+    BasisSpec, DensityMatrix, StateVector, _block_items, _check_close, _check_square, _finite,
+    _frozen, _positive, _split, tensor,
 )
 
 _IMPOSSIBLE_P = 1e-14
 _PROJ_ATOL = 1e-10
-# Complex entries per temporary of a blocked Kraus reduction (1 MiB), and
-# Born draws per block of a sampled run: working memory stays fixed however
-# many operators or shots there are.
-_BLOCK_ENTRIES = 1 << 16
-_SHOT_BLOCK = 1 << 16
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -106,9 +103,9 @@ class KrausSet:
 
     def _blocks(self):
         """Consecutive slices of the operator array, sized so that a conjugate
-        copy or the d_in x d_in effects M^dag M of one slice stay within
-        ``_BLOCK_ENTRIES`` entries."""
-        step = max(1, _BLOCK_ENTRIES // (max(self.dim_out, self.dim_in) * self.dim_in))
+        copy or the d_in x d_in effects M^dag M of one slice, 16 bytes an
+        entry, stay within one ``states._BLOCK_BYTES`` block."""
+        step = _block_items(16 * max(self.dim_out, self.dim_in) * self.dim_in)
         for start in range(0, len(self._stack), step):
             yield self._stack[start : start + step]
 
@@ -293,9 +290,10 @@ def sample_outcomes(state: StateVector, basis: BasisSpec, n_shots: int, rng_seed
     """Outcome counts for ``n_shots`` independent collapses (shared PRNG stream).
 
     Equivalent in law to repeating :func:`collapse_sample`; returns an integer
-    count per basis outcome.  The uniforms are drawn in fixed-size blocks, so
-    memory does not grow with ``n_shots``; the stream, and so every count, is
-    the same as one draw of ``n_shots`` uniforms.
+    count per basis outcome.  The uniforms are drawn in blocks of one
+    ``states._BLOCK_BYTES`` block at 16 bytes a shot (its uniform and its
+    outcome), so memory does not grow with ``n_shots``; the stream, and so
+    every count, is the same as one draw of ``n_shots`` uniforms.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
@@ -304,8 +302,9 @@ def sample_outcomes(state: StateVector, basis: BasisSpec, n_shots: int, rng_seed
     cum = np.cumsum(probs)
     n_shots = int(n_shots)
     counts = np.zeros(len(probs), dtype=np.int64)
-    for start in range(0, n_shots, _SHOT_BLOCK):
-        draws = _draw(cum, rng.random(min(_SHOT_BLOCK, n_shots - start)))
+    block = _block_items(16)
+    for start in range(0, n_shots, block):
+        draws = _draw(cum, rng.random(min(block, n_shots - start)))
         counts += np.bincount(draws, minlength=len(probs))
     return counts
 

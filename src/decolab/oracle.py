@@ -10,6 +10,9 @@ block of times at a time (``_dephasing_blocks``), reducing and checking each
 block with the functions of ``decolab.states`` that ``reduced_density``,
 ``StateVector`` and ``DensityMatrix`` run on one state, so each value equals
 :func:`evolve_diagonal` and ``reduced_density`` at that time bit for bit.
+Its blocks, and those of the dense propagation (``_dense_blocks``), hold
+one ``states._BLOCK_BYTES`` block of times as ``states._block_items``
+sizes it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import states
 from .spin_bath import environment_branch
 from .states import (
     StateVector, _check_dims, _check_square, _check_stack, _finite, _frozen, _reduce, tensor,
@@ -102,33 +106,15 @@ def evolve_dense_grid(h, psi0: StateVector, t_grid) -> np.ndarray:
     return rows
 
 
-#: Bytes of amplitudes in one block of :func:`_dense_blocks`.
-_BLOCK_BYTES = 2 ** 20
-
-
-def _row_blocks(rows: int, block: int, least: int = 2) -> list:
-    """Bounds of equal blocks of about ``block`` (at least ``least``) of ``rows`` rows.
-
-    By default no block has a single row unless ``rows`` is 1: numpy sends a
-    one-row product to gemv, which may round differently from gemm, while a
-    gemm row does not depend on the other rows, so a product formed block by
-    block equals the whole product bit for bit.
-    """
-    if rows == 0:
-        return [0]
-    blocks = max(1, min(-(-rows // max(least, block)), rows // least))
-    return [rows * k // blocks for k in range(blocks + 1)]
-
-
 def _dense_blocks(h, psi0: StateVector, t_grid):
     """Check and diagonalise ``h`` once, then evolve ``psi0`` block by block.
 
     Returns the checked grid and a generator of (start, amplitudes), the
     amplitudes for ``t_grid[start : start + len(amplitudes)]``.  Each block
-    holds its phase table and the amplitudes built from it, at most
-    ``_BLOCK_BYTES`` each.  The grid is split into equal blocks of at least
-    two times (``_row_blocks``), so every block equals its rows of the
-    whole-grid product bit for bit.
+    holds its phase table and the amplitudes built from it, at most one
+    ``states._BLOCK_BYTES`` block each (16 bytes an amplitude).  The grid is
+    split into equal blocks of at least two times (``states._row_blocks``),
+    so every block equals its rows of the whole-grid product bit for bit.
     """
     h = np.asarray(h, dtype=complex)
     _check_square("Hamiltonian", h, _HERM_ATOL)
@@ -137,7 +123,7 @@ def _dense_blocks(h, psi0: StateVector, t_grid):
     t_grid = _finite("t_grid", t_grid).reshape(-1)
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0.amps
-    bounds = _row_blocks(t_grid.size, _BLOCK_BYTES // (16 * psi0.dim))
+    bounds = states._row_blocks(t_grid.size, states._block_items(16 * psi0.dim))
 
     def evolve(start, stop):
         phases = -1j * np.outer(t_grid[start:stop], evals)
@@ -198,14 +184,15 @@ def _dephasing_blocks(ham: DiagonalHamiltonian, psi0: StateVector, t_grid: np.nd
     state, so every time gets their values and, if it fails, their message.
     ``t_grid`` is a flat, checked grid.  Returns a generator of (start, rho),
     the (times, 2, 2) matrices at ``t_grid[start : start + len(rho)]``;
-    ``ham`` is not kept.  A block holds at most ``_BLOCK_BYTES``
-    (:func:`_dephasing_time_bytes` a time) unless a single time needs more,
-    which at N = 14 it does by its reduced matrix.
+    ``ham`` is not kept.  A block holds at most one ``states._BLOCK_BYTES``
+    block (:func:`_dephasing_time_bytes` a time) unless a single time needs
+    more, which at N = 14 it does by its reduced matrix.
     """
     half = psi0.dim // 2
     up, down = psi0.amps[:half], psi0.amps[half:]
     angles = -1j * ham.energies[:half]
-    bounds = _row_blocks(t_grid.size, _BLOCK_BYTES // _dephasing_time_bytes(psi0.dim), least=1)
+    per_time = _dephasing_time_bytes(psi0.dim)
+    bounds = states._row_blocks(t_grid.size, states._block_items(per_time), least=1)
 
     def blocks():
         # one buffer serves every block, made once ``ham`` is gone; each step
@@ -289,5 +276,5 @@ def _oracle_r_bytes(amps: int, times: int) -> int:
     complex entries each) and 80 a time, measured with tracemalloc and
     rounded up."""
     per_time = _dephasing_time_bytes(amps)
-    block = min(times * per_time, max(_BLOCK_BYTES, per_time))
+    block = min(times * per_time, max(states._BLOCK_BYTES, per_time))
     return 16384 + amps * 48 + block + 3 * 16 * np.getbufsize() + times * 80

@@ -17,7 +17,8 @@ walker (``_slices``), which alone picks the evaluator and checks the whole
 grid before the first slice: ``decoherence_on_grid`` (and through it
 ``decoherence_trace`` and the pointer diagnostics) is its one-slice case,
 while ``time_averaged_r2``, ``recurrence_scan`` and the CLI's trace writer
-hold one slice of r(t) at a time, and the CLI's Gaussian fits
+hold one slice of r(t) at a time, one ``states._BLOCK_BYTES`` block at the
+bytes a sample costs them (``_slice_size``), and the CLI's Gaussian fits
 (``_fit_on_grid``) walk a grid only until the fit window closes.  Every
 uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of
 one, and ``recurrence_scan``'s grid, which is never built) goes to one builder,
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    _NORM_ATOL, DensityMatrix, StateVector, _check_close, _check_dims, _check_qubit_pair,
-    _finite, _frozen, _kron, _positive,
+    _NORM_ATOL, DensityMatrix, StateVector, _block_items, _check_close, _check_dims,
+    _check_qubit_pair, _finite, _frozen, _kron, _positive,
 )
 
 #: Seed used whenever a caller asks for a random ensemble without providing one.
@@ -61,14 +62,6 @@ _GRID_BLOCK = 64
 _GRID_SPINS = 64
 _TILE_ROW = 1 << 12
 _GRID_ENTRIES = 1 << 15
-
-# Samples whose r(t) a grid walk holds at a time (``_slices``): a
-# recurrence scan's chunk, and a slice of a grid that a time average reduces
-# or the uniform-grid test compares.  Each is a multiple of _GRID_BLOCK, so
-# every slice starts on an anchor; below about 2^14 samples the per-slice
-# calls of the kernel start to cost time on a small bath.
-_SCAN_CHUNK = 1 << 18
-_GRID_SLICE = 1 << 14
 
 
 class FitWindowError(RuntimeError):
@@ -276,14 +269,16 @@ def _grid_step(t_grid: np.ndarray) -> float | None:
     """The step h when ``t_grid`` is t_j = j * h bit for bit, as
     ``np.linspace(0, t_max, samples)`` makes it (whose last point may be t_max
     rather than (samples - 1) * h) and any prefix of one; otherwise None.
-    The grid is compared ``_GRID_SLICE`` points at a time, never copied."""
+    The grid is compared one block at a time (``states._block_items``, 8
+    bytes a point for its uniform times), never copied."""
     n = t_grid.size
     if n < 2 or t_grid[0] != 0.0 or not t_grid[1] > 0.0:
         return None
     step = float(t_grid[1])
     last_is_t_max = t_grid[-1] / (n - 1) == step
-    for lo in range(0, n, _GRID_SLICE):
-        part = t_grid[lo : lo + _GRID_SLICE]
+    size = _block_items(8)
+    for lo in range(0, n, size):
+        part = t_grid[lo : lo + size]
         uniform = np.arange(lo, lo + part.size, dtype=float)
         uniform *= step
         if last_is_t_max and lo + part.size == n:
@@ -315,6 +310,13 @@ def _uniform_times(step: float, start: int, count: int):
     with np.errstate(over="ignore"):  # _check_phase rejects an infinite time
         return (np.arange(start, start + rows * width, width, dtype=float) * step,
                 np.arange(width, dtype=float) * step)
+
+
+def _slice_size(sample_bytes: int) -> int:
+    """Samples in one slice of a grid walk holding ``sample_bytes`` a sample:
+    one ``states._BLOCK_BYTES`` block, a multiple of ``_GRID_BLOCK`` so that
+    every slice starts on an anchor."""
+    return _block_items(sample_bytes, _GRID_BLOCK)
 
 
 def _slices(cfg: SpinBathConfig, grid, size: int | None, name: str, step: float | None = None):
@@ -464,13 +466,14 @@ def time_averaged_r2(cfg: SpinBathConfig, t_grid) -> float:
 def _mean_r2(cfg: SpinBathConfig, t_grid) -> float:
     """Mean of |r(t)|^2 over a grid of any length, walked in slices.
 
-    r is evaluated ``_GRID_SLICE`` samples at a time, each slice as
-    ``decoherence_on_grid`` evaluates that part of the grid, and |r|^2 is
+    r is evaluated one block of samples at a time (``_slice_size``, 64
+    bytes a sample as ``_r_bytes`` charges them: 16 384 samples), each slice
+    as ``decoherence_on_grid`` evaluates that part of the grid, and |r|^2 is
     written into one float buffer whose ``np.mean`` is the result: 8 bytes
     per sample plus one slice, the same mean bit for bit as that of the whole
     grid's |r|^2.
     """
-    slices = _slices(cfg, t_grid, _GRID_SLICE, "t_grid")
+    slices = _slices(cfg, t_grid, _slice_size(64), "t_grid")
     r2 = np.empty(np.size(t_grid))
     for lo, r in slices:
         part = r2[lo : lo + r.size]
@@ -581,9 +584,10 @@ def _scan_bytes(n_spins: int, g_max: float, g_sq: float, horizon: float, eps: fl
     max |g_k| = g_max and sum g_k^2 = g_sq, at the step the scan takes
     (``_scan_step``): 32 bytes per grid point, an upper bound (no grid array
     is kept), and 32 per point of the chunk it holds (r, its real
-    accumulator and |r|; 25 measured)."""
+    accumulator and |r|; 25 measured), at most one ``states._BLOCK_BYTES``
+    block."""
     points = horizon / _scan_step(g_max, g_sq, eps) + 2.0
-    return _r_bytes(n_spins, points, 32) + min(points, _SCAN_CHUNK) * 32
+    return _r_bytes(n_spins, points, 32) + min(points, _slice_size(32)) * 32
 
 
 def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float | None = None):
@@ -592,10 +596,11 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     The grid covers [0, horizon] with step at most pi/(20 max g) (and fine
     enough to resolve an eps-window); its points are those of
     ``np.linspace(0, horizon, n)``, j h with the last one ``horizon``, but
-    the grid is never built.  Its r(t) is evaluated ``_SCAN_CHUNK`` points
-    at a time by angle addition (``_slices``), each chunk bit for bit that
-    part of the whole grid, as ``decoherence_on_grid`` evaluates a uniform
-    grid, and reduced to the intervals it closes before the next chunk is
+    the grid is never built.  Its r(t) is evaluated a chunk of points at a
+    time (``_slice_size``, 32 bytes a point as ``_scan_bytes`` charges them:
+    32 768 points) by angle addition (``_slices``), each chunk bit for bit
+    that part of the whole grid, as ``decoherence_on_grid`` evaluates a
+    uniform grid, and reduced to the intervals it closes before the next chunk is
     evaluated; an interval still open at a chunk's end carries over.  So the
     memory is one chunk plus the intervals, whatever the horizon.  An
     interval counts as a recurrence only once |r| has first left the band;
@@ -637,7 +642,7 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     intervals = []
     departed = False  # whether |r| has left the band yet
     enter = None  # where the run of `above` open at the last chunk's end began
-    for lo, r in _slices(cfg, n_pts, _SCAN_CHUNK, "horizon", step=h):
+    for lo, r in _slices(cfg, n_pts, _slice_size(32), "horizon", step=h):
         above = np.abs(r) > 1.0 - eps
         del r  # free the chunk before the next one is evaluated
         if not departed:

@@ -10,6 +10,13 @@ these two, and checked here as well: ``_check_dims`` and
 ``_check_density_dim`` are the only comparisons with the caps, and each runs
 before the array is allocated.
 
+A walk over a long time grid, a big bath or many operators holds one block
+of ``_BLOCK_BYTES`` at a time, whatever its length: ``_block_items`` turns
+the bytes one item of a walk holds into the items of its block, and
+``_row_blocks`` splits rows into equal blocks of about that many.  Every
+bounded walk of the package sizes its block here, so one value of
+``_BLOCK_BYTES`` sizes them all.
+
 The input checks of every module live here too, written so that NaN fails
 them: ``_finite``, ``_positive``, ``_check_close`` and ``_hermitian_deviation``
 are the package's only finiteness, tolerance and Hermiticity tests, and every
@@ -39,6 +46,11 @@ DIM_CAP = 2 ** 15
 #: Largest dimension of a density matrix: 2^12 x 2^12 complex entries are
 #: 256 MiB, where a 2^15 matrix would be 16 GiB.
 DENSITY_CAP = 2 ** 12
+
+#: Bytes one block of a bounded walk holds: r(t)'s samples, trace.csv's
+#: rows, a recurrence scan's points, dense times, Kraus entries, Born draws
+#: and the coherent audit's columns.
+_BLOCK_BYTES = 1 << 20
 
 _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
@@ -80,6 +92,30 @@ def _check_density_dim(dim: int) -> None:
         raise DimensionCapError(
             f"density matrix dimension {dim} exceeds the density cap {DENSITY_CAP}"
         )
+
+
+def _block_items(item_bytes: int, multiple: int = 1) -> int:
+    """Items of ``item_bytes`` bytes that fit in one ``_BLOCK_BYTES`` block,
+    rounded down to a multiple of ``multiple`` and at least ``multiple``.
+
+    ``_BLOCK_BYTES`` is read at each call, so a walk sized here shrinks with
+    it; ``item_bytes`` is the bytes an item costs in the walk's estimate.
+    """
+    return max(multiple, _BLOCK_BYTES // item_bytes // multiple * multiple)
+
+
+def _row_blocks(rows: int, block: int, least: int = 2) -> list:
+    """Bounds of equal blocks of about ``block`` (at least ``least``) of ``rows`` rows.
+
+    By default no block has a single row unless ``rows`` is 1: numpy sends a
+    one-row product to gemv, which may round differently from gemm, while a
+    gemm row does not depend on the other rows, so a product formed block by
+    block equals the whole product bit for bit.
+    """
+    if rows == 0:
+        return [0]
+    blocks = max(1, min(-(-rows // max(least, block)), rows // least))
+    return [rows * k // blocks for k in range(blocks + 1)]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

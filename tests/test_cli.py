@@ -26,6 +26,9 @@ from decolab.spin_bath import (
 )
 from decolab.states import DIM_CAP
 
+# trace.csv rows in one slice of the trace writer
+_TRACE_ROWS = cli.spin_bath._slice_size(cli._TRACE_ROW_BYTES)
+
 
 def write_config(path, payload):
     with open(path, "w") as fh:
@@ -369,10 +372,10 @@ def test_failing_fit_task_leaves_no_files_and_no_workers(tmp_path, monkeypatch, 
 
 def test_trace_rows_streamed_in_slices_match_whole_array_rows():
     bath = SpinBathConfig.random(6, np.random.default_rng(5))
-    t_grid = np.linspace(0.0, 9.0, 3 * cli._ROW_SLICE + 17)
+    t_grid = np.linspace(0.0, 9.0, 3 * _TRACE_ROWS + 17)
     r = cli.spin_bath.decoherence_on_grid(bath, t_grid)
     whole = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
-    slices = cli.spin_bath._slices(bath, t_grid, cli._ROW_SLICE, "t_grid")
+    slices = cli.spin_bath._slices(bath, t_grid, _TRACE_ROWS, "t_grid")
     rows = list(cli._trace_rows(t_grid, slices))
     assert np.array(rows).tobytes() == np.array(list(whole)).tobytes()
 
@@ -562,6 +565,28 @@ def test_non_finite_config_is_usage_error(tmp_path, capsys, subcommand):
     err = _usage_error(capsys, args)
     assert err.startswith("decolab: config holds the non-finite number ")
     assert not out.exists()
+
+
+# an integer literal past the largest double, which Python parses as an int
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("experiment, body, source", [
+    ("spin-bath", {"trace": {"n_spins": 3, "t_max": HUGE, "samples": 3}}, "config"),
+    ("spin-bath", {"recurrence": {"couplings": [0.3], "horizon": HUGE, "epsilon": 0.01}},
+     "config"),
+    ("measure", {"system": {"a": [0.6, 0.0], "b": [0.8, 0.0]}, "shots": 10,
+                 "kraus_file": "huge-kraus.json"}, "Kraus file"),
+], ids=["trace-t-max", "recurrence-horizon", "kraus-entry"])
+def test_integer_past_the_double_range_is_usage_error(
+    tmp_path, monkeypatch, capsys, experiment, body, source
+):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "huge-kraus.json", {
+        "shape": [2, 2], "operators": [[[HUGE, 0], [0, 0], [0, 0], [0, 0]]]})
+    cfg = write_config(tmp_path / "c.json", {"experiment": experiment, **body})
+    args = [experiment, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+    _usage_error(capsys, args, f"{source} holds the non-finite number 1000")
 
 
 # ------------------------------------------------------------ resource bounds
@@ -1026,7 +1051,7 @@ def _rotated(n, samples, angles):
 def _dephasing_rows(n):
     """One block of the oracle's evolution at N spins, a time less (when
     that leaves a time) and a time more."""
-    rows = max(1, cli.oracle._BLOCK_BYTES // cli.oracle._dephasing_time_bytes(2 ** (n + 1)))
+    rows = cli.states._block_items(cli.oracle._dephasing_time_bytes(2 ** (n + 1)))
     return [size for size in (rows - 1, rows, rows + 1) if size > 0]
 
 
@@ -1043,7 +1068,7 @@ def _ehrenfest(n_max, points):
 ESTIMATE_ROWS = {
     "trace": _row("trace", lambda s: {"experiment": "spin-bath", "trace": {
         "n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": s}},
-        [31, cli._ROW_SLICE, 5 * cli._ROW_SLICE + 1]),
+        [31, _TRACE_ROWS, 5 * _TRACE_ROWS + 1]),
     # pooled sections: one task, run in process
     "scaling": _row("scaling", lambda s: {"experiment": "spin-bath", "scaling": {
         "n_values": [s[0]], "span_periods": 400.0, "samples": s[1]}},
@@ -1117,7 +1142,7 @@ def test_estimate_covers_the_traced_peak(tmp_path, monkeypatch, row, size):
 def test_recurrence_row_reaches_past_one_chunk_of_the_scan():
     g = np.array(_recurrence(15000.0)["recurrence"]["couplings"])
     step = cli.spin_bath._scan_step(float(g.max()), float(np.dot(g, g)), 0.01)
-    assert 15000.0 / step > cli.spin_bath._SCAN_CHUNK
+    assert 15000.0 / step > cli.spin_bath._slice_size(32)
 
 
 # ------------------------------------------------------------ CSV writer

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from decolab import fock, oracle
+from decolab import fock, states
 from decolab.fock import (
     FockSpace,
     TruncationError,
@@ -249,8 +249,8 @@ def _audit_grids(n_max):
 def _assert_blocks_equal_the_whole_product(space, grid):
     bra, weight, whole = _whole_product(space, grid)
     blocks = list(fock._effect_sum_blocks(bra, weight))
-    rows = fock._AUDIT_BLOCK_BYTES // (16 * bra.shape[0])
-    assert [lo for lo, _ in blocks] == oracle._row_blocks(space.dim, rows)[:-1]
+    rows = states._block_items(16 * bra.shape[0])
+    assert [lo for lo, _ in blocks] == states._row_blocks(space.dim, rows)[:-1]
     assert np.concatenate([part for _, part in blocks]).tobytes() == whole.tobytes()
     want = float(np.max(np.abs(whole - np.eye(space.dim))))
     assert coherent_completeness_deviation(space, grid) == want
@@ -270,20 +270,20 @@ def test_blocked_audit_equals_the_whole_product_bit_for_bit(n_max):
 def test_audit_blocks_that_would_leave_one_row_still_match(monkeypatch, n_max, rows):
     # a block budget of `rows` rows of the default 4096-node table: d = 11
     # or 21 is then one row past a multiple of the rows (but for 4 at d = 11)
-    monkeypatch.setattr(fock, "_AUDIT_BLOCK_BYTES", rows * 16 * 4096)
+    monkeypatch.setattr(states, "_BLOCK_BYTES", rows * 16 * 4096)
     _assert_blocks_equal_the_whole_product(FockSpace(n_max), None)
 
 
 @pytest.mark.parametrize("n_max", [48, 200])
 def test_completeness_audit_scales_one_block_at_a_time(n_max):
     # beside B (K x d) only a K x block scaled slice of at most
-    # _AUDIT_BLOCK_BYTES, the block's rows of the sum and their modulus,
+    # states._BLOCK_BYTES, the block's rows of the sum and their modulus,
     # and per-node vectors of the amplitude recurrence
     space = FockSpace(n_max)
     grid = default_coherent_grid(space)
     k, d = len(grid), space.dim
     peak = traced_peak(coherent_completeness_deviation, space, grid)
-    assert peak < k * d * 16 + fock._AUDIT_BLOCK_BYTES + 2 * 16 * d * d + 256 * k
+    assert peak < k * d * 16 + states._BLOCK_BYTES + 2 * 16 * d * d + 256 * k
 
 
 def test_coherent_outcome_projects_onto_coherent_state():
@@ -391,7 +391,7 @@ def _whole_grid_amplitudes(ham, psi, t):
 
 
 def _block_rows(space):
-    return oracle._BLOCK_BYTES // (16 * space.dim)
+    return states._block_items(16 * space.dim)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, None])
@@ -424,7 +424,7 @@ def test_ehrenfest_memory_grows_only_with_its_per_point_arrays():
     grids = [np.arange(points) * 1e-3 for points in (5001, 50001)]
     small, large = (traced_peak(ehrenfest_check, space, psi, 1.0, 1.0, t) for t in grids)
     assert large - small <= (50001 - 5001) * 4 * 8
-    assert small < 4 * oracle._BLOCK_BYTES
+    assert small < 4 * states._BLOCK_BYTES
 
 
 def test_ehrenfest_names_the_first_bad_time_of_a_later_block():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.measurement import (
-    _SHOT_BLOCK,
     ImpossibleOutcomeError,
     KrausSet,
     Projector,
@@ -18,7 +17,7 @@ from decolab.measurement import (
     sample_outcomes,
     validate_kraus,
 )
-from decolab.states import BasisSpec, DensityMatrix, StateVector
+from decolab.states import BasisSpec, DensityMatrix, StateVector, _block_items
 
 rng = np.random.default_rng(4004)
 
@@ -453,7 +452,8 @@ def test_collapse_sample_draws_the_outcome_of_a_one_shot_sample():
 def test_sample_outcomes_in_blocks_match_one_shot_draw():
     state = random_state(4)
     basis = BasisSpec(0, np.eye(4))
-    for shots in (1, _SHOT_BLOCK - 1, _SHOT_BLOCK, _SHOT_BLOCK + 1, 3 * _SHOT_BLOCK + 7):
+    block = _block_items(16)  # the shots of one block of draws
+    for shots in (1, block - 1, block, block + 1, 3 * block + 7):
         for seed in (0, 123, np.random.SeedSequence(99)):
             got = sample_outcomes(state, basis, shots, seed)
             np.testing.assert_array_equal(got, one_shot_counts(state, basis, shots, seed))

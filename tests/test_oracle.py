@@ -105,7 +105,7 @@ def test_evolve_dense_grid_matches_pointwise():
 
 
 def _block_rows(dim):
-    return oracle._BLOCK_BYTES // (16 * dim)
+    return states._block_items(16 * dim)
 
 
 # grids around the block size split into blocks of unequal or equal rows; at
@@ -258,13 +258,13 @@ def test_oracle_r_grid_is_bit_identical_to_scalar_calls(n):
 
 
 def _block_rows(n):
-    return max(1, oracle._BLOCK_BYTES // oracle._dephasing_time_bytes(2 ** (n + 1)))
+    return states._block_items(oracle._dephasing_time_bytes(2 ** (n + 1)))
 
 
 @pytest.mark.parametrize("n", [10, 14])
 def test_oracle_r_grid_is_bit_identical_to_scalar_calls_at_block_boundaries(n):
     rows = _block_rows(n)
-    assert len(oracle._row_blocks(rows + 1, rows, least=1)) == 3  # rows + 1 times: two blocks
+    assert len(states._row_blocks(rows + 1, rows, least=1)) == 3  # rows + 1 times: two blocks
     cfg = SpinBathConfig.random(n, rng)
     for times in (rows - 1, rows, rows + 1, 2 * rows + 1):
         t_grid = rng.uniform(0.0, 30.0, times)
@@ -413,23 +413,3 @@ def test_nan_hamiltonian_is_rejected_by_name():
         evolve_dense_grid(h, psi, [0.5])
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
         evolve_dense(h, psi, 0.5)
-
-
-@pytest.mark.parametrize("rows", range(1, 12))
-@pytest.mark.parametrize("count", [2, 3, 11, 21, 49, 201])
-def test_row_blocks_are_equal_and_never_a_single_row(rows, count):
-    bounds = oracle._row_blocks(count, rows)
-    sizes = np.diff(bounds)
-    assert bounds[0] == 0 and bounds[-1] == count
-    assert sizes.min() >= 2 and sizes.max() - sizes.min() <= 1
-    # as many blocks as `rows` (at least 2) allows, so no block is needlessly large
-    assert sizes.size == min(-(-count // max(2, rows)), count // 2)
-    assert oracle._row_blocks(1, rows) == [0, 1] and oracle._row_blocks(0, rows) == [0]
-
-
-@pytest.mark.parametrize("rows", range(1, 12))
-@pytest.mark.parametrize("count", [1, 2, 3, 11, 49])
-def test_row_blocks_of_single_rows_when_asked(rows, count):
-    sizes = np.diff(oracle._row_blocks(count, rows, least=1))
-    assert sizes.sum() == count and sizes.max() <= rows and sizes.max() - sizes.min() <= 1
-    assert sizes.size == -(-count // rows)

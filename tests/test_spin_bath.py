@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from decolab import spin_bath
+from decolab import spin_bath, states
 from decolab.oracle import oracle_r
 from decolab.spin_bath import (
     DecoherenceTrace,
@@ -501,10 +501,11 @@ def test_recurrence_scan_evaluates_every_chunk_by_angle_addition(monkeypatch):
     intervals = recurrence_scan(cfg, 15000.0, 0.01)
     assert intervals
     n_pts = sum(rows * width for rows, width in calls)
-    chunks = -(-n_pts // spin_bath._SCAN_CHUNK)
+    chunk = spin_bath._slice_size(32)
+    chunks = -(-n_pts // chunk)
     assert chunks > 1
     assert [width for _, width in calls] == [64] * chunks
-    assert [rows for rows, _ in calls[:-1]] == [spin_bath._SCAN_CHUNK // 64] * (chunks - 1)
+    assert [rows for rows, _ in calls[:-1]] == [chunk // 64] * (chunks - 1)
 
 
 @pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
@@ -523,7 +524,7 @@ def test_recurrence_intervals_do_not_depend_on_the_chunk_size(monkeypatch, bath)
     n_pts = int(np.ceil(horizon / step)) + 1
     assert n_pts > 128 and 0 < n_pts % 128 < 64
     whole = recurrence_scan(cfg, horizon, eps, step=step)
-    monkeypatch.setattr(spin_bath, "_SCAN_CHUNK", 128)
+    monkeypatch.setattr(states, "_BLOCK_BYTES", 128 * 32)  # 128-point chunks
     assert recurrence_scan(cfg, horizon, eps, step=step) == whole
     assert len(whole) >= 6
 
@@ -566,7 +567,7 @@ def _commensurate_bath(kind):
 def test_streamed_scan_equals_the_whole_grid_scan(monkeypatch, chunk, bath, horizon, eps, step):
     cfg = _commensurate_bath(bath)
     if chunk is not None:
-        monkeypatch.setattr(spin_bath, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(states, "_BLOCK_BYTES", chunk * 32)  # chunks of `chunk` points
     got = recurrence_scan(cfg, horizon, eps, step=step)
     if step is None:
         step = spin_bath._scan_step(float(np.max(cfg.g)), float(np.dot(cfg.g, cfg.g)), eps)
@@ -630,7 +631,7 @@ def test_phase_is_checked_once_per_call(monkeypatch):
 
     monkeypatch.setattr(spin_bath, "_check_phase", spy)
     cfg = _mixed_bath(5, np.random.default_rng(8))
-    uniform = np.linspace(0.0, 40.0, 3 * spin_bath._GRID_SLICE + 5)
+    uniform = np.linspace(0.0, 40.0, 3 * spin_bath._slice_size(64) + 5)
     for t_grid in (uniform, np.sqrt(uniform * 40.0)):
         time_averaged_r2(cfg, t_grid)
         decoherence_on_grid(cfg, t_grid)
@@ -654,7 +655,7 @@ def _whole_grid_step(t_grid):
 @pytest.mark.parametrize("slices", [0, 1, 3])
 @pytest.mark.parametrize("extra", [2, 17, 64])
 def test_grid_step_compared_in_slices_decides_as_the_whole_grid(slices, extra):
-    samples = slices * spin_bath._GRID_SLICE + extra
+    samples = slices * states._block_items(8) + extra  # compared 8 bytes a point
     for t_max in (1.0, 9.0, 1e-3 / 3.0, 123.456):
         grid = np.linspace(0.0, t_max, samples)
         assert spin_bath._grid_step(grid) == _whole_grid_step(grid) is not None
@@ -682,7 +683,7 @@ def test_slices_are_the_whole_grid_bit_for_bit(size, bath):
 @pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
 def test_time_averaged_r2_equals_the_whole_grid_mean_bit_for_bit(bath):
     cfg = _bath(bath, 12, np.random.default_rng(23))
-    for samples in (100, 4097, spin_bath._GRID_SLICE + 1, 200001):
+    for samples in (100, 4097, spin_bath._slice_size(64) + 1, 200001):
         for t_grid in (np.linspace(0.0, 300.0, samples), np.geomspace(1e-3, 300.0, samples)):
             want = float(np.mean(np.abs(decoherence_on_grid(cfg, t_grid)) ** 2))
             assert time_averaged_r2(cfg, t_grid) == want
@@ -696,7 +697,7 @@ def test_time_averaged_r2_holds_one_float_per_sample_and_one_slice():
     samples = 200001
     t_grid = np.linspace(0.0, 400.0 / cfg.g.min(), samples)
     peak = traced_peak(time_averaged_r2, cfg, t_grid)
-    assert peak < 2 * 8 * samples + 64 * spin_bath._GRID_SLICE + 32 * spin_bath._GRID_ENTRIES
+    assert peak < 2 * 8 * samples + 64 * spin_bath._slice_size(64) + 32 * spin_bath._GRID_ENTRIES
 
 
 def test_recurrence_eigenstate_never_departs():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import decolab
+from decolab import cli, fock, measurement, oracle, spin_bath, states
 from decolab.measurement import outcome_distribution
 from decolab.states import (
     DENSITY_CAP,
@@ -19,6 +20,7 @@ from decolab.states import (
     purity,
     _check_stack,
     _reduce,
+    _row_blocks,
     reduced_density,
     tensor,
 )
@@ -486,3 +488,119 @@ def test_tensor_equals_the_factor_loops_byte_for_byte():
     joint = tensor(*rhos)
     assert joint.dims == (2, 3, 2, 2)
     assert joint.mat.tobytes() == mat.tobytes()
+
+
+@pytest.mark.parametrize("rows", range(1, 12))
+@pytest.mark.parametrize("count", [2, 3, 11, 21, 49, 201])
+def test_row_blocks_are_equal_and_never_a_single_row(rows, count):
+    bounds = _row_blocks(count, rows)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == count
+    assert sizes.min() >= 2 and sizes.max() - sizes.min() <= 1
+    # as many blocks as `rows` (at least 2) allows, so no block is needlessly large
+    assert sizes.size == min(-(-count // max(2, rows)), count // 2)
+    assert _row_blocks(1, rows) == [0, 1] and _row_blocks(0, rows) == [0]
+
+
+@pytest.mark.parametrize("rows", range(1, 12))
+@pytest.mark.parametrize("count", [1, 2, 3, 11, 49])
+def test_row_blocks_of_single_rows_when_asked(rows, count):
+    sizes = np.diff(_row_blocks(count, rows, least=1))
+    assert sizes.sum() == count and sizes.max() <= rows and sizes.max() - sizes.min() <= 1
+    assert sizes.size == -(-count // rows)
+
+
+class _Rows:
+    """An ``out`` that keeps the rows of the one CSV written to it."""
+
+    def csv(self, name, header, rows):
+        self.rows = list(rows)
+
+
+def _trace_rows():
+    out = _Rows()
+    sec = {"n_spins": 6, "ensemble": "random", "t_max": 9.0, "samples": 300}
+    cli._write_trace(sec, np.random.SeedSequence(3), out)
+    return out.rows
+
+
+def _kraus(count):
+    """``count`` 2 x 2 operators of one random isometry: a complete set."""
+    raw = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+    return measurement.KrausSet(np.linalg.qr(raw)[0].reshape(count, 2, 2))
+
+
+def _block_walks():
+    """Each bounded walk of the package, at a size that one small block splits."""
+    bath = spin_bath.SpinBathConfig.random(5, np.random.default_rng(4))
+    space = fock.FockSpace(10)
+    kset = _kraus(200)
+    rho = random_density((2,))
+    psi7, psi2 = random_state((7,)), random_state((2,))
+    return {
+        "trace rows": _trace_rows,
+        "_mean_r2": lambda: spin_bath._mean_r2(bath, np.linspace(0.0, 30.0, 300)),
+        "recurrence_scan": lambda: spin_bath.recurrence_scan(
+            spin_bath.SpinBathConfig.balanced([0.3, 0.5, 0.7, 0.9]), 100.0, 0.01),
+        "oracle_r": lambda: oracle.oracle_r(
+            spin_bath.SpinBathConfig.random(3, np.random.default_rng(6)),
+            np.linspace(0.0, 20.0, 20)),
+        "evolve_dense_grid": lambda: oracle.evolve_dense_grid(
+            np.diag(np.arange(7.0)) + 0.5, psi7, np.linspace(0.0, 5.0, 101)),
+        "ehrenfest_check": lambda: fock.ehrenfest_check(
+            space, fock.coherent_state(space, 0.5), 1.0, 1.0, np.arange(101) * 1e-3).residuals,
+        "coherent audit": lambda: fock.coherent_completeness_deviation(space),
+        "completeness_deviation": kset.completeness_deviation,
+        "povm_probabilities": lambda: measurement.povm_probabilities(rho, kset),
+        "sample_outcomes": lambda: measurement.sample_outcomes(
+            psi2, BasisSpec(0, np.eye(2)), 1000, 11),
+    }
+
+
+def _count_blocks(monkeypatch):
+    """Spy on what each walk runs once a block; returns the list the blocks go to."""
+    blocks = []
+
+    def spy(owner, name, count=lambda result: 1):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            blocks.append(count(result))
+            return result
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(spin_bath, "_product")  # once a slice of r(t)
+    spy(measurement, "_draw")  # once a block of shots
+    spy(states, "_row_blocks", lambda bounds: len(bounds) - 1)  # the dense and audit walks
+    kraus_blocks = measurement.KrausSet._blocks
+
+    def counted_kraus_blocks(kset):
+        for blk in kraus_blocks(kset):
+            blocks.append(1)
+            yield blk
+    monkeypatch.setattr(measurement.KrausSet, "_blocks", counted_kraus_blocks)
+    return blocks
+
+
+def test_one_block_size_shrinks_every_walk(monkeypatch):
+    # one patch of the block size splits every walk into several blocks, and
+    # every result stays the default run's bit for bit, but the Kraus sum
+    # sum M^dag M: its blocks' partial sums are added in another order, one
+    # rounding of an entry near 1 per block
+    blocks = _count_blocks(monkeypatch)
+    walks = _block_walks()
+    default = {}
+    for name, walk in walks.items():
+        blocks.clear()
+        default[name] = (walk(), sum(blocks))
+    monkeypatch.setattr(states, "_BLOCK_BYTES", 4096)
+    for name, walk in walks.items():
+        blocks.clear()
+        got = walk()
+        want, default_blocks = default[name]
+        assert sum(blocks) > max(1, default_blocks), name
+        if name == "completeness_deviation":
+            assert abs(got - want) <= sum(blocks) * np.finfo(float).eps
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name

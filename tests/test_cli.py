@@ -30,6 +30,12 @@ from decolab.states import DIM_CAP
 _TRACE_ROWS = cli.spin_bath._slice_size(cli._TRACE_ROW_BYTES)
 
 
+def _filled(config):
+    """``config`` with its schema defaults filled in, as ``main`` hands it to
+    a runner."""
+    return cli._with_defaults(config, CONFIG_SCHEMAS[config["experiment"]])
+
+
 def write_config(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -112,15 +118,18 @@ def test_every_subcommand_has_a_schema():
 
 def _usage_error(capsys, args, expected=""):
     """Run ``main`` in process: exit 2, one stderr line that holds ``expected``,
-    and no ``--out`` left behind if the run had to create it; returns the line."""
-    out = Path(args[args.index("--out") + 1]) if "--out" in args else None
-    missing = out is not None and not os.path.lexists(out)
+    and no directory left behind that the run had to create for ``--out``
+    (its first missing ancestor stays missing); returns the line."""
+    path = Path(args[args.index("--out") + 1]) if "--out" in args else None
+    missing = None
+    while path is not None and not os.path.lexists(path):
+        missing, path = path, path.parent
     code = main(args)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("decolab: ") and err.count("\n") == 1, err
     assert expected in err, err
-    assert not (missing and os.path.lexists(out)), sorted(os.listdir(out))
+    assert missing is None or not os.path.lexists(missing), sorted(os.listdir(missing))
     return err
 
 
@@ -200,6 +209,14 @@ def test_time_whose_phase_overflows_is_usage_error(tmp_path, capsys, experiment,
     args = [experiment, "--config", cfg, "--out", str(out), "--workers", "1"]
     _usage_error(capsys, args, "phase 2 g t overflows")
     assert not out.exists()
+
+
+def test_exit_2_removes_the_parents_it_created_for_out(tmp_path, capsys):
+    config = {"experiment": "spin-bath", "trace": {"n_spins": 3, "t_max": 1e308, "samples": 3}}
+    cfg = write_config(tmp_path / "c.json", config)
+    args = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "deep" / "a" / "b")]
+    _usage_error(capsys, args, "phase 2 g t overflows")
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 @pytest.mark.parametrize("experiment, body, name", [
@@ -878,7 +895,7 @@ def test_oracle_compare_spin_maximum_is_the_oracle_cap():
 
 def test_oracle_compare_estimate_scales_with_spins_times_and_workers():
     def need(workers=1, **body):
-        run = cli.oracle_compare_bytes(dict(ORACLE_CFG, **body), workers)["run"]
+        run = cli.oracle_compare_bytes(_filled(dict(ORACLE_CFG, **body)), workers)["run"]
         return run - cli._WRITER_BYTES  # the part that scales
 
     # one 2^15-amplitude bath per busy worker, never more than there are tasks
@@ -906,15 +923,34 @@ def test_oversized_oracle_compare_is_rejected_before_spawning(tmp_path, monkeypa
                  "section 'run' exceeds the 2 GiB memory budget")
 
 
-def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsys):
-    # at t_max = 1e6 the two sides part by ~1.5e-10, above the default 1e-10:
-    # a tolerance under eps * t_max * max N cannot be met and is rejected
-    config = dict(ORACLE_CFG, t_max=1e6)
-    assert cli.oracle_float_floor(config) == np.finfo(float).eps * 1e6 * 14
+@pytest.mark.parametrize("body", [
+    {"t_max": 1e6},
+    {"n_values": [1, 4, 14], "t_max": 1e-300, "tolerance": 1e-290},
+    {"t_max": 1e-6, "tolerance": 1e-20},
+], ids=["long", "tiny-t", "short"])
+def test_tolerance_below_float_floor_is_usage_error(tmp_path, monkeypatch, capsys, body):
+    # at t_max = 1e6 the two sides part by ~1.5e-10, above the default 1e-10;
+    # at tiny t_max they still part by a few eps, the oracle's rounding at
+    # t = 0: a tolerance under eps * (N (t_max + 7.5) + 6) cannot be met and
+    # is rejected
+    config = dict(ORACLE_CFG, **body)
+    n = max(config["n_values"])
+    floor = np.finfo(float).eps * (n * (config["t_max"] + 7.5) + 6)
+    assert cli.oracle_float_floor(_filled(config)) == floor
     _no_spawn(monkeypatch)
     cfg = write_config(tmp_path / "c.json", config)
     _usage_error(capsys, ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "o")],
-                 "float floor")
+                 f"below the float floor {floor:.3g}")
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_float_floor_covers_the_oracle_at_tiny_times(n):
+    # the t-independent part of the floor: at t <= 1e-300 the phases are
+    # exact and the deviation is the oracle's rounding at t = 0
+    floor = cli.oracle_float_floor({"n_values": [n], "t_max": 1e-300})
+    children = np.random.SeedSequence(n).spawn(40 if n <= 11 else 8)
+    worst = max(cli._oracle_task((n, 20, 1e-300, child))[1] for child in children)
+    assert 0 < worst <= floor
 
 
 # ------------------------------------------------------------ estimates vs peaks
@@ -924,7 +960,7 @@ def _need(config, workers=1):
     """The CLI's byte estimate of ``config``, by section."""
     name = config["experiment"].replace("-", "_")
     args = (workers,) if name in ("spin_bath", "oracle_compare") else ()
-    return getattr(cli, f"{name}_bytes")(config, *args)
+    return getattr(cli, f"{name}_bytes")(_filled(config), *args)
 
 
 @pytest.mark.parametrize("config, section", [
@@ -996,7 +1032,7 @@ def test_readme_fock_limits_hold(tmp_path, monkeypatch, capsys, section, n_max, 
     # README: completeness with the default grid up to n_max 3 556, ehrenfest
     # over 1 000 time points up to 2 955; one level more is rejected unbuilt
     config = {"experiment": "fock", "n_max": n_max, section: body}
-    cli._enforce_budget("fock", cli.fock_bytes(config))
+    cli._enforce_budget("fock", cli.fock_bytes(_filled(config)))
     monkeypatch.setattr(cli.fock, "FockSpace", None)  # a space built would raise
     cfg = write_config(tmp_path / "c.json", dict(config, n_max=n_max + 1))
     _usage_error(capsys, ["fock", "--config", cfg, "--out", str(tmp_path / "o")],
@@ -1007,7 +1043,7 @@ def _row(section, config_of, sizes):
     """A table row: the estimate of ``section`` of ``config_of(size)`` and a
     serial run of that config, at each of ``sizes``."""
     def run(size, out):
-        config = config_of(size)
+        config = _filled(config_of(size))
         assert cli._RUNNERS[config["experiment"]](config, 0, 1, out) == 0
 
     return lambda size: _need(config_of(size))[section], run, sizes
@@ -1310,7 +1346,7 @@ def test_oracle_compare_passes_and_reports(tmp_path):
     proc = run_cli(["oracle-compare", "--config", cfg, "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert "worst |closed form - oracle|" in proc.stdout
-    assert "float floor 1.78e-14" in proc.stdout  # eps * t_max 20 * N 4
+    assert "float floor 2.58e-14" in proc.stdout  # eps * (N 4 (t_max 20 + 7.5) + 6)
     _, rows = read_csv(out / "oracle_compare.csv")
     devs = [float(row[2]) for row in rows[1:]]
     assert len(devs) == 4
@@ -1343,12 +1379,13 @@ def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
     monkeypatch.setattr(cli, "_spin_bath_task", no_work)
     config = dict(SPIN_CFG, scaling={"n_values": [4], "samples": 200},
                   recurrence={"horizon": 4.0, "epsilon": 0.02})
-    with pytest.raises(cli.ConfigError, match="recurrence needs either"):
-        cli.spin_bath_bytes(config, workers=1)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(config, CONFIG_SCHEMAS["spin-bath"])
     cfg = write_config(tmp_path / "c.json", config)
     out = tmp_path / "o"
     args = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers]
-    _usage_error(capsys, args, "recurrence needs either 'couplings' or 'n_spins'")
+    _usage_error(capsys, args, "config invalid at recurrence: {'horizon': 4.0, 'epsilon': 0.02} "
+                               "is not valid under any of the given schemas")
     assert not out.exists()
 
 

@@ -215,6 +215,93 @@ def test_an_unsupported_keyword_fails_loudly(schema, value):
         cli._validate(value, schema)
 
 
+# ------------------------------------------------------------ defaults
+
+
+def _defaulted(schema, path=()):
+    """(path, property schema) of every property of ``schema`` with a default."""
+    for key, sub in schema.get("properties", {}).items():
+        if "default" in sub:
+            yield path + (key,), sub
+        yield from _defaulted(sub, path + (key,))
+
+
+DEFAULTED = [(experiment, path, sub) for experiment, schema in sorted(CONFIG_SCHEMAS.items())
+             for path, sub in _defaulted(schema)]
+
+
+@pytest.mark.parametrize("experiment, path, sub", DEFAULTED,
+                         ids=[f"{e}:{'/'.join(p)}" for e, p, _ in DEFAULTED])
+def test_every_default_validates_against_its_own_schema(experiment, path, sub):
+    jsonschema.validate(sub["default"], sub)
+    assert cli._validate(sub["default"], sub) == sub["default"]
+
+
+# each subcommand's config with every defaulted field written out at its default
+EXPLICIT = {
+    "spin-bath": {"experiment": "spin-bath", "seed": 3,
+                  "trace": {"n_spins": 4, "ensemble": "balanced", "t_max": 3.0, "samples": 31},
+                  "scaling": {"n_values": [2, 3], "span_periods": 400.0, "samples": 200001},
+                  "gaussian_fit": {"n_spins": 6, "n_seeds": 2, "samples": 1200}},
+    "measure": {"experiment": "measure", "seed": 4,
+                "system": {"a": [0.6, 0.0], "b": [0.0, 0.8]}, "shots": 100,
+                "dump_states": True},
+    "pointer": {"experiment": "pointer", "seed": 5,
+                "branch_amplitudes": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+                "environment": {"n_spins": 3, "ensemble": "balanced"},
+                "sieve": {"t_max": 2.0, "samples": 21}},
+    "fock": {"experiment": "fock", "n_max": 12,
+             "completeness": {"densities": [[8, 8], [16, 16], [32, 32]]},
+             "ehrenfest": {"alpha": [0.5, 0.0], "omega": 1.0, "mass": 1.0,
+                           "t_max": 0.1, "dt": 0.01}},
+    "oracle-compare": {"experiment": "oracle-compare", "seed": 2, "n_values": [2, 3],
+                       "trials": 1, "times_per_trial": 20, "t_max": 20.0, "tolerance": 1e-10},
+    "check": {"experiment": "check", "seed": 5},
+}
+
+
+def _without(config, paths):
+    """A deep copy of ``config`` without the values at ``paths``."""
+    out = copy.deepcopy(config)
+    for path in paths:
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node.pop(path[-1])
+    return out
+
+
+def _bodies(out):
+    """Each artifact in ``out`` by name: CSV lines but the provenance
+    comments, JSON without its provenance block."""
+    bodies = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload.pop("provenance")
+            bodies[path.name] = payload
+        else:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            bodies[path.name] = [line for line in lines if not line.startswith("#")]
+    return bodies
+
+
+def test_the_explicit_configs_write_out_every_default():
+    written = {(e, path) for e, config in EXPLICIT.items()
+               for path, _, _ in _sites(config, CONFIG_SCHEMAS[e])}
+    assert {(e, path) for e, path, _ in DEFAULTED} <= written
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPLICIT))
+def test_omitted_defaults_run_as_if_written_out(tmp_path, experiment):
+    explicit = EXPLICIT[experiment]
+    omitted = _without(explicit, [path for e, path, _ in DEFAULTED if e == experiment])
+    code, want = _run(tmp_path, "explicit", explicit)
+    assert code == 0
+    assert _run(tmp_path, "omitted", omitted)[0] == code
+    assert _bodies(want) and _bodies(tmp_path / "omitted") == _bodies(want)
+
+
 # ------------------------------------------------------------ integral floats
 
 INTEGRAL_CONFIGS = {

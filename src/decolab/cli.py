@@ -12,24 +12,26 @@ Subcommands
 ``check``           fast re-verification of the package's invariants
 
 Every run is driven by a JSON config (schemas in ``CONFIG_SCHEMAS``) plus a
-seed resolved as: ``--seed`` flag > ``DECOLAB_SEED`` env var > config value >
-package default.  ``_validate`` checks a config against its schema with
-jsonschema's semantics for the keywords the schemas use, and hands the runner
-an ``int`` wherever an integer field holds an integral float, so the runtime
-needs numpy alone; the process pool is imported only when a pool starts.
+seed resolved as: ``--seed`` flag > ``DECOLAB_SEED`` env var > the config's
+``seed``, whose schema ``default`` is ``spin_bath.DEFAULT_SEED``.
+``_validate`` checks a config against its schema with jsonschema's semantics
+for the keywords the schemas use, and hands the runner an ``int`` wherever
+an integer field holds an integral float, so the runtime needs numpy alone;
+the process pool is imported only when a pool starts.
 Outputs are UTF-8 CSV ('.' decimal point, 17 significant digits) and JSON;
 each file embeds a provenance block (artifact version, hash of the validated
 config, seed) so identical config+seed reruns are byte-identical.
 
 Each subcommand is one runner ``run_x(config, seed, workers, out)``.  ``main``
-loads the config, resolves the seed, creates ``--out`` and hands the runner an
-``_Output``, which alone decides where an artifact goes, what provenance is
-stamped on it and whether progress lines are printed (``--quiet``), and the
-config with every omitted field that has a schema ``default`` filled in
-(``_with_defaults``); the provenance hashes the config as written.  A runner
-and its byte estimate read each such field once, from the filled config.  A
-runner writes each config section through ``out`` in a fixed order as soon
-as that section is computed, rather than returning its tables.  A run that
+loads the config, fills in every omitted field that has a schema ``default``
+(``_with_defaults``), resolves the seed from the filled config, creates
+``--out`` and hands the runner an ``_Output``, which alone decides where an
+artifact goes, what provenance is stamped on it and whether progress lines
+are printed (``--quiet``), and the filled config; the provenance hashes the
+config as written.  A runner and its byte estimate read each such field
+once, from the filled config.  A runner writes each config section through
+``out`` in a fixed order as soon as that section is computed, rather than
+returning its tables.  A run that
 exits 2 has ``out`` remove the files it wrote and the directories it created
 for ``--out`` (``_Output.discard``), so a section that fails leaves
 ``--out`` as the run found it; exits 0 and 1 keep every file.
@@ -73,7 +75,6 @@ import contextlib
 import copy
 import csv
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -84,7 +85,6 @@ import numpy as np
 
 from . import __version__, fock, measurement, oracle, pointer, spin_bath, states
 
-DEFAULT_SEED = spin_bath.DEFAULT_SEED
 SEED_ENV_VAR = "DECOLAB_SEED"
 
 
@@ -102,254 +102,127 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config schemas (published: see README)
+# config schemas (published: see README), built from the fragments below.
+# Every object is closed, and ``_validate`` supports ``additionalProperties``
+# only as false, so ``_closed`` is the one place that writes that rule.
 
-_COMPLEX = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-    "description": "[re, im] pair",
+
+def _closed(properties: dict, required=(), **rules) -> dict:
+    """An object that admits ``properties`` alone and needs ``required``."""
+    schema = {"type": "object", "additionalProperties": False, "properties": properties, **rules}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+def _any_of(keys) -> list:
+    """``anyOf`` branches that an object meets by holding one of ``keys``."""
+    return [{"required": [key]} for key in keys]
+
+
+def _nonempty(items: dict, **rules) -> dict:
+    """An array of at least one ``items``."""
+    return {"type": "array", "items": items, "minItems": 1, **rules}
+
+
+_COMPLEX = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
+            "description": "[re, im] pair"}
+_SEED = {"type": "integer", "minimum": 0, "default": spin_bath.DEFAULT_SEED}
+_QUBIT = _closed({"a": _COMPLEX, "b": _COMPLEX}, ["a", "b"])
+_ENSEMBLE = {"enum": ["balanced", "random"], "default": "balanced"}
+_GRID = {  # a uniform time grid from 0 to t_max
+    "t_max": {"type": "number", "exclusiveMinimum": 0},
+    "samples": {"type": "integer", "minimum": 2},
 }
 
+
+def _timed(properties: dict, required=()) -> dict:
+    """A section over a ``_GRID``: ``properties``, then ``t_max`` and ``samples``."""
+    return _closed({**properties, **_GRID}, [*required, *_GRID])
+
+
+def _root(experiment: str, properties: dict, required=(), sections=None) -> dict:
+    """A subcommand's schema: the ``experiment`` const and ``seed``, then
+    ``properties`` and ``sections``.  A config needs ``experiment``,
+    ``required`` and one of ``sections``; ``check`` runs without a config,
+    so a check config needs nothing."""
+    sections = sections or {}
+    rules = {"anyOf": _any_of(sections)} if sections else {}
+    needs = [] if experiment == "check" else ["experiment", *required]
+    properties = {"experiment": {"const": experiment}, "seed": _SEED, **properties, **sections}
+    return _closed(properties, needs, **rules)
+
+
 CONFIG_SCHEMAS: dict[str, dict] = {
-    "spin-bath": {
-        "type": "object",
-        "required": ["experiment"],
-        "anyOf": [
-            {"required": ["trace"]},
-            {"required": ["scaling"]},
-            {"required": ["gaussian_fit"]},
-            {"required": ["recurrence"]},
-        ],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "spin-bath"},
-            "seed": {"type": "integer", "minimum": 0},
-            "trace": {
-                "type": "object",
-                "required": ["n_spins", "t_max", "samples"],
-                "additionalProperties": False,
-                "properties": {
-                    "n_spins": {"type": "integer", "minimum": 1},
-                    "ensemble": {"enum": ["balanced", "random"], "default": "balanced"},
-                    "t_max": {"type": "number", "exclusiveMinimum": 0},
-                    "samples": {"type": "integer", "minimum": 2},
-                },
-            },
-            "scaling": {
-                "type": "object",
-                "required": ["n_values"],
-                "additionalProperties": False,
-                "properties": {
-                    "n_values": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 1},
-                        "minItems": 1,
-                    },
-                    "span_periods": {"type": "number", "exclusiveMinimum": 0, "default": 400.0},
-                    "samples": {"type": "integer", "minimum": 100, "default": 200001},
-                },
-            },
-            "gaussian_fit": {
-                "type": "object",
-                "required": ["n_spins", "n_seeds"],
-                "additionalProperties": False,
-                "properties": {
-                    "n_spins": {"type": "integer", "minimum": 2},
-                    "n_seeds": {"type": "integer", "minimum": 1},
-                    "samples": {"type": "integer", "minimum": 50, "default": 1200},
-                },
-            },
-            "recurrence": {
-                "type": "object",
-                "required": ["horizon", "epsilon"],
-                "anyOf": [{"required": ["couplings"]}, {"required": ["n_spins"]}],
-                "additionalProperties": False,
-                "properties": {
-                    "couplings": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 1,
-                    },
-                    "n_spins": {"type": "integer", "minimum": 1},
-                    "horizon": {"type": "number", "exclusiveMinimum": 0},
-                    "epsilon": {
-                        "type": "number",
-                        "exclusiveMinimum": 0,
-                        "exclusiveMaximum": 0.5,
-                    },
-                },
-            },
-        },
-    },
-    "measure": {
-        "type": "object",
-        "required": ["experiment", "system", "shots"],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "measure"},
-            "seed": {"type": "integer", "minimum": 0},
-            "system": {
-                "type": "object",
-                "required": ["a", "b"],
-                "additionalProperties": False,
-                "properties": {"a": _COMPLEX, "b": _COMPLEX},
-            },
-            "shots": {"type": "integer", "minimum": 1, "maximum": MAX_SHOTS},
-            "kraus_file": {"type": "string"},
-            "dump_states": {"type": "boolean", "default": True},
-        },
-    },
-    "pointer": {
-        "type": "object",
-        "required": ["experiment", "branch_amplitudes", "environment"],
-        "anyOf": [
-            {"required": ["correlation"]},
-            {"required": ["sieve"]},
-            {"required": ["apparatus"]},
-        ],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "pointer"},
-            "seed": {"type": "integer", "minimum": 0},
-            "branch_amplitudes": {
-                "type": "object",
-                "required": ["a", "b"],
-                "additionalProperties": False,
-                "properties": {"a": _COMPLEX, "b": _COMPLEX},
-            },
-            "environment": {
-                "type": "object",
-                "required": ["n_spins"],
-                "additionalProperties": False,
-                "properties": {
-                    "n_spins": {"type": "integer", "minimum": 1},
-                    "ensemble": {"enum": ["balanced", "random"], "default": "balanced"},
-                },
-            },
-            "correlation": {
-                "type": "object",
-                "required": ["thetas", "t_max", "samples"],
-                "additionalProperties": False,
-                "properties": {
-                    "thetas": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0, "maximum": math.pi / 2},
-                        "minItems": 1,
-                    },
-                    "t_max": {"type": "number", "exclusiveMinimum": 0},
-                    "samples": {"type": "integer", "minimum": 2},
-                },
-            },
-            "sieve": {
-                "type": "object",
-                "required": ["t_max", "samples"],
-                "additionalProperties": False,
-                "properties": {
-                    "t_max": {"type": "number", "exclusiveMinimum": 0},
-                    "samples": {"type": "integer", "minimum": 2},
-                },
-            },
-            "apparatus": {
-                "type": "object",
-                "required": ["amplitudes", "decay_rates", "t_max", "samples"],
-                "additionalProperties": False,
-                "properties": {
-                    "amplitudes": {"type": "array", "items": _COMPLEX, "minItems": 1},
-                    "decay_rates": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0},
-                        "minItems": 1,
-                    },
-                    "weights": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0},
-                        "minItems": 1,
-                    },
-                    "t_max": {"type": "number", "exclusiveMinimum": 0},
-                    "samples": {"type": "integer", "minimum": 2},
-                },
-            },
-        },
-    },
-    "fock": {
-        "type": "object",
-        "required": ["experiment", "n_max"],
-        "anyOf": [
-            {"required": ["counting"]},
-            {"required": ["completeness"]},
-            {"required": ["ehrenfest"]},
-        ],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "fock"},
-            "seed": {"type": "integer", "minimum": 0},
-            "n_max": {"type": "integer", "minimum": 2},
-            "counting": {
-                "type": "object",
-                "required": ["alpha"],
-                "additionalProperties": False,
-                "properties": {"alpha": _COMPLEX},
-            },
-            "completeness": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "radius": {"type": "number", "exclusiveMinimum": 0},
-                    "densities": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 1},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                        "minItems": 1,
-                        "default": [[8, 8], [16, 16], [32, 32]],
-                    },
-                },
-            },
-            "ehrenfest": {
-                "type": "object",
-                "required": ["alpha", "t_max", "dt"],
-                "additionalProperties": False,
-                "properties": {
-                    "alpha": _COMPLEX,
-                    "omega": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-                    "mass": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
-                    "t_max": {"type": "number", "exclusiveMinimum": 0},
-                    "dt": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-    },
-    "oracle-compare": {
-        "type": "object",
-        "required": ["experiment", "n_values", "trials"],
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "oracle-compare"},
-            "seed": {"type": "integer", "minimum": 0},
-            "n_values": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1, "maximum": 14},
-                "minItems": 1,
-            },
-            "trials": {"type": "integer", "minimum": 1},
-            "times_per_trial": {"type": "integer", "minimum": 1, "default": 20},
-            "t_max": {"type": "number", "exclusiveMinimum": 0, "default": 20.0},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
-        },
-    },
-    "check": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "check"},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-    },
+    "spin-bath": _root("spin-bath", {}, sections={
+        "trace": _timed({
+            "n_spins": {"type": "integer", "minimum": 1},
+            "ensemble": _ENSEMBLE,
+        }, ["n_spins"]),
+        "scaling": _closed({
+            "n_values": _nonempty({"type": "integer", "minimum": 1}),
+            "span_periods": {"type": "number", "exclusiveMinimum": 0, "default": 400.0},
+            "samples": {"type": "integer", "minimum": 100, "default": 200001},
+        }, ["n_values"]),
+        "gaussian_fit": _closed({
+            "n_spins": {"type": "integer", "minimum": 2},
+            "n_seeds": {"type": "integer", "minimum": 1},
+            "samples": {"type": "integer", "minimum": 50, "default": 1200},
+        }, ["n_spins", "n_seeds"]),
+        "recurrence": _closed({
+            "couplings": _nonempty({"type": "number"}),
+            "n_spins": {"type": "integer", "minimum": 1},
+            "horizon": {"type": "number", "exclusiveMinimum": 0},
+            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
+        }, ["horizon", "epsilon"], anyOf=_any_of(["couplings", "n_spins"])),
+    }),
+    "measure": _root("measure", {
+        "system": _QUBIT,
+        "shots": {"type": "integer", "minimum": 1, "maximum": MAX_SHOTS},
+        "kraus_file": {"type": "string"},
+        "dump_states": {"type": "boolean", "default": True},
+    }, ["system", "shots"]),
+    "pointer": _root("pointer", {
+        "branch_amplitudes": _QUBIT,
+        "environment": _closed({
+            "n_spins": {"type": "integer", "minimum": 1},
+            "ensemble": _ENSEMBLE,
+        }, ["n_spins"]),
+    }, ["branch_amplitudes", "environment"], sections={
+        "correlation": _timed({
+            "thetas": _nonempty({"type": "number", "minimum": 0, "maximum": math.pi / 2}),
+        }, ["thetas"]),
+        "sieve": _timed({}),
+        "apparatus": _timed({
+            "amplitudes": _nonempty(_COMPLEX),
+            "decay_rates": _nonempty({"type": "number", "minimum": 0}),
+            "weights": _nonempty({"type": "number", "minimum": 0}),
+        }, ["amplitudes", "decay_rates"]),
+    }),
+    "fock": _root("fock", {"n_max": {"type": "integer", "minimum": 2}}, ["n_max"], sections={
+        "counting": _closed({"alpha": _COMPLEX}, ["alpha"]),
+        "completeness": _closed({
+            "radius": {"type": "number", "exclusiveMinimum": 0},
+            "densities": _nonempty({"type": "array", "items": {"type": "integer", "minimum": 1},
+                                    "minItems": 2, "maxItems": 2},
+                                   default=[[8, 8], [16, 16], [32, 32]]),
+        }),
+        "ehrenfest": _closed({
+            "alpha": _COMPLEX,
+            "omega": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+            "mass": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+            "t_max": {"type": "number", "exclusiveMinimum": 0},
+            "dt": {"type": "number", "exclusiveMinimum": 0},
+        }, ["alpha", "t_max", "dt"]),
+    }),
+    "oracle-compare": _root("oracle-compare", {
+        "n_values": _nonempty({"type": "integer", "minimum": 1, "maximum": 14}),
+        "trials": {"type": "integer", "minimum": 1},
+        "times_per_trial": {"type": "integer", "minimum": 1, "default": 20},
+        "t_max": {"type": "number", "exclusiveMinimum": 0, "default": 20.0},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
+    }, ["n_values", "trials"]),
+    "check": _root("check", {}),
 }
 
 
@@ -395,7 +268,8 @@ def _validate(value, schema: dict, path: tuple = ()):
     Interprets the keywords in ``_KEYWORDS``, ``additionalProperties`` only
     as false, and raises ``TypeError`` on anything else, so a schema never
     asks for a check that is silently skipped.  A violation raises
-    ``ConfigError`` naming its path with a jsonschema-style message; of
+    ``ConfigError`` naming its path with a jsonschema-style message (an
+    ``anyOf`` whose every branch asks for one key names those keys); of
     several, the first met is named, a node's own keywords before its
     children's.  Returns ``value`` with every integral float in an
     integer-typed field (``40.0``) turned into an ``int``.
@@ -448,6 +322,10 @@ def _validate(value, schema: dict, path: tuple = ()):
             except ConfigError:
                 pass
         else:
+            keys = [branch["required"][0] for branch in schema["anyOf"]
+                    if branch.keys() == {"required"} and len(branch["required"]) == 1]
+            if len(keys) == len(schema["anyOf"]):  # each branch asks for one key
+                fail(f"needs one of {', '.join(map(repr, keys))}")
             fail(f"{value!r} is not valid under any of the given schemas")
     if isinstance(value, dict):
         value = {
@@ -477,6 +355,8 @@ def _fmt(x: float) -> str:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # on first use: importing decolab.cli alone maps no libcrypto (3.5 MiB)
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -567,6 +447,8 @@ def _load_config(path: str, experiment: str) -> dict:
 
 
 def _resolve_seed(flag_seed, config: dict) -> int:
+    """The run's seed: ``--seed``, else ``DECOLAB_SEED``, else the filled
+    config's ``seed`` (the schema's default when the config omits it)."""
     if flag_seed is not None:
         seed = flag_seed
     elif os.environ.get(SEED_ENV_VAR):
@@ -576,7 +458,7 @@ def _resolve_seed(flag_seed, config: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
     else:
-        seed = config.get("seed", DEFAULT_SEED)
+        seed = config["seed"]
     if not 0 <= int(seed) < 2 ** 64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return int(seed)
@@ -1372,13 +1254,13 @@ def main(argv=None) -> int:
             config = {"experiment": "check"}
         else:
             config = _load_config(args.config, args.subcommand)
-        seed = _resolve_seed(args.seed, config)
+        filled = _with_defaults(config, CONFIG_SCHEMAS[args.subcommand])
+        seed = _resolve_seed(args.seed, filled)
         if args.out is None and not check:
             raise ConfigError("this subcommand needs --out")
-        out = _Output(args.out, args.subcommand, config, seed, args.quiet)
         # the provenance hashes the config as written, the runner reads it filled
-        config = _with_defaults(config, CONFIG_SCHEMAS[args.subcommand])
-        return runner(config, seed, args.workers, out)
+        out = _Output(args.out, args.subcommand, config, seed, args.quiet)
+        return runner(filled, seed, args.workers, out)
     except (ConfigError, ValueError, spin_bath.FitWindowError) as exc:
         # a value from the config that the library rejects (including
         # DimensionCapError and TruncationError) is a config error too

@@ -194,11 +194,16 @@ def test_every_schema_keyword_is_one_the_validator_supports(experiment):
         assert key in cli._KEYWORDS
         if key == "type":
             assert holder["type"] in cli._TYPES
+        if key == "type" and holder[key] == "object":  # every object is closed
+            assert holder.get("additionalProperties") is False
         if key == "additionalProperties":
             assert holder[key] is False
         if key in ("const", "enum"):
             values = holder[key] if key == "enum" else [holder[key]]
             assert all(isinstance(v, str) for v in values)
+    props = CONFIG_SCHEMAS[experiment]["properties"]
+    assert props["experiment"] == {"const": experiment}
+    assert props["seed"] == {"type": "integer", "minimum": 0, "default": 42}
 
 
 @pytest.mark.parametrize(
@@ -239,24 +244,24 @@ def test_every_default_validates_against_its_own_schema(experiment, path, sub):
 
 # each subcommand's config with every defaulted field written out at its default
 EXPLICIT = {
-    "spin-bath": {"experiment": "spin-bath", "seed": 3,
+    "spin-bath": {"experiment": "spin-bath", "seed": 42,
                   "trace": {"n_spins": 4, "ensemble": "balanced", "t_max": 3.0, "samples": 31},
                   "scaling": {"n_values": [2, 3], "span_periods": 400.0, "samples": 200001},
                   "gaussian_fit": {"n_spins": 6, "n_seeds": 2, "samples": 1200}},
-    "measure": {"experiment": "measure", "seed": 4,
+    "measure": {"experiment": "measure", "seed": 42,
                 "system": {"a": [0.6, 0.0], "b": [0.0, 0.8]}, "shots": 100,
                 "dump_states": True},
-    "pointer": {"experiment": "pointer", "seed": 5,
+    "pointer": {"experiment": "pointer", "seed": 42,
                 "branch_amplitudes": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
                 "environment": {"n_spins": 3, "ensemble": "balanced"},
                 "sieve": {"t_max": 2.0, "samples": 21}},
-    "fock": {"experiment": "fock", "n_max": 12,
+    "fock": {"experiment": "fock", "seed": 42, "n_max": 12,
              "completeness": {"densities": [[8, 8], [16, 16], [32, 32]]},
              "ehrenfest": {"alpha": [0.5, 0.0], "omega": 1.0, "mass": 1.0,
                            "t_max": 0.1, "dt": 0.01}},
-    "oracle-compare": {"experiment": "oracle-compare", "seed": 2, "n_values": [2, 3],
+    "oracle-compare": {"experiment": "oracle-compare", "seed": 42, "n_values": [2, 3],
                        "trials": 1, "times_per_trial": 20, "t_max": 20.0, "tolerance": 1e-10},
-    "check": {"experiment": "check", "seed": 5},
+    "check": {"experiment": "check", "seed": 42},
 }
 
 

@@ -7,14 +7,18 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 import decolab
 
-# Every hypothesis test draws the same examples on every run, and no run
-# replays a failure stored by an earlier one.
-settings.register_profile("deterministic", derandomize=True, database=None)
-settings.load_profile("deterministic")
+try:
+    from hypothesis import settings
+except ModuleNotFoundError:  # a numpy-only install: the hypothesis modules skip
+    pass
+else:
+    # Every hypothesis test draws the same examples on every run, and no run
+    # replays a failure stored by an earlier one.
+    settings.register_profile("deterministic", derandomize=True, database=None)
+    settings.load_profile("deterministic")
 
 # Absolute path of the directory that contains the imported decolab package.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(decolab.__file__)))

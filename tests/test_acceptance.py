@@ -11,7 +11,7 @@ import os
 import time
 
 import numpy as np
-from scipy import stats
+import pytest
 
 from conftest import run_cli
 from decolab.fock import (
@@ -207,6 +207,7 @@ def test_criterion_06_projective_update_semantics(criterion_log):
 
 
 def test_criterion_07_born_statistics(criterion_log):
+    stats = pytest.importorskip("scipy.stats")
     gen = np.random.default_rng(707)
     p_min = 1.0
     for child in np.random.SeedSequence(708).spawn(10):

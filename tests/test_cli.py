@@ -3,13 +3,13 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -138,6 +138,7 @@ def test_out_naming_an_existing_file_is_usage_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
     _usage_error(capsys, ["spin-bath", "--config", cfg, "--out", str(taken)], "--out")
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 @pytest.mark.parametrize("artifact", ["outcomes.csv", "premeasured_state.json"])
@@ -207,7 +208,7 @@ def test_time_whose_phase_overflows_is_usage_error(tmp_path, capsys, experiment,
     cfg = write_config(tmp_path / "c.json", {"experiment": experiment, **section})
     out = tmp_path / "o"
     args = [experiment, "--config", cfg, "--out", str(out), "--workers", "1"]
-    _usage_error(capsys, args, "phase 2 g t overflows")
+    _usage_error(capsys, args, "t_grid: the phase 2 g t overflows")
     assert not out.exists()
 
 
@@ -278,8 +279,9 @@ def test_overflow_prints_one_line_at_exit_2_and_nothing_at_exit_0(
 
 def test_scaling_span_that_overflows_the_grid_is_usage_error(tmp_path, capsys):
     # span_periods / min g is inf, which np.linspace would turn into NaN times
-    # with an "invalid value" warning on stderr
-    config = {"experiment": "spin-bath",
+    # with an "invalid value" warning on stderr; trace.csv, written before
+    # the scaling task fails, is removed with the --out the run created
+    config = {"experiment": "spin-bath", "trace": {"n_spins": 3, "t_max": 1.0, "samples": 3},
               "scaling": {"n_values": [4], "span_periods": 1.7e308, "samples": 1000}}
     cfg = write_config(tmp_path / "c.json", config)
     args = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
@@ -670,6 +672,7 @@ def test_shots_above_the_ceiling_are_rejected_before_sampling(tmp_path, monkeypa
     cfg = write_config(tmp_path / "c.json", config)
     err = _usage_error(capsys, ["measure", "--config", cfg, "--out", str(tmp_path / "o")])
     assert err.startswith("decolab: config invalid at shots")
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(dict(config, shots=cli.MAX_SHOTS), CONFIG_SCHEMAS["measure"])
 
 
@@ -1222,6 +1225,23 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path):
 # ------------------------------------------------------------ README examples
 
 
+def write_kraus_file(directory, config):
+    """The z-basis Kraus set, in ``directory`` under the file name that
+    ``config`` gives, if it gives one (a README example names it relative
+    to the working directory)."""
+    if "kraus_file" in config:
+        zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
+        with open(directory / config["kraus_file"], "w") as fh:
+            json.dump(zset.to_dict(), fh)
+
+
+def _assert_same_files(want, got):
+    """``got`` holds the files of ``want``, byte for byte, and no other."""
+    names = sorted(os.listdir(want))
+    assert names and sorted(os.listdir(got)) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
 
 def test_readme_dotted_names_resolve():
     names = set(re.findall(r"`(decolab(?:\.\w+)+)`", README.read_text(encoding="utf-8")))
@@ -1243,17 +1263,18 @@ def test_readme_has_a_config_per_subcommand():
 @pytest.mark.parametrize(
     "config", README_CONFIGS, ids=[c["experiment"] for c in README_CONFIGS]
 )
-def test_readme_config_runs_as_documented(tmp_path, config):
-    if "kraus_file" in config:
-        # the example names a file relative to the working directory
-        zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
-        with open(tmp_path / config["kraus_file"], "w") as fh:
-            json.dump(zset.to_dict(), fh)
+def test_readme_config_runs_as_documented(tmp_path, monkeypatch, config):
+    write_kraus_file(tmp_path, config)
     cfg = write_config(tmp_path / "config.json", config)
     proc = run_cli(
         [config["experiment"], "--config", cfg, "--out", "out", "--quiet"], cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
+    # the same files at one worker as at the default
+    monkeypatch.chdir(tmp_path)
+    argv = [config["experiment"], "--config", cfg, "--out", "serial", "--quiet", "--workers", "1"]
+    assert main(argv) == 0
+    _assert_same_files(tmp_path / "out", tmp_path / "serial")
 
 
 def _summary_prefixes(config):
@@ -1277,10 +1298,7 @@ STDOUT_CONFIGS = README_CONFIGS + [{"experiment": "check"}]
     "config", STDOUT_CONFIGS, ids=[c["experiment"] for c in STDOUT_CONFIGS]
 )
 def test_loud_run_names_each_file_once_and_quiet_run_prints_nothing(tmp_path, config):
-    if "kraus_file" in config:
-        zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
-        with open(tmp_path / config["kraus_file"], "w") as fh:
-            json.dump(zset.to_dict(), fh)
+    write_kraus_file(tmp_path, config)
     cfg = write_config(tmp_path / "config.json", config)
     stdout = {}
     for label, flags in (("loud", []), ("quiet", ["--quiet"])):
@@ -1298,12 +1316,84 @@ def test_loud_run_names_each_file_once_and_quiet_run_prints_nothing(tmp_path, co
     assert len(summary) == len(prefixes)
     assert all(line.startswith(prefix) for line, prefix in zip(summary, prefixes))
     assert stdout["quiet"] == ""
-    assert sorted(os.listdir(tmp_path / "quiet")) == files
-    for name in files:
-        assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
+    _assert_same_files(tmp_path / "loud", tmp_path / "quiet")
+
+
+# ------------------------------------------------------------ exit 0 at the edges
+
+# Configs at the edge of a bound that must exit 0, print nothing on stderr
+# and write the same files at one worker as at the default.  Each but
+# "rates" is sized to walk more than one block (``_edge_blocks``).
+EDGE_CONFIGS = {
+    # t gamma past the float range: exp(-inf) = 0, not an overflow warning
+    "rates": {"experiment": "pointer", **_POINTER_BODY, "apparatus": dict(
+        _APPARATUS, decay_rates=[1e300], t_max=1e300)},
+    # a recurrence scan over several chunks of its grid
+    "chunks": {"experiment": "spin-bath", "recurrence": {
+        "couplings": [0.3, 0.5, 0.7, 0.9], "horizon": 15000.0, "epsilon": 0.01}},
+    # an Ehrenfest audit whose 50 001 states are evolved in several blocks
+    "blocks": {"experiment": "fock", "n_max": 20, "ehrenfest": {
+        "alpha": [1.0, 0.0], "omega": 1.0, "mass": 1.0, "t_max": 50.0, "dt": 0.001}},
+    # trace.csv written over several slices of rows
+    "slices": {"experiment": "spin-bath", "trace": {
+        "n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": 20001}},
+    # the default coherent audit at n_max 48, its sum formed in several blocks of rows
+    "audit": {"experiment": "fock", "n_max": 48, "completeness": {}},
+    # the dense oracle's evolution at N = 13 and 14 over several blocks of times
+    "oracle": {"experiment": "oracle-compare", "n_values": [13, 14], "trials": 2,
+               "times_per_trial": 9},
+}
+
+
+def _edge_blocks(name, config):
+    """Blocks of its walk that edge config ``name`` spans, by the code's own sizes."""
+    states = cli.states
+    if name == "chunks":
+        sec = config["recurrence"]
+        g = np.array(sec["couplings"])
+        step = cli.spin_bath._scan_step(float(g.max()), float(np.dot(g, g)), sec["epsilon"])
+        return math.ceil(sec["horizon"] / step / cli.spin_bath._slice_size(32))
+    if name == "blocks":
+        sec = config["ehrenfest"]
+        points = round(sec["t_max"] / sec["dt"]) + 1
+        block = states._block_items(16 * (config["n_max"] + 1))
+        return len(states._row_blocks(points, block)) - 1
+    if name == "slices":
+        return math.ceil(config["trace"]["samples"] / _TRACE_ROWS)
+    if name == "audit":
+        block = states._block_items(16 * cli.fock.DEFAULT_DENSITY ** 2)
+        return len(states._row_blocks(config["n_max"] + 1, block)) - 1
+    assert name == "oracle"
+    per_time = cli.oracle._dephasing_time_bytes(2 ** (min(config["n_values"]) + 1))
+    block = states._block_items(per_time)
+    return len(states._row_blocks(config["times_per_trial"], block, least=1)) - 1
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
+def test_edge_config_exits_0_quietly_and_alike_at_one_worker(tmp_path, capfd, name):
+    config = EDGE_CONFIGS[name]
+    assert name == "rates" or _edge_blocks(name, config) > 1
+    cfg = write_config(tmp_path / "c.json", config)
+    for label, flags in (("default", []), ("serial", ["--workers", "1"])):
+        argv = [config["experiment"], "--config", cfg, "--out", str(tmp_path / label), "--quiet"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + flags) == 0
+        assert capfd.readouterr().err == ""
+    _assert_same_files(tmp_path / "default", tmp_path / "serial")
 
 
 # ------------------------------------------------------------ seeds
+
+
+def test_config_without_seed_runs_at_seed_42(tmp_path, monkeypatch):
+    monkeypatch.delenv("DECOLAB_SEED", raising=False)
+    cfg = write_config(tmp_path / "c.json", {k: v for k, v in SPIN_CFG.items() if k != "seed"})
+    for label, flags in (("unseeded", []), ("seeded", ["--seed", "42"])):
+        argv = ["spin-bath", "--config", cfg, "--out", str(tmp_path / label), "--workers", "1",
+                "--quiet"]
+        assert main(argv + flags) == 0
+    _assert_same_files(tmp_path / "unseeded", tmp_path / "seeded")
 
 
 def test_seed_flag_overrides_env_and_config(tmp_path):
@@ -1379,13 +1469,14 @@ def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
     monkeypatch.setattr(cli, "_spin_bath_task", no_work)
     config = dict(SPIN_CFG, scaling={"n_values": [4], "samples": 200},
                   recurrence={"horizon": 4.0, "epsilon": 0.02})
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(config, CONFIG_SCHEMAS["spin-bath"])
     cfg = write_config(tmp_path / "c.json", config)
     out = tmp_path / "o"
     args = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers]
     _usage_error(capsys, args, "config invalid at recurrence: needs one of 'couplings', 'n_spins'")
     assert not out.exists()
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(config, CONFIG_SCHEMAS["spin-bath"])
 
 
 @pytest.mark.parametrize("kraus, expected", [

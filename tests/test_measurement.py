@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from decolab.measurement import (
     ImpossibleOutcomeError,
@@ -327,24 +325,6 @@ def test_kraus_set_from_dict_tolerance_override():
     data = lone.to_dict()
     with pytest.raises(ValueError):
         KrausSet.from_dict(data, completeness_tol=1e-10)
-
-
-@settings(deadline=None, max_examples=20)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_povm_probabilities_form_a_distribution(seed):
-    local = np.random.default_rng(seed)
-    raws = [
-        local.normal(size=(3, 3)) + 1j * local.normal(size=(3, 3)) for _ in range(3)
-    ]
-    s = sum(m.conj().T @ m for m in raws)
-    w, v = np.linalg.eigh(s)
-    kset = KrausSet([m @ (v @ np.diag(w ** -0.5) @ v.conj().T) for m in raws])
-    raw = local.normal(size=(3, 3)) + 1j * local.normal(size=(3, 3))
-    mat = raw @ raw.conj().T
-    rho = DensityMatrix((3,), mat / np.trace(mat))
-    probs = povm_probabilities(rho, kset)
-    assert np.all(probs >= 0.0)
-    assert abs(probs.sum() - 1.0) < 1e-10
 
 
 # ------------------------------------------------------------ array-backed KrausSet

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from decolab import cli, oracle, states
 from decolab.oracle import (
@@ -85,6 +84,7 @@ def test_evolve_dense_matches_diagonal_on_diagonal_input():
 
 
 def test_evolve_dense_matches_matrix_exponential():
+    expm = pytest.importorskip("scipy.linalg").expm
     for dim in (2, 5, 9):
         h = random_hermitian(dim)
         psi = random_state(dim)

@@ -18,7 +18,7 @@ seed resolved as: ``--seed`` flag > ``DECOLAB_SEED`` env var > the config's
 for the keywords the schemas use, and hands the runner an ``int`` wherever
 an integer field holds an integral float, so the runtime needs numpy alone;
 the process pool is imported only when a pool starts.
-Outputs are UTF-8 CSV ('.' decimal point, 17 significant digits) and JSON;
+Outputs are UTF-8 CSV (numbers as printf's ``%.17g``) and JSON;
 each file embeds a provenance block (artifact version, hash of the validated
 config, seed) so identical config+seed reruns are byte-identical.
 
@@ -40,8 +40,9 @@ every ``scaling`` and ``gaussian_fit`` task up front; while the workers
 run, the parent evaluates
 and writes ``trace.csv`` (10^5 rows in the benchmark) one slice of r(t)
 at a time, as many rows as one ``states._BLOCK_BYTES`` block holds at
-``_TRACE_ROW_BYTES`` a row, never holding the whole grid's r(t) or its rows
-as Python floats.  Every section that holds a time grid (``trace``,
+four ``_CELL_BYTES`` a row: each slice is one (n, 4) array, which the CSV
+writer's ``_Numbers`` turns into text in one piece, so the whole grid's
+r(t) or text is never held.  Every section that holds a time grid (``trace``,
 ``scaling``, ``gaussian_fit``, and ``pointer``'s ``correlation`` and
 ``sieve``) has it walked by ``spin_bath._slices``, which alone picks the
 evaluator and checks the whole grid before the first slice: ``trace``
@@ -63,7 +64,8 @@ alone and rejects, as a config error, any section over the one
 An estimate sums the private ``_*_bytes`` functions that sit beside the
 library allocations they bound (``spin_bath._r_bytes`` for every section
 that evaluates r(t) on a grid) and adds what the CLI itself holds: the tasks
-handed to a pool, ``trace``'s slice of rows and each section's CSV writer.
+handed to a pool and each section's CSV writer, whose piece of formatted
+numbers covers ``trace``'s slice of rows.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -349,11 +351,6 @@ def _with_defaults(config: dict, schema: dict) -> dict:
 # plumbing
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, '.' decimal point: round-trips float64 exactly."""
-    return format(float(x), ".17g")
-
-
 def _config_hash(config: dict) -> str:
     import hashlib  # on first use: importing decolab.cli alone maps no libcrypto (3.5 MiB)
 
@@ -370,26 +367,314 @@ def _provenance(experiment: str, config: dict, seed: int) -> dict:
     }
 
 
+#: Bytes a number of a piece costs while ``_Numbers.lines`` formats it,
+#: measured with tracemalloc and rounded up (182 measured): its float64
+#: value, its share of the record, blend and mask buffers (3 x 32), and the
+#: larger of the exact product's float temporaries and the kept characters
+#: with their layout.  A piece gathered from Python rows also holds those
+#: rows and their array, ``_ROW_CELL_BYTES`` more a number (53 measured
+#: for rows of numpy floats).
+_CELL_BYTES = 200
+_ROW_CELL_BYTES = 64
+
+# A number's text is laid out in 32 slots, then kept by a mask: slot 0 the
+# sign, 2-5 the zeros of "0.000", 6-22 the 17 digits and 23 the slot the
+# decimal point shifts them into, 24-28 "e+XXX", 29 the separator (',', or
+# '\r' after a row's last number) and 30 the '\n' that ends a row.
+_SLOTS = 32
+_RECORD = b"- 0000" + b"0" * 18 + b"e+000,\n "
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
+_TIE_BAND = 2.0 ** -44
+
+
+def _power_of_ten(k: int) -> tuple:
+    """10^k as (H, Hh, Hl, L, s) with 10^k = (H + L + d) 2^(s + 53), |d| <= 2^-54:
+    H an integer in [2^52, 2^53) and Hh + Hl its Veltkamp split, 0 <= L < 1,
+    all worked out from exact integers."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    shift = num.bit_length() - 53 if k >= 0 else -52 - den.bit_length()
+    if shift < 0:
+        num <<= -shift
+    else:
+        den <<= shift
+    whole, rest = divmod(num, den)
+    hi = float(whole)  # 53 bits: exact
+    split = hi * _SPLITTER
+    hi_hi = split - (split - hi)
+    return hi, hi_hi, hi - hi_hi, rest / den, shift - 53
+
+
+class _Numbers:
+    """Rows of float64 numbers as CSV text, byte for byte printf's ``%.17g``.
+
+    ``lines`` turns a 2-D block into ASCII lines: numbers joined by ',',
+    each row ended by '\\r\\n'.  A finite nonzero x prints the 17-digit
+    integer N = round(|x| 10^(16 - X)), rounded half to even, X the decimal
+    exponent of |x| after that rounding: in fixed notation when
+    -4 <= X < 17, else as d.ddd e+-XX, trailing zeros dropped, with a '-'
+    for x < 0 and -0.  0, inf and nan print as "0", "inf" and "nan".
+
+    N comes from doubles alone, and exactly.  X is first taken as
+    floor(log10 |x|), and 10^(16 - X) = (H + L) 2^s from ``_power_of_ten``,
+    made for the exponents a block holds as it first needs them.  |x| is
+    m 2^e, m a 53-bit integer; Dekker's product (no FMA) gives m H exactly
+    as p + err, so y = |x| 10^(16 - X) = y_hi + y_lo with y_hi = p 2^(e+s),
+    an integer once y > 2^53, and y_lo = fl(err + fl(m L)) 2^(e+s).
+
+    Counting each rounding as at most u = 2^-53 of its result (Higham 2002,
+    ch. 3), before the scaling by 2^(e+s): fl(m L) is within u m L < 1 of
+    m L; the sum within u (|err| + |m L|) <= u (2^52 + 2^53) = 3/4 of
+    err + fl(m L); and dropping the table's remainder d costs m |d| < 1/2.
+    In all y_lo is within 9/4 units of 2^(e+s) of y - y_hi, and since
+    m H >= 2^104 and y < 10^17, 2^(e+s) < 10^17 / 2^104 < 2^-47: y_lo is
+    within 2^-45 of the truth.  So N = y_hi + rint(y_lo) is round(y)
+    unless y_lo lies within 2^-45 of a half-integer, and the band
+    ``_TIE_BAND`` = 2^-44 leaves a factor 2.  X is right when
+    10^16 <= y < 10^17: N in (10^16, 10^17) proves it, and N = 10^16 does
+    when (y_hi - 10^16) + y_lo, an exact difference and one more rounding
+    of at most 2^-45, is at least the band.
+
+    An element that misses either test (a near-tie, about 2^-43 of random
+    inputs; a value within an ulp or so of a power of ten, whose log10
+    rounds across it; a 17-digit round-up to 10^17; a power of ten that is
+    a double) takes its N and X from Python's own ``"%.16e" % x``.  The
+    text is then laid out in ``_SLOTS`` slots per number by table lookups,
+    the slots after the decimal point shift one right to make room for it,
+    and the slots a mask keeps are the lines.
+
+    The record and mask buffers and the tables are kept from one call to
+    the next, so a file written in many pieces allocates them once.
+    """
+
+    def __init__(self):
+        self._powers = {}
+        self._size = 0
+        neg, first, end, form, last = np.indices((2, 5, 18, 3, 2)).reshape(5, -1)
+        slot = np.arange(_SLOTS)
+        # which slots a number keeps, by (sign, first kept slot 2-6, last
+        # kept slot 6-23, exponent none / 2 / 3 digits, last of its row)
+        mask = (slot >= first[:, None] + 2) & (slot <= end[:, None] + 6)
+        mask[:, 0] = neg == 1
+        mask[:, 24:29] = (form > 0)[:, None]
+        mask[:, 26] &= form == 2
+        mask[:, 29] = True
+        mask[:, 30] = last == 1
+        self._mask = mask
+        # where the point goes: after slot 2-22, or nowhere (the last row)
+        point = np.append(np.arange(2, 23), _SLOTS)[:, None]
+        self._kept = ((slot <= point) | (slot >= 24)).astype(np.uint8)
+        self._shifted = 1 - self._kept
+        # the characters of each group of two and of four digits
+        pairs = np.arange(100, dtype=np.uint8)
+        pairs = np.stack([pairs // 10, pairs % 10], axis=1) + np.uint8(ord("0"))
+        self._pairs = pairs.view("<u2").reshape(-1)
+        quads = np.empty((100, 100, 4), np.uint8)
+        quads[:, :, :2], quads[:, :, 2:] = pairs[:, None], pairs
+        self._quads = quads.view("<u4").reshape(-1)
+        # trailing zeros of each group of four digits, 4 for 0000
+        self._zeros = np.zeros(10 ** 4, np.uint8)
+        for power in range(1, 5):
+            self._zeros[::10 ** power] += 1
+        # by decimal exponent, -400 to 400: 'e', its sign and its hundreds
+        # and tens digits; its units digit; and its form: fixed notation, or
+        # an exponent of two or three digits
+        exp = np.arange(-400, 401, dtype=np.int16)
+        size = np.abs(exp)
+        chars = np.empty((exp.size, 4), np.uint8)
+        chars[:, 0] = ord("e")
+        chars[:, 1] = ord("+") + 2 * (exp < 0)
+        chars[:, 2] = size // 100 + ord("0")
+        chars[:, 3] = size // 10 % 10 + ord("0")
+        self._exponents = chars.view("<u4").reshape(-1)
+        self._exponents_units = (size % 10 + ord("0")).astype(np.uint8)
+        fixed = (exp >= -4) & (exp < 17)
+        self._exponent_form = np.where(fixed, 0, 1 + (size >= 100)).astype(np.intp)
+
+    def lines(self, block) -> np.ndarray:
+        """The CSV lines of ``block``, a 2-D array of numbers, as ASCII bytes."""
+        x = np.ascontiguousarray(block, dtype=float).reshape(-1)
+        n, width = x.size, block.shape[1]
+        record, blend, keep = self._buffers(n)
+        exp10, count, plain = self._fill(record, x, width)
+        form = self._exponent_form.take(exp10 + 400)
+        point = exp10 * (form == 0)  # the point follows digit `point`, in slot 6 + point
+        kept = np.maximum(count, point + 1)
+        dotted = kept > point + 1
+        # the point: each slot after slot 6 + point takes its left
+        # neighbour's character, the first of them a '.'
+        shift = np.where(dotted, point + 4, 21)
+        flat, blend = record.reshape(-1), blend.reshape(-1)
+        self._shifted.take(shift, axis=0, out=blend.reshape(n, _SLOTS), mode="clip")
+        blend[1:] *= flat[:-1]
+        self._kept.take(shift, axis=0, out=keep.view(np.uint8), mode="clip")
+        flat *= keep.view(np.uint8).reshape(-1)
+        flat += blend
+        flat[np.flatnonzero(dotted) * _SLOTS + 7 + point[dotted]] = ord(".")
+        # the mask's row, keyed as in __init__, in the spent shift array
+        layout = np.minimum(point, 0, out=shift)
+        layout += 4 + 5 * (np.signbit(x) & ~np.isnan(x))
+        layout *= 18
+        layout += kept
+        layout += dotted - 1
+        layout *= 3
+        layout += form
+        layout *= 2
+        layout.reshape(-1, width)[:, -1] += 1  # the last number of a row
+        self._mask.take(layout, axis=0, out=keep, mode="clip")
+        return flat[keep.reshape(-1)]
+
+    def _decimal(self, x):
+        """N, X and the finite nonzero mask of ``x``: N = 0 and X = 0 for
+        zeros, X = 2 for inf and nan (their three letters)."""
+        a = np.abs(x)
+        plain = (a > 0.0) & (a < math.inf)
+        np.copyto(a, 1.0, where=~plain)
+        exp10 = np.floor(np.log10(a)).astype(np.intp)
+        low, high = 16 - int(exp10.max()), 16 - int(exp10.min())
+        for k in range(low, high + 1):
+            if k not in self._powers:
+                self._powers[k] = _power_of_ten(k)
+        hi, hi_hi, hi_lo, lo, shift = np.array([self._powers[k] for k in range(low, high + 1)]).T
+        index = (16 - low) - exp10
+        m, e = np.frexp(a, out=(a, None))
+        m *= 2.0 ** 53
+        e += shift.astype(e.dtype).take(index)
+        p = hi.take(index)
+        p *= m
+        m_hi = m * _SPLITTER
+        m_lo = m_hi - m
+        m_hi -= m_lo
+        np.subtract(m, m_hi, out=m_lo)
+        err = hi_hi.take(index)  # Dekker: p + err is m H exactly
+        err *= m_hi
+        err -= p
+        term = np.empty_like(m)
+        for table, factor in ((hi_lo, m_hi), (hi_hi, m_lo), (hi_lo, m_lo), (lo, m)):
+            table.take(index, out=term, mode="clip")
+            term *= factor
+            err += term
+        y_hi, y_lo = np.ldexp(p, e, out=p), np.ldexp(err, e, out=err)
+        near = np.rint(y_lo, out=term)
+        digits = y_hi.astype(np.int64)
+        digits += near.astype(np.int64)
+        gap = np.subtract(y_lo, near, out=m_hi)
+        np.abs(gap, out=gap)
+        gap -= 0.5
+        exact = np.abs(gap, out=gap) > _TIE_BAND
+        y_hi -= 1e16
+        y_hi += y_lo
+        exact &= (digits > 10 ** 16) | (y_hi >= _TIE_BAND)
+        exact &= digits < 10 ** 17
+        exact &= plain
+        for i in np.flatnonzero(plain & ~exact).tolist():
+            text = "%.16e" % abs(x[i])
+            digits[i], exp10[i] = int(text[0] + text[2:18]), int(text[19:])
+        if not exact.all():
+            rare = ~plain
+            digits[rare] = 0
+            exp10[rare] = 2 * ~np.isfinite(x[rare])
+        return digits, exp10, plain
+
+    def _buffers(self, n: int):
+        """Record, blend and mask buffers for ``n`` numbers, grown as needed."""
+        if self._size < n:
+            self._size = n
+            self._space = np.empty((3, n, _SLOTS), np.uint8)
+        record, blend, keep = self._space[:, :n]
+        return record, blend, keep.view(bool)
+
+    def _fill(self, record, x, width: int):
+        """Each number's slots, before the point: the row's separators, the
+        17 digits of N (or inf or nan), the exponent.  Returns X, the
+        count of significant digits and the finite nonzero mask."""
+        digits, exp10, plain = self._decimal(x)
+        row = np.frombuffer(_RECORD * width, np.uint8).reshape(width, _SLOTS).copy()
+        row[-1, 29] = ord("\r")
+        record.reshape(-1, width * _SLOTS)[:] = row.reshape(-1)
+        # two digits, then four groups of four, the last ending in a pad
+        # '0'; the trailing zeros of the digits and the pad are counted by
+        # group, each group's count added when every group after it is zero
+        group = digits // 10 ** 15
+        record.view("<u2")[:, 3] = self._pairs.take(group)
+        zeros = self._zeros.take(group)
+        digits -= group * 10 ** 15
+        digits *= 10
+        fours = record.view("<u4")
+        for col, unit in ((2, 10 ** 12), (3, 10 ** 8), (4, 10 ** 4), (5, 1)):
+            np.floor_divide(digits, unit, out=group)
+            fours[:, col] = self._quads.take(group)
+            zeros *= group == 0
+            zeros += self._zeros.take(group)
+            digits -= group * unit
+        count = 18 - zeros
+        # "e+XX" in slots 24-27 and the last digit in slot 28
+        index = exp10 + 400
+        fours[:, 6] = self._exponents.take(index)
+        record[:, 28] = self._exponents_units.take(index)
+        rare = np.flatnonzero(~plain)
+        if rare.size:  # zeros print one digit; inf and nan three letters
+            letters = rare[exp10[rare] == 2]
+            nan = np.isnan(x[letters])[:, None]
+            record[letters, 6:9] = np.where(nan, list(b"nan"), list(b"inf"))
+            count[rare] = 1 + exp10[rare]
+        return exp10, count, plain
+
+
 def _write_csv(path, header, rows, prov, quiet: bool) -> None:
     """Provenance comments, the header, then one CSV line per row.
 
-    A row of numbers is written through one ``%.17g`` line, byte for byte
-    what ``csv.writer`` makes of the ``_fmt`` cells; a row holding text
-    makes that line raise and goes through ``csv.writer``, which quotes.
+    ``rows`` yields rows (sequences of cells) and 2-D arrays of numeric
+    rows, in any mix; each must be as wide as ``header``, or ValueError
+    names the file and both widths.  ``_Numbers`` writes every number, a
+    piece of one ``states._BLOCK_BYTES`` block at a time: an array in pieces
+    of that many rows at ``_CELL_BYTES`` a number, and rows gathered into
+    pieces that also hold the Python rows.  A piece that holds text goes
+    through ``csv.writer``, which quotes, with its numbers formatted by the
+    same ``_Numbers``.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    width = len(header)
+    numbers = _Numbers()
     with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.reconfigure(write_through=True)  # text and fh.buffer's bytes stay in order
+        writer = csv.writer(fh)
+
+        def write_rows(gathered):
+            table = np.array(gathered)
+            if table.dtype.kind in "biuf":
+                fh.buffer.write(numbers.lines(table))
+                return
+            cells = [cell for row in gathered for cell in row if not isinstance(cell, str)]
+            lines = numbers.lines(np.array(cells, dtype=float).reshape(-1, 1)) if cells else b""
+            cells = iter(bytes(lines).decode("ascii").split("\r\n"))
+            for row in gathered:
+                writer.writerow([cell if isinstance(cell, str) else next(cells) for cell in row])
+
+        def check(got):
+            if got != width:
+                raise ValueError(f"{path}: a row of {got} cells under a header of {width}")
+
         for key in ("artifact_version", "experiment", "config_sha256", "seed"):
             fh.write(f"# {key} = {prov[key]}\n")
-        writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            try:
-                fh.write(line % row)
-            except TypeError:
-                writer.writerow(
-                    [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-                )
+        piece = states._block_items(width * _CELL_BYTES)
+        row_piece = states._block_items(width * (_CELL_BYTES + _ROW_CELL_BYTES))
+        gathered = []
+        for item in rows:
+            if isinstance(item, np.ndarray) and item.ndim == 2:
+                check(item.shape[1])
+                if gathered:
+                    write_rows(gathered)
+                    gathered = []
+                for lo in range(0, len(item), piece):
+                    fh.buffer.write(numbers.lines(item[lo : lo + piece]))
+                continue
+            check(len(item))
+            gathered.append(item)
+            if len(gathered) == row_piece:
+                write_rows(gathered)
+                gathered = []
+        if gathered:
+            write_rows(gathered)
     if not quiet:
         print(f"wrote {path}")
 
@@ -560,18 +845,17 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # spin-bath
 
 # Working-set sizes the CLI itself owns, measured with tracemalloc and
-# rounded up: per trace.csv row of the slice held as Python floats (157
-# measured, with the row's share of the arrays; a slice is as many rows as
-# one states._BLOCK_BYTES block holds), per task a section hands to
-# the pool (seed, payload, result row; an oracle-compare task also its pool
-# future, 2.4 KiB measured with a pool of 2 workers), and one section's CSV
-# file, charged to every section and once to sections that run at once:
-# csv.writer allocates a 128 KiB record buffer on its first row (CPython
-# 3.11), 137 KB measured with the file's buffers.
-_TRACE_ROW_BYTES = 160
+# rounded up: per task a section hands to the pool (seed, payload, result
+# row; an oracle-compare task also its pool future, 2.4 KiB measured with a
+# pool of 2 workers), and one section's CSV file, charged to every section
+# and once to sections that run at once: csv.writer allocates a 128 KiB
+# record buffer on its first row (CPython 3.11), ``_Numbers`` builds its
+# tables (300 KB measured for the whole writer at 100 rows) and formats one
+# piece of at most one states._BLOCK_BYTES block (1.14 MB measured at 10^5
+# rows of numbers and text).
 _TASK_BYTES = 2048
 _ORACLE_TASK_BYTES = 3072
-_WRITER_BYTES = 160 * 1024
+_WRITER_BYTES = 256 * 1024 + states._BLOCK_BYTES
 
 
 def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
@@ -584,8 +868,8 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
 
     Worked out from the config alone, before anything is allocated: each
     section grows linearly with its time samples (grid points for
-    ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``), ``trace``
-    adds one slice of Python rows and every section its CSV writer.  A
+    ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``) and adds its
+    CSV writer, whose piece covers ``trace``'s slice of rows.  A
     pooled section holds one task per busy worker at a time.  ``trace``,
     ``scaling`` and ``gaussian_fit`` run at once, so ``run_spin_bath`` also
     bounds their sum.
@@ -593,8 +877,7 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     need = {}
     if "trace" in config:
         sec = config["trace"]
-        rows = min(sec["samples"], spin_bath._slice_size(_TRACE_ROW_BYTES))
-        need["trace"] = spin_bath._r_bytes(sec["n_spins"], sec["samples"]) + rows * _TRACE_ROW_BYTES
+        need["trace"] = spin_bath._r_bytes(sec["n_spins"], sec["samples"])
     if "scaling" in config:
         sec = config["scaling"]
         per_task = spin_bath._r_bytes(max(sec["n_values"]), sec["samples"])
@@ -672,23 +955,16 @@ def _spin_bath_task(payload):
     return _scaling_task(args) if section == "scaling" else _fit_task(args)
 
 
-def _trace_rows(t_grid, slices):
-    """trace.csv's rows, made from each (start, r) slice of ``t_grid`` as it comes."""
-    for lo, part in slices:
-        yield from zip(
-            t_grid[lo : lo + part.size].tolist(),
-            part.real.tolist(),
-            part.imag.tolist(),
-            (np.abs(part) ** 2).tolist(),
-        )
-
-
 def _write_trace(sec: dict, child, out) -> None:
+    """trace.csv, one (n, 4) block of rows per slice of r(t), each slice
+    one piece of the CSV writer."""
     cfg = _bath_from(sec["n_spins"], sec["ensemble"], child)
     t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
     # checks the whole grid before trace.csv is opened
-    slices = spin_bath._slices(cfg, t_grid, spin_bath._slice_size(_TRACE_ROW_BYTES), "t_grid")
-    out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], _trace_rows(t_grid, slices))
+    slices = spin_bath._slices(cfg, t_grid, spin_bath._slice_size(4 * _CELL_BYTES), "t_grid")
+    blocks = (np.column_stack((t_grid[lo : lo + r.size], r.real, r.imag, np.abs(r) ** 2))
+              for lo, r in slices)
+    out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], blocks)
 
 
 def run_spin_bath(config, seed, workers, out) -> int:
@@ -915,8 +1191,7 @@ def run_fock(config, seed, workers, out) -> int:
         amps = fock.coherent_state(space, alpha).amps
         # M_n = |0><n| makes Tr[M_n^dag M_n |psi><psi|] = |psi_n|^2
         probs = (amps * amps.conj()).real
-        rows = [(str(n), p) for n, p in enumerate(probs)]
-        out.csv("counting.csv", ["n", "probability"], rows)
+        out.csv("counting.csv", ["n", "probability"], [np.column_stack((np.arange(probs.size), probs))])
 
     if "completeness" in config:
         sec = config["completeness"]

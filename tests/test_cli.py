@@ -26,8 +26,8 @@ from decolab.spin_bath import (
 )
 from decolab.states import DIM_CAP
 
-# trace.csv rows in one slice of the trace writer
-_TRACE_ROWS = cli.spin_bath._slice_size(cli._TRACE_ROW_BYTES)
+# trace.csv rows in one slice of the trace writer: one piece of its numbers
+_TRACE_ROWS = cli.spin_bath._slice_size(4 * cli._CELL_BYTES)
 
 
 def _filled(config):
@@ -389,14 +389,17 @@ def test_failing_fit_task_leaves_no_files_and_no_workers(tmp_path, monkeypatch, 
     assert multiprocessing.active_children() == []
 
 
-def test_trace_rows_streamed_in_slices_match_whole_array_rows():
-    bath = SpinBathConfig.random(6, np.random.default_rng(5))
-    t_grid = np.linspace(0.0, 9.0, 3 * _TRACE_ROWS + 17)
+def test_trace_rows_streamed_in_slices_match_whole_array_rows(tmp_path):
+    # 3 slices and 17 rows, written as %.17g rows of r(t) on the whole grid
+    sec = {"n_spins": 6, "ensemble": "random", "t_max": 9.0, "samples": 3 * _TRACE_ROWS + 17}
+    out = cli._Output(str(tmp_path), "spin-bath", {}, 0, quiet=True)
+    cli._write_trace(sec, np.random.SeedSequence(5), out)
+    t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
+    bath = cli._bath_from(sec["n_spins"], sec["ensemble"], np.random.SeedSequence(5))
     r = cli.spin_bath.decoherence_on_grid(bath, t_grid)
     whole = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
-    slices = cli.spin_bath._slices(bath, t_grid, _TRACE_ROWS, "t_grid")
-    rows = list(cli._trace_rows(t_grid, slices))
-    assert np.array(rows).tobytes() == np.array(list(whole)).tobytes()
+    rows = "".join("%.17g,%.17g,%.17g,%.17g\r\n" % row for row in whole).encode()
+    assert (tmp_path / "trace.csv").read_bytes().endswith(b"abs_r_squared\r\n" + rows)
 
 
 def _full_grid_fit(n, samples, child):
@@ -704,7 +707,7 @@ def test_fock_estimate_scales_with_the_section_sizes():
     def need(section, n_max, **body):
         config = {"experiment": "fock", "n_max": n_max,
                   section: dict(FOCK_SECTIONS[section], **body)}
-        return cli.fock_bytes(config)[section]
+        return cli.fock_bytes(config)[section] - cli._WRITER_BYTES  # the part that scales
 
     # counting: the FockSpace operators and the d x d density matrix
     assert 3.9 < need("counting", 799) / need("counting", 399) < 4.1
@@ -1028,12 +1031,12 @@ def test_shipped_configs_fit_the_budget(tmp_path, experiment, sections):
 
 
 @pytest.mark.parametrize("section, n_max, body", [
-    ("completeness", 3556, {}),
-    ("ehrenfest", 2955, {"alpha": [1.0, 0.0], "t_max": 999.0, "dt": 1.0}),
+    ("completeness", 3555, {}),
+    ("ehrenfest", 2954, {"alpha": [1.0, 0.0], "t_max": 999.0, "dt": 1.0}),
 ])
 def test_readme_fock_limits_hold(tmp_path, monkeypatch, capsys, section, n_max, body):
-    # README: completeness with the default grid up to n_max 3 556, ehrenfest
-    # over 1 000 time points up to 2 955; one level more is rejected unbuilt
+    # README: completeness with the default grid up to n_max 3 555, ehrenfest
+    # over 1 000 time points up to 2 954; one level more is rejected unbuilt
     config = {"experiment": "fock", "n_max": n_max, section: body}
     cli._enforce_budget("fock", cli.fock_bytes(_filled(config)))
     monkeypatch.setattr(cli.fock, "FockSpace", None)  # a space built would raise
@@ -1100,6 +1103,13 @@ def _ehrenfest(n_max, points):
     cli.fock.ehrenfest_check(space, state, 1.0, 1.0, np.arange(points) * 1e-3)
 
 
+def _numeric_rows(count, out):
+    """A CSV of ``count`` rows of three numpy floats, each row made as the
+    writer takes it."""
+    rows = ((np.float64(k) / 7, np.float64(-k) * 1e-9, np.float64(k) ** 0.5) for k in range(count))
+    out.csv("numbers.csv", ["a", "b", "c"], rows)
+
+
 # Each row: (estimate of a size, workload of that size writing to ``out``,
 # sizes).  At the smallest size of every row fixed costs dominate.  The CLI
 # rows check a section's estimate against its serial CLI run; the library
@@ -1107,7 +1117,10 @@ def _ehrenfest(n_max, points):
 ESTIMATE_ROWS = {
     "trace": _row("trace", lambda s: {"experiment": "spin-bath", "trace": {
         "n_spins": 40, "ensemble": "random", "t_max": 20.0, "samples": s}},
-        [31, _TRACE_ROWS, 5 * _TRACE_ROWS + 1]),
+        # less than a slice, one, five slices and a row, and two sizes off the slice
+        [31, _TRACE_ROWS, 5 * _TRACE_ROWS + 1, 6528, 32641]),
+    # the CSV writer alone: one piece of numbers however many rows
+    "writer": (lambda rows: cli._WRITER_BYTES, _numeric_rows, [10 ** 2, 10 ** 4, 10 ** 5]),
     # pooled sections: one task, run in process
     "scaling": _row("scaling", lambda s: {"experiment": "spin-bath", "scaling": {
         "n_values": [s[0]], "span_periods": 400.0, "samples": s[1]}},
@@ -1188,20 +1201,25 @@ def test_recurrence_row_reaches_past_one_chunk_of_the_scan():
 
 
 def _reference_csv(header, rows, prov):
+    """What ``csv.writer`` makes of each row, its numbers as ``%.17g``; a
+    2-D array stands for its rows."""
     buf = io.StringIO(newline="")
     for key in ("artifact_version", "experiment", "config_sha256", "seed"):
         buf.write(f"# {key} = {prov[key]}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [cell if isinstance(cell, str) else format(float(cell), ".17g") for cell in row]
-        )
+    for item in rows:
+        for row in item if isinstance(item, np.ndarray) and item.ndim == 2 else [item]:
+            writer.writerow(
+                [cell if isinstance(cell, str) else format(float(cell), ".17g") for cell in row]
+            )
     return buf.getvalue().encode("utf-8")
 
 
+_PROV = cli._provenance("spin-bath", {"experiment": "spin-bath"}, 7)
+
+
 def test_csv_writer_matches_csv_module_bytes(tmp_path):
-    prov = cli._provenance("spin-bath", {"experiment": "spin-bath"}, 7)
     header = ["a", "b", "c"]
     numbers = [
         (0, 1.5, np.float64(0.1)),
@@ -1215,11 +1233,64 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path):
         ("up,down", 3, np.float64(0.5)),
         ('say "hi"', "a,b", 'x"y'),
         ("", -0.0, "tail"),
+        ("1e3", True, "0.50"),  # text that reads as a number stays as written
     ]
-    rows = numbers[:2] + text[:2] + numbers[2:] + text[2:]
+    # ints, bools and numpy scalars of every kind, and blocks of rows
+    scalars = [
+        (True, False, np.bool_(True)),
+        (np.int64(-2 ** 63), np.uint64(2 ** 64 - 1), np.int32(7)),
+        (np.float32(0.1), np.float16(-65504.0), 12345678901234567),
+        (np.uint8(255), np.int8(-128), np.float64(1e-5)),
+    ]
+    huge = [(2 ** 70, -(2 ** 80), 3)]  # no numpy integer holds these
+    blocks = [
+        np.array([[1.0, -2.5, 3e-7], [0.0, 1e17, -1e-4], [123456789.125, 1e16, 5e-324]]),
+        np.arange(-3, 3).reshape(2, 3),
+        np.array([[True, False, True]]),
+        np.zeros((0, 3)),
+    ]
+    # rows between two blocks are one piece: the scalars alone, then with text
+    rows = (numbers[:2] + [blocks[0]] + text[:2] + [blocks[1]] + scalars + [blocks[2]] + huge
+            + [blocks[1]] + numbers[2:] + [blocks[3]] + text[2:] + scalars + huge)
     path = tmp_path / "t.csv"
-    cli._write_csv(str(path), header, iter(rows), prov, quiet=True)
-    assert path.read_bytes() == _reference_csv(header, rows, prov)
+    cli._write_csv(str(path), header, iter(rows), _PROV, quiet=True)
+    assert path.read_bytes() == _reference_csv(header, rows, _PROV)
+
+
+@pytest.mark.parametrize("rows, got", [
+    ([(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)], 2),
+    ([(1.0, 2.0, 3.0), (6.0, 7.0, 8.0, 9.0)], 4),
+    ([np.zeros((2, 3)), np.zeros((2, 4))], 4),
+    ([("a", 1.0)], 2),
+])
+def test_csv_writer_refuses_a_row_of_another_width(tmp_path, rows, got):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a row of {got} cells under a "
+                                                   "header of 3")):
+        cli._write_csv(str(path), ["a", "b", "c"], rows, _PROV, quiet=True)
+
+
+def test_csv_writer_formats_in_pieces_of_one_block(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-20, 20, (500, 3))
+    rows = [block, *map(tuple, block.tolist()), ("text", 1.5, -2.0)]
+    pieces = []
+    lines = cli._Numbers.lines
+
+    def counted(self, piece):
+        pieces.append(piece.size)
+        return lines(self, piece)
+
+    monkeypatch.setattr(cli._Numbers, "lines", counted)
+    cli._write_csv(str(tmp_path / "whole.csv"), ["a", "b", "c"], rows, _PROV, quiet=True)
+    # the array, then the rows and the text row, whose numbers go as one column
+    assert pieces == [1500, 1502]
+    pieces.clear()
+    monkeypatch.setattr(cli.states, "_BLOCK_BYTES", 4096)
+    cli._write_csv(str(tmp_path / "pieces.csv"), ["a", "b", "c"], rows, _PROV, quiet=True)
+    assert max(pieces) * cli._CELL_BYTES <= 4096 and len(pieces) > 100
+    assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "whole.csv").read_bytes() == _reference_csv(["a", "b", "c"], rows, _PROV)
 
 
 # ------------------------------------------------------------ README examples

@@ -511,10 +511,11 @@ def test_row_blocks_of_single_rows_when_asked(rows, count):
 
 
 class _Rows:
-    """An ``out`` that keeps the rows of the one CSV written to it."""
+    """An ``out`` that keeps the rows of the one CSV written to it, whose
+    blocks are 2-D arrays of rows."""
 
     def csv(self, name, header, rows):
-        self.rows = list(rows)
+        self.rows = np.concatenate(list(rows))
 
 
 def _trace_rows():

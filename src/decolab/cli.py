@@ -20,7 +20,11 @@ an integer field holds an integral float, so the runtime needs numpy alone;
 the process pool is imported only when a pool starts.
 Outputs are UTF-8 CSV (numbers as printf's ``%.17g``) and JSON;
 each file embeds a provenance block (artifact version, hash of the validated
-config, seed) so identical config+seed reruns are byte-identical.
+config, seed) so identical config+seed reruns are byte-identical.  A table
+of numbers alone reaches the CSV writer as 2-D float arrays, which its
+``_Numbers`` formats a block at a time; the four tables that hold text
+(``outcomes``, ``povm``, ``sieve``, ``completeness``) reach it as rows,
+which ``csv.writer`` writes.
 
 Each subcommand is one runner ``run_x(config, seed, workers, out)``.  ``main``
 loads the config, fills in every omitted field that has a schema ``default``
@@ -371,11 +375,8 @@ def _provenance(experiment: str, config: dict, seed: int) -> dict:
 #: measured with tracemalloc and rounded up (182 measured): its float64
 #: value, its share of the record, blend and mask buffers (3 x 32), and the
 #: larger of the exact product's float temporaries and the kept characters
-#: with their layout.  A piece gathered from Python rows also holds those
-#: rows and their array, ``_ROW_CELL_BYTES`` more a number (53 measured
-#: for rows of numpy floats).
+#: with their layout.
 _CELL_BYTES = 200
-_ROW_CELL_BYTES = 64
 
 # A number's text is laid out in 32 slots, then kept by a mask: slot 0 the
 # sign, 2-5 the zeros of "0.000", 6-22 the 17 digits and 23 the slot the
@@ -623,58 +624,34 @@ class _Numbers:
 def _write_csv(path, header, rows, prov, quiet: bool) -> None:
     """Provenance comments, the header, then one CSV line per row.
 
-    ``rows`` yields rows (sequences of cells) and 2-D arrays of numeric
-    rows, in any mix; each must be as wide as ``header``, or ValueError
-    names the file and both widths.  ``_Numbers`` writes every number, a
-    piece of one ``states._BLOCK_BYTES`` block at a time: an array in pieces
-    of that many rows at ``_CELL_BYTES`` a number, and rows gathered into
-    pieces that also hold the Python rows.  A piece that holds text goes
-    through ``csv.writer``, which quotes, with its numbers formatted by the
-    same ``_Numbers``.
+    ``rows`` yields 2-D arrays of numbers and rows (sequences of cells), in
+    any mix; each must be as wide as ``header``, or ValueError names the
+    file and both widths.  A table of numbers alone comes as arrays, which
+    ``_Numbers`` writes in pieces of one ``states._BLOCK_BYTES`` block at
+    ``_CELL_BYTES`` a number.  A row, the form of a table that holds text,
+    goes through ``csv.writer``, which quotes, with each cell that is not a
+    string written as ``format(float(cell), ".17g")``: the same bytes.
     """
     width = len(header)
     numbers = _Numbers()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.reconfigure(write_through=True)  # text and fh.buffer's bytes stay in order
         writer = csv.writer(fh)
-
-        def write_rows(gathered):
-            table = np.array(gathered)
-            if table.dtype.kind in "biuf":
-                fh.buffer.write(numbers.lines(table))
-                return
-            cells = [cell for row in gathered for cell in row if not isinstance(cell, str)]
-            lines = numbers.lines(np.array(cells, dtype=float).reshape(-1, 1)) if cells else b""
-            cells = iter(bytes(lines).decode("ascii").split("\r\n"))
-            for row in gathered:
-                writer.writerow([cell if isinstance(cell, str) else next(cells) for cell in row])
-
-        def check(got):
-            if got != width:
-                raise ValueError(f"{path}: a row of {got} cells under a header of {width}")
-
         for key in ("artifact_version", "experiment", "config_sha256", "seed"):
             fh.write(f"# {key} = {prov[key]}\n")
         writer.writerow(header)
         piece = states._block_items(width * _CELL_BYTES)
-        row_piece = states._block_items(width * (_CELL_BYTES + _ROW_CELL_BYTES))
-        gathered = []
         for item in rows:
-            if isinstance(item, np.ndarray) and item.ndim == 2:
-                check(item.shape[1])
-                if gathered:
-                    write_rows(gathered)
-                    gathered = []
+            block = isinstance(item, np.ndarray) and item.ndim == 2
+            got = item.shape[1] if block else len(item)
+            if got != width:
+                raise ValueError(f"{path}: a row of {got} cells under a header of {width}")
+            if block:
                 for lo in range(0, len(item), piece):
                     fh.buffer.write(numbers.lines(item[lo : lo + piece]))
-                continue
-            check(len(item))
-            gathered.append(item)
-            if len(gathered) == row_piece:
-                write_rows(gathered)
-                gathered = []
-        if gathered:
-            write_rows(gathered)
+            else:
+                writer.writerow([cell if isinstance(cell, str) else format(float(cell), ".17g")
+                                 for cell in item])
     if not quiet:
         print(f"wrote {path}")
 
@@ -851,8 +828,9 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # and once to sections that run at once: csv.writer allocates a 128 KiB
 # record buffer on its first row (CPython 3.11), ``_Numbers`` builds its
 # tables (300 KB measured for the whole writer at 100 rows) and formats one
-# piece of at most one states._BLOCK_BYTES block (1.14 MB measured at 10^5
-# rows of numbers and text).
+# piece of at most one states._BLOCK_BYTES block (1.19 MB measured for an
+# array of 10^5 rows of three numbers; rows that hold text, written one at a
+# time, 0.25 MB).
 _TASK_BYTES = 2048
 _ORACLE_TASK_BYTES = 3072
 _WRITER_BYTES = 256 * 1024 + states._BLOCK_BYTES
@@ -993,11 +971,11 @@ def run_spin_bath(config, seed, workers, out) -> int:
             _write_trace(config["trace"], kids[0], out)
         if "scaling" in config:
             means = itertools.islice(results, n_scaling)
-            rows = [(n, mean, math.log2(mean)) for n, mean in means]
-            out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], rows)
+            rows = np.array([(n, mean, math.log2(mean)) for n, mean in means], float)
+            out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], [rows])
         if "gaussian_fit" in config:
-            rows = [(idx, *fit) for idx, fit in enumerate(results)]
-            out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], rows)
+            rows = np.array([(idx, *fit) for idx, fit in enumerate(results)], float)
+            out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], [rows])
 
     if "recurrence" in config:
         sec = config["recurrence"]
@@ -1005,8 +983,8 @@ def run_spin_bath(config, seed, workers, out) -> int:
             cfg = spin_bath.SpinBathConfig.balanced(np.asarray(sec["couplings"], float))
         else:
             cfg = _bath_from(sec["n_spins"], "balanced", kids[3])
-        rows = spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"])
-        out.csv("recurrence.csv", ["t_enter", "t_exit"], rows)
+        rows = np.array(spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"]), float)
+        out.csv("recurrence.csv", ["t_enter", "t_exit"], [rows.reshape(-1, 2)])
     return 0
 
 
@@ -1015,20 +993,20 @@ def run_spin_bath(config, seed, workers, out) -> int:
 
 
 def _load_kraus(path) -> measurement.KrausSet:
-    """The Kraus set in ``path``; its input must be the system (2) or the joint state (4)."""
+    """The Kraus set in ``path``; its input must be the system (2) or the
+    joint state (4), which a well-formed file is checked for before any
+    operator is built."""
     finite, integer = (functools.partial(hook, source="Kraus file") for hook in (_finite, _integer))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            kset = measurement.KrausSet.from_dict(
-                json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite))
+            data = json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
+        (_, dim_in), *_ = measurement._kraus_fields(data)
+        if dim_in not in (2, 4):
+            raise ConfigError(f"Kraus input dimension {dim_in} matches neither the "
+                              "system (2) nor the joint state (4)")
+        return measurement.KrausSet.from_dict(data)
     except (OSError, json.JSONDecodeError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot load Kraus set: {exc}") from exc
-    if kset.dim_in not in (2, 4):
-        raise ConfigError(
-            f"Kraus input dimension {kset.dim_in} matches neither the "
-            "system (2) nor the joint state (4)"
-        )
-    return kset
 
 
 def run_measure(config, seed, workers, out) -> int:
@@ -1049,7 +1027,7 @@ def run_measure(config, seed, workers, out) -> int:
         joint, basis, config["shots"], np.random.SeedSequence(seed)
     )
     names = ["up,up", "up,down", "down,up", "down,down"]
-    rows = [(name, str(int(c)), c / config["shots"], p) for name, c, p in zip(names, counts, probs)]
+    rows = [(name, c, c / config["shots"], p) for name, c, p in zip(names, counts, probs)]
     out.csv("outcomes.csv", ["outcome", "count", "frequency", "born_probability"], rows)
     rho = states.reduced_density(joint, keep=0)
     if config["dump_states"]:
@@ -1127,7 +1105,7 @@ def run_pointer(config, seed, workers, out) -> int:
         r = spin_bath.decoherence_on_grid(bath, t_grid)
         columns = [pointer._rotated_correlation(tri, th, r) for th in sec["thetas"]]
         header = ["t"] + [f"corr_theta_{theta:g}" for theta in sec["thetas"]]
-        out.csv("correlation.csv", header, zip(t_grid, *columns))
+        out.csv("correlation.csv", header, [np.column_stack((t_grid, *columns))])
 
     if "sieve" in config:
         sec = config["sieve"]
@@ -1147,7 +1125,8 @@ def run_pointer(config, seed, workers, out) -> int:
             sec.get("weights"),
             t_grid,
         )
-        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"], zip(t_grid, offdiag, purity))
+        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"],
+                [np.column_stack((t_grid, offdiag, purity))])
     return 0
 
 
@@ -1218,7 +1197,7 @@ def run_fock(config, seed, workers, out) -> int:
         state = fock.coherent_state(space, alpha)
         report = fock.ehrenfest_check(space, state, sec["omega"], sec["mass"], t_grid)
         out.say(f"ehrenfest max residual {report.max_residual:.6e} at dt {dt:g}")
-        out.csv("ehrenfest.csv", ["t", "residual"], zip(report.t, report.residuals))
+        out.csv("ehrenfest.csv", ["t", "residual"], [np.column_stack((report.t, report.residuals))])
     return 0
 
 
@@ -1308,7 +1287,7 @@ def run_oracle_compare(config, seed, workers, out) -> int:
     with _pmap(_oracle_task, payloads, workers) as results:
         results = list(results)
     rows = [(idx // len(config["n_values"]), n, dev) for idx, (n, dev) in enumerate(results)]
-    out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], rows)
+    out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], [np.array(rows, float)])
     worst = max(dev for _, dev in results)
     ok = worst <= tolerance
     out.say(

@@ -144,32 +144,39 @@ class KrausSet:
         null, or an array of strings and numbers.  A boolean is never a
         number, and anything else raises ``ValueError`` naming the field.
         """
-        if not isinstance(data, dict):
-            raise ValueError(f"a Kraus set is a JSON object, got {type(data).__name__}")
-        labels = data.get("labels")
-        if labels is not None and not (isinstance(labels, list) and all(
-                isinstance(x, str) or _is_number(x) for x in labels)):
-            raise ValueError("labels must be an array of strings and numbers")
-        shape, flats = data.get("shape"), data.get("operators")
-        if not (isinstance(shape, list) and len(shape) == 2
-                and all(_is_number(x) and x % 1 == 0 and x >= 1 for x in shape)):
-            raise ValueError("shape must be an array of two integers of at least 1")
-        if not isinstance(flats, list):
-            raise ValueError("operators must be an array")
-        rows, cols = (int(x) for x in shape)
-        ops = []
-        for flat in flats:
-            if not (isinstance(flat, list) and all(
-                    isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in flat)):
-                raise ValueError("operators must be arrays of [re, im] pairs of numbers")
-            arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
-            if arr.size != rows * cols:
-                raise ValueError("operator entry count does not match shape")
-            ops.append(arr.reshape(rows, cols))
-        tol = data.get("completeness_tol", 1e-10) if completeness_tol == "stored" else completeness_tol
-        if tol is not None and not _is_number(tol):
-            raise ValueError("completeness_tol must be a number or null")
+        (rows, cols), flats, labels, tol = _kraus_fields(data, completeness_tol)
+        ops = [np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(rows, cols)
+               for flat in flats]
         return cls(ops, labels=labels, completeness_tol=tol)
+
+
+def _kraus_fields(data, completeness_tol="stored") -> tuple:
+    """``(rows, cols)``, operators, labels and tolerance of a ``to_dict``
+    form, checked as ``KrausSet.from_dict`` describes but without building
+    an array: ``ValueError`` names the first field that is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a Kraus set is a JSON object, got {type(data).__name__}")
+    labels = data.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(x, str) or _is_number(x) for x in labels)):
+        raise ValueError("labels must be an array of strings and numbers")
+    shape, flats = data.get("shape"), data.get("operators")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_number(x) and x % 1 == 0 and x >= 1 for x in shape)):
+        raise ValueError("shape must be an array of two integers of at least 1")
+    if not isinstance(flats, list):
+        raise ValueError("operators must be an array")
+    rows, cols = (int(x) for x in shape)
+    for flat in flats:
+        if not (isinstance(flat, list) and all(
+                isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in flat)):
+            raise ValueError("operators must be arrays of [re, im] pairs of numbers")
+        if len(flat) != rows * cols:
+            raise ValueError("operator entry count does not match shape")
+    tol = data.get("completeness_tol", 1e-10) if completeness_tol == "stored" else completeness_tol
+    if tol is not None and not _is_number(tol):
+        raise ValueError("completeness_tol must be a number or null")
+    return (rows, cols), flats, labels, tol
 
 
 class Projector:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -1103,11 +1104,18 @@ def _ehrenfest(n_max, points):
     cli.fock.ehrenfest_check(space, state, 1.0, 1.0, np.arange(points) * 1e-3)
 
 
+@functools.lru_cache(maxsize=None)
+def _numeric_block(count):
+    """``count`` rows of three numbers, made once: a runner's table is
+    charged to its section, not to the writer."""
+    k = np.arange(count, dtype=float)
+    return np.column_stack((k / 7, -k * 1e-9, k ** 0.5))
+
+
 def _numeric_rows(count, out):
-    """A CSV of ``count`` rows of three numpy floats, each row made as the
-    writer takes it."""
-    rows = ((np.float64(k) / 7, np.float64(-k) * 1e-9, np.float64(k) ** 0.5) for k in range(count))
-    out.csv("numbers.csv", ["a", "b", "c"], rows)
+    """A CSV of ``count`` rows of three numbers, handed over as one array,
+    as the runners hand a table of numbers to the writer."""
+    out.csv("numbers.csv", ["a", "b", "c"], [_numeric_block(count)])
 
 
 # Each row: (estimate of a size, workload of that size writing to ``out``,
@@ -1249,7 +1257,7 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path):
         np.array([[True, False, True]]),
         np.zeros((0, 3)),
     ]
-    # rows between two blocks are one piece: the scalars alone, then with text
+    # rows and blocks in any mix: rows of numbers alone, then with text
     rows = (numbers[:2] + [blocks[0]] + text[:2] + [blocks[1]] + scalars + [blocks[2]] + huge
             + [blocks[1]] + numbers[2:] + [blocks[3]] + text[2:] + scalars + huge)
     path = tmp_path / "t.csv"
@@ -1283,12 +1291,13 @@ def test_csv_writer_formats_in_pieces_of_one_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli._Numbers, "lines", counted)
     cli._write_csv(str(tmp_path / "whole.csv"), ["a", "b", "c"], rows, _PROV, quiet=True)
-    # the array, then the rows and the text row, whose numbers go as one column
-    assert pieces == [1500, 1502]
+    # the array alone: the rows and the text row go to csv.writer
+    assert pieces == [1500]
     pieces.clear()
     monkeypatch.setattr(cli.states, "_BLOCK_BYTES", 4096)
     cli._write_csv(str(tmp_path / "pieces.csv"), ["a", "b", "c"], rows, _PROV, quiet=True)
-    assert max(pieces) * cli._CELL_BYTES <= 4096 and len(pieces) > 100
+    # 4096 bytes hold 6 rows of three numbers at _CELL_BYTES each
+    assert max(pieces) * cli._CELL_BYTES <= 4096 and len(pieces) == math.ceil(500 / 6)
     assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "whole.csv").read_bytes() == _reference_csv(["a", "b", "c"], rows, _PROV)
 
@@ -1304,6 +1313,23 @@ def write_kraus_file(directory, config):
         zset = KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
         with open(directory / config["kraus_file"], "w") as fh:
             json.dump(zset.to_dict(), fh)
+
+
+def _numbers_as_arrays(monkeypatch):
+    """Check each item the run hands the CSV writer: one without a text
+    cell is a 2-D array, the writer's one route for numbers."""
+    write_csv = cli._write_csv
+
+    def checked(path, header, rows, prov, quiet):
+        def items():
+            for item in rows:
+                assert (isinstance(item, np.ndarray) and item.ndim == 2
+                        or any(isinstance(cell, str) for cell in item)), (path, type(item))
+                yield item
+
+        write_csv(path, header, items(), prov, quiet)
+
+    monkeypatch.setattr(cli, "_write_csv", checked)
 
 
 def _assert_same_files(want, got):
@@ -1325,6 +1351,32 @@ def test_readme_dotted_names_resolve():
             assert hasattr(importlib.import_module(module), attr), name
 
 
+def _readme_numbers(pattern):
+    """Every number README states where ``pattern`` matches, its whitespace
+    taken as any whitespace and ``{}`` as a number such as "16 384" or "1.25"."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    number = r"(\d{1,3}(?: \d{3})+|[\d.]+)"
+    regex = re.escape(pattern).replace(r"\{\}", number).replace(r"\ ", " ")
+    return [float(n.replace(" ", "")) for m in re.finditer(regex, text) for n in m.groups()]
+
+
+def test_readme_walk_sizes_match_the_code():
+    slice_size = cli.spin_bath._slice_size
+    row = 4 * cli._CELL_BYTES
+    stated = {
+        "`time_averaged_r2` ({} samples at 64 bytes": [slice_size(64)],
+        "`trace.csv` {} rows at a time, {} bytes a row": [_TRACE_ROWS, row],
+        "one slice of {} rows of r(t) and of its rows (1 MiB at {} bytes a row)":
+            [_TRACE_ROWS, row],
+        "`recurrence_scan` ({} points at 32 bytes": [slice_size(32)],
+        "one chunk of {} points (1 MiB at 32 bytes a point)": [slice_size(32)],
+        "{} MiB per section for writing its CSV file": [cli._WRITER_BYTES / 2 ** 20],
+    }
+    assert cli.states._BLOCK_BYTES == 2 ** 20  # the "1 MiB" of each slice
+    for pattern, numbers in stated.items():
+        assert _readme_numbers(pattern) == numbers, pattern
+
+
 def test_readme_has_a_config_per_subcommand():
     assert sorted(c["experiment"] for c in README_CONFIGS) == sorted(
         name for name in CONFIG_SCHEMAS if name != "check"
@@ -1343,6 +1395,7 @@ def test_readme_config_runs_as_documented(tmp_path, monkeypatch, config):
     assert proc.returncode == 0, proc.stderr
     # the same files at one worker as at the default
     monkeypatch.chdir(tmp_path)
+    _numbers_as_arrays(monkeypatch)
     argv = [config["experiment"], "--config", cfg, "--out", "serial", "--quiet", "--workers", "1"]
     assert main(argv) == 0
     _assert_same_files(tmp_path / "out", tmp_path / "serial")
@@ -1441,9 +1494,11 @@ def _edge_blocks(name, config):
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
-def test_edge_config_exits_0_quietly_and_alike_at_one_worker(tmp_path, capfd, name):
+def test_edge_config_exits_0_quietly_and_alike_at_one_worker(tmp_path, monkeypatch, capfd,
+                                                             name):
     config = EDGE_CONFIGS[name]
     assert name == "rates" or _edge_blocks(name, config) > 1
+    _numbers_as_arrays(monkeypatch)
     cfg = write_config(tmp_path / "c.json", config)
     for label, flags in (("default", []), ("serial", ["--workers", "1"])):
         argv = [config["experiment"], "--config", cfg, "--out", str(tmp_path / label), "--quiet"]
@@ -1557,14 +1612,22 @@ def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
     (json.dumps({"shape": [3, 3], "operators": [
         [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]]}),
      "Kraus input dimension 3"),
-], ids=["missing", "not-json", "malformed", "dimension-3"])
+    # its completeness sum alone would be a 4096 x 4096 complex matrix
+    (json.dumps({"shape": [1, 4096], "operators": [[[1, 0]] * 4096]}),
+     "Kraus input dimension 4096"),
+], ids=["missing", "not-json", "malformed", "dimension-3", "dimension-4096"])
 def test_bad_kraus_file_fails_before_sampling_or_writing(
     tmp_path, monkeypatch, capsys, kraus, expected
 ):
     def no_sampling(*args, **kwargs):
         raise AssertionError("outcomes were sampled")
 
+    def no_operators(*args, **kwargs):
+        raise AssertionError("an operator array was built")
+
     monkeypatch.setattr(cli.measurement, "sample_outcomes", no_sampling)
+    if expected.startswith("Kraus input dimension"):
+        monkeypatch.setattr(cli.measurement.KrausSet, "from_dict", no_operators)
     path = tmp_path / "k.json"
     if kraus is not None:
         path.write_text(kraus, encoding="utf-8")

@@ -21,7 +21,8 @@ the process pool is imported only when a pool starts.
 Outputs are UTF-8 CSV (numbers as printf's ``%.17g``) and JSON;
 each file embeds a provenance block (artifact version, hash of the validated
 config, seed) so identical config+seed reruns are byte-identical.  A table
-of numbers alone reaches the CSV writer as 2-D float arrays, which its
+of numbers alone reaches the CSV writer as 2-D float arrays, a table of
+columns as many arrays of one writer piece each (``_table``), which its
 ``_Numbers`` formats a block at a time; the four tables that hold text
 (``outcomes``, ``povm``, ``sieve``, ``completeness``) reach it as rows,
 which ``csv.writer`` writes.
@@ -656,6 +657,13 @@ def _write_csv(path, header, rows, prov, quiet: bool) -> None:
         print(f"wrote {path}")
 
 
+def _table(*columns):
+    """Equal-length columns as (n, k) arrays of one ``_write_csv`` piece of
+    rows each: the table is never stacked whole beside its columns."""
+    n = states._block_items(len(columns) * _CELL_BYTES)
+    return (np.column_stack([c[i : i + n] for c in columns]) for i in range(0, len(columns[0]), n))
+
+
 def _write_json(path, payload: dict, prov, quiet: bool) -> None:
     payload = dict(payload)
     payload["provenance"] = prov
@@ -828,9 +836,9 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # and once to sections that run at once: csv.writer allocates a 128 KiB
 # record buffer on its first row (CPython 3.11), ``_Numbers`` builds its
 # tables (300 KB measured for the whole writer at 100 rows) and formats one
-# piece of at most one states._BLOCK_BYTES block (1.19 MB measured for an
-# array of 10^5 rows of three numbers; rows that hold text, written one at a
-# time, 0.25 MB).
+# piece of at most one states._BLOCK_BYTES block (1.23 MB measured for 10^5
+# rows of three numbers handed over by ``_table``; rows that hold text,
+# written one at a time, 0.25 MB).
 _TASK_BYTES = 2048
 _ORACLE_TASK_BYTES = 3072
 _WRITER_BYTES = 256 * 1024 + states._BLOCK_BYTES
@@ -1043,8 +1051,7 @@ def run_measure(config, seed, workers, out) -> int:
             f"kraus completeness deviation {report.deviation:.3e} "
             f"(strict pass: {report.passed})"
         )
-        rows = [(str(lbl), p) for lbl, p in zip(kset.labels, povm)]
-        out.csv("povm.csv", ["label", "probability"], rows)
+        out.csv("povm.csv", ["label", "probability"], zip(map(str, kset.labels), povm))
     return 0
 
 
@@ -1105,7 +1112,7 @@ def run_pointer(config, seed, workers, out) -> int:
         r = spin_bath.decoherence_on_grid(bath, t_grid)
         columns = [pointer._rotated_correlation(tri, th, r) for th in sec["thetas"]]
         header = ["t"] + [f"corr_theta_{theta:g}" for theta in sec["thetas"]]
-        out.csv("correlation.csv", header, [np.column_stack((t_grid, *columns))])
+        out.csv("correlation.csv", header, _table(t_grid, *columns))
 
     if "sieve" in config:
         sec = config["sieve"]
@@ -1125,8 +1132,7 @@ def run_pointer(config, seed, workers, out) -> int:
             sec.get("weights"),
             t_grid,
         )
-        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"],
-                [np.column_stack((t_grid, offdiag, purity))])
+        out.csv("apparatus.csv", ["t", "offdiag_sum", "purity"], _table(t_grid, offdiag, purity))
     return 0
 
 
@@ -1170,7 +1176,7 @@ def run_fock(config, seed, workers, out) -> int:
         amps = fock.coherent_state(space, alpha).amps
         # M_n = |0><n| makes Tr[M_n^dag M_n |psi><psi|] = |psi_n|^2
         probs = (amps * amps.conj()).real
-        out.csv("counting.csv", ["n", "probability"], [np.column_stack((np.arange(probs.size), probs))])
+        out.csv("counting.csv", ["n", "probability"], _table(np.arange(probs.size), probs))
 
     if "completeness" in config:
         sec = config["completeness"]
@@ -1197,7 +1203,7 @@ def run_fock(config, seed, workers, out) -> int:
         state = fock.coherent_state(space, alpha)
         report = fock.ehrenfest_check(space, state, sec["omega"], sec["mass"], t_grid)
         out.say(f"ehrenfest max residual {report.max_residual:.6e} at dt {dt:g}")
-        out.csv("ehrenfest.csv", ["t", "residual"], [np.column_stack((report.t, report.residuals))])
+        out.csv("ehrenfest.csv", ["t", "residual"], _table(report.t, report.residuals))
     return 0
 
 

@@ -1057,10 +1057,16 @@ def _row(section, config_of, sizes):
 
 
 def _pointer(section):
-    return lambda size: {
-        "experiment": "pointer", "branch_amplitudes": POINTER_CFG["branch_amplitudes"],
-        "environment": {"n_spins": size[0], "ensemble": "random"},
-        section: dict(POINTER_CFG[section], samples=size[1])}
+    """A pointer config of one section at size (n_spins, samples), or at
+    (n_spins, samples, angles) with that many correlation angles."""
+    def config(size):
+        sec = dict(POINTER_CFG[section], samples=size[1])
+        if len(size) > 2:
+            sec["thetas"] = np.linspace(0.0, 1.5, size[2]).tolist()
+        return {"experiment": "pointer", "branch_amplitudes": POINTER_CFG["branch_amplitudes"],
+                "environment": {"n_spins": size[0], "ensemble": "random"}, section: sec}
+
+    return config
 
 
 def _fit(size):
@@ -1105,17 +1111,17 @@ def _ehrenfest(n_max, points):
 
 
 @functools.lru_cache(maxsize=None)
-def _numeric_block(count):
-    """``count`` rows of three numbers, made once: a runner's table is
-    charged to its section, not to the writer."""
+def _numeric_columns(count):
+    """Three columns of ``count`` numbers, made once: a runner's columns
+    are charged to its section, not to the writer."""
     k = np.arange(count, dtype=float)
-    return np.column_stack((k / 7, -k * 1e-9, k ** 0.5))
+    return k / 7, -k * 1e-9, k ** 0.5
 
 
 def _numeric_rows(count, out):
-    """A CSV of ``count`` rows of three numbers, handed over as one array,
-    as the runners hand a table of numbers to the writer."""
-    out.csv("numbers.csv", ["a", "b", "c"], [_numeric_block(count)])
+    """A CSV of ``count`` rows of three numbers, handed over as the runners
+    hand a table of columns to the writer: one piece of rows at a time."""
+    out.csv("numbers.csv", ["a", "b", "c"], cli._table(*_numeric_columns(count)))
 
 
 # Each row: (estimate of a size, workload of that size writing to ``out``,
@@ -1142,8 +1148,10 @@ ESTIMATE_ROWS = {
     **{f"ensemble-{ensemble}": (cli.spin_bath._bath_bytes, lambda n, out, e=ensemble: _bath(n, e),
                                 [1, 1000, 10 ** 5]) for ensemble in ("balanced", "random")},
     # r(t) on the grid holds the kernel's tile buffers however short the grid
+    # 64 angles: the columns outweigh r(t), and a whole stacked table would too
     "correlation": _row("correlation", _pointer("correlation"),
-                        [(13, 401), (64, 512), (8, 4096), (1000, 2000)]),
+                        [(13, 401), (64, 512), (8, 4096), (1000, 2000), (8, 4096, 64),
+                         (13, 20001, 64)]),
     "sieve": _row("sieve", _pointer("sieve"), [(13, 401), (64, 512), (8, 4096), (1000, 2000)]),
     "apparatus": _row("apparatus", _pointer("apparatus"), [(4, 21), (4, 10 ** 4), (4, 10 ** 5)]),
     "counting": _row("counting", lambda n: {

@@ -68,9 +68,11 @@ alone and rejects, as a config error, any section over the one
 ``BYTE_BUDGET``, and sections that run at once when their sum is over it.
 An estimate sums the private ``_*_bytes`` functions that sit beside the
 library allocations they bound (``spin_bath._r_bytes`` for every section
-that evaluates r(t) on a grid) and adds what the CLI itself holds: the tasks
-handed to a pool and each section's CSV writer, whose piece of formatted
-numbers covers ``trace``'s slice of rows.
+that evaluates r(t) on a grid) and the tasks handed to a pool, one
+``_TASK_BYTES`` each.  ``_enforce_budget`` alone adds the CSV writer, whose
+piece of formatted numbers covers ``trace``'s slice of rows: once to each
+section, and once to the sum of the sections that run at once, since they
+write their files one after another.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -406,6 +408,50 @@ def _power_of_ten(k: int) -> tuple:
     return hi, hi_hi, hi - hi_hi, rest / den, shift - 53
 
 
+@functools.cache
+def _number_tables() -> dict:
+    """``_Numbers``'s lookup tables by attribute name, built on a process's
+    first array of numbers (about 100 KB), and its cache of powers of ten."""
+    neg, first, end, form, last = np.indices((2, 5, 18, 3, 2)).reshape(5, -1)
+    slot = np.arange(_SLOTS)
+    # which slots a number keeps, by (sign, first kept slot 2-6, last
+    # kept slot 6-23, exponent none / 2 / 3 digits, last of its row)
+    mask = (slot >= first[:, None] + 2) & (slot <= end[:, None] + 6)
+    mask[:, 0] = neg == 1
+    mask[:, 24:29] = (form > 0)[:, None]
+    mask[:, 26] &= form == 2
+    mask[:, 29] = True
+    mask[:, 30] = last == 1
+    # where the point goes: after slot 2-22, or nowhere (the last row)
+    point = np.append(np.arange(2, 23), _SLOTS)[:, None]
+    kept = ((slot <= point) | (slot >= 24)).astype(np.uint8)
+    # the characters of each group of two and of four digits
+    pairs = np.arange(100, dtype=np.uint8)
+    pairs = np.stack([pairs // 10, pairs % 10], axis=1) + np.uint8(ord("0"))
+    quads = np.empty((100, 100, 4), np.uint8)
+    quads[:, :, :2], quads[:, :, 2:] = pairs[:, None], pairs
+    # trailing zeros of each group of four digits, 4 for 0000
+    zeros = np.zeros(10 ** 4, np.uint8)
+    for power in range(1, 5):
+        zeros[::10 ** power] += 1
+    # by decimal exponent, -400 to 400: 'e', its sign and its hundreds
+    # and tens digits; its units digit; and its form: fixed notation, or
+    # an exponent of two or three digits
+    exp = np.arange(-400, 401, dtype=np.int16)
+    size = np.abs(exp)
+    chars = np.empty((exp.size, 4), np.uint8)
+    chars[:, 0] = ord("e")
+    chars[:, 1] = ord("+") + 2 * (exp < 0)
+    chars[:, 2] = size // 100 + ord("0")
+    chars[:, 3] = size // 10 % 10 + ord("0")
+    fixed = (exp >= -4) & (exp < 17)
+    return dict(_powers={}, _mask=mask, _kept=kept, _shifted=1 - kept, _zeros=zeros,
+                _pairs=pairs.view("<u2").reshape(-1), _quads=quads.view("<u4").reshape(-1),
+                _exponents=chars.view("<u4").reshape(-1),
+                _exponents_units=(size % 10 + ord("0")).astype(np.uint8),
+                _exponent_form=np.where(fixed, 0, 1 + (size >= 100)).astype(np.intp))
+
+
 class _Numbers:
     """Rows of float64 numbers as CSV text, byte for byte printf's ``%.17g``.
 
@@ -444,53 +490,14 @@ class _Numbers:
     the slots after the decimal point shift one right to make room for it,
     and the slots a mask keeps are the lines.
 
-    The record and mask buffers and the tables are kept from one call to
-    the next, so a file written in many pieces allocates them once.
+    The tables are built once a process (``_number_tables``), and the
+    record, blend and mask buffers once a formatter, grown as a piece needs:
+    ``_write_csv`` makes one formatter a file, on its first array.
     """
 
     def __init__(self):
-        self._powers = {}
+        vars(self).update(_number_tables())
         self._size = 0
-        neg, first, end, form, last = np.indices((2, 5, 18, 3, 2)).reshape(5, -1)
-        slot = np.arange(_SLOTS)
-        # which slots a number keeps, by (sign, first kept slot 2-6, last
-        # kept slot 6-23, exponent none / 2 / 3 digits, last of its row)
-        mask = (slot >= first[:, None] + 2) & (slot <= end[:, None] + 6)
-        mask[:, 0] = neg == 1
-        mask[:, 24:29] = (form > 0)[:, None]
-        mask[:, 26] &= form == 2
-        mask[:, 29] = True
-        mask[:, 30] = last == 1
-        self._mask = mask
-        # where the point goes: after slot 2-22, or nowhere (the last row)
-        point = np.append(np.arange(2, 23), _SLOTS)[:, None]
-        self._kept = ((slot <= point) | (slot >= 24)).astype(np.uint8)
-        self._shifted = 1 - self._kept
-        # the characters of each group of two and of four digits
-        pairs = np.arange(100, dtype=np.uint8)
-        pairs = np.stack([pairs // 10, pairs % 10], axis=1) + np.uint8(ord("0"))
-        self._pairs = pairs.view("<u2").reshape(-1)
-        quads = np.empty((100, 100, 4), np.uint8)
-        quads[:, :, :2], quads[:, :, 2:] = pairs[:, None], pairs
-        self._quads = quads.view("<u4").reshape(-1)
-        # trailing zeros of each group of four digits, 4 for 0000
-        self._zeros = np.zeros(10 ** 4, np.uint8)
-        for power in range(1, 5):
-            self._zeros[::10 ** power] += 1
-        # by decimal exponent, -400 to 400: 'e', its sign and its hundreds
-        # and tens digits; its units digit; and its form: fixed notation, or
-        # an exponent of two or three digits
-        exp = np.arange(-400, 401, dtype=np.int16)
-        size = np.abs(exp)
-        chars = np.empty((exp.size, 4), np.uint8)
-        chars[:, 0] = ord("e")
-        chars[:, 1] = ord("+") + 2 * (exp < 0)
-        chars[:, 2] = size // 100 + ord("0")
-        chars[:, 3] = size // 10 % 10 + ord("0")
-        self._exponents = chars.view("<u4").reshape(-1)
-        self._exponents_units = (size % 10 + ord("0")).astype(np.uint8)
-        fixed = (exp >= -4) & (exp < 17)
-        self._exponent_form = np.where(fixed, 0, 1 + (size >= 100)).astype(np.intp)
 
     def lines(self, block) -> np.ndarray:
         """The CSV lines of ``block``, a 2-D array of numbers, as ASCII bytes."""
@@ -634,7 +641,7 @@ def _write_csv(path, header, rows, prov, quiet: bool) -> None:
     string written as ``format(float(cell), ".17g")``: the same bytes.
     """
     width = len(header)
-    numbers = _Numbers()
+    numbers = None  # a formatter, made on the file's first array
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.reconfigure(write_through=True)  # text and fh.buffer's bytes stay in order
         writer = csv.writer(fh)
@@ -648,6 +655,7 @@ def _write_csv(path, header, rows, prov, quiet: bool) -> None:
             if got != width:
                 raise ValueError(f"{path}: a row of {got} cells under a header of {width}")
             if block:
+                numbers = numbers or _Numbers()
                 for lo in range(0, len(item), piece):
                     fh.buffer.write(numbers.lines(item[lo : lo + piece]))
             else:
@@ -830,23 +838,28 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # spin-bath
 
 # Working-set sizes the CLI itself owns, measured with tracemalloc and
-# rounded up: per task a section hands to the pool (seed, payload, result
-# row; an oracle-compare task also its pool future, 2.4 KiB measured with a
-# pool of 2 workers), and one section's CSV file, charged to every section
-# and once to sections that run at once: csv.writer allocates a 128 KiB
-# record buffer on its first row (CPython 3.11), ``_Numbers`` builds its
-# tables (300 KB measured for the whole writer at 100 rows) and formats one
-# piece of at most one states._BLOCK_BYTES block (1.23 MB measured for 10^5
-# rows of three numbers handed over by ``_table``; rows that hold text,
-# written one at a time, 0.25 MB).
-_TASK_BYTES = 2048
-_ORACLE_TASK_BYTES = 3072
+# rounded up.  Per task a section hands to the pool: its seed, payload and
+# result row (0.6-0.9 KB run in process) and, with a pool, its future and
+# work item, measured in the parent of a 2-worker pool between 2 000 and
+# 4 000 tasks at 2.39 KB a ``gaussian_fit`` task and 2.36 KB an
+# ``oracle-compare`` one; every pooled section (``scaling``,
+# ``gaussian_fit``, ``oracle-compare``) is charged the same.  A process's
+# first pool also imports its modules: 2 000 ``gaussian_fit`` tasks of 2
+# spins and 50 samples peaked at 8.51 MB in a fresh parent, charged 9.57 MB.
+# One section's CSV file, which ``_enforce_budget`` adds: csv.writer
+# allocates a 128 KiB record buffer on its first row (CPython 3.11),
+# ``_Numbers`` builds its tables once a process (300 KB measured for the
+# whole writer at 100 rows) and formats one piece of at most one
+# states._BLOCK_BYTES block (1.23 MB measured for 10^5 rows of three
+# numbers handed over by ``_table``; rows that hold text, written one at a
+# time, 0.25 MB).
+_TASK_BYTES = 3072
 _WRITER_BYTES = 256 * 1024 + states._BLOCK_BYTES
 
 
-def _pooled_bytes(workers: int, tasks: int, per_task: int, task_bytes: int) -> int:
-    """One task's working set per busy worker plus ``task_bytes`` for every task."""
-    return min(max(workers, 1), tasks) * per_task + tasks * task_bytes
+def _pooled_bytes(workers: int, tasks: int, per_task: int) -> int:
+    """One task's working set per busy worker plus ``_TASK_BYTES`` for every task."""
+    return min(max(workers, 1), tasks) * per_task + tasks * _TASK_BYTES
 
 
 def spin_bath_bytes(config: dict, workers: int) -> dict:
@@ -854,11 +867,11 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
 
     Worked out from the config alone, before anything is allocated: each
     section grows linearly with its time samples (grid points for
-    ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``) and adds its
-    CSV writer, whose piece covers ``trace``'s slice of rows.  A
-    pooled section holds one task per busy worker at a time.  ``trace``,
-    ``scaling`` and ``gaussian_fit`` run at once, so ``run_spin_bath`` also
-    bounds their sum.
+    ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``).  A pooled
+    section holds one task per busy worker at a time and ``_TASK_BYTES``
+    for each of its tasks.  ``trace``, ``scaling`` and ``gaussian_fit`` run
+    at once, so ``run_spin_bath`` also bounds their sum; ``_enforce_budget``
+    adds the CSV writer.
     """
     need = {}
     if "trace" in config:
@@ -867,11 +880,11 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     if "scaling" in config:
         sec = config["scaling"]
         per_task = spin_bath._r_bytes(max(sec["n_values"]), sec["samples"])
-        need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task, _TASK_BYTES)
+        need["scaling"] = _pooled_bytes(workers, len(sec["n_values"]), per_task)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
         per_task = spin_bath._r_bytes(sec["n_spins"], sec["samples"])
-        need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task, _TASK_BYTES)
+        need["gaussian_fit"] = _pooled_bytes(workers, sec["n_seeds"], per_task)
     if "recurrence" in config:
         sec = config["recurrence"]
         if "couplings" in sec:
@@ -886,25 +899,25 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
             n = min(sec["n_spins"], BYTE_BUDGET)
             g_max, g_sq = 1.0, float(n)
         need["recurrence"] = spin_bath._scan_bytes(n, g_max, g_sq, sec["horizon"], sec["epsilon"])
-    return {section: size + _WRITER_BYTES for section, size in need.items()}
+    return need
 
 
 def _enforce_budget(subcommand: str, need: dict, together=()) -> None:
     """Reject, before anything is allocated, a config estimated over ``BYTE_BUDGET``.
 
-    Each section must fit alone, and the sections named in ``together``,
-    which run at once, must fit by their sum, one CSV writer charged: they
-    write their files one after another.
+    ``need`` holds each section's bytes without its CSV writer, which is
+    charged here: each section must fit alone with its writer, and the
+    sections named in ``together``, which run at once, must fit by their
+    sum with one writer, as they write their files one after another.
     """
     for section, size in need.items():
-        if size > BYTE_BUDGET:
+        if size + _WRITER_BYTES > BYTE_BUDGET:
             raise ConfigError(
                 f"{subcommand} section {section!r} exceeds the "
                 f"{BYTE_BUDGET >> 30} GiB memory budget"
             )
     running = [section for section in together if section in need]
-    writers = max(len(running) - 1, 0) * _WRITER_BYTES
-    if sum(need[section] for section in running) - writers > BYTE_BUDGET:
+    if sum(need[section] for section in running) + _WRITER_BYTES > BYTE_BUDGET:
         raise ConfigError(
             f"{subcommand} sections {', '.join(map(repr, running))} run at once "
             f"and together exceed the {BYTE_BUDGET >> 30} GiB memory budget"
@@ -1067,8 +1080,8 @@ def pointer_bytes(config: dict) -> dict:
     ``environment``, and part of every other one.  ``correlation`` and
     ``sieve`` grow linearly with their time samples, ``correlation`` also
     with its angles; ``apparatus`` is a closed form, linear in its samples
-    times mixture components.  Every entry adds a CSV writer: the bath is
-    held while each section's file is written.
+    times mixture components.  ``_enforce_budget`` adds a CSV writer to
+    every entry: the bath is held while each section's file is written.
     """
     n_spins = config["environment"]["n_spins"]
     bath = spin_bath._bath_bytes(n_spins)
@@ -1083,7 +1096,7 @@ def pointer_bytes(config: dict) -> dict:
         sec = config["apparatus"]
         need["apparatus"] = bath + pointer._apparatus_bytes(
             len(sec["amplitudes"]), len(sec["decay_rates"]), sec["samples"])
-    return {section: size + _WRITER_BYTES for section, size in need.items()}
+    return need
 
 
 def _sieve_bases() -> dict:
@@ -1149,9 +1162,9 @@ def fock_bytes(config: dict) -> dict:
     exact, so both add only O(d); the coherent-grid audit holds the K x d
     amplitude table of the largest grid (the 64 x 64 default included);
     ``ehrenfest`` one eigendecomposition and its states (``fock._*_bytes``).
-    Every section adds its CSV writer.  ``FockSpace`` itself refuses d above
-    ``states.DENSITY_CAP``, which stops a ``counting`` section past n_max
-    4095 before this estimate would.
+    ``_enforce_budget`` adds each section's CSV writer.  ``FockSpace``
+    itself refuses d above ``states.DENSITY_CAP``, which stops a
+    ``counting`` section past n_max 4095 before this estimate would.
     """
     n_max = config["n_max"]
     need = {}
@@ -1164,7 +1177,7 @@ def fock_bytes(config: dict) -> dict:
     if "ehrenfest" in config:
         sec = config["ehrenfest"]
         need["ehrenfest"] = fock._ehrenfest_bytes(n_max, sec["t_max"] / sec["dt"] + 1.0)
-    return {section: size + _WRITER_BYTES for section, size in need.items()}
+    return need
 
 
 def run_fock(config, seed, workers, out) -> int:
@@ -1219,14 +1232,13 @@ def oracle_compare_bytes(config: dict, workers: int) -> dict:
     ``times_per_trial`` times: the closed form's bath and tile buffers
     (``spin_bath._r_bytes`` at no points, since the oracle's per-time charge
     covers the closed form's times too) and the oracle's 2^(N+1)
-    amplitudes; the parent holds every task's seed, payload and row, and
-    the CSV writer.
+    amplitudes; the parent holds ``_TASK_BYTES`` for every task, and
+    ``_enforce_budget`` adds the CSV writer.
     """
     tasks = config["trials"] * len(config["n_values"])
     spins, times = max(config["n_values"]), config["times_per_trial"]
     per_task = spin_bath._r_bytes(spins, 0) + oracle._oracle_r_bytes(2 ** (spins + 1), times)
-    run = _pooled_bytes(workers, tasks, per_task, _ORACLE_TASK_BYTES)
-    return {"run": run + _WRITER_BYTES}
+    return {"run": _pooled_bytes(workers, tasks, per_task)}
 
 
 def oracle_float_floor(config: dict) -> float:

@@ -8,13 +8,15 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import README, README_CONFIGS, run_cli, traced_peak
+from conftest import README, README_CONFIGS, cli_env, run_cli, traced_peak
 from decolab import cli
 from decolab.cli import CONFIG_SCHEMAS, main
 from decolab.measurement import KrausSet, povm_probabilities
@@ -650,10 +652,10 @@ def test_spin_bath_sections_that_run_at_once_are_budgeted_by_their_sum(
         scaling={"n_values": [4], "samples": 2 * 10 ** 7},
     )
     need = cli.spin_bath_bytes(config, workers=1)
-    assert max(need.values()) <= cli.BYTE_BUDGET
-    assert cli.BYTE_BUDGET < need["trace"] + need["scaling"] - cli._WRITER_BYTES
+    assert max(need.values()) + cli._WRITER_BYTES <= cli.BYTE_BUDGET
+    assert cli.BYTE_BUDGET < need["trace"] + need["scaling"] + cli._WRITER_BYTES
     # they write their files one after another: one CSV writer is charged
-    fits = dict(need, trace=cli.BYTE_BUDGET + cli._WRITER_BYTES - need["scaling"])
+    fits = dict(need, trace=cli.BYTE_BUDGET - cli._WRITER_BYTES - need["scaling"])
     cli._enforce_budget("spin-bath", fits, ("trace", "scaling"))
     monkeypatch.setattr(np, "linspace", no_grid)
     cfg = write_config(tmp_path / "c.json", config)
@@ -708,7 +710,7 @@ def test_fock_estimate_scales_with_the_section_sizes():
     def need(section, n_max, **body):
         config = {"experiment": "fock", "n_max": n_max,
                   section: dict(FOCK_SECTIONS[section], **body)}
-        return cli.fock_bytes(config)[section] - cli._WRITER_BYTES  # the part that scales
+        return cli.fock_bytes(config)[section]
 
     # counting: the FockSpace operators and the d x d density matrix
     assert 3.9 < need("counting", 799) / need("counting", 399) < 4.1
@@ -902,8 +904,7 @@ def test_oracle_compare_spin_maximum_is_the_oracle_cap():
 
 def test_oracle_compare_estimate_scales_with_spins_times_and_workers():
     def need(workers=1, **body):
-        run = cli.oracle_compare_bytes(_filled(dict(ORACLE_CFG, **body)), workers)["run"]
-        return run - cli._WRITER_BYTES  # the part that scales
+        return cli.oracle_compare_bytes(_filled(dict(ORACLE_CFG, **body)), workers)["run"]
 
     # one 2^15-amplitude bath per busy worker, never more than there are tasks
     assert 1.9 < need(workers=2) / need(workers=1) < 2.1
@@ -1047,13 +1048,14 @@ def test_readme_fock_limits_hold(tmp_path, monkeypatch, capsys, section, n_max, 
 
 
 def _row(section, config_of, sizes):
-    """A table row: the estimate of ``section`` of ``config_of(size)`` and a
-    serial run of that config, at each of ``sizes``."""
+    """A table row: the estimate of ``section`` of ``config_of(size)``, its
+    CSV writer added as ``_enforce_budget`` adds it, and a serial run of
+    that config, at each of ``sizes``."""
     def run(size, out):
         config = _filled(config_of(size))
         assert cli._RUNNERS[config["experiment"]](config, 0, 1, out) == 0
 
-    return lambda size: _need(config_of(size))[section], run, sizes
+    return lambda size: _need(config_of(size))[section] + cli._WRITER_BYTES, run, sizes
 
 
 def _pointer(section):
@@ -1202,9 +1204,49 @@ def test_estimate_covers_the_traced_peak(tmp_path, monkeypatch, row, size):
         _spy_fit_slices(monkeypatch, size=None)
     out = cli._Output(str(tmp_path), "x", {}, 0, quiet=True)
     workload(size, out)  # the peak of a warm run: no first-call caches
+    if row == "writer":  # but a freshly built formatter, as a process's first file has
+        cli._number_tables.cache_clear()
     assert estimate(size) >= traced_peak(workload, size, out)
     if row == "ehrenfest":  # run_fock writes every point of its grid but t = 0
         assert len(read_csv(tmp_path / "ehrenfest.csv")[1]) == size[1] - 1
+
+
+# One pooled section run by its runner at 2 workers in a child interpreter,
+# traced from the runner's start: the pool starts cold, its modules imported
+# and its futures held inside the traced run, as in a CLI run.  Going through
+# the runner starts a pool on a 1-CPU host too, where ``main`` would refuse
+# ``--workers 2``.
+POOLED_PEAK = """
+import json, sys, tempfile, tracemalloc
+from decolab import cli
+config = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as directory:
+    out = cli._Output(directory, "x", {}, 0, quiet=True)
+    tracemalloc.start()
+    code = cli._RUNNERS[config["experiment"]](config, 0, 2, out)
+    peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"code": code, "peak": peak}))
+"""
+
+
+@pytest.mark.parametrize("section, config", [
+    pytest.param("gaussian_fit", {"experiment": "spin-bath", "gaussian_fit": {
+        "n_spins": 2, "n_seeds": 2000, "samples": 50}}, id="gaussian_fit"),
+    pytest.param("run", {"experiment": "oracle-compare", "n_values": [1], "trials": 2000},
+                 id="oracle-compare"),
+])
+def test_pooled_estimate_covers_the_parent_peak(tmp_path, monkeypatch, section, config):
+    config = _filled(config)
+    proc = subprocess.run([sys.executable, "-c", POOLED_PEAK, json.dumps(config)],
+                          capture_output=True, text=True, env=cli_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    # the budget check charges the section at least its peak: a budget one
+    # byte under the peak refuses it
+    monkeypatch.setattr(cli, "BYTE_BUDGET", report["peak"] - 1)
+    with pytest.raises(cli.ConfigError, match=f"section {section!r} exceeds"):
+        cli._enforce_budget(config["experiment"], _need(config, workers=2))
 
 
 def test_recurrence_row_reaches_past_one_chunk_of_the_scan():
@@ -1308,6 +1350,20 @@ def test_csv_writer_formats_in_pieces_of_one_block(tmp_path, monkeypatch):
     assert max(pieces) * cli._CELL_BYTES <= 4096 and len(pieces) == math.ceil(500 / 6)
     assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "whole.csv").read_bytes() == _reference_csv(["a", "b", "c"], rows, _PROV)
+
+
+@pytest.mark.parametrize("experiment, builds", [("measure", 0), ("pointer", 1)])
+def test_number_tables_are_built_once_and_only_for_a_file_of_numbers(
+    tmp_path, monkeypatch, experiment, builds
+):
+    # measure writes text tables alone; pointer two files of numbers and one of text
+    (config,) = [c for c in README_CONFIGS if c["experiment"] == experiment]
+    write_kraus_file(tmp_path, config)
+    monkeypatch.chdir(tmp_path)
+    cli._number_tables.cache_clear()
+    assert main([experiment, "--config", write_config(tmp_path / "c.json", config),
+                 "--out", "o", "--quiet"]) == 0
+    assert cli._number_tables.cache_info().misses == builds
 
 
 # ------------------------------------------------------------ README examples

@@ -41,8 +41,11 @@ exits 2 has ``out`` remove the files it wrote and the directories it created
 for ``--out`` (``_Output.discard``), so a section that fails leaves
 ``--out`` as the run found it; exits 0 and 1 keep every file.
 ``spin-bath`` starts one process pool per run (``_pmap``) and submits
-every ``scaling`` and ``gaussian_fit`` task up front; while the workers
-run, the parent evaluates
+its ``scaling`` and ``gaussian_fit`` tasks up front as a few contiguous
+ranges of task indices a worker (``_chunks``), each run by ``_task_rows``,
+which rebuilds every task's seed from its spawn key, so the parent holds
+no per-task seed, payload or future; while the workers run, the parent
+evaluates
 and writes ``trace.csv`` (10^5 rows in the benchmark) one slice of r(t)
 at a time, as many rows as one ``states._BLOCK_BYTES`` block holds at
 four ``_CELL_BYTES`` a row: each slice is one (n, 4) array, which the CSV
@@ -68,11 +71,12 @@ alone and rejects, as a config error, any section over the one
 ``BYTE_BUDGET``, and sections that run at once when their sum is over it.
 An estimate sums the private ``_*_bytes`` functions that sit beside the
 library allocations they bound (``spin_bath._r_bytes`` for every section
-that evaluates r(t) on a grid) and the tasks handed to a pool, one
-``_TASK_BYTES`` each.  ``_enforce_budget`` alone adds the CSV writer, whose
-piece of formatted numbers covers ``trace``'s slice of rows: once to each
-section, and once to the sum of the sections that run at once, since they
-write their files one after another.
+that evaluates r(t) on a grid) and the pooled tasks, one ``_TASK_BYTES``
+each, a charge well over the result row the parent holds a task, which
+also bounds how many tasks a run may start.  ``_enforce_budget`` alone
+adds the CSV writer, whose piece of formatted numbers covers ``trace``'s
+slice of rows: once to each section, and once to the sum of the sections
+that run at once, since they write their files one after another.
 
 Exit codes: 0 success, 1 invariant or acceptance failure, 2 usage/config error.
 """
@@ -84,7 +88,6 @@ import contextlib
 import copy
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -805,12 +808,14 @@ def _pmap(fn, payloads, workers: int):
     """Order-preserving map as a context manager: ``with _pmap(...) as results``.
 
     On entry every payload is submitted to one pool of ``min(workers,
-    tasks)`` processes, and the block receives an iterator over the results
-    in payload order, each drawn when it is ready (a task's exception is
-    raised where its result is drawn).  The caller works while the pool
-    runs.  On every exit path the pool is shut down and the tasks that have
-    not started are cancelled.  With ``workers <= 1`` or a single payload
-    the block receives a lazy in-process ``map`` and no pool starts.
+    payloads)`` processes, and the block receives an iterator over the
+    results in payload order, each drawn when it is ready (a payload's
+    exception is raised where its result is drawn).  The caller works while
+    the pool runs.  On every exit path the pool is shut down and the
+    payloads that have not started are cancelled.  With ``workers <= 1`` or
+    a single payload the block receives a lazy in-process ``map`` and no
+    pool starts.  The runners hand it ``_task_rows`` and ``_chunks``'
+    ranges, never one payload a task.
     """
     payloads = list(payloads)
     if workers <= 1 or len(payloads) <= 1:
@@ -827,6 +832,37 @@ def _pmap(fn, payloads, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+# Contiguous ranges of task indices a pooled section hands each worker: a
+# few, so that the pool balances tasks of uneven cost, and a constant, so
+# that the parent's share does not grow with the tasks.
+_CHUNKS_PER_WORKER = 4
+
+
+def _chunks(name, n_values, args, seed, prefix, tasks, workers) -> list:
+    """``_task_rows`` payloads for ``tasks`` tasks of the function ``name``:
+    at most ``_CHUNKS_PER_WORKER`` contiguous ranges of indices a worker."""
+    k = min(tasks, _CHUNKS_PER_WORKER * max(workers, 1))
+    return [(name, n_values, args, seed, prefix, range(tasks * j // k, tasks * (j + 1) // k))
+            for j in range(k)]
+
+
+def _task_rows(payload) -> np.ndarray:
+    """The rows of one range of a section's tasks, one float row a task.
+
+    Task i runs ``name`` on ``(n_values[i % len(n_values)], *args, child)``
+    and rebuilds its seed ``child`` as ``SeedSequence(seed,
+    spawn_key=(*prefix, i))`` (NEP 19), so no seed crosses to a worker: with
+    ``prefix`` ``(k,)`` that is ``SeedSequence(seed).spawn(4)[k].spawn(n)[i]``
+    for any n > i, and with ``()`` it is ``SeedSequence(seed).spawn(n)[i]``.
+    ``name`` is looked up here, so a forked worker runs the module's task as
+    the parent left it.
+    """
+    name, n_values, args, seed, prefix, indices = payload
+    task = globals()[name]
+    return np.array([task((n_values[i % len(n_values)], *args, np.random.SeedSequence(
+        seed, spawn_key=(*prefix, i)))) for i in indices], float)
+
+
 def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathConfig:
     rng = np.random.default_rng(child_seed)
     if ensemble == "random":
@@ -838,14 +874,15 @@ def _bath_from(n_spins: int, ensemble: str, child_seed) -> spin_bath.SpinBathCon
 # spin-bath
 
 # Working-set sizes the CLI itself owns, measured with tracemalloc and
-# rounded up.  Per task a section hands to the pool: its seed, payload and
-# result row (0.6-0.9 KB run in process) and, with a pool, its future and
-# work item, measured in the parent of a 2-worker pool between 2 000 and
-# 4 000 tasks at 2.39 KB a ``gaussian_fit`` task and 2.36 KB an
-# ``oracle-compare`` one; every pooled section (``scaling``,
-# ``gaussian_fit``, ``oracle-compare``) is charged the same.  A process's
-# first pool also imports its modules: 2 000 ``gaussian_fit`` tasks of 2
-# spins and 50 samples peaked at 8.51 MB in a fresh parent, charged 9.57 MB.
+# rounded up.  Per pooled task (``scaling``, ``gaussian_fit``,
+# ``oracle-compare``) the parent now holds its result row and a share of
+# its chunk: measured cold, in a fresh parent of a 2-worker pool between
+# 2 000 and 20 000 tasks, 56 B a ``gaussian_fit`` task (2 spins, 50
+# samples: 3.03 MB at 2 000 tasks, 4.04 MB at 20 000, most of it the
+# pool's first start) and 25 B an ``oracle-compare`` one; 49 B and 24 B
+# run in process.  The charge is kept far above that, so that no exit code
+# moves: it stands in as the bound on the number of tasks, and so on their
+# run time, until the sections have a work bound of their own.
 # One section's CSV file, which ``_enforce_budget`` adds: csv.writer
 # allocates a 128 KiB record buffer on its first row (CPython 3.11),
 # ``_Numbers`` builds its tables once a process (300 KB measured for the
@@ -868,10 +905,10 @@ def spin_bath_bytes(config: dict, workers: int) -> dict:
     Worked out from the config alone, before anything is allocated: each
     section grows linearly with its time samples (grid points for
     ``recurrence``; ``spin_bath._r_bytes`` and ``_scan_bytes``).  A pooled
-    section holds one task per busy worker at a time and ``_TASK_BYTES``
-    for each of its tasks.  ``trace``, ``scaling`` and ``gaussian_fit`` run
-    at once, so ``run_spin_bath`` also bounds their sum; ``_enforce_budget``
-    adds the CSV writer.
+    section holds one task per busy worker at a time and is charged
+    ``_TASK_BYTES`` for each of its tasks.  ``trace``, ``scaling`` and
+    ``gaussian_fit`` run at once, so ``run_spin_bath`` also bounds their
+    sum; ``_enforce_budget`` adds the CSV writer.
     """
     need = {}
     if "trace" in config:
@@ -934,7 +971,7 @@ def _scaling_task(payload):
                          "overflows the time grid")
     t_grid = np.linspace(0.0, t_end, samples)
     mean = spin_bath.time_averaged_r2(cfg, t_grid)
-    return n, mean
+    return n, mean, math.log2(mean)
 
 
 def _fit_task(payload):
@@ -946,12 +983,6 @@ def _fit_task(payload):
     gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
     fit = spin_bath._fit_on_grid(cfg, np.linspace(0.0, 5.0 / gamma0, samples))
     return fit.gamma, fit.r_squared, fit.t_max
-
-
-def _spin_bath_task(payload):
-    """One pooled spin-bath task: ``("scaling", args)`` or ``("gaussian_fit", args)``."""
-    section, args = payload
-    return _scaling_task(args) if section == "scaling" else _fit_task(args)
 
 
 def _write_trace(sec: dict, child, out) -> None:
@@ -970,32 +1001,29 @@ def run_spin_bath(config, seed, workers, out) -> int:
     # the parent writes trace.csv while the pool runs scaling and gaussian_fit
     together = ("trace", "scaling", "gaussian_fit")
     _enforce_budget("spin-bath", spin_bath_bytes(config, workers), together)
-    root = np.random.SeedSequence(seed)
-    kids = root.spawn(4)
-
-    payloads = []
+    # section k of trace, scaling, gaussian_fit and recurrence seeds from
+    # SeedSequence(seed).spawn(4)[k], rebuilt as spawn key (k,), and its task
+    # i from that seed's i-th child, spawn key (k, i)
+    scaling = fits = []
     if "scaling" in config:
         sec = config["scaling"]
-        children = kids[1].spawn(len(sec["n_values"]))
-        payloads += [("scaling", (n, sec["span_periods"], sec["samples"], child))
-                     for n, child in zip(sec["n_values"], children)]
-    n_scaling = len(payloads)
+        scaling = _chunks("_scaling_task", sec["n_values"], (sec["span_periods"], sec["samples"]),
+                          seed, (1,), len(sec["n_values"]), workers)
     if "gaussian_fit" in config:
         sec = config["gaussian_fit"]
-        children = kids[2].spawn(sec["n_seeds"])
-        payloads += [("gaussian_fit", (sec["n_spins"], sec["samples"], child))
-                     for child in children]
+        fits = _chunks("_fit_task", [sec["n_spins"]], (sec["samples"],), seed, (2,),
+                       sec["n_seeds"], workers)
 
     # files are written in the same order as without a pool
-    with _pmap(_spin_bath_task, payloads, workers) as results:
+    with _pmap(_task_rows, scaling + fits, workers) as chunks:
         if "trace" in config:
-            _write_trace(config["trace"], kids[0], out)
-        if "scaling" in config:
-            means = itertools.islice(results, n_scaling)
-            rows = np.array([(n, mean, math.log2(mean)) for n, mean in means], float)
+            _write_trace(config["trace"], np.random.SeedSequence(seed, spawn_key=(0,)), out)
+        if scaling:
+            rows = np.concatenate([next(chunks) for _ in scaling])
             out.csv("scaling.csv", ["n_spins", "mean_abs_r_squared", "log2_mean"], [rows])
-        if "gaussian_fit" in config:
-            rows = np.array([(idx, *fit) for idx, fit in enumerate(results)], float)
+        if fits:
+            rows = np.concatenate(list(chunks))
+            rows = np.column_stack((np.arange(len(rows)), rows))
             out.csv("gaussian_fit.csv", ["draw", "gamma", "r_squared", "t_max"], [rows])
 
     if "recurrence" in config:
@@ -1003,7 +1031,8 @@ def run_spin_bath(config, seed, workers, out) -> int:
         if "couplings" in sec:
             cfg = spin_bath.SpinBathConfig.balanced(np.asarray(sec["couplings"], float))
         else:
-            cfg = _bath_from(sec["n_spins"], "balanced", kids[3])
+            child = np.random.SeedSequence(seed, spawn_key=(3,))
+            cfg = _bath_from(sec["n_spins"], "balanced", child)
         rows = np.array(spin_bath.recurrence_scan(cfg, sec["horizon"], sec["epsilon"]), float)
         out.csv("recurrence.csv", ["t_enter", "t_exit"], [rows.reshape(-1, 2)])
     return 0
@@ -1113,10 +1142,10 @@ def _sieve_bases() -> dict:
 
 def run_pointer(config, seed, workers, out) -> int:
     _enforce_budget("pointer", pointer_bytes(config))
-    root = np.random.SeedSequence(seed)
     amps = config["branch_amplitudes"]
     env = config["environment"]
-    bath = _bath_from(env["n_spins"], env["ensemble"], root.spawn(1)[0])
+    child = np.random.SeedSequence(seed, spawn_key=(0,))  # SeedSequence(seed).spawn(1)[0]
+    bath = _bath_from(env["n_spins"], env["ensemble"], child)
     tri = pointer.TriConfig(_complex_pair(amps["a"]), _complex_pair(amps["b"]), bath)
 
     if "correlation" in config:
@@ -1232,7 +1261,7 @@ def oracle_compare_bytes(config: dict, workers: int) -> dict:
     ``times_per_trial`` times: the closed form's bath and tile buffers
     (``spin_bath._r_bytes`` at no points, since the oracle's per-time charge
     covers the closed form's times too) and the oracle's 2^(N+1)
-    amplitudes; the parent holds ``_TASK_BYTES`` for every task, and
+    amplitudes; every task is charged ``_TASK_BYTES`` for the parent, and
     ``_enforce_budget`` adds the CSV writer.
     """
     tasks = config["trials"] * len(config["n_values"])
@@ -1298,19 +1327,19 @@ def run_oracle_compare(config, seed, workers, out) -> int:
             f"tolerance {tolerance:g} is below the float floor {floor:.3g} "
             "(eps * (N (t_max + 7.5) + 6), N the largest of n_values)"
         )
-    n_values = list(config["n_values"]) * int(config["trials"])
-    children = np.random.SeedSequence(seed).spawn(len(n_values))
-    payloads = [(n, config["times_per_trial"], config["t_max"], child)
-                for n, child in zip(n_values, children)]
-    with _pmap(_oracle_task, payloads, workers) as results:
-        results = list(results)
-    rows = [(idx // len(config["n_values"]), n, dev) for idx, (n, dev) in enumerate(results)]
-    out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], [np.array(rows, float)])
-    worst = max(dev for _, dev in results)
+    # task i is trial i // len(n_values) of N = n_values[i % len(n_values)]
+    tasks = config["trials"] * len(config["n_values"])
+    chunks = _chunks("_oracle_task", config["n_values"],
+                     (config["times_per_trial"], config["t_max"]), seed, (), tasks, workers)
+    with _pmap(_task_rows, chunks, workers) as results:
+        rows = np.concatenate(list(results))
+    rows = np.column_stack((np.arange(tasks) // len(config["n_values"]), rows))
+    out.csv("oracle_compare.csv", ["trial", "n_spins", "max_abs_deviation"], [rows])
+    worst = float(rows[:, 2].max())
     ok = worst <= tolerance
     out.say(
         f"worst |closed form - oracle| = {worst:.3e} over "
-        f"{len(payloads)} configs ({'ok' if ok else 'FAIL'} at {tolerance:g}; "
+        f"{tasks} configs ({'ok' if ok else 'FAIL'} at {tolerance:g}; "
         f"float floor {floor:.3g})"
     )
     if not ok:
@@ -1334,9 +1363,8 @@ def _check_state_algebra() -> bool:
 
 
 def _check_oracle_agreement() -> bool:
-    children = np.random.SeedSequence(20).spawn(10)
-    payloads = [(2 + k % 7, 5, 20.0, child) for k, child in enumerate(children)]
-    return all(dev <= 1e-10 for _, dev in map(_oracle_task, payloads))
+    rows = _task_rows(("_oracle_task", range(2, 9), (5, 20.0), 20, (), range(10)))
+    return bool((rows[:, 1] <= 1e-10).all())
 
 
 def _check_eigenstate_flat() -> bool:
@@ -1349,7 +1377,7 @@ def _check_eigenstate_flat() -> bool:
 
 
 def _check_scaling_n8() -> bool:
-    _, avg = _scaling_task((8, 400.0, 120001, 8))
+    _, avg, _ = _scaling_task((8, 400.0, 120001, 8))
     return bool(abs(avg * 2 ** 8 - 1.0) < 0.1)
 
 

@@ -343,32 +343,131 @@ FORKED_POOL = pytest.mark.skipif(
 
 
 def _count_pools(monkeypatch):
-    starts = []
+    """The process pools started while the test runs, each with ``payloads``,
+    what was submitted to it."""
+    pools = []
     real = concurrent.futures.ProcessPoolExecutor
 
-    def counting(*args, **kwargs):
-        starts.append(kwargs)
-        return real(*args, **kwargs)
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.payloads = []
+            pools.append(self)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    return starts
+        def submit(self, fn, *args, **kwargs):
+            self.payloads.extend(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return pools
+
+
+# pooled runs whose tasks do not split evenly over the chunks: each config
+# with its task count per task function
+POOL_CASES = {
+    "four_sections": (FOUR_SECTION_CFG, {"_scaling_task": 3, "_fit_task": 5}),
+    "one_seed_eleven_n": (dict(SPIN_CFG, scaling={"n_values": list(range(2, 13)), "samples": 300},
+                               gaussian_fit={"n_spins": 6, "n_seeds": 1, "samples": 200}),
+                          {"_scaling_task": 11, "_fit_task": 1}),
+    "nine_seeds_one_n": (dict(SPIN_CFG, scaling={"n_values": [5], "samples": 300},
+                              gaussian_fit={"n_spins": 6, "n_seeds": 9, "samples": 200}),
+                         {"_scaling_task": 1, "_fit_task": 9}),
+    "thirty_three_seeds": ({"experiment": "spin-bath", "seed": 2,
+                            "gaussian_fit": {"n_spins": 6, "n_seeds": 33, "samples": 200}},
+                           {"_fit_task": 33}),
+    "oracle_nine_tasks": ({"experiment": "oracle-compare", "seed": 3, "n_values": [2, 9, 4],
+                           "trials": 3}, {"_oracle_task": 9}),
+}
 
 
 @FORKED_POOL
-def test_spin_bath_starts_one_pool_for_all_its_sections(tmp_path, monkeypatch):
-    starts = _count_pools(monkeypatch)
-    cfg = write_config(tmp_path / "c.json", FOUR_SECTION_CFG)
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_spin_bath_starts_one_pool_for_all_its_sections(tmp_path, monkeypatch, case):
+    config, tasks = POOL_CASES[case]
+    pools = _count_pools(monkeypatch)
+    cfg = write_config(tmp_path / "c.json", config)
     files = {}
-    for workers, pools in (("2", 1), ("1", 0)):
+    for workers in ("2", "1"):
         out = tmp_path / f"w{workers}"
-        argv = ["spin-bath", "--config", cfg, "--out", str(out), "--workers", workers, "--quiet"]
+        argv = [config["experiment"], "--config", cfg, "--out", str(out), "--workers", workers,
+                "--quiet"]
         assert main(argv) == 0
-        assert len(starts) == pools
-        starts.clear()
+        assert len(pools) == 1  # the serial run starts none
         files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(files["2"]) == ["gaussian_fit.csv", "recurrence.csv", "scaling.csv", "trace.csv"]
+    # each section is a few contiguous ranges a worker that cover its tasks in order
+    payloads = pools[0].payloads
+    for name, count in tasks.items():
+        ranges = [p[-1] for p in payloads if p[0] == name]
+        assert len(ranges) <= cli._CHUNKS_PER_WORKER * 2
+        assert [i for r in ranges for i in r] == list(range(count))
+    assert len(payloads) == sum(min(count, 2 * cli._CHUNKS_PER_WORKER) for count in tasks.values())
+    if case == "four_sections":
+        assert sorted(files["2"]) == ["gaussian_fit.csv", "recurrence.csv", "scaling.csv",
+                                      "trace.csv"]
     assert files["2"] == files["1"]
     assert multiprocessing.active_children() == []
+
+
+# A pooled run under the ``spawn`` start method, whose workers import decolab
+# afresh and rebuild each task from what was pickled: its runner at 2 workers,
+# called as ``main`` calls it, so a 1-CPU host starts the pool too.
+SPAWNED_RUN = """
+import concurrent.futures, json, multiprocessing, sys
+from decolab import cli
+multiprocessing.set_start_method("spawn")
+real, pools = concurrent.futures.ProcessPoolExecutor, []
+def counting(*args, **kwargs):
+    pools.append(kwargs)
+    return real(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = counting
+config, out_dir = json.loads(sys.argv[1]), sys.argv[2]
+filled = cli._with_defaults(config, cli.CONFIG_SCHEMAS[config["experiment"]])
+out = cli._Output(out_dir, config["experiment"], config, config["seed"], quiet=True)
+code = cli._RUNNERS[config["experiment"]](filled, config["seed"], 2, out)
+print(json.dumps({"code": code, "pools": len(pools), "method": multiprocessing.get_start_method()}))
+"""
+
+
+@pytest.mark.parametrize("case", ["four_sections", "oracle_nine_tasks"])
+def test_spawned_pool_writes_the_bytes_of_one_worker(tmp_path, case):
+    config = POOL_CASES[case][0]
+    proc = subprocess.run([sys.executable, "-c", SPAWNED_RUN, json.dumps(config), "spawned"],
+                          capture_output=True, text=True, env=cli_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "pools": 1, "method": "spawn"}
+    cfg = write_config(tmp_path / "c.json", config)
+    argv = [config["experiment"], "--config", cfg, "--out", str(tmp_path / "serial"),
+            "--workers", "1", "--quiet"]
+    assert main(argv) == 0
+    files = {d: {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+             for d in ("spawned", "serial")}
+    assert files["spawned"] == files["serial"]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+def test_spawn_key_rebuilds_a_spawned_seed(seed):
+    # a worker rebuilds each task's seed from its spawn key (NEP 19) instead
+    # of receiving the parent's spawned child
+    for n in (1, 7, 200):
+        for i in sorted({0, n // 2, n - 1}):
+            for k in range(4):
+                spawned = np.random.SeedSequence(seed).spawn(4)[k].spawn(n)[i]
+                rebuilt = np.random.SeedSequence(seed, spawn_key=(k, i))
+                assert np.array_equal(spawned.generate_state(8), rebuilt.generate_state(8))
+            spawned = np.random.SeedSequence(seed).spawn(n)[i]
+            rebuilt = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert np.array_equal(spawned.generate_state(8), rebuilt.generate_state(8))
+
+
+def test_task_rows_run_each_task_on_its_spawned_seed():
+    children = np.random.SeedSequence(9).spawn(4)[2].spawn(6)
+    want = [cli._fit_task((6, 200, child)) for child in children[3:6]]
+    assert cli._task_rows(("_fit_task", [6], (200,), 9, (2,), range(3, 6))).tolist() == [
+        list(row) for row in want]
+    children = np.random.SeedSequence(9).spawn(5)
+    want = [cli._oracle_task(((2, 5)[i % 2], 4, 3.0, children[i])) for i in range(1, 5)]
+    assert cli._task_rows(("_oracle_task", (2, 5), (4, 3.0), 9, (), range(1, 5))).tolist() == [
+        list(row) for row in want]
 
 
 @pytest.mark.parametrize("workers", ["1", pytest.param("2", marks=FORKED_POOL)])
@@ -1435,6 +1534,8 @@ def test_readme_walk_sizes_match_the_code():
         "`recurrence_scan` ({} points at 32 bytes": [slice_size(32)],
         "one chunk of {} points (1 MiB at 32 bytes a point)": [slice_size(32)],
         "{} MiB per section for writing its CSV file": [cli._WRITER_BYTES / 2 ** 20],
+        "adds {} KiB for each pooled task": [cli._TASK_BYTES / 1024],
+        "as at most {} contiguous ranges of task indices per worker": [cli._CHUNKS_PER_WORKER],
     }
     assert cli.states._BLOCK_BYTES == 2 ** 20  # the "1 MiB" of each slice
     for pattern, numbers in stated.items():
@@ -1656,7 +1757,7 @@ def test_recurrence_without_couplings_or_n_spins_fails_before_any_section(
         raise AssertionError("a section ran")
 
     monkeypatch.setattr(cli, "_write_trace", no_work)
-    monkeypatch.setattr(cli, "_spin_bath_task", no_work)
+    monkeypatch.setattr(cli, "_task_rows", no_work)
     config = dict(SPIN_CFG, scaling={"n_values": [4], "samples": 200},
                   recurrence={"horizon": 4.0, "epsilon": 0.02})
     cfg = write_config(tmp_path / "c.json", config)

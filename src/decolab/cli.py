@@ -50,17 +50,20 @@ and writes ``trace.csv`` (10^5 rows in the benchmark) one slice of r(t)
 at a time, as many rows as one ``states._BLOCK_BYTES`` block holds at
 four ``_CELL_BYTES`` a row: each slice is one (n, 4) array, which the CSV
 writer's ``_Numbers`` turns into text in one piece, so the whole grid's
-r(t) or text is never held.  Every section that holds a time grid (``trace``,
+r(t) or text is never held.  Every section's time grid (``trace``,
 ``scaling``, ``gaussian_fit``, and ``pointer``'s ``correlation`` and
-``sieve``) has it walked by ``spin_bath._slices``, which alone picks the
+``sieve``) is walked by ``spin_bath._slices``, which alone picks the
 evaluator and checks the whole grid before the first slice: ``trace``
 directly, slice by slice, so a bad grid is rejected before ``trace.csv``
 is opened; ``scaling`` through ``spin_bath.time_averaged_r2``, slice by
 slice too; ``gaussian_fit`` through ``spin_bath._fit_on_grid``, which walks
 only up to the fit window; the rest through
-``spin_bath.decoherence_on_grid``, the walk's one-slice case.
-``recurrence`` hands its horizon to ``spin_bath.recurrence_scan``, which
-walks its grid a chunk at a time without building it.  All these grids
+``spin_bath.decoherence_on_grid``, the walk's one-slice case.  ``trace``
+and ``gaussian_fit`` never build their grids: they hand the walk
+``np.linspace(0, t_max, samples)`` as (samples, step) and form only the
+times they write or fit (``spin_bath._grid_times``).  ``recurrence`` hands
+its horizon to ``spin_bath.recurrence_scan``, which walks its grid a chunk
+at a time without building it either.  All these grids
 are uniform, so r(t) is evaluated there by angle addition on
 64-sample blocks, and their r-derived columns reproduce across numpy and
 libm builds only to its rounding floor, about N eps (1 + max |2 g t|);
@@ -980,20 +983,22 @@ def _fit_task(payload):
     only up to the fit window."""
     n, samples, child = payload
     cfg = _bath_from(n, "balanced", child)
-    gamma0 = 2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))
-    fit = spin_bath._fit_on_grid(cfg, np.linspace(0.0, 5.0 / gamma0, samples))
+    fit = spin_bath._fit_on_grid(cfg, samples, 5.0 / (2.0 * math.sqrt(float(np.dot(cfg.g, cfg.g)))))
     return fit.gamma, fit.r_squared, fit.t_max
 
 
 def _write_trace(sec: dict, child, out) -> None:
     """trace.csv, one (n, 4) block of rows per slice of r(t), each slice
-    one piece of the CSV writer."""
+    one piece of the CSV writer.  The grid ``np.linspace(0, t_max, samples)``
+    is walked as (samples, step) and never built: each slice's t column is
+    formed with it."""
     cfg = _bath_from(sec["n_spins"], sec["ensemble"], child)
-    t_grid = np.linspace(0.0, sec["t_max"], sec["samples"])
+    samples, t_max = sec["samples"], float(sec["t_max"])
+    step = t_max / (samples - 1)
     # checks the whole grid before trace.csv is opened
-    slices = spin_bath._slices(cfg, t_grid, spin_bath._slice_size(4 * _CELL_BYTES), "t_grid")
-    blocks = (np.column_stack((t_grid[lo : lo + r.size], r.real, r.imag, np.abs(r) ** 2))
-              for lo, r in slices)
+    slices = spin_bath._slices(cfg, samples, spin_bath._slice_size(4 * _CELL_BYTES), "t_grid", step)
+    blocks = (np.column_stack((spin_bath._grid_times(step, range(lo, lo + r.size), samples, t_max),
+                               r.real, r.imag, np.abs(r) ** 2)) for lo, r in slices)
     out.csv("trace.csv", ["t", "re_r", "im_r", "abs_r_squared"], blocks)
 
 

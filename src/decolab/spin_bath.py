@@ -19,10 +19,13 @@ grid before the first slice: ``decoherence_on_grid`` (and through it
 while ``time_averaged_r2``, ``recurrence_scan`` and the CLI's trace writer
 hold one slice of r(t) at a time, one ``states._BLOCK_BYTES`` block at the
 bytes a sample costs them (``_slice_size``), and the CLI's Gaussian fits
-(``_fit_on_grid``) walk a grid only until the fit window closes.  Every
-uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix of
-one, and ``recurrence_scan``'s grid, which is never built) goes to one builder,
-``_on_uniform``: the anchors are every 64th sample and the offsets the 64
+(``_fit_on_grid``) walk a grid only until the fit window closes.  The time
+rule of ``np.linspace(0, t_max, samples)`` (sample j at j h, the last at
+t_max) is written once (``_grid_times``): ``recurrence_scan``, the Gaussian
+fits and the CLI's trace walk their grids as (samples, h), never built, and
+form only the times they report; a grid of times that is such a grid or a
+prefix of one is found to be (``_grid_step``) and walked the same way.  On
+every uniform grid the anchors are every 64th sample and the offsets the 64
 steps of a block, recombined by angle addition, so a spin costs
 2 (64 + T/64) cosines and sines instead of T; the work is still O(T*N), now
 in multiplications.  Any other grid takes the zero-offset case.  A time
@@ -265,51 +268,48 @@ def _r_bytes(n_spins: int, points, point_bytes: int = 64):
     return _bath_bytes(n_spins) + points * point_bytes + 32 * _GRID_ENTRIES
 
 
+def _grid_times(step: float, j: range, count: int = 0, last: float = 0.0) -> np.ndarray:
+    """The times of samples ``j`` (a range) of ``np.linspace(0, last, count)``
+    whose step is ``step``, as np.linspace forms them: sample j is at
+    j * step, and sample count - 1 at ``last`` itself.  The package's one
+    copy of that rule; without ``count`` no sample is the last, as for the
+    kernel's anchors and offsets.  (Where ``step`` rounds to 0, np.linspace
+    forms j / (count - 1) * last instead; every sample here but the last is
+    then at 0.)"""
+    with np.errstate(over="ignore"):  # _check_phase rejects an infinite time
+        t = np.arange(j.start, j.stop, j.step, dtype=float) * step
+    if count - 1 in j:
+        t[-1] = last
+    return t
+
+
 def _grid_step(t_grid: np.ndarray) -> float | None:
-    """The step h when ``t_grid`` is t_j = j * h bit for bit, as
-    ``np.linspace(0, t_max, samples)`` makes it (whose last point may be t_max
-    rather than (samples - 1) * h) and any prefix of one; otherwise None.
-    The grid is compared one block at a time (``states._block_items``, 8
-    bytes a point for its uniform times), never copied."""
+    """The step h when ``t_grid`` is ``np.linspace(0, t_grid[-1], samples)``
+    bit for bit, or any prefix of such a grid, whose last point is j * h like
+    the rest; otherwise None.  The grid is compared with
+    ``_grid_times`` one block at a time (``states._block_items``, 8 bytes a
+    point for its uniform times), never copied."""
     n = t_grid.size
     if n < 2 or t_grid[0] != 0.0 or not t_grid[1] > 0.0:
         return None
-    step = float(t_grid[1])
-    last_is_t_max = t_grid[-1] / (n - 1) == step
+    step, last = float(t_grid[1]), float(t_grid[-1])
+    # a last point that is not linspace's at this step is a prefix's, j * step
+    count = n if last / (n - 1) == step else 0
     size = _block_items(8)
     for lo in range(0, n, size):
         part = t_grid[lo : lo + size]
-        uniform = np.arange(lo, lo + part.size, dtype=float)
-        uniform *= step
-        if last_is_t_max and lo + part.size == n:
-            uniform[-1] = t_grid[-1]
-        if not np.array_equal(uniform, part):
+        if not np.array_equal(_grid_times(step, range(lo, lo + part.size), count, last), part):
             return None
     return step
 
 
-def _on_uniform(cfg: SpinBathConfig, step: float, start: int, count: int) -> np.ndarray:
-    """r at t_j = j * step for j in [start, start + count), ``start`` a multiple of 64.
-
-    The package's one uniform-grid evaluator: sample j = 64 m + i is the
-    anchor t_{64 m} plus the offset t_i, recombined by angle addition, so a
-    spin costs 2 (64 + count / 64) cosines and sines where the zero-offset
-    case takes count (2 count for an uneven spin).  Every sample depends on
-    j, h and the bath alone, so a slice of a grid, a prefix or a later chunk,
-    is bit for bit that part of the whole grid.
-    """
-    return _product(cfg, *_uniform_times(step, start, count)).reshape(-1)[:count]
-
-
 def _uniform_times(step: float, start: int, count: int):
-    """The anchor and offset times ``_on_uniform`` forms for samples
-    [start, start + count): every 64th sample and the steps of one block,
-    each j * step as np.linspace forms it."""
+    """The anchor and offset times of the r(t) kernel for samples
+    [start, start + count) of the uniform grid t_j = j * step, ``start`` a
+    multiple of 64: every 64th sample and the steps of one block
+    (``_grid_times``)."""
     width = min(_GRID_BLOCK, start + count)
-    rows = -(-count // width)
-    with np.errstate(over="ignore"):  # _check_phase rejects an infinite time
-        return (np.arange(start, start + rows * width, width, dtype=float) * step,
-                np.arange(width, dtype=float) * step)
+    return _grid_times(step, range(start, start + count, width)), _grid_times(step, range(width))
 
 
 def _slice_size(sample_bytes: int) -> int:
@@ -323,12 +323,18 @@ def _slices(cfg: SpinBathConfig, grid, size: int | None, name: str, step: float 
     """r(t) over a time grid, as an iterator of (start, r) slices of ``size`` samples.
 
     The package's one place that picks how the r(t) kernel runs over a grid.
-    A uniform grid t_j = j h (``np.linspace(0, t_max, samples)`` or a prefix
-    of one) goes to ``_on_uniform``, slice by slice, and every slice is bit
-    for bit that part of the whole grid; any other grid goes to the
-    zero-offset case of ``_product``, a slice of times at a time.  ``grid``
-    is the grid's times, flattened, or, with ``step`` given, the sample count
-    of the uniform grid t_j = j * step, which is then never built.  ``size``
+    ``grid`` is the grid's times, flattened, or, with ``step`` given, the
+    sample count of the uniform grid t_j = j * step, which is then never
+    built: ``np.linspace(0, t_max, count)``'s samples, whose times
+    ``_grid_times`` forms from (count, step).  A grid of times that is
+    uniform (``_grid_step``: a linspace grid or a prefix of one) is walked
+    as that count and step.  On a uniform grid sample j = 64 m + i is the
+    anchor t_{64 m} plus the offset t_i (``_uniform_times``), recombined by
+    angle addition, so a spin costs 2 (64 + size / 64) cosines and sines
+    where the zero-offset case takes one per sample (two for an uneven
+    spin); every sample depends on j, h and the bath alone, so every slice
+    is bit for bit that part of the whole grid.  Any other grid goes to the
+    zero-offset case of ``_product``, a slice of times at a time.  ``size``
     is a multiple of 64, or None for the whole grid in one slice.
 
     The whole grid is checked here, before any slice is evaluated: it must be
@@ -355,7 +361,8 @@ def _slices(cfg: SpinBathConfig, grid, size: int | None, name: str, step: float 
         _check_phase(cfg, _uniform_times(step, last, count - last), name)
 
         def evaluate(lo):
-            return _on_uniform(cfg, step, lo, min(size, count - lo))
+            n = min(size, count - lo)
+            return _product(cfg, *_uniform_times(step, lo, n)).reshape(-1)[:n]
     # a fresh pair per slice, so nothing here keeps a slice alive while the
     # next one is evaluated
     return ((lo, evaluate(lo)) for lo in range(0, count, size))
@@ -367,7 +374,7 @@ def decoherence_on_grid(cfg: SpinBathConfig, t_grid) -> np.ndarray:
     The one-slice case of ``_slices``, which alone picks how the r(t)
     kernel runs over a grid.  A uniform grid t_j = j h
     (``np.linspace(0, t_max, samples)`` or a prefix of one) is evaluated by
-    angle addition (``_on_uniform``): a prefix is bit for bit the start of
+    angle addition on 64-sample blocks: a prefix is bit for bit the start of
     a longer grid, and a sample with j < 64 or j a multiple of 64 (where the
     offset or the anchor is 0) equals ``decoherence_factor`` at t_j bit for
     bit, r(0) = 1 among them.  Elsewhere the two differ by phase rounding,
@@ -541,28 +548,33 @@ def fit_gaussian_decay(trace: DecoherenceTrace) -> GaussianFit:
     return GaussianFit(gamma, min(max(r_sq, 0.0), 1.0), float(t_win[-1]))
 
 
-def _fit_on_grid(cfg: SpinBathConfig, t_grid: np.ndarray) -> GaussianFit:
-    """``fit_gaussian_decay`` of r(t) on a 1-D time grid, walked only up to its window.
+def _fit_on_grid(cfg: SpinBathConfig, count: int, t_max: float) -> GaussianFit:
+    """``fit_gaussian_decay`` of r(t) on ``np.linspace(0, t_max, count)``,
+    walked only up to its window and never built.
 
-    ``_slices`` walks the grid, and the walk stops after the first slice that
-    holds a sample with |r|^2 < ``_FIT_FLOOR``, which ends the fit window;
-    the samples walked so far are fitted.  Every slice but the last is of the
-    first slice's size, the first multiple of ``_GRID_BLOCK`` samples past
-    t = 2/Gamma0 (Gamma0^2 = 4 sum g_k^2), where the Gaussian
+    ``_slices`` walks the grid as (count, step), and the walk stops after
+    the first slice that holds a sample with |r|^2 < ``_FIT_FLOOR``, which
+    ends the fit window; the samples walked so far are fitted, at the times
+    ``_grid_times`` forms for them alone.  Every slice but the last is of
+    the first slice's size, the first multiple of ``_GRID_BLOCK`` samples
+    past t = 2/Gamma0 (Gamma0^2 = 4 sum g_k^2), where the Gaussian
     exp(-Gamma0^2 t^2) reaches ``_FIT_FLOOR``: a guess at the window that
     costs a slice more where it falls short, not a bound.  A slice is bit
     for bit that part of the whole grid, so the fit is the whole grid's.
     Raises ``FitWindowError`` if |r|^2 never drops below the floor.
     """
-    # t * sqrt(sum g^2) >= 1 is t >= 2/Gamma0, without dividing by a zero Gamma0
-    reach = int(np.searchsorted(t_grid * math.sqrt(float(np.dot(cfg.g, cfg.g))), 1.0)) + 1
-    r = np.empty(t_grid.size, dtype=complex)
-    for lo, part in _slices(cfg, t_grid, -(-reach // _GRID_BLOCK) * _GRID_BLOCK, "t_grid"):
-        end = lo + part.size
-        r[lo:end] = part
+    step, norm = t_max / (count - 1), math.sqrt(float(np.dot(cfg.g, cfg.g)))
+    # 64 k samples when sample 64 k - 1 is the first block end with
+    # t * sqrt(sum g^2) >= 1, t >= 2/Gamma0, found without dividing by a zero Gamma0
+    ends = _grid_times(step, range(_GRID_BLOCK - 1, count, _GRID_BLOCK), count, t_max)
+    size = (int(np.searchsorted(ends * norm, 1.0)) + 1) * _GRID_BLOCK
+    r = np.empty(count, dtype=complex)
+    for lo, part in _slices(cfg, count, size, "t_grid", step):
+        hi = lo + part.size
+        r[lo:hi] = part
         if np.any(np.abs(part) ** 2 < _FIT_FLOOR):
             break
-    return fit_gaussian_decay(DecoherenceTrace(t_grid[:end], r[:end]))
+    return fit_gaussian_decay(DecoherenceTrace(_grid_times(step, range(hi), count, t_max), r[:hi]))
 
 
 def _scan_step(g_max: float, g_sq: float, eps: float) -> float:
@@ -607,7 +619,9 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     can go unreported; a scan that bounds |r| between samples to certify
     each gap is ROADMAP.md's direction 5.  The grid's points are those of
     ``np.linspace(0, horizon, n)``, j h with the last one ``horizon``, but
-    the grid is never built.  Its r(t) is evaluated a chunk of points at a
+    the grid is never built: ``_slices`` walks it as (n, h), and each
+    chunk's interval ends are read off the times ``_grid_times`` forms for
+    that chunk alone.  Its r(t) is evaluated a chunk of points at a
     time (``_slice_size``, 32 bytes a point as ``_scan_bytes`` charges them:
     32 768 points) by angle addition (``_slices``), each chunk bit for bit
     that part of the whole grid, as ``decoherence_on_grid`` evaluates a
@@ -646,13 +660,9 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
     n_pts = int(math.ceil(horizon / step)) + 1
     # np.linspace's step (NaN for a one-point grid, which _slices rejects)
     h = horizon / (n_pts - 1) if n_pts > 1 else math.nan
-
-    def t_at(j: int) -> float:
-        return horizon if j == n_pts - 1 else j * h
-
     intervals = []
     departed = False  # whether |r| has left the band yet
-    enter = None  # where the run of `above` open at the last chunk's end began
+    enter = None  # the time where the run of `above` open at the last chunk's end began
     for lo, r in _slices(cfg, n_pts, _slice_size(32), "horizon", step=h):
         above = np.abs(r) > 1.0 - eps
         del r  # free the chunk before the next one is evaluated
@@ -662,15 +672,17 @@ def recurrence_scan(cfg: SpinBathConfig, horizon: float, eps: float, step: float
                 continue
             departed = True
             above[:first] = False
-        # +1 where a run of `above` begins, -1 one past where it ends
+        # +1 where a run of `above` begins, -1 one past where it ends; t[p + 1]
+        # is point p's time, t[p] the time of the point before it
         edges = np.diff(above.astype(np.int8), prepend=np.int8(enter is not None))
-        enters = [] if enter is None else [enter]
-        enters += (np.flatnonzero(edges == 1) + lo).tolist()
-        exits = (np.flatnonzero(edges == -1) + (lo - 1)).tolist()
+        t = _grid_times(h, range(lo - 1, lo + above.size), n_pts, horizon)
+        enters = ([] if enter is None else [enter]) + t[1:][edges == 1].tolist()
+        exits = t[:-1][edges == -1].tolist()
+        del t  # nor hold its times while the next one is evaluated
         enter = enters.pop() if len(enters) > len(exits) else None
-        intervals += [(t_at(i), t_at(j)) for i, j in zip(enters, exits)]
+        intervals += zip(enters, exits)
     if not departed:
         return [(0.0, float(horizon))]
     if enter is not None:
-        intervals.append((t_at(enter), t_at(n_pts - 1)))
+        intervals.append((enter, horizon))
     return intervals

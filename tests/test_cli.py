@@ -190,6 +190,23 @@ def test_malformed_kraus_file_is_usage_error(tmp_path, capsys, kraus):
     _usage_error(capsys, args, "cannot load Kraus set")
 
 
+def test_kraus_file_is_found_from_the_working_directory_not_the_config(
+    tmp_path, monkeypatch, capsys
+):
+    # the config sits in a subdirectory and names the Kraus file by a relative path
+    config = {"experiment": "measure", "system": {"a": [0.6, 0.0], "b": [0.8, 0.0]},
+              "shots": 100, "kraus_file": "readout.json"}
+    (tmp_path / "configs").mkdir()
+    cfg = write_config(tmp_path / "configs" / "c.json", config)
+    monkeypatch.chdir(tmp_path)
+    write_kraus_file(tmp_path / "configs", config)
+    _usage_error(capsys, ["measure", "--config", cfg, "--out", "o", "--quiet"],
+                 "cannot load Kraus set")
+    write_kraus_file(tmp_path, config)
+    assert main(["measure", "--config", cfg, "--out", "o", "--quiet"]) == 0
+    assert (tmp_path / "o" / "povm.csv").exists()
+
+
 def test_recurrence_couplings_whose_squares_underflow_are_usage_error(tmp_path, capsys):
     config = {"experiment": "spin-bath",
               "recurrence": {"couplings": [1e-300], "horizon": 10.0, "epsilon": 0.01}}
@@ -502,6 +519,47 @@ def test_trace_rows_streamed_in_slices_match_whole_array_rows(tmp_path):
     whole = zip(t_grid.tolist(), r.real.tolist(), r.imag.tolist(), (np.abs(r) ** 2).tolist())
     rows = "".join("%.17g,%.17g,%.17g,%.17g\r\n" % row for row in whole).encode()
     assert (tmp_path / "trace.csv").read_bytes().endswith(b"abs_r_squared\r\n" + rows)
+
+
+class _Drain:
+    """An ``out`` that takes the blocks of rows of the one CSV written to it
+    one at a time and keeps none."""
+
+    def csv(self, name, header, rows):
+        for _ in rows:
+            pass
+
+
+def test_trace_memory_does_not_grow_with_the_samples():
+    # the grid is walked as (samples, step): each slice forms its own t
+    # column, so no array of the whole grid is held
+    def peak(samples):
+        sec = {"n_spins": 4, "ensemble": "random", "t_max": 20.0, "samples": samples}
+        return traced_peak(cli._write_trace, sec, np.random.SeedSequence(1), _Drain())
+
+    assert peak(10 ** 6) <= peak(10 ** 5) + (1 << 20)
+
+
+def test_spin_bath_sections_walk_their_grids_without_building_them(tmp_path, monkeypatch):
+    # trace, every fit and the scan hand the walker (count, step), so no grid
+    # is built only to be found uniform again
+    checked = []
+    real = cli.spin_bath._grid_step
+
+    def spy(t_grid):
+        checked.append(t_grid.size)
+        return real(t_grid)
+
+    monkeypatch.setattr(cli.spin_bath, "_grid_step", spy)
+    config = {"experiment": "spin-bath", "seed": 3,
+              "trace": {"n_spins": 5, "t_max": 4.0, "samples": 101},
+              "gaussian_fit": {"n_spins": 20, "n_seeds": 3, "samples": 400},
+              "recurrence": {"n_spins": 3, "horizon": 40.0, "epsilon": 0.05}}
+    cfg = write_config(tmp_path / "c.json", config)
+    argv = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1", "--quiet"]
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path / "o")) == ["gaussian_fit.csv", "recurrence.csv", "trace.csv"]
+    assert checked == []
 
 
 def _full_grid_fit(n, samples, child):
@@ -926,7 +984,8 @@ def test_pointer_runs_past_the_old_13_spin_cap(tmp_path, n_spins):
 
 def _count_grid_calls(monkeypatch):
     """Record (cfg, t_grid) of every grid walked by the one evaluator picker,
-    ``spin_bath._slices``; refuse decoherence_factor."""
+    ``spin_bath._slices``, a grid walked as (count, step) as its count (a
+    0-d array); refuse decoherence_factor."""
     calls = []
     real = cli.spin_bath._slices
 
@@ -969,7 +1028,7 @@ def test_every_grid_section_evaluates_r_through_the_grid_entry(tmp_path, monkeyp
     argv = ["spin-bath", "--config", cfg, "--out", str(tmp_path / "s"), "--workers", "1", "--quiet"]
     assert main(argv) == 0
     # trace, then each scaling task, then each fit's grid, walked up to its window
-    assert [t.size for _, t in calls] == [101, 300, 300, 400, 400]
+    assert [t.size if t.ndim else int(t) for _, t in calls] == [101, 300, 300, 400, 400]
     calls.clear()
     cfg = write_config(tmp_path / "pointer.json", POINTER_CFG)
     assert main(["pointer", "--config", cfg, "--out", str(tmp_path / "p"), "--quiet"]) == 0

@@ -667,6 +667,44 @@ def test_grid_step_compared_in_slices_decides_as_the_whole_grid(slices, extra):
             assert spin_bath._grid_step(bent) is None or j == samples - 1
 
 
+# np.linspace's grids: 0.1 and 0.9 make (n - 1) * (t_max / (n - 1)) differ
+# from t_max at 100 001 and 1 281 samples, so the last point is t_max itself
+LINSPACE_COUNTS = [2, 3, 63, 64, 65, 1281, 100001]
+LINSPACE_SPANS = [20.0, 0.3, 7 / 3, 1e-300, 1e300, 0.1, 0.9]
+
+
+def test_linspace_spans_include_a_last_point_that_is_not_j_step():
+    off = {(n, t_max) for n in LINSPACE_COUNTS for t_max in LINSPACE_SPANS
+           if (n - 1) * (t_max / (n - 1)) != t_max}
+    assert {(100001, 0.1), (1281, 0.9)} <= off
+
+
+@pytest.mark.parametrize("count", LINSPACE_COUNTS)
+def test_grid_times_are_linspace_bit_for_bit(count):
+    # every index, formed whole and in ranges that split the grid anywhere
+    cuts = sorted({0, 1, count // 3, count - 1, count})
+    for t_max in LINSPACE_SPANS:
+        want, step = np.linspace(0.0, t_max, count, retstep=True)
+        got = spin_bath._grid_times(step, range(count), count, t_max)
+        assert got.tobytes() == want.tobytes()
+        parts = [spin_bath._grid_times(step, range(lo, hi), count, t_max)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", LINSPACE_COUNTS[1:])
+def test_grid_step_takes_linspace_prefixes_and_refuses_a_point_one_ulp_off(count):
+    for t_max in LINSPACE_SPANS:
+        grid, step = np.linspace(0.0, t_max, count, retstep=True)
+        for size in {2, 3, count // 2 + 1, count - 1, count}:
+            assert spin_bath._grid_step(grid[:size]) == step
+        for j in {1, count // 2, count - 2}:
+            for toward in (np.inf, -np.inf):
+                bent = grid.copy()
+                bent[j] = np.nextafter(bent[j], toward)
+                assert spin_bath._grid_step(bent) is None
+
+
 @pytest.mark.parametrize("size", [64, 128, 4096])
 @pytest.mark.parametrize("bath", ["balanced", "random", "mixed"])
 def test_slices_are_the_whole_grid_bit_for_bit(size, bath):
